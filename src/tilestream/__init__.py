@@ -4,8 +4,8 @@ Train convolutional networks on images far larger than activation memory
 allows: the section below a chosen split layer runs tile-by-tile with
 planner-computed overlaps, the split activation map is reconstructed
 bit-exactly, the head runs once on it, and the backward pass recomputes
-tile activations instead of retaining them while parameter gradients are
-accumulated once per output position via ownership masks.
+each tile's forward crop instead of retaining its activations, summing
+the tiles' parameter gradients into the whole-image gradient.
 """
 
 from .engine import (
@@ -47,10 +47,7 @@ from .network import (
 from .planner import (
     Region,
     TilePlan,
-    backproject_region,
     build_tile_plan,
-    layer_overlap_backward,
-    layer_overlap_forward,
     validate_tile_plan,
 )
 

@@ -98,7 +98,8 @@ def cmd_plan(cfg: ExperimentConfig):
     print()
     print(format_table(net, stream))
     print()
-    print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}")
+    print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
+          f"recompute: {plan.recompute_ratio:.2f}x image pixels per pass")
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)

@@ -8,16 +8,15 @@ runs once on the reconstruction. Because every kernel accumulates in a
 fixed order, the reconstructed map is bit-identical to a whole-image
 pass.
 
-Backward: the head gradient is computed once on the whole split map; per
-tile, the plan's gradient slice (owned region plus backward halos) is
-cut out, the tile's activations are recomputed from the backward input
-region (a partial forward pass), and gradients propagate down through
-the tile. Before a conv layer's weight/bias gradients are accumulated,
-the output gradient is sliced to the tile's owned region at that map, so
-every whole-image output position contributes to the parameter gradients
-exactly once; halo gradient values are computed and discarded, and
-input-image gradients are not produced. Tiles run in row-major order and
-accumulate sequentially, which pins the floating-point summation order.
+Backward: the head gradient is computed once on the whole split map. Per
+tile, the forward crop is recomputed with caches and the tile's owned
+slice of the split-map gradient is backpropagated through it with the
+same stack_backward the whole-image baseline uses. Each tile computes
+its owned split-map values exactly, so by linearity the per-tile
+parameter gradients sum to the whole-image gradient; only the order of
+summation differs. Input-image gradients are not produced. Tiles run in
+row-major order and accumulate sequentially, which pins the
+floating-point summation order.
 
 Memory accounting (shared with tilestream.memory): byte counters track
 retained activation arrays only. Counted per tile: the input crop and
@@ -29,7 +28,7 @@ terms. Phase peaks:
 
     forward  = params + split_map + max(per-tile activations, head)
     backward = params + grads + 2*split_map + head + max per-tile
-               (backward regions, recomputed)
+               activations (the recomputed forward crop)
 """
 
 from __future__ import annotations
@@ -39,17 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PlanError, ShapeError
-from .layers import conv2d_input_grad, conv2d_param_grad, maxpool2d_backward, relu_backward
 from .network import (
-    Conv,
-    MaxPool,
     NetworkSpec,
     ParamGrads,
-    Relu,
     head_backward,
     head_forward,
     param_bytes,
     run_stack,
+    stack_backward,
 )
 from .planner import TilePlan
 from .tensors import check_tensor4
@@ -99,6 +95,25 @@ def _check_image(image, plan):
     return image
 
 
+def _tile_pass(net, params, image, tile, want_cache):
+    """Run one tile's input crop through the streaming section.
+
+    Returns (out, caches, activation bytes); out is checked to cover the
+    tile's owned split-map region exactly.
+    """
+    r = tile.input_forward
+    crop = np.ascontiguousarray(image[:, :, r.y0:r.y1, r.x0:r.x1])
+    sink = []
+    out, caches = run_stack(crop, net, params, 0, net.split_index,
+                            pads_seq=tile.fwd_pads, want_cache=want_cache,
+                            protect_input=False, byte_sink=sink)
+    o = tile.owned_split
+    if out.shape[2:] != o.shape():
+        raise PlanError(f"tile ({tile.row},{tile.col}) produced {out.shape[2:]}, "
+                        f"owned region is {o.shape()}")
+    return out, caches, crop.nbytes + sum(b for _, b in sink)
+
+
 def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     """Tile-reconstruct the split map, then run the head once.
 
@@ -117,18 +132,10 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
                                 reconstructed_map_bytes=split.nbytes)
     peak_tile = 0
     for tile in plan.tiles:
-        r = tile.input_forward
-        crop = np.ascontiguousarray(image[:, :, r.y0:r.y1, r.x0:r.x1])
-        sink = []
-        out, _ = run_stack(crop, net, params, 0, net.split_index,
-                           pads_seq=tile.fwd_pads, want_cache=False,
-                           protect_input=False, byte_sink=sink)
+        out, _, nbytes = _tile_pass(net, params, image, tile, want_cache=False)
         o = tile.owned_split
-        if out.shape[2:] != o.shape():
-            raise PlanError(f"tile ({tile.row},{tile.col}) produced {out.shape[2:]}, "
-                            f"owned region is {o.shape()}")
         split[:, :, o.y0:o.y1, o.x0:o.x1] = out
-        peak_tile = max(peak_tile, crop.nbytes + sum(b for _, b in sink))
+        peak_tile = max(peak_tile, nbytes)
         record.tiles_forward += 1
     head_sink = []
     logit, head_caches = head_forward(split, net, params, byte_sink=head_sink)
@@ -150,49 +157,19 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
     grads = ParamGrads.zeros_like(params)
     grad_split, head_grads = head_backward(dloss_dlogit, net, params,
                                            state.head_caches, state.split_map.shape)
-    for i, pg in head_grads.items():
-        grads.per_layer[i].w += pg.w
-        grads.per_layer[i].b += pg.b
+    grads.add_by_layer_(head_grads)
 
     record = state.record
     record.grads_bytes = param_bytes(grads.per_layer)
     peak_tile = record.peak_tile_activation_bytes
-    L = net.split_index
     for tile in plan.tiles:
-        r = tile.input_backward
-        crop = np.ascontiguousarray(image[:, :, r.y0:r.y1, r.x0:r.x1])
-        sink = []
-        _, caches = run_stack(crop, net, params, 0, L, pads_seq=tile.bwd_pads,
-                              want_cache=True, protect_input=False, byte_sink=sink)
-        gs = tile.grad_slice
-        g = grad_split[:, :, gs.y0:gs.y1, gs.x0:gs.x1].copy()
-        for m in range(L - 1, -1, -1):
-            layer = net.layers[m]
-            if isinstance(layer, Conv):
-                spec = net.conv_specs[m]
-                mask = tile.masks[m]
-                if mask is not None:
-                    gy_r, x_r, mpads = mask
-                    sub_g = g[:, :, gy_r.y0:gy_r.y1, gy_r.x0:gy_r.x1]
-                    x_in = caches[m][0]
-                    sub_x = x_in[:, :, x_r.y0:x_r.y1, x_r.x0:x_r.x1]
-                    gw, gb = conv2d_param_grad(sub_x, spec, sub_g, pads=mpads)
-                    grads.per_layer[m].w += gw
-                    grads.per_layer[m].b += gb
-                if m > 0:
-                    g = conv2d_input_grad(g, spec, params[m], caches[m][0].shape[2:],
-                                          pads=tile.bwd_pads[m])
-            elif isinstance(layer, MaxPool):
-                argmax, in_hw = caches[m]
-                if m > 0:
-                    g = maxpool2d_backward(argmax, g, in_hw)
-            elif isinstance(layer, Relu):
-                if m > 0:
-                    g = relu_backward(caches[m], g)
-            else:
-                raise ShapeError(f"layer {layer!r} illegal in the streaming section")
+        _, caches, nbytes = _tile_pass(net, params, image, tile, want_cache=True)
+        o = tile.owned_split
+        g = grad_split[:, :, o.y0:o.y1, o.x0:o.x1]
+        _, tile_grads = stack_backward(g, net, params, caches, 0, net.split_index)
+        grads.add_by_layer_(tile_grads)
         record.tiles_backward += 1
-        peak_tile = max(peak_tile, crop.nbytes + sum(b for _, b in sink))
+        peak_tile = max(peak_tile, nbytes)
     record.peak_tile_activation_bytes = peak_tile
     record.peak_bytes_backward = (record.params_bytes + record.grads_bytes
                                   + 2 * state.split_map.nbytes

@@ -71,11 +71,7 @@ def baseline_forward_backward(net: NetworkSpec, params, image, label):
     grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params,
                                            h_caches, split.shape)
     _, stream_grads = stack_backward(grad_split, net, params, s_caches, 0, net.split_index)
-    grads = ParamGrads.zeros_like(params)
-    for src in (head_grads, stream_grads):
-        for i, pg in src.items():
-            grads.per_layer[i].w += pg.w
-            grads.per_layer[i].b += pg.b
+    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
     grads.images_accumulated = 1
 
     record = StreamingRunRecord(loss=float(loss), logit=float(logit[0]),
@@ -99,10 +95,9 @@ def streaming_loss_and_grads(net, params, image, label, plan):
 
 def whole_image_loss(net, params, image, label):
     """Forward-only loss, used by the finite-difference oracle."""
-    split, _ = run_stack(image, net, params, 0, net.split_index,
+    logit, _ = run_stack(image, net, params, 0, len(net.layers),
                          protect_input=True, want_cache=False)
-    logit, _ = head_forward(split, net, params, want_cache=False)
-    loss, _ = bce_with_logits(logit[0], label)
+    loss, _ = bce_with_logits(logit[0, 0], label)
     return float(loss)
 
 

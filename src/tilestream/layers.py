@@ -172,6 +172,8 @@ def conv2d_param_grad(x, spec: ConvSpec, grad_out, pads=None):
     check_tensor4(x, "conv input")
     check_tensor4(grad_out, "conv grad_out")
     check_same_dtype(x, grad_out)
+    if grad_out.shape[0] != x.shape[0]:
+        raise ShapeError("batch mismatch between input and grad_out")
     n, c, h, w = x.shape
     _, co, oh, ow = grad_out.shape
     pads = _norm_pads(spec.pad if pads is None else pads)
@@ -190,10 +192,8 @@ def conv2d_param_grad(x, spec: ConvSpec, grad_out, pads=None):
 
 def conv2d_backward(x, spec: ConvSpec, params: ConvParams, grad_out, pads=None):
     """Full conv backward: (grad_in, grad_w, grad_b)."""
-    if grad_out.shape[0] != x.shape[0]:
-        raise ShapeError("batch mismatch between input and grad_out")
-    gx = conv2d_input_grad(grad_out, spec, params, x.shape[2:], pads)
     gw, gb = conv2d_param_grad(x, spec, grad_out, pads)
+    gx = conv2d_input_grad(grad_out, spec, params, x.shape[2:], pads)
     return gx, gw, gb
 
 

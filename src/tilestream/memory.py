@@ -14,15 +14,16 @@ desk-scale runs the predicted bytes equal the measured counters exactly
 * streaming mode never holds the whole input (tiles are cropped from
   host-resident storage); one tile's activations are resident at a time,
   plus the reconstructed split map, its gradient during backward, and
-  the head activations. Mini-batches stream per image with gradients
-  summed into one accumulator, so activation terms do not scale with
-  batch size in streaming mode (the whole-image terms do).
+  the head activations. Backward recomputes each tile's forward crop, so
+  one tile term serves both phases. Mini-batches stream per image with
+  gradients summed into one accumulator, so activation terms do not scale
+  with batch size in streaming mode (the whole-image terms do).
 
 Phase peaks (identical formulas in tilestream.engine):
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
     stream_f: params + split_map + max(max-tile-forward-activations, head)
-    stream_b: params + grads + 2*split_map + head + max-tile-backward-act.
+    stream_b: params + grads + 2*split_map + head + max-tile-forward-activations
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class MemoryEstimate:
     split_map_bytes: int = 0
     head_bytes: int = 0
     peak_tile_forward_bytes: int = 0
-    peak_tile_backward_bytes: int = 0
     peak_forward_bytes: int = 0
     peak_backward_bytes: int = 0
 
@@ -69,7 +69,6 @@ class MemoryEstimate:
             "split_map_bytes": self.split_map_bytes,
             "head_bytes": self.head_bytes,
             "peak_tile_forward_bytes": self.peak_tile_forward_bytes,
-            "peak_tile_backward_bytes": self.peak_tile_backward_bytes,
             "peak_forward_bytes": self.peak_forward_bytes,
             "peak_backward_bytes": self.peak_backward_bytes,
         }
@@ -119,9 +118,9 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
                           total_bytes=total, peak_bytes=total)
 
 
-def _tile_stack_bytes(net, plan, tile, which, channels, item):
-    """Crop plus per-layer bytes for one tile's partial pass."""
-    regions = tile.fwd_regions if which == "fwd" else tile.bwd_regions
+def _tile_stack_bytes(net, tile, channels, item):
+    """Crop plus per-layer bytes for one tile's pass through the streaming section."""
+    regions = tile.fwd_regions
     crop = regions[0]
     total = channels[0] * crop.height * crop.width * item
     per_layer = []
@@ -136,7 +135,11 @@ def _tile_stack_bytes(net, plan, tile, which, channels, item):
 
 
 def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
-    """Streaming estimate for a validated plan; per-image tile passes."""
+    """Streaming estimate for a validated plan; per-image tile passes.
+
+    activation_bytes counts every tile pass twice: once in forward and
+    once recomputed in backward.
+    """
     dtype = resolve_dtype(precision)
     item = dtype.itemsize
     shapes = net.activation_shapes(plan.image_size)
@@ -151,20 +154,17 @@ def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
         head_per_layer.append((i, b))
         head_bytes += b
 
-    peak_f, peak_b, sum_tiles = 0, 0, 0
+    peak_tile, sum_tiles = 0, 0
     per_layer_max = [0] * net.split_index
     for tile in plan.tiles:
-        f_total, f_layers = _tile_stack_bytes(net, plan, tile, "fwd", channels, item)
-        b_total, b_layers = _tile_stack_bytes(net, plan, tile, "bwd", channels, item)
-        peak_f = max(peak_f, f_total)
-        peak_b = max(peak_b, b_total)
-        sum_tiles += f_total + b_total
-        per_layer_max = [max(a, max(f, g)) for a, f, g in
-                         zip(per_layer_max, f_layers, b_layers)]
+        total, layers = _tile_stack_bytes(net, tile, channels, item)
+        peak_tile = max(peak_tile, total)
+        sum_tiles += 2 * total
+        per_layer_max = [max(a, b) for a, b in zip(per_layer_max, layers)]
 
     params = count_param_scalars(net, plan.image_size) * item
-    peak_forward = params + split_bytes + max(peak_f, head_bytes)
-    peak_backward = params + params + 2 * split_bytes + head_bytes + max(peak_f, peak_b)
+    peak_forward = params + split_bytes + max(peak_tile, head_bytes)
+    peak_backward = params + params + 2 * split_bytes + head_bytes + peak_tile
     per_layer = [(m, b) for m, b in enumerate(per_layer_max)] + head_per_layer
     act = sum_tiles + 2 * split_bytes + head_bytes
     total = act + 2 * params
@@ -173,7 +173,7 @@ def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
                           activation_bytes=act, params_bytes=params, grads_bytes=params,
                           total_bytes=total, peak_bytes=max(peak_forward, peak_backward),
                           split_map_bytes=split_bytes, head_bytes=head_bytes,
-                          peak_tile_forward_bytes=peak_f, peak_tile_backward_bytes=peak_b,
+                          peak_tile_forward_bytes=peak_tile,
                           peak_forward_bytes=peak_forward, peak_backward_bytes=peak_backward)
 
 

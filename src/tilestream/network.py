@@ -26,6 +26,7 @@ from .layers import (
     DenseParams,
     conv2d_backward,
     conv2d_forward,
+    conv2d_param_grad,
     dense_backward,
     dense_forward,
     flatten_backward,
@@ -250,6 +251,13 @@ class ParamGrads:
         self.images_accumulated += max(other.images_accumulated, 1)
         return self
 
+    def add_by_layer_(self, by_layer):
+        """Add a {layer index: ConvParams/DenseParams} gradient dict in place."""
+        for i, pg in by_layer.items():
+            self.per_layer[i].w += pg.w
+            self.per_layer[i].b += pg.b
+        return self
+
     def div_(self, count):
         for g in self.per_layer:
             if g is not None:
@@ -339,14 +347,23 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True,
 
 
 def stack_backward(grad_out, net, params, caches, start, stop):
-    """Backward through layers [start, stop); returns (grad_in, grads_by_layer)."""
+    """Backward through layers [start, stop); returns (grad_in, grads_by_layer).
+
+    Nothing consumes a gradient with respect to the image, so with start 0
+    layer 0 yields only its parameter gradients and grad_in is None.
+    """
     grads = {}
     g = grad_out
-    for i in range(stop - 1, start - 1, -1):
+    for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
         g, pg = layer_backward(g, layer, params[i], net.conv_specs[i], caches[i - start])
         if pg is not None:
             grads[i] = pg
+    if start == 0:
+        if isinstance(net.layers[0], Conv):
+            x, pads = caches[0]
+            grads[0] = ConvParams(*conv2d_param_grad(x, net.conv_specs[0], g, pads))
+        g = None
     return g, grads
 
 

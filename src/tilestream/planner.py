@@ -1,4 +1,4 @@
-"""Tile planning: overlaps, back-projection and validated tile plans.
+"""Tile planning: back-projection and validated tile plans.
 
 Geometry conventions
 --------------------
@@ -13,68 +13,32 @@ the map with the clipped amounts recorded as zero-pad widths; tiles pad
 only where the true image border was met, so interior tile edges always
 consume real neighbour pixels.
 
-Ownership
+Partition
 ---------
 The split map is partitioned near-equally (remainder to the last
-row/column). Ownership is carried down to every map with the lattice
-rule tau = clamp(t*s - p, 0, m_in), so each map is exactly partitioned;
-weight gradients are later accumulated only over owned output positions,
-which makes every whole-image output position contribute exactly once.
+row/column); each tile owns one rectangle of it. A tile's forward chain
+back-projects its owned rectangle down to the image, so the tile's input
+crop, run with the chain's pads, produces exactly the owned split-map
+values.
 
-Backward halos
---------------
-Input gradients computed from a partial gradient map are only valid
-where every reading output position was available: through one layer a
-valid gradient interval [u, v) shrinks to [u*s - p + (k-s), v*s - p)
-with relaxations at map borders. The plan expands each tile's gradient
-slice of the split map (independently per edge, minimally by scan) until
-the owned interval at every intermediate map is covered, then
-back-projects that slice to get the backward input region. Gradient
-values inside halos are computed and discarded. Positions past the last
-reading output of a layer carry structurally zero gradient and are
-exempt (they are owned by the last row/column for bookkeeping only).
-
-Per-layer overlap equations
----------------------------
-layer_overlap_forward/backward give the per-edge halo in input pixels
-for a single layer: (k - s) forward and 2(k - s) backward, each term
-clamped at zero (stride skipping needs no halo, only lattice alignment),
-plus the right/bottom remainder term b * ((z - k) mod s) accounting for
-input pixels a valid convolution drops at the image edge. Plans are
-built by exact recursion; the equations are the single-layer
-characterisation and are cross-checked against brute-force tiling in the
-test suite.
+Backward
+--------
+The backward pass reads the same crops: each tile recomputes its forward
+chain and backpropagates its owned slice of the split-map gradient. By
+linearity the per-tile parameter gradients sum to the whole-image
+gradient, so no backward halo or per-map ownership is planned.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PlanError, ShapeError
 from .layers import out_size
-from .network import Conv, MaxPool, NetworkSpec, Relu
+from .network import NetworkSpec
 
-PLAN_SCHEMA_VERSION = 1
-
-
-def layer_overlap_forward(k, s, z, b):
-    """Forward halo in pixels for one tile edge of a single layer."""
-    _check_overlap_args(k, s, z)
-    return max(k - s, 0) + (b * ((z - k) % s) if b else 0)
-
-
-def layer_overlap_backward(k, s, z, b):
-    """Backward halo in pixels for one tile edge of a single layer."""
-    _check_overlap_args(k, s, z)
-    return max(2 * (k - s), 0) + (b * ((z - k) % s) if b else 0)
-
-
-def _check_overlap_args(k, s, z):
-    if k < 1 or s < 1:
-        raise ShapeError(f"bad kernel/stride ({k}, {s})")
-    if z < k:
-        raise ShapeError(f"image extent {z} smaller than kernel {k}")
+PLAN_SCHEMA_VERSION = 2
 
 
 def backproject_span(a, b, k, s, p, in_size):
@@ -119,41 +83,8 @@ class Region:
     def shape(self):
         return (self.height, self.width)
 
-    def contains(self, other):
-        return (self.y0 <= other.y0 and self.x0 <= other.x0
-                and self.y1 >= other.y1 and self.x1 >= other.x1)
-
-    def intersect(self, other):
-        y0 = max(self.y0, other.y0)
-        x0 = max(self.x0, other.x0)
-        return Region(y0, x0, max(min(self.y1, other.y1), y0),
-                      max(min(self.x1, other.x1), x0))
-
     def as_list(self):
         return [self.y0, self.x0, self.y1, self.x1]
-
-
-def _geom_of(layer):
-    if isinstance(layer, Conv):
-        return (layer.kernel, layer.stride, layer.pad)
-    if isinstance(layer, MaxPool):
-        return (layer.kernel, layer.stride, 0)
-    if isinstance(layer, Relu):
-        return (1, 1, 0)
-    raise ShapeError(f"layer {layer!r} has no spatial geometry")
-
-
-def backproject_region(layer, out_region: Region, in_hw):
-    """Minimal input region for one layer's output region; returns (Region, pads).
-
-    pads is (top, bottom, left, right): the clipped amounts, i.e. the zero
-    padding to apply so the cropped input reproduces out_region exactly.
-    """
-    k, s, p = layer if isinstance(layer, tuple) else _geom_of(layer)
-    ih, iw = in_hw
-    y0, y1, pt, pb = backproject_span(out_region.y0, out_region.y1, k, s, p, ih)
-    x0, x1, pl, pr = backproject_span(out_region.x0, out_region.x1, k, s, p, iw)
-    return Region(y0, x0, y1, x1), (pt, pb, pl, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -174,90 +105,6 @@ def _near_equal_bounds(total, parts):
     return [i * base for i in range(parts)] + [total]
 
 
-def _owned_bounds(geoms, sizes, split_bounds, zts):
-    """Ownership boundaries at every map, derived with the lattice rule.
-
-    Interior boundaries are capped at the zero-gradient tail so remainder
-    pixels dropped by valid convs/pools at the right/bottom edge are always
-    owned by the last row/column.
-    """
-    L = len(geoms)
-    bounds = [None] * L + [list(split_bounds)]
-    for m in range(L - 1, -1, -1):
-        k, s, p = geoms[m]
-        upper = bounds[m + 1]
-        cur = [0]
-        for t in upper[1:-1]:
-            tau = min(max(t * s - p, 0), zts[m])
-            cur.append(max(tau, cur[-1]))
-        cur.append(sizes[m])
-        if any(a > b for a, b in zip(cur, cur[1:])):
-            raise PlanError("ownership boundaries not monotone")
-        bounds[m] = cur
-    return bounds
-
-
-def _zero_tail_starts(geoms, sizes):
-    """Per map, first position whose gradient is structurally zero."""
-    L = len(geoms)
-    zts = [None] * (L + 1)
-    zts[L] = sizes[L]
-    for m in range(L - 1, -1, -1):
-        k, s, p = geoms[m]
-        zts[m] = min(sizes[m], (zts[m + 1] - 1) * s - p + k)
-    return zts
-
-
-def _valid_lo_chain(geoms, sizes, a):
-    """Left edge of the valid-gradient interval at maps L..0 given G starts at a."""
-    L = len(geoms)
-    lo = [None] * (L + 1)
-    lo[L] = a
-    for m in range(L - 1, -1, -1):
-        k, s, p = geoms[m]
-        u = lo[m + 1]
-        lo[m] = 0 if u == 0 else max(u * s - p + (k - s), 0)
-    return lo
-
-
-def _valid_hi_chain(geoms, sizes, b):
-    """Right edge of the valid-gradient interval at maps L..0 given G ends at b."""
-    L = len(geoms)
-    hi = [None] * (L + 1)
-    hi[L] = b
-    for m in range(L - 1, -1, -1):
-        k, s, p = geoms[m]
-        v = hi[m + 1]
-        hi[m] = sizes[m] if v == sizes[m + 1] else min(max(v * s - p, 0), sizes[m])
-    return hi
-
-
-def _min_grad_slice(geoms, sizes, owned_bounds, zts, part):
-    """Minimal split-map gradient interval covering part's owned intervals."""
-    L = len(geoms)
-    ta, tb = owned_bounds[L][part], owned_bounds[L][part + 1]
-    if ta >= tb:
-        raise PlanError("empty owned split interval")
-
-    def left_ok(a):
-        lo = _valid_lo_chain(geoms, sizes, a)
-        return all(owned_bounds[m][part] >= owned_bounds[m][part + 1]  # empty: nothing owed
-                   or lo[m] <= owned_bounds[m][part]
-                   for m in range(1, L + 1))
-
-    def right_ok(b):
-        hi = _valid_hi_chain(geoms, sizes, b)
-        return all(owned_bounds[m][part] >= owned_bounds[m][part + 1]
-                   or hi[m] >= min(owned_bounds[m][part + 1], zts[m])
-                   for m in range(1, L + 1))
-
-    a = next((ta - h for h in range(ta + 1) if left_ok(ta - h)), None)
-    b = next((tb + h for h in range(sizes[L] - tb + 1) if right_ok(tb + h)), None)
-    if a is None or b is None:
-        raise PlanError("no feasible backward halo (grid too fine for this network)")
-    return a, b
-
-
 def _chain_down(geoms, sizes, top_iv):
     """Back-project an interval at the split down to the image; returns (ivs, pads)."""
     L = len(geoms)
@@ -272,18 +119,10 @@ def _chain_down(geoms, sizes, top_iv):
 
 
 def _plan_axis(geoms, sizes, parts):
-    """Plan one axis; returns dict with bounds and per-part chains."""
+    """Plan one axis; returns the forward (intervals, pads) chain per part."""
     split_bounds = _near_equal_bounds(sizes[-1], parts)
-    zts = _zero_tail_starts(geoms, sizes)
-    owned = _owned_bounds(geoms, sizes, split_bounds, zts)
-    per_part = []
-    for i in range(parts):
-        f_ivs, f_pads = _chain_down(geoms, sizes, (split_bounds[i], split_bounds[i + 1]))
-        g = _min_grad_slice(geoms, sizes, owned, zts, i)
-        b_ivs, b_pads = _chain_down(geoms, sizes, g)
-        per_part.append({"fwd": f_ivs, "fwd_pads": f_pads,
-                         "bwd": b_ivs, "bwd_pads": b_pads, "grad_slice": g})
-    return {"owned": owned, "parts": per_part, "zts": zts}
+    return [_chain_down(geoms, sizes, (split_bounds[i], split_bounds[i + 1]))
+            for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +135,13 @@ class TileEntry:
     col: int
     owned_split: Region
     input_forward: Region
-    input_backward: Region
-    grad_slice: Region                 # split-map region fed to this tile's backward
     fwd_regions: list                  # Region per map 0..L
     fwd_pads: list                     # (t, b, l, r) per layer 0..L-1
-    bwd_regions: list
-    bwd_pads: list
-    owned_regions: list                # Region per map 0..L
-    masks: list = field(default=None, repr=False)  # derived, see TilePlan.finalize
+
+    @property
+    def input_backward(self):
+        """Backward recomputes the forward crop, so it reads the same region."""
+        return self.input_forward
 
 
 @dataclass
@@ -326,42 +164,16 @@ class TilePlan:
     def split_hw(self):
         return self.map_sizes[-1]
 
+    @property
+    def recompute_ratio(self):
+        """Input pixels read by all tiles per image pixel (each pass, forward or backward)."""
+        read = sum(t.input_forward.height * t.input_forward.width for t in self.tiles)
+        return read / self.image_size ** 2
+
     def tile(self, row, col):
         return self.tiles[row * self.grid[1] + col]
 
-    def finalize(self):
-        """Derive per-tile mask slices used by the streaming backward pass.
-
-        For every streaming layer m (output map m+1) and tile: the owned
-        output region clipped to the tile's computed region, expressed in
-        tile-local coordinates, plus the matching input patch region and
-        pads for the weight-gradient computation.
-        """
-        L = len(self.geoms)
-        for t in self.tiles:
-            t.masks = []
-            for m in range(L):
-                owned = t.owned_regions[m + 1]
-                comp = t.bwd_regions[m + 1]
-                eff = owned.intersect(comp)
-                if eff.empty:
-                    t.masks.append(None)
-                    continue
-                patch, pads = backproject_region(self.geoms[m], eff, self.map_sizes[m])
-                src = t.bwd_regions[m]
-                if not src.contains(patch):
-                    raise PlanError("weight-grad patch escapes the recomputed region")
-                gy_local = Region(eff.y0 - comp.y0, eff.x0 - comp.x0,
-                                  eff.y1 - comp.y0, eff.x1 - comp.x0)
-                x_local = Region(patch.y0 - src.y0, patch.x0 - src.x0,
-                                 patch.y1 - src.y0, patch.x1 - src.x0)
-                t.masks.append((gy_local, x_local, pads))
-        return self
-
     def to_json_dict(self):
-        def regs(rs):
-            return [r.as_list() for r in rs]
-
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
@@ -376,13 +188,8 @@ class TilePlan:
                     "col": t.col,
                     "owned_split_region": t.owned_split.as_list(),
                     "input_region_forward": t.input_forward.as_list(),
-                    "input_region_backward": t.input_backward.as_list(),
-                    "grad_slice": t.grad_slice.as_list(),
-                    "forward": {"regions": regs(t.fwd_regions),
+                    "forward": {"regions": [r.as_list() for r in t.fwd_regions],
                                 "pads": [list(p) for p in t.fwd_pads]},
-                    "backward": {"regions": regs(t.bwd_regions),
-                                 "pads": [list(p) for p in t.bwd_pads]},
-                    "owned_regions": regs(t.owned_regions),
                 }
                 for t in self.tiles
             ],
@@ -395,24 +202,15 @@ class TilePlan:
     def from_json_dict(cls, doc):
         if doc.get("version") != PLAN_SCHEMA_VERSION:
             raise PlanError(f"unsupported plan schema version {doc.get('version')!r}")
-        tiles = []
-        for td in doc["tiles"]:
-            tiles.append(TileEntry(
-                row=td["row"], col=td["col"],
-                owned_split=Region(*td["owned_split_region"]),
-                input_forward=Region(*td["input_region_forward"]),
-                input_backward=Region(*td["input_region_backward"]),
-                grad_slice=Region(*td["grad_slice"]),
-                fwd_regions=[Region(*r) for r in td["forward"]["regions"]],
-                fwd_pads=[tuple(p) for p in td["forward"]["pads"]],
-                bwd_regions=[Region(*r) for r in td["backward"]["regions"]],
-                bwd_pads=[tuple(p) for p in td["backward"]["pads"]],
-                owned_regions=[Region(*r) for r in td["owned_regions"]],
-            ))
-        plan = cls(image_size=doc["image_size"], split_index=doc["split_index"],
+        tiles = [TileEntry(row=td["row"], col=td["col"],
+                           owned_split=Region(*td["owned_split_region"]),
+                           input_forward=Region(*td["input_region_forward"]),
+                           fwd_regions=[Region(*r) for r in td["forward"]["regions"]],
+                           fwd_pads=[tuple(p) for p in td["forward"]["pads"]])
+                 for td in doc["tiles"]]
+        return cls(image_size=doc["image_size"], split_index=doc["split_index"],
                    grid=tuple(doc["grid"]), geoms=[tuple(g) for g in doc["geoms"]],
                    map_sizes=[tuple(sz) for sz in doc["map_sizes"]], tiles=tiles)
-        return plan.finalize()
 
     @classmethod
     def from_json(cls, text):
@@ -420,7 +218,7 @@ class TilePlan:
 
 
 def build_tile_plan(net: NetworkSpec, image_size, grid):
-    """Construct and finalize a TilePlan for (network, image size, grid)."""
+    """Construct a TilePlan for (network, image size, grid)."""
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise PlanError(f"bad grid {grid}")
@@ -438,35 +236,17 @@ def build_tile_plan(net: NetworkSpec, image_size, grid):
     ax = _plan_axis(geoms, sizes, cols)
     L = len(geoms)
     tiles = []
-    for i in range(rows):
-        py = ay["parts"][i]
-        for j in range(cols):
-            px = ax["parts"][j]
-            fwd_regions = [Region(py["fwd"][m][0], px["fwd"][m][0],
-                                  py["fwd"][m][1], px["fwd"][m][1]) for m in range(L + 1)]
-            bwd_regions = [Region(py["bwd"][m][0], px["bwd"][m][0],
-                                  py["bwd"][m][1], px["bwd"][m][1]) for m in range(L + 1)]
-            owned_regions = [Region(ay["owned"][m][i], ax["owned"][m][j],
-                                    ay["owned"][m][i + 1], ax["owned"][m][j + 1])
-                             for m in range(L + 1)]
-            fwd_pads = [(py["fwd_pads"][m][0], py["fwd_pads"][m][1],
-                         px["fwd_pads"][m][0], px["fwd_pads"][m][1]) for m in range(L)]
-            bwd_pads = [(py["bwd_pads"][m][0], py["bwd_pads"][m][1],
-                         px["bwd_pads"][m][0], px["bwd_pads"][m][1]) for m in range(L)]
-            tiles.append(TileEntry(
-                row=i, col=j,
-                owned_split=owned_regions[L],
-                input_forward=fwd_regions[0],
-                input_backward=bwd_regions[0],
-                grad_slice=Region(py["grad_slice"][0], px["grad_slice"][0],
-                                  py["grad_slice"][1], px["grad_slice"][1]),
-                fwd_regions=fwd_regions, fwd_pads=fwd_pads,
-                bwd_regions=bwd_regions, bwd_pads=bwd_pads,
-                owned_regions=owned_regions))
-    plan = TilePlan(image_size=image_size, split_index=net.split_index,
+    for i, (y_ivs, y_pads) in enumerate(ay):
+        for j, (x_ivs, x_pads) in enumerate(ax):
+            fwd_regions = [Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
+                           for m in range(L + 1)]
+            fwd_pads = [y_pads[m] + x_pads[m] for m in range(L)]
+            tiles.append(TileEntry(row=i, col=j, owned_split=fwd_regions[L],
+                                   input_forward=fwd_regions[0],
+                                   fwd_regions=fwd_regions, fwd_pads=fwd_pads))
+    return TilePlan(image_size=image_size, split_index=net.split_index,
                     grid=(rows, cols), geoms=geoms,
                     map_sizes=[(z, z) for z in sizes], tiles=tiles)
-    return plan.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -503,86 +283,52 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
         fail("grid", "tile count does not match grid")
         return ValidationReport(False, failures)
 
-    # partition: per map, row/col boundaries must be consistent and tile [0, m)
-    for m in range(L + 1):
-        ybounds, xbounds = {}, {}
-        for t in plan.tiles:
-            r = t.owned_regions[m]
-            ybounds.setdefault(t.row, (r.y0, r.y1))
-            xbounds.setdefault(t.col, (r.x0, r.x1))
-            if ybounds[t.row] != (r.y0, r.y1) or xbounds[t.col] != (r.x0, r.x1):
-                fail("partition", f"map {m}: inconsistent owned rectangles")
+    # partition: row/col boundaries of the owned split rectangles must be
+    # consistent and tile [0, split extent)
+    ybounds, xbounds = {}, {}
+    for t in plan.tiles:
+        r = t.owned_split
+        ybounds.setdefault(t.row, (r.y0, r.y1))
+        xbounds.setdefault(t.col, (r.x0, r.x1))
+        if ybounds[t.row] != (r.y0, r.y1) or xbounds[t.col] != (r.x0, r.x1):
+            fail("partition", "inconsistent owned split rectangles")
+            break
+    ys = [ybounds.get(i, (None, None)) for i in range(rows)]
+    xs = [xbounds.get(j, (None, None)) for j in range(cols)]
+    for name, axis_ivs in (("rows", ys), ("cols", xs)):
+        pos = 0
+        for iv in axis_ivs:
+            if iv[0] != pos or iv[1] < iv[0]:
+                fail("partition", f"split map {name} do not partition [0, {sizes[L]})")
                 break
-        ys = [ybounds.get(i, (None, None)) for i in range(rows)]
-        xs = [xbounds.get(j, (None, None)) for j in range(cols)]
-        for name, axis_ivs, extent in (("rows", ys, sizes[m]), ("cols", xs, sizes[m])):
-            pos = 0
-            for iv in axis_ivs:
-                if iv[0] != pos or iv[1] < iv[0]:
-                    fail("partition", f"map {m}: {name} do not partition [0, {extent})")
-                    break
-                pos = iv[1]
-            else:
-                if pos != extent:
-                    fail("partition", f"map {m}: {name} do not cover [0, {extent})")
+            pos = iv[1]
+        else:
+            if pos != sizes[L]:
+                fail("partition", f"split map {name} do not cover [0, {sizes[L]})")
 
-    ztsy = _zero_tail_starts(geoms, sizes)
     for t in plan.tiles:
         tag = f"tile ({t.row},{t.col})"
         if t.owned_split.empty:
             fail("partition", f"{tag}: empty owned split region")
         if t.fwd_regions[L] != t.owned_split:
             fail("forward_shapes", f"{tag}: forward chain does not end on the owned region")
-        if t.bwd_regions[L] != t.grad_slice:
-            fail("forward_shapes", f"{tag}: backward chain does not start on the grad slice")
-        if not t.grad_slice.contains(t.owned_split):
-            fail("backward_superset", f"{tag}: grad slice misses the owned split region")
-        if not t.input_backward.contains(t.input_forward):
-            fail("backward_superset", f"{tag}: backward input region misses the forward one")
-        if t.input_forward != t.fwd_regions[0] or t.input_backward != t.bwd_regions[0]:
-            fail("forward_shapes", f"{tag}: input regions do not match the chains")
+        if t.input_forward != t.fwd_regions[0]:
+            fail("forward_shapes", f"{tag}: input region does not match the chain")
 
-        for chain, pads_chain, cname in (("fwd_regions", "fwd_pads", "forward"),
-                                         ("bwd_regions", "bwd_pads", "backward")):
-            regions = getattr(t, chain)
-            pads = getattr(t, pads_chain)
-            for m in range(L):
-                k, s, p = geoms[m]
-                out_r, in_r = regions[m + 1], regions[m]
-                (pt, pb, pl, pr) = pads[m]
-                for (o0, o1, i0, i1, plo, phi, ext) in (
-                        (out_r.y0, out_r.y1, in_r.y0, in_r.y1, pt, pb, sizes[m]),
-                        (out_r.x0, out_r.x1, in_r.x0, in_r.x1, pl, pr, sizes[m])):
-                    want_lo = o0 * s - p
-                    want_hi = (o1 - 1) * s - p + k
-                    if i0 - plo != want_lo or i1 + phi != want_hi:
-                        fail("stride_alignment",
-                             f"{tag}: {cname} layer {m} region off the sampling lattice")
-                    if plo > p or phi > p:
-                        fail("padding", f"{tag}: {cname} layer {m} pads exceed the layer pad")
-                    if (plo > 0 and i0 != 0) or (phi > 0 and i1 != ext):
-                        fail("padding", f"{tag}: {cname} layer {m} pads away from the border")
-
-        # owned gradient coverage through the validity recursion
-        lo_y = _valid_lo_chain(geoms, sizes, t.grad_slice.y0)
-        hi_y = _valid_hi_chain(geoms, sizes, t.grad_slice.y1)
-        lo_x = _valid_lo_chain(geoms, sizes, t.grad_slice.x0)
-        hi_x = _valid_hi_chain(geoms, sizes, t.grad_slice.x1)
-        for m in range(1, L + 1):
-            o = t.owned_regions[m]
-            if o.empty:
-                continue
-            if lo_y[m] > o.y0 or lo_x[m] > o.x0:
-                fail("validity", f"{tag}: map {m} owned region precedes valid gradients")
-            if hi_y[m] < min(o.y1, ztsy[m]) or hi_x[m] < min(o.x1, ztsy[m]):
-                fail("validity", f"{tag}: map {m} owned region exceeds valid gradients")
-
-        # remainder pixels at right/bottom edges belong to the last row/column only
-        for m in range(L + 1):
-            o = t.owned_regions[m]
-            if t.row != rows - 1 and o.y1 > ztsy[m]:
-                fail("b_flag", f"{tag}: map {m} remainder rows owned by a non-edge tile")
-            if t.col != cols - 1 and o.x1 > ztsy[m]:
-                fail("b_flag", f"{tag}: map {m} remainder cols owned by a non-edge tile")
+        for m in range(L):
+            k, s, p = geoms[m]
+            out_r, in_r = t.fwd_regions[m + 1], t.fwd_regions[m]
+            (pt, pb, pl, pr) = t.fwd_pads[m]
+            for (o0, o1, i0, i1, plo, phi, ext) in (
+                    (out_r.y0, out_r.y1, in_r.y0, in_r.y1, pt, pb, sizes[m]),
+                    (out_r.x0, out_r.x1, in_r.x0, in_r.x1, pl, pr, sizes[m])):
+                want_lo = o0 * s - p
+                want_hi = (o1 - 1) * s - p + k
+                if i0 - plo != want_lo or i1 + phi != want_hi:
+                    fail("stride_alignment", f"{tag}: layer {m} region off the sampling lattice")
+                if plo > p or phi > p:
+                    fail("padding", f"{tag}: layer {m} pads exceed the layer pad")
+                if (plo > 0 and i0 != 0) or (phi > 0 and i1 != ext):
+                    fail("padding", f"{tag}: layer {m} pads away from the border")
 
     return ValidationReport(not failures, failures)

@@ -1,0 +1,118 @@
+"""Streaming vs whole-image equivalence, plan validity, plan JSON and the memory model."""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import sample_streaming_config
+from tilestream.data import synth_dataset
+from tilestream.equivalence import (
+    DOUBLE_TOLERANCES,
+    baseline_forward_backward,
+    compare_runs,
+    grad_quantities,
+    streaming_loss_and_grads,
+)
+from tilestream.errors import PlanError, ShapeError
+from tilestream.memory import estimate_streaming
+from tilestream.network import init_params, net_vgg13, run_stack, stack_backward
+from tilestream.planner import TilePlan, build_tile_plan, validate_tile_plan
+
+SAMPLED = range(60)
+
+
+def sampled(case):
+    return sample_streaming_config(np.random.default_rng([2024, case]))
+
+
+def run_both(net, z, plan, seed, image):
+    label = seed % 2
+    params = init_params(net, z, seed)
+    base = baseline_forward_backward(net, params, image, label)
+    loss, logit, split, grads, record = streaming_loss_and_grads(net, params, image, label, plan)
+    stream = {"loss": loss, "logit": logit, "split_map": split}
+    stream.update(grad_quantities(grads))
+    return base, stream, record
+
+
+def assert_equivalent(base, stream):
+    assert np.array_equal(stream["split_map"], base.split_map)
+    assert stream["loss"] == base.loss
+    report = compare_runs(base.quantities(), stream, DOUBLE_TOLERANCES)
+    assert report.verdict, {n: report.entries[n].max_rel for n in report.failures}
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_sampled_config_matches_whole_image(case):
+    net, z, grid, plan = sampled(case)
+    report = validate_tile_plan(plan, net)
+    assert report.ok, report.failures
+    image = np.random.default_rng(case).standard_normal((1, 1, z, z))
+    base, stream, record = run_both(net, z, plan, case, image)
+    assert_equivalent(base, stream)
+    assert record.tiles_forward == record.tiles_backward == grid[0] * grid[1]
+
+
+@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deep_vgg13_matches_whole_image(z, grid, seed):
+    net = net_vgg13(base=2, hidden=4)
+    plan = build_tile_plan(net, z, grid)
+    assert validate_tile_plan(plan, net).ok
+    sample = synth_dataset(seed, z, 2)[seed]
+    base, stream, _ = run_both(net, z, plan, seed, sample.image)
+    assert_equivalent(base, stream)
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_memory_model_equals_engine_counters(case):
+    net, z, _, plan = sampled(case)
+    image = np.random.default_rng(case).standard_normal((1, 1, z, z))
+    _, _, record = run_both(net, z, plan, case, image)
+    est = estimate_streaming(net, plan, 1, "double")
+    assert est.peak_forward_bytes == record.peak_bytes_forward
+    assert est.peak_backward_bytes == record.peak_bytes_backward
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_plan_json_round_trips(case):
+    _, _, _, plan = sampled(case)
+    assert TilePlan.from_json(plan.to_json()) == plan
+
+
+def test_version_1_plan_is_rejected():
+    plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 2))
+    doc = json.loads(plan.to_json())
+    doc["version"] = 1
+    with pytest.raises(PlanError):
+        TilePlan.from_json_dict(doc)
+
+
+def test_broken_forward_chain_fails_validation():
+    net = net_vgg13(base=2, hidden=4)
+    plan = build_tile_plan(net, 64, (2, 2))
+    plan.tiles[0].fwd_pads[0] = (0, 0, 0, 0)
+    report = validate_tile_plan(plan, net)
+    assert not report.ok
+    assert report.first_failure.startswith("stride_alignment")
+
+
+def test_recompute_ratio_and_backward_input_region():
+    plan = build_tile_plan(net_vgg13(), 512, (4, 4))
+    assert round(plan.recompute_ratio, 2) == 4.22
+    assert all(t.input_backward == t.input_forward for t in plan.tiles)
+    assert build_tile_plan(net_vgg13(), 512, (1, 1)).recompute_ratio == 1.0
+
+
+def test_stack_backward_gives_layer0_param_grads_only(rng):
+    net = net_vgg13(base=2, hidden=4)
+    params = init_params(net, 32, 0)
+    x = rng.standard_normal((1, 1, 32, 32))
+    out, caches = run_stack(x, net, params, 0, net.split_index)
+    g_in, grads = stack_backward(np.ones_like(out), net, params, caches, 0, net.split_index)
+    assert g_in is None
+    assert grads[0].w.shape == params[0].w.shape
+    g0 = np.ones((2,) + caches[1].shape[1:])  # relu 1 caches layer 0's output shape
+    with pytest.raises(ShapeError, match="batch mismatch"):
+        stack_backward(g0, net, params, caches, 0, 1)
