@@ -243,7 +243,6 @@ def cmd_bench(cfg: ExperimentConfig):
     report = {}
     for mode, use_plan in (("sgd", None), ("ssgd", plan)):
         params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
-        run_cfg = cfg
         times, peak = [], 0
         dtype = np.float64 if cfg.precision == "double" else np.float32
         for step in range(steps):
@@ -261,7 +260,7 @@ def cmd_bench(cfg: ExperimentConfig):
                         net, params, img, sample.label, use_plan)
                 per_image.append(grads)
                 peak = max(peak, rec.peak_bytes)
-            sgd_step(params, accumulate_minibatch(per_image), run_cfg.learning_rate)
+            sgd_step(params, accumulate_minibatch(per_image), cfg.learning_rate)
             times.append(time.perf_counter() - t0)
         report[mode] = {"median_step_seconds": float(np.median(times)),
                         "peak_bytes": peak}

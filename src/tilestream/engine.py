@@ -4,9 +4,10 @@ Forward: each tile's input crop runs through the streaming section with
 the plan's border-only padding, lands exactly on its owned split-map
 region and is pasted there; tile activations are then dropped, so only
 the reconstructed split map (plus head activations) persists. The head
-runs once on the reconstruction. Because every kernel accumulates in a
-fixed order, the reconstructed map is bit-identical to a whole-image
-pass.
+runs once on the reconstruction. Because every forward value depends
+only on its receptive field (fixed-shape conv products, exact max
+pooling; see tilestream.layers), the reconstructed map is bit-identical
+to a whole-image pass.
 
 Backward: the head gradient is computed once on the whole split map. Per
 tile, the forward crop is recomputed with caches and the tile's owned

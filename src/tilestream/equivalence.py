@@ -1,10 +1,11 @@
 """Whole-image baseline and streaming-vs-baseline comparison machinery.
 
 The baseline arm runs the identical kernels on the whole image in one
-pass. Because the kernels pin their accumulation order per output
-element, the baseline split map and loss are bit-identical to the
-streaming reconstruction; parameter gradients differ only by
-floating-point summation order (tiles accumulate blockwise) and are
+pass. Because each forward value depends only on its receptive field
+(see tilestream.layers), the baseline split map and loss are
+bit-identical to the streaming reconstruction; parameter gradients
+differ in floating-point summation order (tiles accumulate blockwise,
+and the gradient kernels' products follow the map size) and are
 compared under per-precision tolerances. Central finite differences give
 both executors an independent ground truth.
 """

@@ -170,9 +170,6 @@ class TilePlan:
         read = sum(t.input_forward.height * t.input_forward.width for t in self.tiles)
         return read / self.image_size ** 2
 
-    def tile(self, row, col):
-        return self.tiles[row * self.grid[1] + col]
-
     def to_json_dict(self):
         return {
             "version": PLAN_SCHEMA_VERSION,

@@ -1,17 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from tilestream.errors import NonFiniteError, ShapeError
 from tilestream.layers import (
+    _BAND_DIV,
+    _BAND_MIN,
+    _BLOCK,
     ConvParams,
     ConvSpec,
     bce_with_logits,
     conv2d_backward,
     conv2d_forward,
+    conv2d_input_grad,
+    conv2d_param_grad,
     dense_backward,
     dense_forward,
     DenseParams,
@@ -342,3 +348,136 @@ def test_per_pixel_determinism(seed, k, s):
     crop = x[:, :, oy * s: oy * s + k, ox * s: ox * s + k]
     one = conv2d_forward(crop, spec, ConvParams(w, b))
     assert one[0, :, 0, 0].tobytes() == full[0, :, oy, ox].tobytes()
+
+
+# --- tile reproducibility, workspace, single-precision backward ----------
+
+def _crop_rows(o0, o1, k, s, pad, size):
+    """Input rows [lo, hi) an output span [o0, o1) reads, and the zero pads
+    it needs where it crosses the image border (as a streaming tile does)."""
+    start, stop = o0 * s - pad, (o1 - 1) * s + k - pad
+    return max(0, start), min(size, stop), max(0, -start), max(0, stop - size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2), c_in=st.integers(1, 40), c_out=st.integers(1, 40),
+       k=st.integers(1, 5), s=st.integers(1, 3), pads=st.tuples(*[st.integers(0, 4)] * 4),
+       h=st.integers(1, 40), w=st.integers(1, 40), crop=st.tuples(*[st.integers(0, 999)] * 4),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, c_in=3, c_out=5, k=3, s=1, pads=(1, 1, 1, 1), h=5, w=7, crop=(1, 2, 3, 1),
+         dtype=np.float32, seed=0)  # 35 output positions: fewer than one block
+@example(n=2, c_in=7, c_out=9, k=3, s=1, pads=(1, 0, 2, 1), h=13, w=11, crop=(5, 3, 2, 7),
+         dtype=np.float32, seed=1)  # 12 x 12 = 144 positions: two blocks and a tail
+@example(n=1, c_in=2, c_out=3, k=2, s=2, pads=(0, 1, 1, 0), h=40, w=40, crop=(3, 17, 0, 999),
+         dtype=np.float64, seed=2)  # 20 x 20 = 400 positions, several bands
+def test_conv_forward_crop_bit_exact(n, c_in, c_out, k, s, pads, h, w, crop, dtype, seed):
+    """Any crop with border-only padding reproduces its outputs bit for bit."""
+    pt, pb, pl, pr = (p % k for p in pads)
+    h, w = max(h, k - pt - pb), max(w, k - pl - pr)
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((n, c_in, h, w)).astype(dtype)
+    params = ConvParams(r.standard_normal((c_out, c_in, k, k)).astype(dtype),
+                        r.standard_normal(c_out).astype(dtype))
+    spec = ConvSpec(k, s, 0, c_in, c_out)
+    whole = conv2d_forward(x, spec, params, (pt, pb, pl, pr))
+    oh, ow = whole.shape[2:]
+    a0 = crop[0] % oh
+    a1 = a0 + 1 + crop[1] % (oh - a0)
+    b0 = crop[2] % ow
+    b1 = b0 + 1 + crop[3] % (ow - b0)
+    y0, y1, ct, cb = _crop_rows(a0, a1, k, s, pt, h)
+    x0, x1, cl, cr = _crop_rows(b0, b1, k, s, pl, w)
+    part = conv2d_forward(np.ascontiguousarray(x[:, :, y0:y1, x0:x1]), spec, params, (ct, cb, cl, cr))
+    assert part.tobytes() == np.ascontiguousarray(whole[:, :, a0:a1, b0:b1]).tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        results = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in results)
+
+
+@pytest.mark.parametrize("shape,c_out", [((1, 4, 256, 256), 4), ((1, 32, 32, 32), 32)])
+def test_conv_workspace_within_band_policy(rng, shape, c_out):
+    """Beyond their results the kernels allocate at most the documented
+    workspace: band columns (and the forward's result buffer), the padded
+    input and the one-byte-per-element finiteness mask."""
+    n, c, h, w = shape
+    k, item = 3, 4
+    x = rng.standard_normal(shape).astype(np.float32)
+    params = ConvParams(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
+                        np.zeros(c_out, np.float32))
+    spec = ConvSpec(k, 1, 1, c, c_out)
+    grad = rng.standard_normal((n, c_out, h, w)).astype(np.float32)
+    kk = c * k * k
+    rows = min(h, max(c_out * h * w // (_BAND_DIV * kk * w), -(-_BAND_MIN // w)))
+    band = -(-rows * w // _BLOCK) * _BLOCK
+    padded = n * c * (h + 2) * (w + 2) * item
+    slack = 16 * 1024  # Python objects, views and (c_out, K) products
+    fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params)])
+    assert fwd_peak - fwd_out <= padded + (kk + c_out) * band * item + fwd_out // item + slack
+    bwd_peak, bwd_out = _traced_peak(lambda: conv2d_backward(x, spec, params, grad))
+    assert bwd_peak - bwd_out <= padded + kk * rows * w * item + x.size + slack
+    # the whole-map im2col this policy avoids would not fit the bound
+    assert kk * h * w * item > padded + (kk + c_out) * band * item + x.size + slack
+
+
+def _loop_conv_grads(x, w, g, stride, pads):
+    """Float64 adjoint of brute_conv: the same index loops, run backwards."""
+    n, ci, h, ww = x.shape
+    co, _, k, _ = w.shape
+    pt, pb, pl, pr = pads
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni in range(n):
+        for o in range(co):
+            for oy in range(g.shape[2]):
+                for ox in range(g.shape[3]):
+                    go = g[ni, o, oy, ox]
+                    win = (ni, slice(None), slice(oy * stride, oy * stride + k),
+                           slice(ox * stride, ox * stride + k))
+                    gxp[win] += go * w[o]
+                    gw[o] += go * xp[win]
+    return gxp[:, :, pt:pt + h, pl:pl + ww], gw
+
+
+@pytest.mark.parametrize("n,k,s,pads", [(2, 3, 2, (1, 0, 2, 1)), (2, 2, 1, (0, 1, 1, 0)),
+                                        (1, 5, 2, (2, 1, 0, 3)), (2, 3, 1, (1, 1, 1, 1))])
+def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
+    ci, co, h, w = 3, 4, 19, 17
+    x = rng.standard_normal((n, ci, h, w))
+    wt = rng.standard_normal((co, ci, k, k))
+    spec = ConvSpec(k, s, 0, ci, co)
+    pt, pb, pl, pr = pads
+    g = rng.standard_normal(conv2d_forward(x, spec, ConvParams(wt, np.zeros(co)), pads).shape)
+    want_x, want_w = _loop_conv_grads(x, wt, g, s, pads)
+    # the oracle is brute_conv's adjoint: <brute_conv(x), g> == <want_w, wt>
+    y = brute_conv(np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))), wt, np.zeros(co), s, 0)
+    assert abs((y * g).sum() - (want_w * wt).sum()) <= 1e-9 * np.abs(y * g).sum()
+    f32 = np.float32
+    got_x = conv2d_input_grad(g.astype(f32), spec, ConvParams(wt.astype(f32), np.zeros(co, f32)),
+                              (h, w), pads)
+    got_w, got_b = conv2d_param_grad(x.astype(f32), spec, g.astype(f32), pads)
+    for got, want in ((got_x, want_x), (got_w, want_w), (got_b, g.sum(axis=(0, 2, 3)))):
+        assert got.dtype == f32 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_maxpool_backward_matches_per_map_scatter():
+    """One flattened np.add.at gives the bits of a per-(n, c) scatter, with
+    overlapping windows (k=3, s=2) and ties."""
+    r = np.random.default_rng(7)
+    x = r.integers(0, 3, (2, 3, 11, 9)).astype(np.float32)  # many ties
+    _, arg = maxpool2d_forward(x, 3, 2)
+    gy = r.standard_normal(arg.shape).astype(np.float32)
+    want = np.zeros((2, 3, 11 * 9), np.float32)
+    for i in range(2):
+        for ch in range(3):
+            np.add.at(want[i, ch], arg[i, ch].ravel(), gy[i, ch].ravel())
+    got = maxpool2d_backward(arg, gy, (11, 9))
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
