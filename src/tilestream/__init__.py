@@ -12,16 +12,13 @@ from .engine import (
     StreamingForwardState,
     StreamingRunRecord,
     accumulate_minibatch,
+    baseline_forward_backward,
     sgd_step,
     streaming_backward,
     streaming_forward,
+    train_step,
 )
-from .equivalence import (
-    baseline_forward_backward,
-    compare_runs,
-    finite_difference_check,
-    lockstep_train,
-)
+from .equivalence import compare_runs, finite_difference_check, lockstep_train
 from .errors import (
     ConfigError,
     NondeterminismError,

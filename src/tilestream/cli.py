@@ -1,12 +1,10 @@
 """Command-line entry point: plan | verify | train | bench.
 
-Exit codes: 0 success, 1 config error, 2 infeasible plan, 3 equivalence
-failure (or detected nondeterminism during verify), 4 divergence
-(non-finite loss). All runs are deterministic in (config, seed): reruns
-produce bit-identical CSVs, checkpoints and reports. --threads caps
-worker counts and never changes results; the current engine executes
-tiles sequentially (a cap of 1 worker) so results are trivially
-independent of it.
+Exit codes: 0 success, 1 usage or config error, 2 infeasible plan, 3
+equivalence failure (or detected nondeterminism during verify), 4
+divergence (non-finite loss). All runs are deterministic in (config,
+seed): reruns produce bit-identical CSVs, checkpoints and reports.
+train, bench and verify's lockstep all step through engine.train_step.
 """
 
 from __future__ import annotations
@@ -20,23 +18,15 @@ import time
 import numpy as np
 
 from .config import ExperimentConfig, build_network, load_config
-from .data import synth_dataset
-from .engine import accumulate_minibatch, sgd_step
-from .equivalence import (
-    baseline_forward_backward,
-    compare_runs,
-    default_tolerances,
-    finite_difference_check,
-    grad_quantities,
-    lockstep_train,
-    streaming_loss_and_grads,
-)
+from .data import minibatch, synth_dataset
+from .engine import baseline_forward_backward, streaming_loss_and_grads, train_step
+from .equivalence import compare_runs, default_tolerances, finite_difference_check, lockstep_train
 from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError, TilestreamError
 from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
-from .network import NetworkSpec, cast_params, init_params
+from .network import cast_params, init_params
 from .planner import build_tile_plan, validate_tile_plan
-from .tensors import read_st4, write_st4
+from .tensors import resolve_dtype, write_st4
 
 
 def _fmt(x):
@@ -65,17 +55,6 @@ def save_checkpoint(dirpath, net, params, precision):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def load_checkpoint(dirpath, net, image_size):
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    params = init_params(net, image_size, seed=0, precision=manifest["precision"])
-    for entry in manifest["tensors"]:
-        arr = read_st4(os.path.join(dirpath, entry["file"]))
-        target = getattr(params[entry["layer"]], entry["name"])
-        target[...] = arr.reshape(target.shape)
-    return params
-
-
 def _prepare(cfg: ExperimentConfig, need_plan):
     net = build_network(cfg)
     plan = None
@@ -100,6 +79,11 @@ def cmd_plan(cfg: ExperimentConfig):
     print()
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
           f"recompute: {plan.recompute_ratio:.2f}x image pixels per pass")
+    g = 1
+    while g <= min(plan.split_hw):
+        ratio = build_tile_plan(net, cfg.image_size, (g, g)).recompute_ratio
+        print(f"grid {g}x{g}: recompute {ratio:.2f}x")
+        g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
@@ -122,33 +106,25 @@ def cmd_verify(cfg: ExperimentConfig):
     tol.update({k: float(v) for k, v in cfg.tolerances.items()})
 
     # one-shot full comparison at the initial parameters
-    dtype = np.float64 if cfg.precision == "double" else np.float32
-    img = data[0].image.astype(dtype)
+    img = data[0].image.astype(resolve_dtype(cfg.precision))
     base = baseline_forward_backward(net, params_run, img, data[0].label)
-    s_loss, s_logit, s_split, s_grads, _ = streaming_loss_and_grads(
-        net, params_run, img, data[0].label, plan)
-    qa = {"loss": base.loss, "logit": base.logit, "split_map": base.split_map}
-    qa.update(grad_quantities(base.grads))
-    qb = {"loss": s_loss, "logit": s_logit, "split_map": s_split}
-    qb.update(grad_quantities(s_grads))
-    report = compare_runs(qa, qb, tol)
+    stream = streaming_loss_and_grads(net, params_run, img, data[0].label, plan)
+    report = compare_runs(base.quantities(), stream.quantities(), tol)
 
     # finite-difference ground truth, always probed in double precision
     fd_eps = float(cfg.verify.get("fd_eps", 1e-5))
     fd_coords = int(cfg.verify.get("fd_coords", 40))
     fd_tol = float(cfg.verify.get("fd_tol", 1e-5))
     img64 = data[0].image.astype(np.float64)
-    base64 = baseline_forward_backward(net, params0, img64, data[0].label)
     fd_base = finite_difference_check(net, params0, img64, data[0].label, eps=fd_eps,
-                                      seed=cfg.seed, coords_per_tensor=fd_coords,
-                                      grads=base64.grads)
-    _, _, _, sg64, _ = streaming_loss_and_grads(net, params0, img64, data[0].label, plan)
+                                      seed=cfg.seed, coords_per_tensor=fd_coords)
+    sg64 = streaming_loss_and_grads(net, params0, img64, data[0].label, plan).grads
     fd_stream = finite_difference_check(net, params0, img64, data[0].label, eps=fd_eps,
                                         seed=cfg.seed, coords_per_tensor=fd_coords,
                                         grads=sg64)
 
     result = lockstep_train(net, params_run, data, cfg.steps, cfg.learning_rate,
-                            cfg.batch_size, plan, precision=cfg.precision)
+                            cfg.batch_size, plan)
     failures = list(report.failures)
     if result.mean_loss_diff > tol["loss"]:
         failures.append(f"lockstep mean loss diff {result.mean_loss_diff:.3e} > {tol['loss']}")
@@ -186,37 +162,7 @@ def cmd_verify(cfg: ExperimentConfig):
     return 0
 
 
-def _train_loop(cfg, net, params, data, plan, csv_path=None):
-    rows = [("step", "loss", "train_acc_running", "peak_bytes")]
-    dtype = np.float64 if cfg.precision == "double" else np.float32
-    seen = correct = 0
-    for step in range(cfg.steps):
-        batch = [data[(step * cfg.batch_size + i) % len(data)]
-                 for i in range(cfg.batch_size)]
-        per_image, losses, peak = [], [], 0
-        for sample in batch:
-            img = sample.image.astype(dtype)
-            if plan is None:
-                res = baseline_forward_backward(net, params, img, sample.label)
-                loss, logit, grads, rec = res.loss, res.logit, res.grads, res.record
-            else:
-                loss, logit, _, grads, rec = streaming_loss_and_grads(
-                    net, params, img, sample.label, plan)
-            per_image.append(grads)
-            losses.append(loss)
-            peak = max(peak, rec.peak_bytes)
-            seen += 1
-            correct += int((logit > 0) == bool(sample.label))
-        sgd_step(params, accumulate_minibatch(per_image), cfg.learning_rate)
-        rows.append((step, _fmt(np.mean(losses)), _fmt(correct / seen), peak))
-    if csv_path:
-        _write_csv(csv_path, rows)
-    return rows
-
-
 def cmd_train(cfg: ExperimentConfig):
-    if cfg.mode not in ("sgd", "ssgd"):
-        raise ConfigError(f"train needs mode sgd or ssgd, got {cfg.mode}")
     if not cfg.out:
         raise ConfigError("train needs an output directory (--out or config 'out')")
     net, plan = _prepare(cfg, need_plan=cfg.mode == "ssgd")
@@ -224,8 +170,16 @@ def cmd_train(cfg: ExperimentConfig):
                          in_channels=cfg.in_channels, noise=cfg.noise)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
     os.makedirs(cfg.out, exist_ok=True)
-    rows = _train_loop(cfg, net, params, data, plan,
-                       csv_path=os.path.join(cfg.out, "train.csv"))
+    rows = [("step", "loss", "train_acc_running", "peak_bytes")]
+    seen = correct = 0
+    for step in range(cfg.steps):
+        batch = minibatch(data, step, cfg.batch_size)
+        res = train_step(net, params, batch, cfg.learning_rate, plan)
+        seen += len(batch)
+        correct += sum(int((logit > 0) == bool(sample.label))
+                       for logit, sample in zip(res.logits, batch))
+        rows.append((step, _fmt(res.loss), _fmt(correct / seen), res.peak_bytes))
+    _write_csv(os.path.join(cfg.out, "train.csv"), rows)
     save_checkpoint(os.path.join(cfg.out, "checkpoint"), net, params, cfg.precision)
     if len(rows) > 1:
         print(f"trained {cfg.steps} steps ({cfg.mode}); final loss {rows[-1][1]}, "
@@ -244,24 +198,12 @@ def cmd_bench(cfg: ExperimentConfig):
     for mode, use_plan in (("sgd", None), ("ssgd", plan)):
         params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
         times, peak = [], 0
-        dtype = np.float64 if cfg.precision == "double" else np.float32
         for step in range(steps):
-            batch = [data[(step * cfg.batch_size + i) % len(data)]
-                     for i in range(cfg.batch_size)]
+            batch = minibatch(data, step, cfg.batch_size)
             t0 = time.perf_counter()
-            per_image = []
-            for sample in batch:
-                img = sample.image.astype(dtype)
-                if use_plan is None:
-                    res = baseline_forward_backward(net, params, img, sample.label)
-                    grads, rec = res.grads, res.record
-                else:
-                    _, _, _, grads, rec = streaming_loss_and_grads(
-                        net, params, img, sample.label, use_plan)
-                per_image.append(grads)
-                peak = max(peak, rec.peak_bytes)
-            sgd_step(params, accumulate_minibatch(per_image), cfg.learning_rate)
+            res = train_step(net, params, batch, cfg.learning_rate, use_plan)
             times.append(time.perf_counter() - t0)
+            peak = max(peak, res.peak_bytes)
         report[mode] = {"median_step_seconds": float(np.median(times)),
                         "peak_bytes": peak}
     ratio = report["ssgd"]["median_step_seconds"] / report["sgd"]["median_step_seconds"]
@@ -287,13 +229,14 @@ def make_parser():
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--precision", choices=["single", "double"], default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker count (results never depend on it)")
     return parser
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -302,10 +245,6 @@ def main(argv=None):
             cfg.precision = args.precision
         if args.out is not None:
             cfg.out = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,12 +13,12 @@ and "grid" optional with the defaults below:
   "image_size": 64, "grid": [2, 2],
   "batch_size": 1, "steps": 10, "learning_rate": 0.05,
   "seed": 0, "precision": "single" | "double",
-  "mode": "sgd" | "ssgd" | "lockstep",
-  "dataset": {"n_train": 32, "n_test": 16, "noise": 0.02},
+  "mode": "sgd" | "ssgd",
+  "dataset": {"n_train": 32, "noise": 0.02},
   "tolerances": {"loss": ..., "grad": ..., "logit": ..., "split_map": ...},
   "verify": {"fd_coords": 40, "fd_eps": 1e-5, "fd_tol": 1e-5},
   "bench": {"steps": 3},
-  "threads": 1, "out": "path"
+  "out": "path"
 }
 """
 
@@ -57,16 +57,11 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     bench: dict = field(default_factory=dict)
-    threads: int = 1
     out: str = None
 
     @property
     def n_train(self):
         return int(self.dataset.get("n_train", 32))
-
-    @property
-    def n_test(self):
-        return int(self.dataset.get("n_test", 16))
 
     @property
     def noise(self):
@@ -111,8 +106,7 @@ def parse_config(doc):
             ("batch_size", int, lambda v: v >= 1),
             ("steps", int, lambda v: v >= 0),
             ("learning_rate", (int, float), lambda v: v >= 0),
-            ("seed", int, lambda v: True),
-            ("threads", int, lambda v: v >= 1)):
+            ("seed", int, lambda v: True)):
         if key in doc:
             v = doc[key]
             _require(isinstance(v, kind) and not isinstance(v, bool) and check(v),
@@ -123,8 +117,8 @@ def parse_config(doc):
                  f"precision must be 'single' or 'double', got {doc['precision']!r}")
         cfg.precision = doc["precision"]
     if "mode" in doc:
-        _require(doc["mode"] in ("sgd", "ssgd", "lockstep"),
-                 f"mode must be sgd/ssgd/lockstep, got {doc['mode']!r}")
+        _require(doc["mode"] in ("sgd", "ssgd"),
+                 f"mode must be sgd or ssgd, got {doc['mode']!r}")
         cfg.mode = doc["mode"]
     for key in ("dataset", "tolerances", "verify", "bench"):
         if key in doc:

@@ -77,6 +77,12 @@ def synth_dataset(seed, image_size, n, in_channels=1, noise=0.02):
     return samples
 
 
+def minibatch(dataset, step, batch_size):
+    """The samples of training step `step`: the dataset read in order, cyclically."""
+    n = len(dataset)
+    return [dataset[(step * batch_size + i) % n] for i in range(batch_size)]
+
+
 def blob_positions(sample: SyntheticSample):
     """Oracle: recover ((ty, tx), (by, bx)) blob centers from the image."""
     img = sample.image[0, 0]

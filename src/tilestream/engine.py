@@ -1,18 +1,26 @@
-"""Streaming execution: tiled forward, recomputing tiled backward, SGD.
+"""Execution: whole-image and tiled passes, and the one SGD training step.
 
-Forward: each tile's input crop runs through the streaming section with
-the plan's border-only padding, lands exactly on its owned split-map
-region and is pasted there; tile activations are then dropped, so only
-the reconstructed split map (plus head activations) persists. The head
-runs once on the reconstruction. Because every forward value depends
-only on its receptive field (fixed-shape conv products, exact max
-pooling; see tilestream.layers), the reconstructed map is bit-identical
-to a whole-image pass.
+Both executors run one image forward and backward and return a
+PassResult; train_step is the only code that picks between them (plan
+None selects whole-image), so train, bench and verify's lockstep run the
+same SGD loop and differ only in the per-image executor.
 
-Backward: the head gradient is computed once on the whole split map. Per
-tile, the forward crop is recomputed with caches and the tile's owned
-slice of the split-map gradient is backpropagated through it with the
-same stack_backward the whole-image baseline uses. Each tile computes
+Whole image: the streaming section and the head run once on the whole
+image with standard backprop, through the same kernels as the tiles.
+
+Streaming forward: each tile's input crop runs through the streaming
+section with the plan's border-only padding, lands exactly on its owned
+split-map region and is pasted there; tile activations are then dropped,
+so only the reconstructed split map (plus head activations) persists.
+The head runs once on the reconstruction. Because every forward value
+depends only on its receptive field (fixed-shape conv products, exact
+max pooling; see tilestream.layers), the reconstructed map is
+bit-identical to a whole-image pass.
+
+Streaming backward: the head gradient is computed once on the whole split
+map. Per tile, the forward crop is recomputed with caches and the tile's
+owned slice of the split-map gradient is backpropagated through it with
+the same stack_backward the whole-image executor uses. Each tile computes
 its owned split-map values exactly, so by linearity the per-tile
 parameter gradients sum to the whole-image gradient; only the order of
 summation differs. Input-image gradients are not produced. Tiles run in
@@ -39,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PlanError, ShapeError
+from .layers import bce_with_logits
 from .network import (
     NetworkSpec,
     ParamGrads,
@@ -54,7 +63,7 @@ from .tensors import check_tensor4
 
 @dataclass
 class StreamingRunRecord:
-    """Instrumentation counters for one streaming forward/backward pass."""
+    """Instrumentation counters for one image pass, tiled or whole-image."""
 
     loss: float = float("nan")
     logit: float = float("nan")
@@ -69,12 +78,36 @@ class StreamingRunRecord:
     peak_bytes_backward: int = 0
 
     @property
-    def tiles_processed(self):
-        return self.tiles_forward + self.tiles_backward
-
-    @property
     def peak_bytes(self):
         return max(self.peak_bytes_forward, self.peak_bytes_backward)
+
+
+@dataclass
+class PassResult:
+    """One image's forward and backward pass, from either executor."""
+
+    loss: float
+    logit: float
+    split_map: np.ndarray
+    grads: ParamGrads
+    record: StreamingRunRecord
+
+    def quantities(self):
+        """Everything compared between executors, keyed as compare_runs expects."""
+        out = {"loss": self.loss, "logit": self.logit, "split_map": self.split_map}
+        for name, t in self.grads.named_tensors():
+            out[f"grad:{name}"] = t
+        return out
+
+
+@dataclass
+class StepResult:
+    """One SGD step: batch-mean loss, per-image logits, the applied mean gradient."""
+
+    loss: float
+    logits: list
+    grads: ParamGrads
+    peak_bytes: int
 
 
 @dataclass
@@ -177,6 +210,66 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
                                   + record.head_activation_bytes + peak_tile)
     grads.images_accumulated = 1
     return grads
+
+
+def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TilePlan):
+    """One streaming image pass: tiled forward, BCE loss, recomputing backward."""
+    state = streaming_forward(net, params, image, plan)
+    loss, dlogit = bce_with_logits(state.logit[0], label)
+    grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
+    state.record.loss = float(loss)
+    return PassResult(float(loss), float(state.logit[0]), state.split_map, grads, state.record)
+
+
+def baseline_forward_backward(net: NetworkSpec, params, image, label):
+    """Single whole-image pass with standard backprop; same kernels as streaming."""
+    check_tensor4(image, "image")
+    if image.shape[0] != 1:
+        raise ShapeError("baseline executor runs one image at a time")
+    sink = []
+    split, s_caches = run_stack(image, net, params, 0, net.split_index,
+                                protect_input=True, byte_sink=sink)
+    head_sink = []
+    logit, h_caches = head_forward(split, net, params, byte_sink=head_sink)
+    loss, dlogit = bce_with_logits(logit[0], label)
+    grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params,
+                                           h_caches, split.shape)
+    _, stream_grads = stack_backward(grad_split, net, params, s_caches, 0, net.split_index)
+    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
+    grads.images_accumulated = 1
+
+    record = StreamingRunRecord(loss=float(loss), logit=float(logit[0]),
+                                params_bytes=param_bytes(params),
+                                reconstructed_map_bytes=split.nbytes)
+    act = image.nbytes + sum(b for _, b in sink) + sum(b for _, b in head_sink)
+    record.grads_bytes = param_bytes(grads.per_layer)
+    record.peak_bytes_forward = record.params_bytes + act
+    record.peak_bytes_backward = record.params_bytes + record.grads_bytes + act
+    return PassResult(float(loss), float(logit[0]), split, grads, record)
+
+
+def train_step(net: NetworkSpec, params, batch, lr, plan: TilePlan = None):
+    """One SGD step on a mini-batch of samples (each with .image and .label).
+
+    Every image is cast to the parameters' dtype and runs whole-image when
+    plan is None, tiled through plan otherwise. The per-image gradients
+    are averaged in batch order and applied to params in place.
+    """
+    dtype = next(p.w.dtype for p in params if p is not None)
+    per_image, losses, logits, peak = [], [], [], 0
+    for sample in batch:
+        image = sample.image.astype(dtype)
+        if plan is None:
+            res = baseline_forward_backward(net, params, image, sample.label)
+        else:
+            res = streaming_loss_and_grads(net, params, image, sample.label, plan)
+        per_image.append(res.grads)
+        losses.append(res.loss)
+        logits.append(res.logit)
+        peak = max(peak, res.record.peak_bytes)
+    grads = accumulate_minibatch(per_image)
+    sgd_step(params, grads, lr)
+    return StepResult(float(np.mean(losses)), logits, grads, peak)
 
 
 def accumulate_minibatch(per_image):

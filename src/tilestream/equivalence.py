@@ -1,13 +1,15 @@
-"""Whole-image baseline and streaming-vs-baseline comparison machinery.
+"""Streaming-vs-whole-image comparison: quantity diffs, lockstep training,
+finite differences.
 
-The baseline arm runs the identical kernels on the whole image in one
-pass. Because each forward value depends only on its receptive field
-(see tilestream.layers), the baseline split map and loss are
-bit-identical to the streaming reconstruction; parameter gradients
-differ in floating-point summation order (tiles accumulate blockwise,
-and the gradient kernels' products follow the map size) and are
-compared under per-precision tolerances. Central finite differences give
-both executors an independent ground truth.
+The two executors live in tilestream.engine. Because each forward value
+depends only on its receptive field (see tilestream.layers), the
+whole-image split map and loss are bit-identical to the streaming
+reconstruction; parameter gradients differ in floating-point summation
+order (tiles accumulate blockwise, and the gradient kernels' products
+follow the map size) and are compared under per-precision tolerances.
+lockstep_train runs both executors through the one engine.train_step.
+Central finite differences give both executors an independent ground
+truth.
 """
 
 from __future__ import annotations
@@ -17,81 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import StreamingRunRecord, accumulate_minibatch, sgd_step, streaming_backward, streaming_forward
+from .data import minibatch
+# baseline_forward_backward is also reached under this module's name (the
+# benchmark in perfbench/ traces it as equivalence.baseline_forward_backward).
+from .engine import baseline_forward_backward, train_step
 from .errors import NondeterminismError, ShapeError
 from .layers import bce_with_logits
-from .network import (
-    NetworkSpec,
-    ParamGrads,
-    clone_params,
-    head_backward,
-    head_forward,
-    param_bytes,
-    run_stack,
-    stack_backward,
-)
-from .tensors import check_tensor4
+from .network import NetworkSpec, ParamGrads, clone_params, run_stack
 
 REL_EPS = 1e-30
 
 DOUBLE_TOLERANCES = {"loss": 1e-10, "logit": 1e-10, "split_map": 0.0, "grad": 1e-9}
 SINGLE_TOLERANCES = {"loss": 1e-4, "logit": 1e-4, "split_map": 0.0, "grad": 1e-4}
 
+# Leading lockstep steps rerun to check that both arms reproduce bit for bit.
+DETERMINISM_CHECK_STEPS = 2
+
 
 def default_tolerances(precision):
     return dict(DOUBLE_TOLERANCES if str(precision) in ("double", "float64")
                 else SINGLE_TOLERANCES)
-
-
-@dataclass
-class BaselineResult:
-    loss: float
-    logit: float
-    split_map: np.ndarray
-    grads: ParamGrads
-    record: StreamingRunRecord
-
-    def quantities(self):
-        out = {"loss": self.loss, "logit": self.logit, "split_map": self.split_map}
-        for name, t in self.grads.named_tensors():
-            out[f"grad:{name}"] = t
-        return out
-
-
-def baseline_forward_backward(net: NetworkSpec, params, image, label):
-    """Single whole-image pass with standard backprop; same kernels as streaming."""
-    check_tensor4(image, "image")
-    if image.shape[0] != 1:
-        raise ShapeError("baseline executor runs one image at a time")
-    sink = []
-    split, s_caches = run_stack(image, net, params, 0, net.split_index,
-                                protect_input=True, byte_sink=sink)
-    head_sink = []
-    logit, h_caches = head_forward(split, net, params, byte_sink=head_sink)
-    loss, dlogit = bce_with_logits(logit[0], label)
-    grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params,
-                                           h_caches, split.shape)
-    _, stream_grads = stack_backward(grad_split, net, params, s_caches, 0, net.split_index)
-    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
-    grads.images_accumulated = 1
-
-    record = StreamingRunRecord(loss=float(loss), logit=float(logit[0]),
-                                params_bytes=param_bytes(params),
-                                reconstructed_map_bytes=split.nbytes)
-    act = image.nbytes + sum(b for _, b in sink) + sum(b for _, b in head_sink)
-    record.grads_bytes = param_bytes(grads.per_layer)
-    record.peak_bytes_forward = record.params_bytes + act
-    record.peak_bytes_backward = record.params_bytes + record.grads_bytes + act
-    return BaselineResult(float(loss), float(logit[0]), split, grads, record)
-
-
-def streaming_loss_and_grads(net, params, image, label, plan):
-    """One streaming image pass; returns (loss, logit, split_map, grads, record)."""
-    state = streaming_forward(net, params, image, plan)
-    loss, dlogit = bce_with_logits(state.logit[0], label)
-    grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
-    state.record.loss = float(loss)
-    return float(loss), float(state.logit[0]), state.split_map, grads, state.record
 
 
 def whole_image_loss(net, params, image, label):
@@ -191,15 +138,11 @@ class StepMetrics:
     loss_ssgd: float
     abs_diff: float
     max_grad_rel_diff: float
-    peak_bytes_sgd: int
-    peak_bytes_ssgd: int
 
 
 @dataclass
 class LockstepResult:
     metrics: list
-    params_sgd: list
-    params_ssgd: list
     worst_grad_rel: float
     worst_loss_diff: float
     mean_loss_diff: float
@@ -211,75 +154,38 @@ class LockstepResult:
                    repr(m.abs_diff), repr(m.max_grad_rel_diff))
 
 
-def _batch(dataset, step, batch_size):
-    n = len(dataset)
-    return [dataset[(step * batch_size + i) % n] for i in range(batch_size)]
+def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, plan):
+    """Train whole-image and streaming arms from identical state, in lockstep.
 
-
-def _step_one_arm(net, params, batch, lr, dtype, plan=None):
-    """One SGD step on one arm; returns (mean_loss, grads, peak_bytes)."""
-    per_image, losses, peak = [], [], 0
-    for sample in batch:
-        image = sample.image.astype(dtype, copy=True)
-        if plan is None:
-            res = baseline_forward_backward(net, params, image, sample.label)
-            loss, grads, rec = res.loss, res.grads, res.record
-        else:
-            loss, _, _, grads, rec = streaming_loss_and_grads(net, params, image,
-                                                              sample.label, plan)
-        per_image.append(grads)
-        losses.append(loss)
-        peak = max(peak, rec.peak_bytes)
-    avg = accumulate_minibatch(per_image)
-    sgd_step(params, avg, lr)
-    return float(np.mean(losses)), avg, peak
-
-
-def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, plan,
-                   precision="double", determinism_check_steps=2):
-    """Train baseline and streaming arms from identical state, in lockstep.
-
-    Both arms see identical initial parameters and data order. Per step the
-    batch-averaged losses and gradients are compared before the update.
-    A short rerun of both arms re-checks bit-exact reproducibility and
-    raises NondeterminismError on any mismatch.
+    Both arms start from copies of params0 and see the same batches; each
+    step's batch-mean losses and applied gradients are compared. The first
+    DETERMINISM_CHECK_STEPS steps are rerun and must reproduce their
+    losses bit for bit, or NondeterminismError is raised.
     """
-    dtype = np.dtype(np.float64 if str(precision) in ("double", "float64") else np.float32)
 
-    def run(n_steps, metrics_sink=None):
-        pa = clone_params(params0)
-        pb = clone_params(params0)
-        trace = []
+    def run(n_steps):
+        pa, pb = clone_params(params0), clone_params(params0)
+        metrics = []
         for step in range(n_steps):
-            batch = _batch(dataset, step, batch_size)
-            loss_a, grads_a, peak_a = _step_one_arm(net, pa, batch, lr, dtype, plan=None)
-            loss_b, grads_b, peak_b = _step_one_arm(net, pb, batch, lr, dtype, plan=plan)
-            ga = grad_quantities(grads_a)
-            gb = grad_quantities(grads_b)
-            rel = 0.0
-            for name in ga:
-                a, b = ga[name].astype(np.float64), gb[name].astype(np.float64)
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_EPS)
-                if a.size:
-                    rel = max(rel, float((np.abs(a - b) / denom).max()))
-            m = StepMetrics(step=step, loss_sgd=loss_a, loss_ssgd=loss_b,
-                            abs_diff=abs(loss_a - loss_b), max_grad_rel_diff=rel,
-                            peak_bytes_sgd=peak_a, peak_bytes_ssgd=peak_b)
-            trace.append((loss_a, loss_b))
-            if metrics_sink is not None:
-                metrics_sink.append(m)
-        return pa, pb, trace
+            batch = minibatch(dataset, step, batch_size)
+            a = train_step(net, pa, batch, lr)
+            b = train_step(net, pb, batch, lr, plan)
+            # only the differences are read here; verify gates them
+            diff = compare_runs(grad_quantities(a.grads), grad_quantities(b.grads),
+                                {"grad": math.inf})
+            metrics.append(StepMetrics(
+                step=step, loss_sgd=a.loss, loss_ssgd=b.loss, abs_diff=abs(a.loss - b.loss),
+                max_grad_rel_diff=max((e.max_rel for e in diff.entries.values()), default=0.0)))
+        return metrics
 
-    metrics = []
-    pa, pb, trace = run(steps, metrics)
-    if determinism_check_steps > 0:
-        k = min(determinism_check_steps, steps)
-        _, _, retrace = run(k)
-        if retrace != trace[:k]:
-            raise NondeterminismError("paired rerun produced different losses")
+    metrics = run(steps)
+    k = min(DETERMINISM_CHECK_STEPS, steps)
+    losses = [(m.loss_sgd, m.loss_ssgd) for m in metrics[:k]]
+    if [(m.loss_sgd, m.loss_ssgd) for m in run(k)] != losses:
+        raise NondeterminismError("paired rerun produced different losses")
     diffs = [m.abs_diff for m in metrics]
     return LockstepResult(
-        metrics=metrics, params_sgd=pa, params_ssgd=pb,
+        metrics=metrics,
         worst_grad_rel=max((m.max_grad_rel_diff for m in metrics), default=0.0),
         worst_loss_diff=max(diffs, default=0.0),
         mean_loss_diff=float(np.mean(diffs)) if diffs else 0.0)

@@ -121,10 +121,6 @@ class NetworkSpec:
     def stream_layers(self):
         return self.layers[: self.split_index]
 
-    @property
-    def head_layers(self):
-        return self.layers[self.split_index :]
-
     def stream_geoms(self):
         """Per-streaming-layer (kernel, stride, pad); relu is (1, 1, 0)."""
         geoms = []

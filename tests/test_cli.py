@@ -37,11 +37,37 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "pass" and report["failures"] == []
     if command == "plan":
-        assert "recompute: " in capsys.readouterr().out
+        text = capsys.readouterr().out
+        # the unpadded stride-2 conv never needs the last image row and column,
+        # so even one tile reads only 31x31 of the 32x32 pixels
+        assert "recompute: " in text and f"grid 1x1: recompute {31**2 / 32**2:.2f}x" in text
+        assert "grid 4x4: recompute " in text and "grid 8x8" not in text
 
 
-def test_malformed_config_exits_1(tmp_path):
-    assert main(["plan", "--config", write_config(tmp_path, "{not json")]) == 1
+@pytest.mark.parametrize("doc, extra", [
+    pytest.param("{not json", [], id="not-json"),
+    pytest.param(None, [], id="missing-config"),
+    pytest.param(CONFIG, ["--threads", "2"], id="threads-flag"),
+    pytest.param(dict(CONFIG, version=2), [], id="wrong-version"),
+    pytest.param(dict(CONFIG, network=dict(CONFIG["network"], preset="vgg13")), [],
+                 id="preset-and-layers"),
+    pytest.param(dict(CONFIG, network={"preset": "vgg99"}), [], id="unknown-preset"),
+    pytest.param(dict(CONFIG, grid=[2]), [], id="grid-one-entry"),
+    pytest.param(dict(CONFIG, grid=[0, 2]), [], id="grid-zero"),
+    pytest.param(dict(CONFIG, dataset={"n_train": 3}), [], id="odd-n-train"),
+    pytest.param(dict(CONFIG, precision="half"), [], id="precision-half"),
+    pytest.param(dict(CONFIG, mode="lockstep"), [], id="mode-lockstep"),
+    pytest.param(dict(CONFIG, batch_size=True), [], id="bool-batch-size"),
+])
+def test_malformed_config_exits_1(tmp_path, doc, extra):
+    """Config errors and command-line usage errors both exit 1 (2 means infeasible plan)."""
+    argv = ["plan"] if doc is None else ["plan", "--config", write_config(tmp_path, doc)]
+    assert main(argv + extra) == 1
+
+
+def test_help_exits_0(capsys):
+    assert main(["plan", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_grid_beyond_split_map_exits_2(tmp_path):

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import sample_streaming_config
+from test_cli import CONFIG
+from tilestream.config import build_network, parse_config
 from tilestream.data import synth_dataset
-from tilestream.equivalence import (
-    DOUBLE_TOLERANCES,
-    baseline_forward_backward,
-    compare_runs,
-    grad_quantities,
-    streaming_loss_and_grads,
-)
+from tilestream.engine import baseline_forward_backward, streaming_loss_and_grads
+from tilestream.equivalence import DOUBLE_TOLERANCES, compare_runs, finite_difference_check
 from tilestream.errors import PlanError, ShapeError
 from tilestream.memory import estimate_streaming
 from tilestream.network import init_params, net_vgg13, run_stack, stack_backward
@@ -30,10 +27,8 @@ def run_both(net, z, plan, seed, image):
     label = seed % 2
     params = init_params(net, z, seed)
     base = baseline_forward_backward(net, params, image, label)
-    loss, logit, split, grads, record = streaming_loss_and_grads(net, params, image, label, plan)
-    stream = {"loss": loss, "logit": logit, "split_map": split}
-    stream.update(grad_quantities(grads))
-    return base, stream, record
+    stream = streaming_loss_and_grads(net, params, image, label, plan)
+    return base, stream.quantities(), stream.record
 
 
 def assert_equivalent(base, stream):
@@ -63,6 +58,24 @@ def test_deep_vgg13_matches_whole_image(z, grid, seed):
     sample = synth_dataset(seed, z, 2)[seed]
     base, stream, _ = run_both(net, z, plan, seed, sample.image)
     assert_equivalent(base, stream)
+
+
+def test_gradients_match_finite_differences():
+    """Both executors against central differences on the CLI tests' ReLU-free net.
+
+    Without ReLU no probe straddles a kink, so every coordinate of every
+    tensor is checked at the default eps in double precision.
+    """
+    net = build_network(parse_config(CONFIG))
+    plan = build_tile_plan(net, 32, (2, 2))
+    params = init_params(net, 32, seed=0)
+    sample = synth_dataset(0, 32, 2)[0]
+    base = baseline_forward_backward(net, params, sample.image, sample.label)
+    stream = streaming_loss_and_grads(net, params, sample.image, sample.label, plan)
+    for grads in (base.grads, stream.grads):
+        err = finite_difference_check(net, params, sample.image, sample.label,
+                                      coords_per_tensor=1000, grads=grads)
+        assert err <= 1e-5
 
 
 @pytest.mark.parametrize("case", SAMPLED)
