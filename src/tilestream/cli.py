@@ -10,6 +10,7 @@ train, bench and verify's lockstep all step through engine.train_step.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -90,8 +91,8 @@ def cmd_plan(cfg: ExperimentConfig):
         with open(os.path.join(cfg.out, "plan.json"), "w") as fh:
             fh.write(plan.to_json(indent=2))
         with open(os.path.join(cfg.out, "memory.json"), "w") as fh:
-            json.dump({"whole_image": whole.to_json_dict(),
-                       "streaming": stream.to_json_dict(),
+            json.dump({"whole_image": dataclasses.asdict(whole),
+                       "streaming": dataclasses.asdict(stream),
                        "reduction_percent": reduction}, fh, indent=2, sort_keys=True)
     return 0
 
@@ -99,7 +100,7 @@ def cmd_plan(cfg: ExperimentConfig):
 def cmd_verify(cfg: ExperimentConfig):
     net, plan = _prepare(cfg, need_plan=True)
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
-                         in_channels=cfg.in_channels, noise=cfg.noise)
+                         in_channels=net.in_channels, noise=cfg.noise)
     params0 = init_params(net, cfg.image_size, cfg.seed, precision="double")
     params_run = cast_params(params0, cfg.precision)
     tol = default_tolerances(cfg.precision)
@@ -167,7 +168,7 @@ def cmd_train(cfg: ExperimentConfig):
         raise ConfigError("train needs an output directory (--out or config 'out')")
     net, plan = _prepare(cfg, need_plan=cfg.mode == "ssgd")
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
-                         in_channels=cfg.in_channels, noise=cfg.noise)
+                         in_channels=net.in_channels, noise=cfg.noise)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
     os.makedirs(cfg.out, exist_ok=True)
     rows = [("step", "loss", "train_acc_running", "peak_bytes")]
@@ -192,7 +193,7 @@ def cmd_train(cfg: ExperimentConfig):
 def cmd_bench(cfg: ExperimentConfig):
     net, plan = _prepare(cfg, need_plan=True)
     data = synth_dataset(cfg.seed, cfg.image_size, max(cfg.batch_size * 2, 2),
-                         in_channels=cfg.in_channels, noise=cfg.noise)
+                         in_channels=net.in_channels, noise=cfg.noise)
     steps = int(cfg.bench.get("steps", 3))
     report = {}
     for mode, use_plan in (("sgd", None), ("ssgd", plan)):
@@ -219,6 +220,13 @@ def cmd_bench(cfg: ExperimentConfig):
 COMMANDS = {"plan": cmd_plan, "verify": cmd_verify, "train": cmd_train, "bench": cmd_bench}
 
 
+def _seed(text):
+    """argparse type of --seed: a non-negative int, as PCG64 requires."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def make_parser():
     parser = argparse.ArgumentParser(prog="tilestream",
                                      description="Tile-streamed CNN training tools")
@@ -226,7 +234,7 @@ def make_parser():
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override config seed")
         p.add_argument("--precision", choices=["single", "double"], default=None)
         p.add_argument("--out", default=None, help="output directory")
     return parser

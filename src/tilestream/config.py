@@ -20,10 +20,16 @@ and "grid" optional with the defaults below:
   "bench": {"steps": 3},
   "out": "path"
 }
+
+parse_config rejects, with ConfigError, any key not listed here (a
+preset takes the keyword arguments of its function in
+tilestream.network) and any value of the wrong type or range: counts
+are ints (never booleans), tolerances and noise non-negative numbers.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -32,13 +38,39 @@ from .network import Conv, Dense, Flatten, MaxPool, NetworkSpec, PRESETS, Relu
 
 SCHEMA_VERSION = 1
 
+# A value check is (type, predicate); booleans never pass as numbers.
+_ANY = (object, lambda v: True)
+_POS_INT = (int, lambda v: v >= 1)
+_NONNEG_INT = (int, lambda v: v >= 0)
+_NONNEG = ((int, float), lambda v: v >= 0)
+
+_FIELDS = {
+    "version": _ANY,  # checked first by parse_config
+    "network": _ANY,  # checked by _check_network
+    "image_size": (int, lambda v: v >= 4),
+    "grid": (list, lambda v: len(v) == 2 and all(_valid(g, _POS_INT) for g in v)),
+    "batch_size": _POS_INT,
+    "steps": _NONNEG_INT,
+    "learning_rate": _NONNEG,
+    "seed": _NONNEG_INT,
+    "precision": (str, lambda v: v in ("single", "double")),
+    "mode": (str, lambda v: v in ("sgd", "ssgd")),
+    "dataset": {"n_train": (int, lambda v: v >= 2 and v % 2 == 0), "noise": _NONNEG},
+    "tolerances": dict.fromkeys(("loss", "grad", "logit", "split_map"), _NONNEG),
+    "verify": {"fd_coords": _NONNEG_INT, "fd_eps": ((int, float), lambda v: v > 0),
+               "fd_tol": _NONNEG},
+    "bench": {"steps": _POS_INT},
+    "out": (str, lambda v: True),
+}
+
+# kind -> (layer class, its fields in a config entry, the required ones)
 _LAYER_KINDS = {
-    "conv": lambda d: Conv(c_out=d["c_out"], kernel=d.get("kernel", 3),
-                           stride=d.get("stride", 1), pad=d.get("pad", 0)),
-    "maxpool": lambda d: MaxPool(kernel=d.get("kernel", 2), stride=d.get("stride", 2)),
-    "relu": lambda d: Relu(),
-    "flatten": lambda d: Flatten(),
-    "dense": lambda d: Dense(width=d["width"]),
+    "conv": (Conv, {"c_out": _POS_INT, "kernel": _POS_INT, "stride": _POS_INT,
+                    "pad": _NONNEG_INT}, ("c_out",)),
+    "maxpool": (MaxPool, {"kernel": _POS_INT, "stride": _POS_INT}, ()),
+    "relu": (Relu, {}, ()),
+    "flatten": (Flatten, {}, ()),
+    "dense": (Dense, {"width": _POS_INT}, ("width",)),
 }
 
 
@@ -67,71 +99,60 @@ class ExperimentConfig:
     def noise(self):
         return float(self.dataset.get("noise", 0.02))
 
-    @property
-    def in_channels(self):
-        return int(self.network.get("in_channels", 1))
-
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
 
 
-def parse_config(doc):
-    _require(isinstance(doc, dict), "config root must be a JSON object")
-    _require(doc.get("version") == SCHEMA_VERSION,
-             f"config version must be {SCHEMA_VERSION}, got {doc.get('version')!r}")
-    for key in ("network", "image_size", "grid"):
-        _require(key in doc, f"config missing required key {key!r}")
-    net = doc["network"]
+def _valid(v, check):
+    kind, ok = check
+    return isinstance(v, kind) and not isinstance(v, bool) and ok(v)
+
+
+def _check_fields(where, doc, fields, required=()):
+    """doc must be an object with only the keys of fields, each value passing
+    its check (a nested dict of fields checks a nested object)."""
+    _require(isinstance(doc, dict), f"{where} must be an object")
+    for key in required:
+        _require(key in doc, f"{where} is missing required key {key!r}")
+    for key, v in doc.items():
+        _require(key in fields, f"unknown key {key!r} in {where}")
+        if isinstance(fields[key], dict):
+            _check_fields(key, v, fields[key])
+        else:
+            _require(_valid(v, fields[key]), f"bad value for {key!r} in {where}: {v!r}")
+
+
+def _check_network(net):
     _require(isinstance(net, dict), "network must be an object")
     _require(("preset" in net) != ("layers" in net),
              "network needs exactly one of 'preset' or 'layers'")
     if "preset" in net:
-        _require(net["preset"] in PRESETS, f"unknown preset {net['preset']!r}")
-    else:
-        _require("split_index" in net, "inline network needs split_index")
-        for entry in net["layers"]:
-            _require(isinstance(entry, dict) and entry.get("kind") in _LAYER_KINDS,
-                     f"bad layer entry {entry!r}")
-    image_size = doc["image_size"]
-    _require(isinstance(image_size, int) and image_size >= 4, "image_size must be an int >= 4")
-    grid = doc["grid"]
-    _require(isinstance(grid, list) and len(grid) == 2
-             and all(isinstance(g, int) and g >= 1 for g in grid),
-             "grid must be [rows, cols] with positive ints")
+        preset = net["preset"]
+        _require(isinstance(preset, str) and preset in PRESETS, f"unknown preset {preset!r}")
+        kwargs = inspect.signature(PRESETS[preset]).parameters
+        _check_fields("network", net, {"preset": _ANY, **dict.fromkeys(kwargs, _POS_INT)})
+        return
+    _check_fields("network", net, {"in_channels": _POS_INT, "split_index": _POS_INT,
+                                   "layers": (list, lambda v: len(v) > 0)},
+                  required=("split_index",))
+    for i, entry in enumerate(net["layers"]):
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        _require(isinstance(kind, str) and kind in _LAYER_KINDS, f"bad layer entry {entry!r}")
+        _, fields, required = _LAYER_KINDS[kind]
+        _check_fields(f"network.layers[{i}]", entry, {"kind": _ANY, **fields}, required)
 
-    cfg = ExperimentConfig(network=net, image_size=image_size, grid=tuple(grid))
-    for key, kind, check in (
-            ("batch_size", int, lambda v: v >= 1),
-            ("steps", int, lambda v: v >= 0),
-            ("learning_rate", (int, float), lambda v: v >= 0),
-            ("seed", int, lambda v: True)):
-        if key in doc:
-            v = doc[key]
-            _require(isinstance(v, kind) and not isinstance(v, bool) and check(v),
-                     f"bad value for {key}: {v!r}")
-            setattr(cfg, key, v if key != "learning_rate" else float(v))
-    if "precision" in doc:
-        _require(doc["precision"] in ("single", "double"),
-                 f"precision must be 'single' or 'double', got {doc['precision']!r}")
-        cfg.precision = doc["precision"]
-    if "mode" in doc:
-        _require(doc["mode"] in ("sgd", "ssgd"),
-                 f"mode must be sgd or ssgd, got {doc['mode']!r}")
-        cfg.mode = doc["mode"]
-    for key in ("dataset", "tolerances", "verify", "bench"):
-        if key in doc:
-            _require(isinstance(doc[key], dict), f"{key} must be an object")
-            setattr(cfg, key, doc[key])
-    if "out" in doc:
-        _require(isinstance(doc["out"], str), "out must be a path string")
-        cfg.out = doc["out"]
-    if cfg.dataset:
-        n_tr = cfg.dataset.get("n_train", 32)
-        _require(isinstance(n_tr, int) and n_tr >= 2 and n_tr % 2 == 0,
-                 "dataset.n_train must be an even int >= 2")
-    return cfg
+
+def parse_config(doc):
+    _require(isinstance(doc, dict), "config root must be a JSON object")
+    _require(doc.get("version") == SCHEMA_VERSION,
+             f"config version must be {SCHEMA_VERSION}, got {doc.get('version')!r}")
+    _check_fields("config", doc, _FIELDS, required=("network", "image_size", "grid"))
+    _check_network(doc["network"])
+    fields = {k: v for k, v in doc.items() if k != "version"}
+    fields["grid"] = tuple(doc["grid"])
+    return ExperimentConfig(**fields)
 
 
 def load_config(path):
@@ -151,7 +172,8 @@ def build_network(cfg: ExperimentConfig) -> NetworkSpec:
         if "preset" in net:
             kwargs = {k: v for k, v in net.items() if k != "preset"}
             return PRESETS[net["preset"]](**kwargs)
-        layers = tuple(_LAYER_KINDS[d["kind"]](d) for d in net["layers"])
+        layers = tuple(_LAYER_KINDS[d["kind"]][0](**{k: v for k, v in d.items() if k != "kind"})
+                       for d in net["layers"])
         return NetworkSpec(net.get("in_channels", 1), layers, net["split_index"])
-    except (KeyError, TypeError, ShapeError) as exc:
+    except ShapeError as exc:
         raise ConfigError(f"bad network spec: {exc}") from exc

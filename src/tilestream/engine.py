@@ -65,11 +65,8 @@ from .tensors import check_tensor4
 class StreamingRunRecord:
     """Instrumentation counters for one image pass, tiled or whole-image."""
 
-    loss: float = float("nan")
-    logit: float = float("nan")
     tiles_forward: int = 0
     tiles_backward: int = 0
-    reconstructed_map_bytes: int = 0
     peak_tile_activation_bytes: int = 0
     head_activation_bytes: int = 0
     params_bytes: int = 0
@@ -162,8 +159,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     c_split = net.split_shape(plan.image_size)[0]
     sh, sw = plan.split_hw
     split = np.empty((n, c_split, sh, sw), dtype=image.dtype)
-    record = StreamingRunRecord(params_bytes=param_bytes(params),
-                                reconstructed_map_bytes=split.nbytes)
+    record = StreamingRunRecord(params_bytes=param_bytes(params))
     peak_tile = 0
     for tile in plan.tiles:
         out, _, nbytes = _tile_pass(net, params, image, tile, want_cache=False)
@@ -177,7 +173,6 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     record.peak_tile_activation_bytes = peak_tile
     record.peak_bytes_forward = (record.params_bytes + split.nbytes
                                  + max(peak_tile, record.head_activation_bytes))
-    record.logit = float(logit[0]) if logit.shape[0] == 1 else float("nan")
     return StreamingForwardState(split_map=split, head_caches=head_caches,
                                  logit=logit, record=record, plan=plan)
 
@@ -208,7 +203,6 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
     record.peak_bytes_backward = (record.params_bytes + record.grads_bytes
                                   + 2 * state.split_map.nbytes
                                   + record.head_activation_bytes + peak_tile)
-    grads.images_accumulated = 1
     return grads
 
 
@@ -217,7 +211,6 @@ def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TileP
     state = streaming_forward(net, params, image, plan)
     loss, dlogit = bce_with_logits(state.logit[0], label)
     grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
-    state.record.loss = float(loss)
     return PassResult(float(loss), float(state.logit[0]), state.split_map, grads, state.record)
 
 
@@ -236,11 +229,8 @@ def baseline_forward_backward(net: NetworkSpec, params, image, label):
                                            h_caches, split.shape)
     _, stream_grads = stack_backward(grad_split, net, params, s_caches, 0, net.split_index)
     grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
-    grads.images_accumulated = 1
 
-    record = StreamingRunRecord(loss=float(loss), logit=float(logit[0]),
-                                params_bytes=param_bytes(params),
-                                reconstructed_map_bytes=split.nbytes)
+    record = StreamingRunRecord(params_bytes=param_bytes(params))
     act = image.nbytes + sum(b for _, b in sink) + sum(b for _, b in head_sink)
     record.grads_bytes = param_bytes(grads.per_layer)
     record.peak_bytes_forward = record.params_bytes + act
@@ -280,7 +270,6 @@ def accumulate_minibatch(per_image):
     for g in per_image:
         total.add_(g)
     total.div_(len(per_image))
-    total.images_accumulated = len(per_image)
     return total
 
 

@@ -4,6 +4,11 @@ Streaming rebuilds the split map from tiles bit for bit, so each forward
 value must depend only on its receptive field: not on the map's size nor
 on where the field sits in it.
 
+Geometry. The conv kernels take a Conv as their spec: kernel, stride and
+symmetric pad, with c_in and c_out fixing the weight shape. The layers of
+a NetworkSpec are passed as they are (it fills in each conv's c_in), so a
+conv's geometry is written down once, in the network.
+
 * conv2d_forward lowers convolution to matrix products over im2col
   columns (Chellapilla et al., 2006): one column per output position,
   rows ordered (ci, ky, kx). Every output column, all c_out channels of
@@ -57,21 +62,26 @@ _BAND_MIN = 256  # but a band covers at least this many output positions
 
 
 @dataclass(frozen=True)
-class ConvSpec:
-    """Square-kernel convolution geometry: kernel k, stride s, zero pad p per side."""
+class Conv:
+    """Square-kernel convolution: c_out filters of kernel k, stride s, zero pad p per side.
 
-    kernel: int
+    c_in is the channel count of the map below. A network leaves it unset
+    and NetworkSpec fills it in, so each conv in NetworkSpec.layers is the
+    geometry the conv kernels take as their spec.
+    """
+
+    c_out: int
+    kernel: int = 3
     stride: int = 1
     pad: int = 0
-    c_in: int = 1
-    c_out: int = 1
+    c_in: int = None
 
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1 or self.pad < 0:
             raise ShapeError(f"bad conv geometry {self}")
         if self.pad >= self.kernel:
             raise ShapeError(f"pad must be < kernel: {self}")
-        if self.c_in < 1 or self.c_out < 1:
+        if self.c_out < 1 or (self.c_in is not None and self.c_in < 1):
             raise ShapeError(f"bad channel counts {self}")
 
 
@@ -82,7 +92,7 @@ class ConvParams:
     w: np.ndarray
     b: np.ndarray
 
-    def check(self, spec: ConvSpec):
+    def check(self, spec: Conv):
         if self.w.shape != (spec.c_out, spec.c_in, spec.kernel, spec.kernel):
             raise ShapeError(f"weights {self.w.shape} inconsistent with {spec}")
         if self.b.shape != (spec.c_out,):
@@ -162,7 +172,7 @@ def _block_matmul(a, b, out):
     np.matmul(a, b[:, full:], out=out[:, full:])
 
 
-def conv2d_forward(x, spec: ConvSpec, params: ConvParams, pads=None):
+def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
     """Valid convolution over a (possibly asymmetrically) padded input.
 
     pads overrides the symmetric spec.pad; streaming tile passes use it to
@@ -210,7 +220,7 @@ def _tap_span(o0, o1, t, s, pad, size):
     return lo, hi, slice(x0, x0 + s * (hi - lo), s)
 
 
-def conv2d_input_grad(grad_out, spec: ConvSpec, params: ConvParams, in_hw, pads=None):
+def conv2d_input_grad(grad_out, spec: Conv, params: ConvParams, in_hw, pads=None):
     """Gradient w.r.t. the conv input: per row band, W.T @ grad_out columns,
     then one strided col2im add per kernel tap."""
     check_tensor4(grad_out, "conv grad_out")
@@ -244,7 +254,7 @@ def conv2d_input_grad(grad_out, spec: ConvSpec, params: ConvParams, in_hw, pads=
     return check_finite(gx, "conv grad_in")
 
 
-def conv2d_param_grad(x, spec: ConvSpec, grad_out, pads=None):
+def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     """Gradients w.r.t. conv weights and bias: per row band of the output,
     grad_out columns @ im2col columns.T, accumulated over bands and images."""
     check_tensor4(x, "conv input")
@@ -276,7 +286,7 @@ def conv2d_param_grad(x, spec: ConvSpec, grad_out, pads=None):
     return gw, gb
 
 
-def conv2d_backward(x, spec: ConvSpec, params: ConvParams, grad_out, pads=None):
+def conv2d_backward(x, spec: Conv, params: ConvParams, grad_out, pads=None):
     """Full conv backward: (grad_in, grad_w, grad_b)."""
     gw, gb = conv2d_param_grad(x, spec, grad_out, pads)
     gx = conv2d_input_grad(grad_out, spec, params, x.shape[2:], pads)

@@ -28,10 +28,11 @@ Phase peaks (identical formulas in tilestream.engine):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .network import Conv, Dense, Flatten, MaxPool, NetworkSpec, Relu
+from .network import Flatten, MaxPool, NetworkSpec, Relu
 from .planner import TilePlan
 from .tensors import resolve_dtype
 
@@ -56,34 +57,10 @@ class MemoryEstimate:
     peak_forward_bytes: int = 0
     peak_backward_bytes: int = 0
 
-    def to_json_dict(self):
-        return {
-            "mode": self.mode, "batch": self.batch, "precision": self.precision,
-            "per_layer_bytes": [[i, b] for i, b in self.per_layer_bytes],
-            "input_bytes": self.input_bytes,
-            "activation_bytes": self.activation_bytes,
-            "params_bytes": self.params_bytes,
-            "grads_bytes": self.grads_bytes,
-            "total_bytes": self.total_bytes,
-            "peak_bytes": self.peak_bytes,
-            "split_map_bytes": self.split_map_bytes,
-            "head_bytes": self.head_bytes,
-            "peak_tile_forward_bytes": self.peak_tile_forward_bytes,
-            "peak_forward_bytes": self.peak_forward_bytes,
-            "peak_backward_bytes": self.peak_backward_bytes,
-        }
-
 
 def count_param_scalars(net: NetworkSpec, image_size):
-    total = 0
-    shapes = net.activation_shapes(image_size)
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv):
-            spec = net.conv_specs[i]
-            total += spec.c_out * spec.c_in * spec.kernel ** 2 + spec.c_out
-        elif isinstance(layer, Dense):
-            total += layer.width * shapes[i][1] + layer.width
-    return total
+    return sum(math.prod(w) + math.prod(b)
+               for w, b in filter(None, net.param_shapes(image_size)))
 
 
 def _layer_bytes(layer, out_shape, n, itemsize):
@@ -143,7 +120,7 @@ def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
     dtype = resolve_dtype(precision)
     item = dtype.itemsize
     shapes = net.activation_shapes(plan.image_size)
-    channels = [s[1] if s[0] == "map" else s[1] for s in shapes]
+    channels = [s[1] for s in shapes]
     sh, sw = plan.split_hw
     split_bytes = channels[net.split_index] * sh * sw * item
 

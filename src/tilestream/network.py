@@ -4,25 +4,30 @@ A network is an ordered list of layer nodes plus a split index. Layers
 before the split form the streaming section (conv / maxpool / relu only,
 every map stays spatial); layers from the split onward form the head,
 which flattens once and ends in a width-1 dense layer producing the
-binary logit.
+binary logit. Conv is the one in tilestream.layers: NetworkSpec stores
+each conv with the c_in of the map below filled in, and run_stack hands
+that layer to the conv kernels as their geometry.
 
 Parameters are a list aligned with the layers (None for parameter-free
-layers). Initialisation draws uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
-weights from a pinned, portable generator (numpy PCG64 seeded with the
-run seed), always in double precision and then cast to the run dtype, so
-single and double runs share the same initial point up to rounding.
+layers), shaped by NetworkSpec.param_shapes. Initialisation draws
+uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, fan_in being the
+product of the weight shape after its first axis, from a pinned,
+portable generator (numpy PCG64 seeded with the run seed), always in
+double precision and then cast to the run dtype, so single and double
+runs share the same initial point up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeError
 from .layers import (
+    Conv,
     ConvParams,
-    ConvSpec,
     DenseParams,
     conv2d_backward,
     conv2d_forward,
@@ -38,14 +43,6 @@ from .layers import (
     relu_forward,
 )
 from .tensors import resolve_dtype
-
-
-@dataclass(frozen=True)
-class Conv:
-    c_out: int
-    kernel: int = 3
-    stride: int = 1
-    pad: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,18 +71,22 @@ STREAMING_KINDS = (Conv, MaxPool, Relu)
 
 @dataclass
 class NetworkSpec:
-    """Ordered layers plus the split separating streaming section from head."""
+    """Ordered layers plus the split separating streaming section from head.
+
+    The stored layers are resolved: each Conv carries the c_in of the map
+    below it, so kernels, planner, initialiser and memory model all read
+    one description of every layer.
+    """
 
     in_channels: int
     layers: tuple
     split_index: int
-    conv_specs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layers = tuple(self.layers)
         if not 1 <= self.split_index < len(self.layers):
             raise ShapeError(f"split_index {self.split_index} out of range")
-        specs = []
+        resolved = []
         c = self.in_channels
         seen_flatten = False
         for i, layer in enumerate(self.layers):
@@ -95,27 +96,26 @@ class NetworkSpec:
             if isinstance(layer, Conv):
                 if seen_flatten:
                     raise ShapeError(f"conv layer {i} after flatten")
-                specs.append(ConvSpec(layer.kernel, layer.stride, layer.pad, c, layer.c_out))
+                if layer.c_in not in (None, c):
+                    raise ShapeError(f"conv layer {i} takes c_in={layer.c_in}, "
+                                     f"the map below has {c} channels")
+                layer = replace(layer, c_in=c)
                 c = layer.c_out
             elif isinstance(layer, MaxPool):
                 if seen_flatten:
                     raise ShapeError(f"maxpool layer {i} after flatten")
-                specs.append(None)
             elif isinstance(layer, Flatten):
                 if seen_flatten:
                     raise ShapeError("second flatten")
                 seen_flatten = True
-                specs.append(None)
             elif isinstance(layer, Dense):
                 if not seen_flatten:
                     raise ShapeError(f"dense layer {i} before flatten")
-                specs.append(None)
-            else:
-                specs.append(None)
+            resolved.append(layer)
+        self.layers = tuple(resolved)
         last = self.layers[-1]
         if not isinstance(last, Dense) or last.width != 1:
             raise ShapeError("network must end in a width-1 dense layer")
-        self.conv_specs = specs
 
     @property
     def stream_layers(self):
@@ -140,12 +140,11 @@ class NetworkSpec:
         """
         shapes = [("map", self.in_channels, image_size, image_size)]
         cur = shapes[0]
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             if isinstance(layer, Conv):
                 _, c, h, w = cur
-                spec = self.conv_specs[i]
-                cur = ("map", spec.c_out, out_size(h, spec.kernel, spec.stride, spec.pad),
-                       out_size(w, spec.kernel, spec.stride, spec.pad))
+                cur = ("map", layer.c_out, out_size(h, layer.kernel, layer.stride, layer.pad),
+                       out_size(w, layer.kernel, layer.stride, layer.pad))
             elif isinstance(layer, MaxPool):
                 _, c, h, w = cur
                 cur = ("map", c, out_size(h, layer.kernel, layer.stride),
@@ -164,51 +163,48 @@ class NetworkSpec:
             raise ShapeError("split map is not spatial")
         return shape[1:]
 
+    def param_shapes(self, image_size):
+        """(weight shape, bias shape) per layer; None for layers without parameters."""
+        out = []
+        for layer, below in zip(self.layers, self.activation_shapes(image_size)):
+            if isinstance(layer, Conv):
+                out.append(((layer.c_out, layer.c_in, layer.kernel, layer.kernel), (layer.c_out,)))
+            elif isinstance(layer, Dense):
+                out.append(((layer.width, below[1]), (layer.width,)))
+            else:
+                out.append(None)
+        return out
+
 
 def init_params(net: NetworkSpec, image_size, seed, precision="double"):
     """Fan-in scaled uniform init, reproducible from (net, image_size, seed)."""
     dtype = resolve_dtype(precision)
     rng = np.random.Generator(np.random.PCG64(seed))
-    shapes = net.activation_shapes(image_size)
     params = []
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv):
-            spec = net.conv_specs[i]
-            fan_in = spec.c_in * spec.kernel * spec.kernel
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, (spec.c_out, spec.c_in, spec.kernel, spec.kernel))
-            params.append(ConvParams(w.astype(dtype), np.zeros(spec.c_out, dtype=dtype)))
-        elif isinstance(layer, Dense):
-            fan_in = shapes[i][1]
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, (layer.width, fan_in))
-            params.append(DenseParams(w.astype(dtype), np.zeros(layer.width, dtype=dtype)))
-        else:
+    for layer, shapes in zip(net.layers, net.param_shapes(image_size)):
+        if shapes is None:
             params.append(None)
+            continue
+        w_shape, b_shape = shapes
+        bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))
+        w = rng.uniform(-bound, bound, w_shape)
+        kind = ConvParams if isinstance(layer, Conv) else DenseParams
+        params.append(kind(w.astype(dtype), np.zeros(b_shape, dtype=dtype)))
     return params
 
 
+def _map_params(params, fn):
+    """Apply fn to every weight and bias, keeping each entry's kind; None stays None."""
+    return [None if p is None else type(p)(fn(p.w), fn(p.b)) for p in params]
+
+
 def clone_params(params):
-    out = []
-    for p in params:
-        if p is None:
-            out.append(None)
-        elif isinstance(p, ConvParams):
-            out.append(ConvParams(p.w.copy(), p.b.copy()))
-        else:
-            out.append(DenseParams(p.w.copy(), p.b.copy()))
-    return out
+    return _map_params(params, lambda a: a.copy())
 
 
 def cast_params(params, precision):
     dtype = resolve_dtype(precision)
-    out = []
-    for p in params:
-        if p is None:
-            out.append(None)
-        else:
-            out.append(type(p)(p.w.astype(dtype), p.b.astype(dtype)))
-    return out
+    return _map_params(params, lambda a: a.astype(dtype))
 
 
 def param_bytes(params):
@@ -216,25 +212,14 @@ def param_bytes(params):
 
 
 class ParamGrads:
-    """Per-layer parameter gradients, shape-mirroring a parameter list.
+    """Per-layer parameter gradients, shape-mirroring a parameter list."""
 
-    images_accumulated counts how many per-image gradient sets were summed
-    in; after mini-batch finalisation it equals the batch size.
-    """
-
-    def __init__(self, per_layer, images_accumulated=0):
+    def __init__(self, per_layer):
         self.per_layer = per_layer
-        self.images_accumulated = images_accumulated
 
     @classmethod
     def zeros_like(cls, params):
-        out = []
-        for p in params:
-            if p is None:
-                out.append(None)
-            else:
-                out.append(type(p)(np.zeros_like(p.w), np.zeros_like(p.b)))
-        return cls(out)
+        return cls(_map_params(params, np.zeros_like))
 
     def add_(self, other):
         for mine, theirs in zip(self.per_layer, other.per_layer):
@@ -244,7 +229,6 @@ class ParamGrads:
                 raise ShapeError("gradient shape mismatch in accumulation")
             mine.w += theirs.w
             mine.b += theirs.b
-        self.images_accumulated += max(other.images_accumulated, 1)
         return self
 
     def add_by_layer_(self, by_layer):
@@ -271,10 +255,10 @@ class ParamGrads:
             yield f"{kind}{i}.b", g.b
 
 
-def layer_forward(x, layer, lparams, conv_spec=None, pads=None, inplace_ok=False):
+def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
     """Run one layer; returns (out, cache) where cache feeds layer_backward."""
     if isinstance(layer, Conv):
-        out = conv2d_forward(x, conv_spec, lparams, pads)
+        out = conv2d_forward(x, layer, lparams, pads)
         return out, (x, pads)
     if isinstance(layer, MaxPool):
         out, argmax = maxpool2d_forward(x, layer.kernel, layer.stride)
@@ -291,11 +275,11 @@ def layer_forward(x, layer, lparams, conv_spec=None, pads=None, inplace_ok=False
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def layer_backward(grad_out, layer, lparams, conv_spec, cache):
+def layer_backward(grad_out, layer, lparams, cache):
     """Run one layer backward; returns (grad_in, param_grads or None)."""
     if isinstance(layer, Conv):
         x, pads = cache
-        gx, gw, gb = conv2d_backward(x, conv_spec, lparams, grad_out, pads)
+        gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
         return gx, ConvParams(gw, gb)
     if isinstance(layer, MaxPool):
         argmax, in_hw = cache
@@ -326,7 +310,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True,
     for i in range(start, stop):
         layer = net.layers[i]
         pads = pads_seq[i - start] if pads_seq is not None else None
-        out, cache = layer_forward(x, layer, params[i], net.conv_specs[i], pads,
+        out, cache = layer_forward(x, layer, params[i], pads,
                                    inplace_ok=owns and isinstance(layer, Relu))
         if byte_sink is not None:
             if isinstance(layer, (Relu, Flatten)):
@@ -352,13 +336,13 @@ def stack_backward(grad_out, net, params, caches, start, stop):
     g = grad_out
     for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
-        g, pg = layer_backward(g, layer, params[i], net.conv_specs[i], caches[i - start])
+        g, pg = layer_backward(g, layer, params[i], caches[i - start])
         if pg is not None:
             grads[i] = pg
     if start == 0:
         if isinstance(net.layers[0], Conv):
             x, pads = caches[0]
-            grads[0] = ConvParams(*conv2d_param_grad(x, net.conv_specs[0], g, pads))
+            grads[0] = ConvParams(*conv2d_param_grad(x, net.layers[0], g, pads))
         g = None
     return g, grads
 

@@ -131,17 +131,26 @@ def _plan_axis(geoms, sizes, parts):
 
 @dataclass
 class TileEntry:
+    """One tile's forward chain: a region per map and the pads per layer.
+
+    The chain runs from the input crop (map 0) up to the tile's owned
+    split-map rectangle (map L); the named regions are views of its ends.
+    """
+
     row: int
     col: int
-    owned_split: Region
-    input_forward: Region
     fwd_regions: list                  # Region per map 0..L
     fwd_pads: list                     # (t, b, l, r) per layer 0..L-1
 
     @property
-    def input_backward(self):
-        """Backward recomputes the forward crop, so it reads the same region."""
-        return self.input_forward
+    def owned_split(self):
+        return self.fwd_regions[-1]
+
+    @property
+    def input_forward(self):
+        return self.fwd_regions[0]
+
+    input_backward = input_forward  # backward recomputes the forward crop
 
 
 @dataclass
@@ -171,6 +180,8 @@ class TilePlan:
         return read / self.image_size ** 2
 
     def to_json_dict(self):
+        """Schema version 2; owned_split_region and input_region_forward repeat
+        the last and first forward regions for readers and are not read back."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
@@ -200,8 +211,6 @@ class TilePlan:
         if doc.get("version") != PLAN_SCHEMA_VERSION:
             raise PlanError(f"unsupported plan schema version {doc.get('version')!r}")
         tiles = [TileEntry(row=td["row"], col=td["col"],
-                           owned_split=Region(*td["owned_split_region"]),
-                           input_forward=Region(*td["input_region_forward"]),
                            fwd_regions=[Region(*r) for r in td["forward"]["regions"]],
                            fwd_pads=[tuple(p) for p in td["forward"]["pads"]])
                  for td in doc["tiles"]]
@@ -238,9 +247,7 @@ def build_tile_plan(net: NetworkSpec, image_size, grid):
             fwd_regions = [Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
                            for m in range(L + 1)]
             fwd_pads = [y_pads[m] + x_pads[m] for m in range(L)]
-            tiles.append(TileEntry(row=i, col=j, owned_split=fwd_regions[L],
-                                   input_forward=fwd_regions[0],
-                                   fwd_regions=fwd_regions, fwd_pads=fwd_pads))
+            tiles.append(TileEntry(row=i, col=j, fwd_regions=fwd_regions, fwd_pads=fwd_pads))
     return TilePlan(image_size=image_size, split_index=net.split_index,
                     grid=(rows, cols), geoms=geoms,
                     map_sizes=[(z, z) for z in sizes], tiles=tiles)
@@ -307,10 +314,6 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
         tag = f"tile ({t.row},{t.col})"
         if t.owned_split.empty:
             fail("partition", f"{tag}: empty owned split region")
-        if t.fwd_regions[L] != t.owned_split:
-            fail("forward_shapes", f"{tag}: forward chain does not end on the owned region")
-        if t.input_forward != t.fwd_regions[0]:
-            fail("forward_shapes", f"{tag}: input region does not match the chain")
 
         for m in range(L):
             k, s, p = geoms[m]

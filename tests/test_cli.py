@@ -58,11 +58,43 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
     pytest.param(dict(CONFIG, precision="half"), [], id="precision-half"),
     pytest.param(dict(CONFIG, mode="lockstep"), [], id="mode-lockstep"),
     pytest.param(dict(CONFIG, batch_size=True), [], id="bool-batch-size"),
+    pytest.param(dict(CONFIG, threads=2), [], id="threads-key"),
+    pytest.param(dict(CONFIG, stpes=5), [], id="misspelt-steps"),
+    pytest.param(dict(CONFIG, network=dict(CONFIG["network"], layers=[
+        dict(CONFIG["network"]["layers"][0], dilation=2)] + CONFIG["network"]["layers"][1:])),
+        [], id="conv-dilation"),
+    pytest.param(dict(CONFIG, dataset={"n_train": 4, "n_test": 4}), [], id="dataset-n-test"),
+    pytest.param(dict(CONFIG, tolerances={"lossx": 1e-3}), [], id="tolerance-lossx"),
+    pytest.param(dict(CONFIG, tolerances={"loss": "tight"}), [], id="tolerance-string"),
+    pytest.param(dict(CONFIG, verify={"fd_coords": "many"}), [], id="fd-coords-string"),
+    pytest.param(dict(CONFIG, bench={"steps": "three"}), [], id="bench-steps-string"),
+    pytest.param(dict(CONFIG, dataset={"n_train": 4, "noise": "low"}), [], id="noise-string"),
+    pytest.param(dict(CONFIG, network=dict(CONFIG["network"], layers=5)), [],
+                 id="layers-not-list"),
+    pytest.param(dict(CONFIG, grid=[True, True]), [], id="grid-bools"),
+    pytest.param(dict(CONFIG, seed=-1), [], id="negative-seed"),
+    pytest.param(CONFIG, ["--seed", "-1"], id="negative-seed-flag"),
 ])
 def test_malformed_config_exits_1(tmp_path, doc, extra):
     """Config errors and command-line usage errors both exit 1 (2 means infeasible plan)."""
     argv = ["plan"] if doc is None else ["plan", "--config", write_config(tmp_path, doc)]
     assert main(argv + extra) == 1
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_reruns_write_identical_files(tmp_path, command, precision):
+    """Runs are deterministic in (config, seed): a rerun writes every file
+    (CSVs, checkpoint tensors and manifest, reports) byte for byte again."""
+    config = write_config(tmp_path, CONFIG)
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main([command, "--config", config, "--precision", precision,
+                     "--out", str(out)]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
+    assert files[0] and files[0] == files[1]
+    for name in files[0]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_help_exits_0(capsys):

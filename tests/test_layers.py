@@ -11,8 +11,8 @@ from tilestream.layers import (
     _BAND_DIV,
     _BAND_MIN,
     _BLOCK,
+    Conv,
     ConvParams,
-    ConvSpec,
     bce_with_logits,
     conv2d_backward,
     conv2d_forward,
@@ -65,7 +65,7 @@ def fd_scalar(fn, arr, idx, eps=1e-5):
 def test_conv_all_ones_3x3():
     x = np.ones((1, 1, 3, 3))
     p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
-    y = conv2d_forward(x, ConvSpec(3, 1, 0, 1, 1), p)
+    y = conv2d_forward(x, Conv(1, 3, 1, 0, c_in=1), p)
     assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 9.0
 
 
@@ -74,14 +74,14 @@ def test_conv_identity_kernel_exact(rng):
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    y = conv2d_forward(x, ConvSpec(1, 1, 0, 3, 3), ConvParams(w, np.zeros(3)))
+    y = conv2d_forward(x, Conv(3, 1, 1, 0, c_in=3), ConvParams(w, np.zeros(3)))
     assert np.array_equal(y, x)
 
 
 def test_conv_2x2_stride2_blocks():
     x = np.arange(1, 17, dtype=np.float64).reshape(1, 1, 4, 4)
     p = ConvParams(np.ones((1, 1, 2, 2)), np.zeros(1))
-    y = conv2d_forward(x, ConvSpec(2, 2, 0, 1, 1), p)
+    y = conv2d_forward(x, Conv(1, 2, 2, 0, c_in=1), p)
     assert np.array_equal(y[0, 0], [[14.0, 22.0], [46.0, 54.0]])
     assert np.array_equal(y, brute_conv(x, p.w, p.b, 2, 0))
 
@@ -91,7 +91,7 @@ def test_conv_matches_bruteforce(rng):
         x = rng.standard_normal((1, 2, 9, 9))
         w = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
-        spec = ConvSpec(k, s, pad, 2, 3)
+        spec = Conv(3, k, s, pad, c_in=2)
         got = conv2d_forward(x, spec, ConvParams(w, b))
         want = brute_conv(x, w, b, s, pad)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -101,16 +101,16 @@ def test_conv_errors(rng):
     x = rng.standard_normal((1, 2, 4, 4))
     p = ConvParams(np.zeros((1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):
-        conv2d_forward(x, ConvSpec(3, 1, 0, 3, 1), p)  # channel mismatch
+        conv2d_forward(x, Conv(1, 3, 1, 0, c_in=3), p)  # channel mismatch
     with pytest.raises(ShapeError):
-        conv2d_forward(x[:, :1], ConvSpec(5, 1, 0, 1, 1),
+        conv2d_forward(x[:, :1], Conv(1, 5, 1, 0, c_in=1),
                        ConvParams(np.zeros((1, 1, 5, 5)), np.zeros(1)))  # kernel > input
     with pytest.raises(ShapeError):
-        ConvSpec(3, 1, 3, 1, 1)  # pad >= kernel
+        Conv(1, 3, 1, 3, c_in=1)  # pad >= kernel
     with pytest.raises(NonFiniteError):
         bad = x[:, :1].copy()
         bad[0, 0, 0, 0] = np.nan
-        conv2d_forward(bad, ConvSpec(3, 1, 0, 1, 1),
+        conv2d_forward(bad, Conv(1, 3, 1, 0, c_in=1),
                        ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1)))
 
 
@@ -118,14 +118,14 @@ def test_conv_mixed_dtype_rejected(rng):
     x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
     p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):
-        conv2d_forward(x, ConvSpec(3, 1, 0, 1, 1), p)
+        conv2d_forward(x, Conv(1, 3, 1, 0, c_in=1), p)
 
 
 # --- conv2d_backward -----------------------------------------------------
 
 def test_conv_backward_identity_kernel(rng):
     x = rng.standard_normal((1, 1, 5, 5))
-    spec = ConvSpec(1, 1, 0, 1, 1)
+    spec = Conv(1, 1, 1, 0, c_in=1)
     p = ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
     gy = rng.standard_normal((1, 1, 5, 5))
     gx, gw, gb = conv2d_backward(x, spec, p, gy)
@@ -134,7 +134,7 @@ def test_conv_backward_identity_kernel(rng):
 
 def test_conv_backward_unit_example():
     x = np.ones((1, 1, 3, 3))
-    spec = ConvSpec(3, 1, 0, 1, 1)
+    spec = Conv(1, 3, 1, 0, c_in=1)
     p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
     gy = np.ones((1, 1, 1, 1))
     _, gw, gb = conv2d_backward(x, spec, p, gy)
@@ -147,7 +147,7 @@ def test_conv_backward_finite_differences(rng, k, s, pad):
     x = rng.standard_normal((1, 2, 7, 7))
     w = rng.standard_normal((2, 2, k, k))
     b = rng.standard_normal(2)
-    spec = ConvSpec(k, s, pad, 2, 2)
+    spec = Conv(2, k, s, pad, c_in=2)
     proj = None
 
     def loss():
@@ -169,7 +169,7 @@ def test_conv_backward_finite_differences(rng, k, s, pad):
 def test_conv_linearity(rng):
     x = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((2, 2, 3, 3))
-    spec = ConvSpec(3, 1, 1, 2, 2)
+    spec = Conv(2, 3, 1, 1, c_in=2)
     a = 3.7
     y1 = conv2d_forward(a * x, spec, ConvParams(w, np.zeros(2)))
     y2 = a * conv2d_forward(x, spec, ConvParams(w, np.zeros(2)))
@@ -325,7 +325,7 @@ def test_shape_law(z, k, s, p):
     if p >= k or z + 2 * p < k:
         return
     x = np.zeros((1, 1, z, z))
-    spec = ConvSpec(k, s, p, 1, 1)
+    spec = Conv(1, k, s, p, c_in=1)
     y = conv2d_forward(x, spec, ConvParams(np.zeros((1, 1, k, k)), np.zeros(1)))
     expect = (z + 2 * p - k) // s + 1
     assert y.shape == (1, 1, expect, expect)
@@ -341,7 +341,7 @@ def test_per_pixel_determinism(seed, k, s):
     x = r.standard_normal((1, 2, z, z))
     w = r.standard_normal((3, 2, k, k))
     b = r.standard_normal(3)
-    spec = ConvSpec(k, s, 0, 2, 3)
+    spec = Conv(3, k, s, 0, c_in=2)
     full = conv2d_forward(x, spec, ConvParams(w, b))
     oh = full.shape[2]
     oy, ox = int(r.integers(0, oh)), int(r.integers(0, oh))
@@ -378,7 +378,7 @@ def test_conv_forward_crop_bit_exact(n, c_in, c_out, k, s, pads, h, w, crop, dty
     x = r.standard_normal((n, c_in, h, w)).astype(dtype)
     params = ConvParams(r.standard_normal((c_out, c_in, k, k)).astype(dtype),
                         r.standard_normal(c_out).astype(dtype))
-    spec = ConvSpec(k, s, 0, c_in, c_out)
+    spec = Conv(c_out, k, s, 0, c_in=c_in)
     whole = conv2d_forward(x, spec, params, (pt, pb, pl, pr))
     oh, ow = whole.shape[2:]
     a0 = crop[0] % oh
@@ -411,7 +411,7 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out):
     x = rng.standard_normal(shape).astype(np.float32)
     params = ConvParams(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
                         np.zeros(c_out, np.float32))
-    spec = ConvSpec(k, 1, 1, c, c_out)
+    spec = Conv(c_out, k, 1, 1, c_in=c)
     grad = rng.standard_normal((n, c_out, h, w)).astype(np.float32)
     kk = c * k * k
     rows = min(h, max(c_out * h * w // (_BAND_DIV * kk * w), -(-_BAND_MIN // w)))
@@ -452,7 +452,7 @@ def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
     ci, co, h, w = 3, 4, 19, 17
     x = rng.standard_normal((n, ci, h, w))
     wt = rng.standard_normal((co, ci, k, k))
-    spec = ConvSpec(k, s, 0, ci, co)
+    spec = Conv(co, k, s, 0, c_in=ci)
     pt, pb, pl, pr = pads
     g = rng.standard_normal(conv2d_forward(x, spec, ConvParams(wt, np.zeros(co)), pads).shape)
     want_x, want_w = _loop_conv_grads(x, wt, g, s, pads)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import tilestream
+import tilestream.layers
 from tilestream.errors import ShapeError
-from tilestream.layers import bce_with_logits, DenseParams
+from tilestream.layers import bce_with_logits, conv2d_forward, DenseParams
+from tilestream.memory import count_param_scalars
 from tilestream.network import (
     Conv,
     Dense,
@@ -133,3 +136,41 @@ def test_clone_params_is_deep(rng):
     q = clone_params(p)
     q[0].w += 1.0
     assert not np.array_equal(p[0].w, q[0].w)
+
+
+@pytest.mark.parametrize("make", [net_vgg13, net_giga64mp])
+def test_every_conv_carries_the_channels_below(make):
+    """Head convs included, each stored conv's c_in is the map below it."""
+    net = make()
+    shapes = net.activation_shapes(8130)
+    convs = [i for i, layer in enumerate(net.layers) if isinstance(layer, Conv)]
+    assert convs and all(net.layers[i].c_in == shapes[i][1] for i in convs)
+    if make is net_giga64mp:
+        assert any(i > net.split_index for i in convs)
+
+
+def test_conflicting_conv_c_in_rejected():
+    with pytest.raises(ShapeError):  # image has 1 channel
+        NetworkSpec(1, (Conv(2, 3, 1, 1, c_in=3), Flatten(), Dense(1)), 1)
+    with pytest.raises(ShapeError):  # the first conv outputs 2 channels
+        NetworkSpec(1, (Conv(2), Conv(4, c_in=4), Flatten(), Dense(1)), 2)
+    net = NetworkSpec(1, (Conv(2, c_in=1), Conv(4), Flatten(), Dense(1)), 2)
+    assert net.layers[:2] == (Conv(2, c_in=1), Conv(4, c_in=2))
+
+
+def test_network_conv_is_the_kernel_geometry(rng):
+    """A network's conv layer goes to the kernel as its spec unchanged."""
+    assert tilestream.Conv is tilestream.network.Conv is tilestream.layers.Conv
+    net = small_net()
+    params = init_params(net, 8, seed=0)
+    x = rng.standard_normal((2, 1, 8, 8))
+    out, _ = run_stack(x, net, params, 0, 1)
+    assert np.array_equal(conv2d_forward(x, net.layers[0], params[0]), out)
+
+
+def test_param_shapes_shape_init_and_count():
+    net = net_vgg13()
+    params = init_params(net, 64, seed=0)
+    shapes = net.param_shapes(64)
+    assert [None if p is None else (p.w.shape, p.b.shape) for p in params] == shapes
+    assert count_param_scalars(net, 64) == sum(p.w.size + p.b.size for p in params if p is not None)

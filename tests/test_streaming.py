@@ -94,6 +94,16 @@ def test_plan_json_round_trips(case):
     assert TilePlan.from_json(plan.to_json()) == plan
 
 
+def test_plan_json_names_the_chain_ends():
+    """Each tile's owned and input regions are the ends of its one forward chain,
+    and plan.json still writes them out under their schema-2 names."""
+    plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 3))
+    for tile, doc in zip(plan.tiles, plan.to_json_dict()["tiles"]):
+        regions = doc["forward"]["regions"]
+        assert doc["owned_split_region"] == regions[-1] == tile.owned_split.as_list()
+        assert doc["input_region_forward"] == regions[0] == tile.input_backward.as_list()
+
+
 def test_version_1_plan_is_rejected():
     plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 2))
     doc = json.loads(plan.to_json())
