@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 usage or config error, 2 infeasible plan, 3
 equivalence failure (or detected nondeterminism during verify), 4
-divergence (non-finite loss). All runs are deterministic in (config,
-seed): reruns produce bit-identical CSVs, checkpoints and reports.
-train, bench and verify's lockstep all step through engine.train_step.
+divergence (non-finite loss). The output directory (--out or config
+'out') is created once, before the command runs; a path that cannot be a
+directory, such as an existing file, is a config error (exit 1). All runs
+are deterministic in (config, seed): reruns produce bit-identical CSVs,
+checkpoints and reports. train, bench and verify's lockstep all step
+through engine.train_step.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def cmd_plan(cfg: ExperimentConfig):
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
-    print(plan.to_json(indent=2))
+    print(plan.to_json())
     print()
     print(format_table(net, whole))
     print()
@@ -87,9 +90,8 @@ def cmd_plan(cfg: ExperimentConfig):
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "plan.json"), "w") as fh:
-            fh.write(plan.to_json(indent=2))
+            fh.write(plan.to_json())
         with open(os.path.join(cfg.out, "memory.json"), "w") as fh:
             json.dump({"whole_image": dataclasses.asdict(whole),
                        "streaming": dataclasses.asdict(stream),
@@ -147,7 +149,6 @@ def cmd_verify(cfg: ExperimentConfig):
     doc["failures"] = failures
 
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         _write_csv(os.path.join(cfg.out, "lockstep.csv"), result.csv_rows())
         with open(os.path.join(cfg.out, "report.json"), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -170,7 +171,6 @@ def cmd_train(cfg: ExperimentConfig):
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
                          in_channels=net.in_channels, noise=cfg.noise)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
-    os.makedirs(cfg.out, exist_ok=True)
     rows = [("step", "loss", "train_acc_running", "peak_bytes")]
     seen = correct = 0
     for step in range(cfg.steps):
@@ -211,7 +211,6 @@ def cmd_bench(cfg: ExperimentConfig):
     report["recompute_time_ratio"] = ratio
     print(json.dumps(report, indent=2, sort_keys=True))
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "bench.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return 0
@@ -253,6 +252,11 @@ def main(argv=None):
             cfg.precision = args.precision
         if args.out is not None:
             cfg.out = args.out
+        if cfg.out:
+            try:
+                os.makedirs(cfg.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {cfg.out!r}: {exc}") from exc
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ terms. Phase peaks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class StreamingForwardState:
     head_caches: list
     logit: np.ndarray
     record: StreamingRunRecord
-    plan: TilePlan = field(repr=False, default=None)
 
 
 def _check_image(image, plan):
@@ -136,8 +135,7 @@ def _tile_pass(net, params, image, tile, want_cache):
     crop = np.ascontiguousarray(image[:, :, r.y0:r.y1, r.x0:r.x1])
     sink = []
     out, caches = run_stack(crop, net, params, 0, net.split_index,
-                            pads_seq=tile.fwd_pads, want_cache=want_cache,
-                            protect_input=False, byte_sink=sink)
+                            pads_seq=tile.fwd_pads, want_cache=want_cache, byte_sink=sink)
     o = tile.owned_split
     if out.shape[2:] != o.shape():
         raise PlanError(f"tile ({tile.row},{tile.col}) produced {out.shape[2:]}, "
@@ -174,14 +172,14 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     record.peak_bytes_forward = (record.params_bytes + split.nbytes
                                  + max(peak_tile, record.head_activation_bytes))
     return StreamingForwardState(split_map=split, head_caches=head_caches,
-                                 logit=logit, record=record, plan=plan)
+                                 logit=logit, record=record)
 
 
 def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
                        state: StreamingForwardState, dloss_dlogit):
     """Backpropagate through head and tiles; returns per-image ParamGrads."""
     _check_image(image, plan)
-    if state.plan is not plan and state.split_map.shape[2:] != tuple(plan.split_hw):
+    if state.split_map.shape[2:] != tuple(plan.split_hw):
         raise PlanError("forward state does not match this plan")
     grads = ParamGrads.zeros_like(params)
     grad_split, head_grads = head_backward(dloss_dlogit, net, params,
@@ -220,8 +218,7 @@ def baseline_forward_backward(net: NetworkSpec, params, image, label):
     if image.shape[0] != 1:
         raise ShapeError("baseline executor runs one image at a time")
     sink = []
-    split, s_caches = run_stack(image, net, params, 0, net.split_index,
-                                protect_input=True, byte_sink=sink)
+    split, s_caches = run_stack(image, net, params, 0, net.split_index, byte_sink=sink)
     head_sink = []
     logit, h_caches = head_forward(split, net, params, byte_sink=head_sink)
     loss, dlogit = bce_with_logits(logit[0], label)

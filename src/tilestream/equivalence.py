@@ -43,8 +43,7 @@ def default_tolerances(precision):
 
 def whole_image_loss(net, params, image, label):
     """Forward-only loss, used by the finite-difference oracle."""
-    logit, _ = run_stack(image, net, params, 0, len(net.layers),
-                         protect_input=True, want_cache=False)
+    logit, _ = run_stack(image, net, params, 0, len(net.layers), want_cache=False)
     loss, _ = bce_with_logits(logit[0, 0], label)
     return float(loss)
 

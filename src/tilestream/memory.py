@@ -46,10 +46,8 @@ class MemoryEstimate:
     precision: str
     per_layer_bytes: list            # (layer index, bytes) under the shared policy
     input_bytes: int
-    activation_bytes: int            # input + all per-layer terms
     params_bytes: int
     grads_bytes: int
-    total_bytes: int
     peak_bytes: int
     split_map_bytes: int = 0
     head_bytes: int = 0
@@ -86,13 +84,11 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
     for i, layer in enumerate(net.layers):
         per_layer.append((i, _layer_bytes(layer, shapes[i + 1], batch, item)))
     input_bytes = batch * net.in_channels * image_size * image_size * item
-    act = input_bytes + sum(b for _, b in per_layer)
     params = count_param_scalars(net, image_size) * item
-    total = act + 2 * params
+    peak = input_bytes + sum(b for _, b in per_layer) + 2 * params
     return MemoryEstimate(mode="whole_image", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=input_bytes,
-                          activation_bytes=act, params_bytes=params, grads_bytes=params,
-                          total_bytes=total, peak_bytes=total)
+                          params_bytes=params, grads_bytes=params, peak_bytes=peak)
 
 
 def _tile_stack_bytes(net, tile, channels, item):
@@ -114,8 +110,8 @@ def _tile_stack_bytes(net, tile, channels, item):
 def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
     """Streaming estimate for a validated plan; per-image tile passes.
 
-    activation_bytes counts every tile pass twice: once in forward and
-    once recomputed in backward.
+    per_layer_bytes holds each streaming layer's largest tile term, then
+    the head terms; the phase peaks take the largest tile's whole pass.
     """
     dtype = resolve_dtype(precision)
     item = dtype.itemsize
@@ -131,24 +127,21 @@ def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
         head_per_layer.append((i, b))
         head_bytes += b
 
-    peak_tile, sum_tiles = 0, 0
+    peak_tile = 0
     per_layer_max = [0] * net.split_index
     for tile in plan.tiles:
         total, layers = _tile_stack_bytes(net, tile, channels, item)
         peak_tile = max(peak_tile, total)
-        sum_tiles += 2 * total
         per_layer_max = [max(a, b) for a, b in zip(per_layer_max, layers)]
 
     params = count_param_scalars(net, plan.image_size) * item
     peak_forward = params + split_bytes + max(peak_tile, head_bytes)
     peak_backward = params + params + 2 * split_bytes + head_bytes + peak_tile
     per_layer = [(m, b) for m, b in enumerate(per_layer_max)] + head_per_layer
-    act = sum_tiles + 2 * split_bytes + head_bytes
-    total = act + 2 * params
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
-                          activation_bytes=act, params_bytes=params, grads_bytes=params,
-                          total_bytes=total, peak_bytes=max(peak_forward, peak_backward),
+                          params_bytes=params, grads_bytes=params,
+                          peak_bytes=max(peak_forward, peak_backward),
                           split_map_bytes=split_bytes, head_bytes=head_bytes,
                           peak_tile_forward_bytes=peak_tile,
                           peak_forward_bytes=peak_forward, peak_backward_bytes=peak_backward)
@@ -170,7 +163,6 @@ def format_table(net: NetworkSpec, estimate: MemoryEstimate):
     for i, b in estimate.per_layer_bytes:
         kind = type(net.layers[i]).__name__.lower()
         lines.append(f"{i:>6}  {kind:<8} {b:>16,}")
-    lines.append(f"activations total: {estimate.activation_bytes:,}")
     lines.append(f"params: {estimate.params_bytes:,}  grads: {estimate.grads_bytes:,}")
     lines.append(f"peak: {estimate.peak_bytes:,} bytes ({estimate.peak_bytes / 2**30:.2f} GiB)")
     return "\n".join(lines)

@@ -294,19 +294,18 @@ def layer_backward(grad_out, layer, lparams, cache):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True,
-              protect_input=True, byte_sink=None):
+def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_sink=None):
     """Run layers [start, stop) forward.
 
-    Returns (out, caches); caches is None when want_cache is False. Relu
-    runs in place once the buffer is stack-owned; with protect_input the
-    incoming array is never mutated. byte_sink, if given, is a list that
-    receives (layer_index, activation_bytes) per layer under the shared
-    accounting policy (relu and flatten count zero, maxpool adds its
-    argmax bytes).
+    Returns (out, caches); caches is None when want_cache is False. The
+    incoming array is never mutated (it may be a view of the caller's
+    image or split map): relu runs in place only on buffers the stack
+    itself made. byte_sink, if given, is a list that receives
+    (layer_index, activation_bytes) per layer under the shared accounting
+    policy (relu and flatten count zero, maxpool adds its argmax bytes).
     """
     caches = [] if want_cache else None
-    owns = not protect_input
+    owns = False  # x is a buffer this call made; flatten returns a view of its input
     for i in range(start, stop):
         layer = net.layers[i]
         pads = pads_seq[i - start] if pads_seq is not None else None
@@ -322,7 +321,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True,
         if want_cache:
             caches.append(cache)
         x = out
-        owns = True
+        owns = owns or not isinstance(layer, Flatten)
     return x, caches
 
 
@@ -350,7 +349,7 @@ def stack_backward(grad_out, net, params, caches, start, stop):
 def head_forward(split_map, net, params, byte_sink=None):
     """Run the head on a reconstructed split map; returns (logit, caches)."""
     out, caches = run_stack(split_map, net, params, net.split_index, len(net.layers),
-                            protect_input=True, byte_sink=byte_sink)
+                            byte_sink=byte_sink)
     if out.shape[1] != 1:
         raise ShapeError("head did not produce a single logit per image")
     return out[:, 0], caches

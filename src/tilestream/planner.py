@@ -27,6 +27,12 @@ The backward pass reads the same crops: each tile recomputes its forward
 chain and backpropagates its owned slice of the split-map gradient. By
 linearity the per-tile parameter gradients sum to the whole-image
 gradient, so no backward halo or per-map ownership is planned.
+
+Plan files
+----------
+TilePlan.to_json writes the plan (plan.json of the plan command) for
+people and tools that read it; nothing in the package loads a plan file,
+so plans are always rebuilt from (network, image size, grid).
 """
 
 from __future__ import annotations
@@ -163,13 +169,6 @@ class TilePlan:
     tiles: list
 
     @property
-    def stride_product(self):
-        prod = 1
-        for _, s, _ in self.geoms:
-            prod *= s
-        return prod
-
-    @property
     def split_hw(self):
         return self.map_sizes[-1]
 
@@ -180,14 +179,13 @@ class TilePlan:
         return read / self.image_size ** 2
 
     def to_json_dict(self):
-        """Schema version 2; owned_split_region and input_region_forward repeat
-        the last and first forward regions for readers and are not read back."""
+        """Schema version 2, written for readers; owned_split_region and
+        input_region_forward repeat the last and first forward regions."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
             "split_index": self.split_index,
             "grid": list(self.grid),
-            "stride_product": self.stride_product,
             "geoms": [list(g) for g in self.geoms],
             "map_sizes": [list(sz) for sz in self.map_sizes],
             "tiles": [
@@ -203,24 +201,8 @@ class TilePlan:
             ],
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        if doc.get("version") != PLAN_SCHEMA_VERSION:
-            raise PlanError(f"unsupported plan schema version {doc.get('version')!r}")
-        tiles = [TileEntry(row=td["row"], col=td["col"],
-                           fwd_regions=[Region(*r) for r in td["forward"]["regions"]],
-                           fwd_pads=[tuple(p) for p in td["forward"]["pads"]])
-                 for td in doc["tiles"]]
-        return cls(image_size=doc["image_size"], split_index=doc["split_index"],
-                   grid=tuple(doc["grid"]), geoms=[tuple(g) for g in doc["geoms"]],
-                   map_sizes=[tuple(sz) for sz in doc["map_sizes"]], tiles=tiles)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def build_tile_plan(net: NetworkSpec, image_size, grid):
@@ -285,6 +267,12 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
         fail("geometry", "plan geometry does not match the network/image")
     if len(plan.tiles) != rows * cols:
         fail("grid", "tile count does not match grid")
+        return ValidationReport(False, failures)
+    broken = [t for t in plan.tiles if len(t.fwd_regions) != L + 1 or len(t.fwd_pads) != L]
+    for t in broken:
+        fail("chain", f"tile ({t.row},{t.col}): {len(t.fwd_regions)} regions and "
+                      f"{len(t.fwd_pads)} pads, want {L + 1} and {L}")
+    if broken:
         return ValidationReport(False, failures)
 
     # partition: row/col boundaries of the owned split rectangles must be

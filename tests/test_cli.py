@@ -97,6 +97,16 @@ def test_reruns_write_identical_files(tmp_path, command, precision):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["plan", "verify", "train", "bench"])
+def test_out_is_a_file_exits_1(tmp_path, capsys, command):
+    """The output directory is made before the command runs; a file in its
+    place is a config error, not a traceback after the run."""
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert main([command, "--config", write_config(tmp_path, CONFIG), "--out", str(out)]) == 1
+    assert "output directory" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["plan", "--help"]) == 0
     assert "--config" in capsys.readouterr().out

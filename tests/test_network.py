@@ -3,6 +3,7 @@ import pytest
 
 import tilestream
 import tilestream.layers
+from tilestream.engine import baseline_forward_backward, streaming_loss_and_grads
 from tilestream.errors import ShapeError
 from tilestream.layers import bce_with_logits, conv2d_forward, DenseParams
 from tilestream.memory import count_param_scalars
@@ -22,6 +23,7 @@ from tilestream.network import (
     net_vgg13,
     run_stack,
 )
+from tilestream.planner import build_tile_plan
 
 
 def small_net():
@@ -115,12 +117,29 @@ def test_head_backward_fd(rng):
 
 
 def test_relu_inplace_never_mutates_stack_input(rng):
+    """Neither run_stack nor an executor writes the image, also when a tile's
+    crop is a contiguous view of it (1x1 and 2x1 grids) and relu comes first."""
     net = NetworkSpec(1, (Relu(), Conv(1, 1, 1, 0), Flatten(), Dense(1)), 2)
     params = init_params(net, 4, seed=0)
     x = rng.standard_normal((1, 1, 4, 4))
     keep = x.copy()
-    run_stack(x, net, params, 0, 2, protect_input=True)
+    run_stack(x, net, params, 0, 2)
     assert np.array_equal(x, keep)
+    baseline_forward_backward(net, params, x, 1)
+    assert np.array_equal(x, keep)
+    for grid in ((1, 1), (2, 1), (2, 2)):
+        streaming_loss_and_grads(net, params, x, 1, build_tile_plan(net, 4, grid))
+        assert np.array_equal(x, keep), grid
+
+
+def test_head_forward_never_mutates_split_map(rng):
+    """A head that starts with flatten hands relu a view of the split map."""
+    net = NetworkSpec(1, (Conv(2, 1, 1, 0), Flatten(), Relu(), Dense(1)), 1)
+    params = init_params(net, 4, seed=0)
+    split = rng.standard_normal((1, 2, 4, 4))
+    keep = split.copy()
+    head_forward(split, net, params)
+    assert np.array_equal(split, keep)
 
 
 def test_presets_build():

@@ -1,0 +1,55 @@
+"""The package API the benchmark in perfbench/ calls and traces.
+
+Tier-1 does not run the benchmark, so these checks keep a deletion in the
+package from breaking it unnoticed.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tilestream.network
+from tilestream.layers import Conv, ConvParams
+from tilestream.planner import TileEntry
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_callable(spans):
+    missing = [f"{short}.{name}" for short, names in spans.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"tilestream.{short}"), name, None))]
+    assert not missing
+
+
+def test_conv_cost_hooks_bind_to_the_kernels(spans, rng):
+    """Each cost function reads the kernel's arguments by name, as the tracer binds them."""
+    spec = Conv(3, 3, 1, 1, c_in=2)
+    x = rng.standard_normal((1, 2, 6, 6))
+    pool = {"x": x, "spec": spec, "pads": None, "in_hw": (6, 6),
+            "params": ConvParams(rng.standard_normal((3, 2, 3, 3)), np.zeros(3)),
+            "grad_out": rng.standard_normal((1, 3, 6, 6))}
+    for name, cost in spans.CONV_COSTS.items():
+        module, fname = name.split(".")
+        kernel = getattr(importlib.import_module(f"tilestream.{module}"), fname)
+        signature = inspect.signature(kernel)
+        bound = signature.bind(**{p: pool[p] for p in signature.parameters})
+        flop, nbytes = cost(bound.arguments, kernel(*bound.args, **bound.kwargs))
+        assert flop > 0 and nbytes > 0, name
+
+
+def test_names_the_benchmark_reads_exist():
+    assert callable(tilestream.network.conv2d_forward)
+    assert isinstance(TileEntry.input_backward, property)

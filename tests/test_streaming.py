@@ -11,10 +11,10 @@ from tilestream.config import build_network, parse_config
 from tilestream.data import synth_dataset
 from tilestream.engine import baseline_forward_backward, streaming_loss_and_grads
 from tilestream.equivalence import DOUBLE_TOLERANCES, compare_runs, finite_difference_check
-from tilestream.errors import PlanError, ShapeError
+from tilestream.errors import ShapeError
 from tilestream.memory import estimate_streaming
 from tilestream.network import init_params, net_vgg13, run_stack, stack_backward
-from tilestream.planner import TilePlan, build_tile_plan, validate_tile_plan
+from tilestream.planner import Region, build_tile_plan, validate_tile_plan
 
 SAMPLED = range(60)
 
@@ -90,8 +90,19 @@ def test_memory_model_equals_engine_counters(case):
 
 @pytest.mark.parametrize("case", SAMPLED)
 def test_plan_json_round_trips(case):
+    """plan.json is written for readers and never loaded: its text alone
+    rebuilds the plan's geometry and every tile's forward chain."""
     _, _, _, plan = sampled(case)
-    assert TilePlan.from_json(plan.to_json()) == plan
+    doc = json.loads(plan.to_json())
+    assert doc["version"] == 2
+    assert (doc["image_size"], doc["split_index"], tuple(doc["grid"])) == (
+        plan.image_size, plan.split_index, plan.grid)
+    assert [tuple(g) for g in doc["geoms"]] == plan.geoms
+    assert [tuple(sz) for sz in doc["map_sizes"]] == plan.map_sizes
+    assert [(td["row"], td["col"]) for td in doc["tiles"]] == [(t.row, t.col) for t in plan.tiles]
+    for td, tile in zip(doc["tiles"], plan.tiles):
+        assert [Region(*r) for r in td["forward"]["regions"]] == tile.fwd_regions
+        assert [tuple(p) for p in td["forward"]["pads"]] == tile.fwd_pads
 
 
 def test_plan_json_names_the_chain_ends():
@@ -104,21 +115,21 @@ def test_plan_json_names_the_chain_ends():
         assert doc["input_region_forward"] == regions[0] == tile.input_backward.as_list()
 
 
-def test_version_1_plan_is_rejected():
-    plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 2))
-    doc = json.loads(plan.to_json())
-    doc["version"] = 1
-    with pytest.raises(PlanError):
-        TilePlan.from_json_dict(doc)
-
-
-def test_broken_forward_chain_fails_validation():
+@pytest.mark.parametrize("damage", ["bad-pads", "regions-truncated", "pads-truncated"])
+def test_broken_forward_chain_fails_validation(damage):
+    """A damaged chain is reported as a failure; validation never raises."""
     net = net_vgg13(base=2, hidden=4)
     plan = build_tile_plan(net, 64, (2, 2))
-    plan.tiles[0].fwd_pads[0] = (0, 0, 0, 0)
+    tile = plan.tiles[0]
+    if damage == "bad-pads":
+        tile.fwd_pads[0] = (0, 0, 0, 0)
+    elif damage == "regions-truncated":
+        del tile.fwd_regions[5:]
+    else:
+        del tile.fwd_pads[5:]
     report = validate_tile_plan(plan, net)
     assert not report.ok
-    assert report.first_failure.startswith("stride_alignment")
+    assert report.first_failure.startswith("stride_alignment" if damage == "bad-pads" else "chain")
 
 
 def test_recompute_ratio_and_backward_input_region():
