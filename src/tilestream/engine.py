@@ -29,8 +29,8 @@ floating-point summation order.
 
 Memory accounting (shared with tilestream.memory): byte counters track
 retained activation arrays only. Counted per tile: the input crop and
-every layer output (maxpool argmax included, relu and flatten are free
-since they run in place / as views). The whole input image is host
+every layer output (relu and flatten are free since they run in place /
+as views; maxpool keeps no index map). The whole input image is host
 resident and never counted for streaming. Gradient maps are workspace
 and uncounted; parameter and parameter-gradient bytes are separate
 terms. Phase peaks:

@@ -20,10 +20,14 @@ conv's geometry is written down once, in the network.
   but one shape computes each column from that column's operands alone.
   tests/test_layers.py checks crops against whole maps bit for bit in
   both precisions. The bias is added last.
-* maxpool2d_forward: window scan is row-major with a strict ">" update,
-  so ties select the first occurrence; max is exact, no rounding.
-* maxpool2d_backward: one np.add.at over indices flattened across
-  (n, c, h * w); it applies each map's updates in output row-major order.
+* maxpool2d_forward is the running np.maximum of the k * k strided tap
+  views; max is exact, no rounding. A zero max reads +0.0, since numpy
+  leaves open which operand a tie of -0.0 and +0.0 returns. It returns
+  the output alone: no index map is kept.
+* maxpool2d_backward takes the pool *input* and re-derives each window's
+  route, its first tap in row-major order equal to the max. It adds the
+  routed values tap by tap in reverse row-major order, which for every
+  input pixel is output row-major order.
 
 Gradients are tolerance-only. conv2d_input_grad (W.T @ grad_out columns,
 then one strided col2im add per tap) and conv2d_param_grad (grad_out
@@ -293,44 +297,59 @@ def conv2d_backward(x, spec: Conv, params: ConvParams, grad_out, pads=None):
     return gx, gw, gb
 
 
-def maxpool2d_forward(x, k, s):
-    """Max pooling; returns (output, argmax of flat spatial input index).
+def _tap(a, ky, kx, s, oh, ow):
+    """Strided view of the entries tap (ky, kx) reads for each of the oh x ow pool windows."""
+    return a[:, :, ky : ky + s * (oh - 1) + 1 : s, kx : kx + s * (ow - 1) + 1 : s]
 
-    Ties select the first occurrence in row-major window scan order.
+
+def _pool_max(x, k, s):
+    """Running np.maximum of the k*k tap views: each window's max value. On a
+    tie of -0.0 and +0.0 numpy may return either operand, so the sign of a
+    zero max is left open here."""
+    oh = out_size(x.shape[2], k, s, 0)
+    ow = out_size(x.shape[3], k, s, 0)
+    out = _tap(x, 0, 0, s, oh, ow).copy()
+    for t in range(1, k * k):
+        np.maximum(out, _tap(x, t // k, t % k, s, oh, ow), out=out)
+    return out
+
+
+def maxpool2d_forward(x, k, s):
+    """Max pooling over k x k windows at stride s; returns the output alone,
+    no index map. A zero max reads +0.0 whatever the signs of its zeros."""
+    check_tensor4(x, "pool input")
+    out = _pool_max(x, k, s)
+    out += 0
+    return check_finite(out, "pool output")
+
+
+def maxpool2d_backward(x, grad_out, k, s):
+    """Route each window's gradient to its first maximal entry, re-derived from the pool input x.
+
+    A tap hits the windows where it equals the recomputed max and no earlier
+    tap did. The hits are added onto zeros tap by tap in reverse row-major
+    order, which for every input pixel is output row-major order: bit for
+    bit a scatter-add onto zeros of each map's outputs in row-major order.
     """
     check_tensor4(x, "pool input")
-    n, c, h, w = x.shape
-    oh = out_size(h, k, s, 0)
-    ow = out_size(w, k, s, 0)
-    oy = np.arange(oh) * s
-    ox = np.arange(ow) * s
-    best = x[:, :, 0 : s * (oh - 1) + 1 : s, 0 : s * (ow - 1) + 1 : s].copy()
-    arg = np.broadcast_to((oy[:, None] * w + ox[None, :]).astype(np.int64), best.shape).copy()
-    for wy in range(k):
-        for wx in range(k):
-            if wy == 0 and wx == 0:
-                continue
-            cand = x[:, :, wy : wy + s * (oh - 1) + 1 : s, wx : wx + s * (ow - 1) + 1 : s]
-            idx = ((oy[:, None] + wy) * w + (ox[None, :] + wx)).astype(np.int64)
-            better = cand > best
-            np.copyto(best, cand, where=better)
-            np.copyto(arg, np.broadcast_to(idx, arg.shape), where=better)
-    return check_finite(best, "pool output"), arg
-
-
-def maxpool2d_backward(argmax, grad_out, in_hw):
-    """Route grad_out to argmax positions; collisions (overlapping windows)
-    sum in output row-major order per map."""
     check_tensor4(grad_out, "pool grad_out")
-    if argmax.shape != grad_out.shape:
-        raise ShapeError(f"argmax {argmax.shape} does not match grad_out {grad_out.shape}")
-    n, c, oh, ow = grad_out.shape
-    h, w = in_hw
-    if argmax.size and argmax.max() >= h * w:
-        raise ShapeError("argmax indices exceed input size (stale argmax?)")
-    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    offsets = np.arange(n * c, dtype=np.int64).reshape(n, c, 1, 1) * (h * w)
-    np.add.at(gx.reshape(-1), (argmax + offsets).reshape(-1), grad_out.reshape(-1))
+    check_same_dtype(x, grad_out)
+    best = _pool_max(x, k, s)
+    if best.shape != grad_out.shape:
+        raise ShapeError(f"grad_out {grad_out.shape} is not the pool output {best.shape} "
+                         f"of input {x.shape}")
+    oh, ow = best.shape[2:]
+    taken = np.zeros(best.shape, dtype=bool)
+    hits = []
+    for t in range(k * k):
+        hit = _tap(x, t // k, t % k, s, oh, ow) == best
+        np.greater(hit, taken, out=hit)
+        taken |= hit
+        hits.append(hit)
+    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    for t in reversed(range(k * k)):
+        view = _tap(gx, t // k, t % k, s, oh, ow)
+        view += grad_out * hits[t]
     return check_finite(gx, "pool grad_in")
 
 

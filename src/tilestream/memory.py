@@ -4,8 +4,9 @@ Shares one accounting policy with the engine's instrumentation so that on
 desk-scale runs the predicted bytes equal the measured counters exactly
 (both count the same abstraction: retained scalars times bytes):
 
-* each conv/dense output is one retained array (n * elems * itemsize);
-* maxpool retains its output plus an int64 argmax map;
+* each conv/maxpool/dense output is one retained array (n * elems *
+  itemsize); maxpool keeps no index map, since its backward re-derives
+  the route from its input, which the layer below already retains;
 * relu runs in place and flatten is a view: zero additional bytes;
 * gradient maps are workspace and uncounted; parameter and
   parameter-gradient bytes are separate terms;
@@ -32,11 +33,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .network import Flatten, MaxPool, NetworkSpec, Relu
+from .network import Flatten, NetworkSpec, Relu
 from .planner import TilePlan
 from .tensors import resolve_dtype
-
-ARGMAX_ITEMSIZE = 8  # int64 indices retained by maxpool
 
 
 @dataclass
@@ -69,10 +68,7 @@ def _layer_bytes(layer, out_shape, n, itemsize):
         elems = out_shape[1]
     else:
         elems = out_shape[1] * out_shape[2] * out_shape[3]
-    per_image = elems * itemsize
-    if isinstance(layer, MaxPool):
-        per_image += elems * ARGMAX_ITEMSIZE
-    return n * per_image
+    return n * elems * itemsize
 
 
 def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):

@@ -261,8 +261,9 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
         out = conv2d_forward(x, layer, lparams, pads)
         return out, (x, pads)
     if isinstance(layer, MaxPool):
-        out, argmax = maxpool2d_forward(x, layer.kernel, layer.stride)
-        return out, (argmax, x.shape[2:])
+        # the pool's input, not its output: a relu after the pool may
+        # overwrite the output in place, and nothing writes the input
+        return maxpool2d_forward(x, layer.kernel, layer.stride), x
     if isinstance(layer, Relu):
         out = relu_forward(x, inplace=inplace_ok)
         return out, out
@@ -282,8 +283,7 @@ def layer_backward(grad_out, layer, lparams, cache):
         gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
         return gx, ConvParams(gw, gb)
     if isinstance(layer, MaxPool):
-        argmax, in_hw = cache
-        return maxpool2d_backward(argmax, grad_out, in_hw), None
+        return maxpool2d_backward(cache, grad_out, layer.kernel, layer.stride), None
     if isinstance(layer, Relu):
         return relu_backward(cache, grad_out), None
     if isinstance(layer, Flatten):
@@ -302,7 +302,8 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     image or split map): relu runs in place only on buffers the stack
     itself made. byte_sink, if given, is a list that receives
     (layer_index, activation_bytes) per layer under the shared accounting
-    policy (relu and flatten count zero, maxpool adds its argmax bytes).
+    policy (relu and flatten count zero; maxpool retains only its output,
+    its backward re-derives the route from the input).
     """
     caches = [] if want_cache else None
     owns = False  # x is a buffer this call made; flatten returns a view of its input
@@ -312,12 +313,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
         out, cache = layer_forward(x, layer, params[i], pads,
                                    inplace_ok=owns and isinstance(layer, Relu))
         if byte_sink is not None:
-            if isinstance(layer, (Relu, Flatten)):
-                byte_sink.append((i, 0))
-            elif isinstance(layer, MaxPool):
-                byte_sink.append((i, out.nbytes + cache[0].nbytes))
-            else:
-                byte_sink.append((i, out.nbytes))
+            byte_sink.append((i, 0 if isinstance(layer, (Relu, Flatten)) else out.nbytes))
         if want_cache:
             caches.append(cache)
         x = out

@@ -42,6 +42,13 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         # so even one tile reads only 31x31 of the 32x32 pixels
         assert "recompute: " in text and f"grid 1x1: recompute {31**2 / 32**2:.2f}x" in text
         assert "grid 4x4: recompute " in text and "grid 8x8" not in text
+    if command == "bench":
+        # the modelled and the traced peak, side by side, on stdout and in bench.json
+        printed = json.loads(capsys.readouterr().out)
+        for report in (printed, json.loads((out / "bench.json").read_text())):
+            for mode in ("sgd", "ssgd"):
+                for key in ("peak_bytes", "traced_peak_bytes"):
+                    assert type(report[mode][key]) is int and report[mode][key] > 0
 
 
 @pytest.mark.parametrize("doc, extra", [

@@ -178,59 +178,143 @@ def test_conv_linearity(rng):
 
 # --- maxpool -------------------------------------------------------------
 
+def brute_pool(x, k, s):
+    """Oracle: per window, the first entry in row-major order that no later
+    entry exceeds; returns (output, flat spatial index of that entry). The
+    output is that entry's value, a zero as +0.0."""
+    n, c, h, w = x.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    out = np.empty((n, c, oh, ow), x.dtype)
+    arg = np.empty((n, c, oh, ow), np.int64)
+    for i, ch, oy, ox in np.ndindex(n, c, oh, ow):
+        plane = x[i, ch].ravel()
+        best = oy * s * w + ox * s
+        for ky in range(k):
+            for kx in range(k):
+                idx = (oy * s + ky) * w + ox * s + kx
+                if plane[idx] > plane[best]:
+                    best = idx
+        arg[i, ch, oy, ox] = best
+        out[i, ch, oy, ox] = plane[best] + 0
+    return out, arg
+
+
+def scatter_pool_grad(arg, grad_out, in_hw):
+    """Oracle: per map, each output's gradient added onto zeros at its
+    argmax, in output row-major order."""
+    n, c = grad_out.shape[:2]
+    gx = np.zeros((n, c, in_hw[0] * in_hw[1]), grad_out.dtype)
+    for i, ch in np.ndindex(n, c):
+        np.add.at(gx[i, ch], arg[i, ch].ravel(), grad_out[i, ch].ravel())
+    return gx.reshape(n, c, *in_hw)
+
+
 def test_maxpool_basic():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    y, arg = maxpool2d_forward(x, 2, 2)
-    assert y[0, 0, 0, 0] == 4.0 and arg[0, 0, 0, 0] == 3
+    y = maxpool2d_forward(x, 2, 2)
+    assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 4.0
+    gx = maxpool2d_backward(x, np.ones_like(y), 2, 2)
+    assert np.flatnonzero(gx).tolist() == [3]
 
 
 def test_maxpool_tie_first_occurrence():
     x = np.full((1, 1, 4, 4), 2.5)
-    y, arg = maxpool2d_forward(x, 2, 2)
+    y = maxpool2d_forward(x, 2, 2)
     assert np.all(y == 2.5)
-    assert np.array_equal(arg[0, 0], [[0, 2], [8, 10]])  # top-left of each window
+    gx = maxpool2d_backward(x, np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2), 2, 2)
+    # each window's gradient lands on its top-left entry
+    assert np.array_equal(gx[0, 0], [[1, 0, 2, 0], [0, 0, 0, 0], [3, 0, 4, 0], [0, 0, 0, 0]])
+    # a tie of signed zeros reads +0.0 and still routes to the first entry
+    z = np.array([[-0.0, 0.0], [-0.0, -0.0]]).reshape(1, 1, 2, 2)
+    assert not np.signbit(maxpool2d_forward(z, 2, 2)).any()
+    assert np.flatnonzero(maxpool2d_backward(z, np.ones((1, 1, 1, 1)), 2, 2)).tolist() == [0]
 
 
 def test_maxpool_5x5_drops_edges(rng):
     x = rng.standard_normal((1, 1, 5, 5))
-    y, arg = maxpool2d_forward(x, 2, 2)
+    y = maxpool2d_forward(x, 2, 2)
     assert y.shape == (1, 1, 2, 2)
     assert out_size(5, 2, 2) == 2
-    # bottom row / right col never referenced
-    assert all(idx % 5 != 4 and idx // 5 != 4 for idx in arg.ravel())
+    gx = maxpool2d_backward(x, np.ones_like(y), 2, 2)
+    # bottom row / right col never referenced; each window routes to one entry
+    assert not gx[0, 0, 4, :].any() and not gx[0, 0, :, 4].any()
+    assert np.count_nonzero(gx) == 4
 
 
 def test_maxpool_backward_routes():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    _, arg = maxpool2d_forward(x, 2, 2)
-    gx = maxpool2d_backward(arg, np.ones((1, 1, 1, 1)), (2, 2))
+    gx = maxpool2d_backward(x, np.ones((1, 1, 1, 1)), 2, 2)
     assert np.array_equal(gx[0, 0], [[0.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(maxpool2d_backward(arg, np.zeros((1, 1, 1, 1)), (2, 2)),
+    assert np.array_equal(maxpool2d_backward(x, np.zeros((1, 1, 1, 1)), 2, 2),
                           np.zeros((1, 1, 2, 2)))
 
 
 def test_maxpool_grad_conservation(rng):
     x = rng.standard_normal((1, 2, 8, 8))
-    _, arg = maxpool2d_forward(x, 2, 2)
-    gy = rng.standard_normal(arg.shape)
-    gx = maxpool2d_backward(arg, gy, (8, 8))
-    # non-overlapping windows: scatter is a permutation, sums exactly equal
+    gy = rng.standard_normal(maxpool2d_forward(x, 2, 2).shape)
+    gx = maxpool2d_backward(x, gy, 2, 2)
+    # non-overlapping windows: routing is a permutation, sums exactly equal
     assert math.fsum(gx.ravel()) == math.fsum(gy.ravel())
 
 
 def test_maxpool_overlapping_conservation(rng):
     x = rng.standard_normal((1, 1, 8, 8))
-    _, arg = maxpool2d_forward(x, 3, 2)
-    gy = rng.standard_normal(arg.shape)
-    gx = maxpool2d_backward(arg, gy, (8, 8))
+    gy = rng.standard_normal(maxpool2d_forward(x, 3, 2).shape)
+    gx = maxpool2d_backward(x, gy, 3, 2)
     assert abs(math.fsum(gx.ravel()) - math.fsum(gy.ravel())) < 1e-12
 
 
-def test_maxpool_stale_argmax(rng):
+def test_maxpool_stale_grad_out(rng):
+    """A grad_out that is not the pool output of x (of another input size,
+    window or channel count) raises rather than being routed."""
     x = rng.standard_normal((1, 1, 6, 6))
-    _, arg = maxpool2d_forward(x, 2, 2)
     with pytest.raises(ShapeError):
-        maxpool2d_backward(arg, np.ones(arg.shape), (2, 2))
+        maxpool2d_backward(x, np.ones((1, 1, 2, 2)), 2, 2)
+    with pytest.raises(ShapeError):
+        maxpool2d_backward(x, np.ones((1, 1, 3, 3)), 3, 3)
+    with pytest.raises(ShapeError):
+        maxpool2d_backward(x, np.ones((1, 2, 3, 3)), 2, 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 4), s=st.integers(1, 4),
+       dh=st.integers(0, 14), dw=st.integers(0, 14), ties=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+@example(n=2, c=3, k=3, s=2, dh=14, dw=14, ties=True, dtype=np.float32, seed=0)  # overlapping
+@example(n=1, c=2, k=2, s=3, dh=14, dw=11, ties=True, dtype=np.float64, seed=1)  # gaps
+@example(n=2, c=1, k=4, s=1, dh=14, dw=14, ties=False, dtype=np.float32, seed=2)
+def test_maxpool_matches_brute_force_bit_for_bit(n, c, k, s, dh, dw, ties, dtype, seed):
+    """Output and gradient equal the first-occurrence oracle bit for bit for
+    k < s, k = s and k > s, h and w in [k, 14]. Tied inputs are small
+    integers and signed zeros (a zero max reads +0.0); grad_out holds
+    signed zeros too."""
+    r = np.random.default_rng(seed)
+    shape = (n, c, k + dh % (15 - k), k + dw % (15 - k))
+    if ties:
+        x = r.choice(np.array([-0.0, 0.0, 1.0, -2.0]), shape).astype(dtype)
+    else:
+        x = r.standard_normal(shape).astype(dtype)
+    want_y, arg = brute_pool(x, k, s)
+    y = maxpool2d_forward(x, k, s)
+    assert y.dtype == dtype and y.tobytes() == want_y.tobytes()
+    g = r.standard_normal(y.shape).astype(dtype)
+    g[r.random(g.shape) < 0.3] = -0.0
+    g[r.random(g.shape) < 0.1] = 0.0
+    gx = maxpool2d_backward(x, g, k, s)
+    assert gx.dtype == dtype
+    assert gx.tobytes() == scatter_pool_grad(arg, g, x.shape[2:]).tobytes()
+
+
+@pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1)])
+def test_maxpool_forward_allocates_only_its_output(rng, k, s):
+    """The forward keeps no index map. Beyond its output it allocates, one
+    at a time, numpy's ufunc buffer (np.getbufsize() elements, for the
+    strided tap views) and the finiteness check's one byte per output
+    element, plus a small constant. A uint8 window offset kept while the
+    taps run would exceed this bound."""
+    x = rng.standard_normal((1, 8, 256, 256)).astype(np.float32)
+    peak, out = _traced_peak(lambda: [maxpool2d_forward(x, k, s)])
+    assert peak <= out + max(out // x.itemsize, np.getbufsize() * x.itemsize) + 4096
 
 
 # --- relu ----------------------------------------------------------------
@@ -469,15 +553,13 @@ def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
 
 
 def test_maxpool_backward_matches_per_map_scatter():
-    """One flattened np.add.at gives the bits of a per-(n, c) scatter, with
-    overlapping windows (k=3, s=2) and ties."""
+    """Tap-by-tap routing gives the bits of a per-(n, c) scatter at a
+    brute-force first-occurrence argmax, with overlapping windows (k=3,
+    s=2) and ties."""
     r = np.random.default_rng(7)
     x = r.integers(0, 3, (2, 3, 11, 9)).astype(np.float32)  # many ties
-    _, arg = maxpool2d_forward(x, 3, 2)
+    want_y, arg = brute_pool(x, 3, 2)
+    assert maxpool2d_forward(x, 3, 2).tobytes() == want_y.tobytes()
     gy = r.standard_normal(arg.shape).astype(np.float32)
-    want = np.zeros((2, 3, 11 * 9), np.float32)
-    for i in range(2):
-        for ch in range(3):
-            np.add.at(want[i, ch], arg[i, ch].ravel(), gy[i, ch].ravel())
-    got = maxpool2d_backward(arg, gy, (11, 9))
-    assert got.tobytes() == want.reshape(got.shape).tobytes()
+    got = maxpool2d_backward(x, gy, 3, 2)
+    assert got.tobytes() == scatter_pool_grad(arg, gy, (11, 9)).tobytes()
