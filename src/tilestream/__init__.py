@@ -2,10 +2,14 @@
 
 Train convolutional networks on images far larger than activation memory
 allows: the section below a chosen split layer runs tile-by-tile with
-planner-computed overlaps, the split activation map is reconstructed
-bit-exactly, the head runs once on it, and the backward pass recomputes
-each tile's forward crop instead of retaining its activations, summing
-the tiles' parameter gradients into the whole-image gradient.
+planner-computed overlaps. The planner cuts that section at checkpoint
+maps (pool outputs, chosen to minimise the modelled peak memory) into
+segments, each tiled from the retained map below it; every checkpoint
+map and the split map are reconstructed bit-exactly, and the head runs
+once on the split map. The backward pass walks the segments top-down and
+recomputes each tile's forward crop instead of retaining its
+activations, summing the tiles' parameter gradients into the whole-image
+gradient and their input gradients into the checkpoints' gradient maps.
 """
 
 from .engine import (

@@ -83,7 +83,13 @@ def cmd_plan(cfg: ExperimentConfig):
     print(format_table(net, stream))
     print()
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
-          f"recompute: {plan.recompute_ratio:.2f}x image pixels per pass")
+          f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
+    item = resolve_dtype(cfg.precision).itemsize
+    for layout in plan.candidates:
+        maps = ",".join(map(str, layout.checkpoints)) or "none"
+        chosen = "  (chosen)" if layout == plan.layout else ""
+        print(f"checkpoints {maps}: modelled peak {layout.peak_scalars * item:,} bytes, "
+              f"conv work {layout.recompute:.2f}x{chosen}")
     g = 1
     while g <= min(plan.split_hw):
         ratio = build_tile_plan(net, cfg.image_size, (g, g)).recompute_ratio

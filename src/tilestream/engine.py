@@ -8,46 +8,53 @@ same SGD loop and differ only in the per-image executor.
 Whole image: the streaming section and the head run once on the whole
 image with standard backprop, through the same kernels as the tiles.
 
-Streaming forward: each tile's input crop runs through the streaming
-section with the plan's border-only padding, lands exactly on its owned
-split-map region and is pasted there; tile activations are then dropped,
-so only the reconstructed split map (plus head activations) persists.
-The head runs once on the reconstruction. Because every forward value
-depends only on its receptive field (fixed-shape conv products, exact
-max pooling; see tilestream.layers), the reconstructed map is
-bit-identical to a whole-image pass.
+Streaming forward: the plan cuts the streaming section at checkpoint
+maps into segments (tilestream.planner). Segment by segment, bottom-up,
+each tile's crop of the segment's input map (the image for the first
+segment) runs through the segment's layers with the plan's border-only
+padding, lands exactly on its owned region of the segment's output map
+and is pasted there; tile activations are then dropped, so only the cut
+maps (checkpoints and split map, plus head activations) persist. The
+head runs once on the split map. Because every forward value depends
+only on its receptive field (fixed-shape conv products, exact max
+pooling; see tilestream.layers), each cut map is bit-identical to a
+whole-image pass, by induction from the image up.
 
 Streaming backward: the head gradient is computed once on the whole split
-map. Per tile, the forward crop is recomputed with caches and the tile's
-owned slice of the split-map gradient is backpropagated through it with
-the same stack_backward the whole-image executor uses. Each tile computes
-its owned split-map values exactly, so by linearity the per-tile
-parameter gradients sum to the whole-image gradient; only the order of
+map. Segment by segment, top-down, each tile recomputes its forward crop
+with caches from the segment's retained input map and backpropagates its
+owned slice of the gradient of the map above through the same
+stack_backward the whole-image executor uses. Below the top segment that
+gradient is the checkpoint's gradient map, which the segment above filled
+by adding each tile's input gradient over its crop. Each tile computes
+its owned values exactly, so by linearity the per-tile parameter and
+input gradients sum to the whole-image gradients; only the order of
 summation differs. Input-image gradients are not produced. Tiles run in
 row-major order and accumulate sequentially, which pins the
 floating-point summation order.
 
-Memory accounting (shared with tilestream.memory): byte counters track
-retained activation arrays only. Counted per tile: the input crop and
-every layer output (relu and flatten are free since they run in place /
-as views; maxpool keeps no index map). The whole input image is host
-resident and never counted for streaming. Gradient maps are workspace
-and uncounted; parameter and parameter-gradient bytes are separate
-terms. Phase peaks:
-
-    forward  = params + split_map + max(per-tile activations, head)
-    backward = params + grads + 2*split_map + head + max per-tile
-               activations (the recomputed forward crop)
+Memory accounting: byte counters track retained activation arrays only,
+under the policy and the phase-peak formulas of tilestream.memory
+(stream_forward_peak, stream_backward_peak), which the engine calls with
+what it measured. Counted per tile: the crop and every layer output
+(relu and flatten are free since they run in place / as views; maxpool
+keeps no index map), the largest tile per segment. Counted per pass: the
+cut maps, the head activations, and during each segment's backward the
+gradients of the cut maps above and below it. The whole input image is
+host resident and never counted for streaming. Gradient maps inside a
+tile or the head are workspace and uncounted; parameter and
+parameter-gradient bytes are separate terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import bce_with_logits
+from .memory import stream_backward_peak, stream_forward_peak
 from .network import (
     NetworkSpec,
     ParamGrads,
@@ -67,7 +74,7 @@ class StreamingRunRecord:
 
     tiles_forward: int = 0
     tiles_backward: int = 0
-    peak_tile_activation_bytes: int = 0
+    segment_tile_bytes: list = field(default_factory=list)  # largest tile per segment
     head_activation_bytes: int = 0
     params_bytes: int = 0
     grads_bytes: int = 0
@@ -111,10 +118,18 @@ class StepResult:
 class StreamingForwardState:
     """What streaming_forward retains for the matching backward call."""
 
-    split_map: np.ndarray
+    cut_maps: list                     # per plan cut above the image: checkpoints, split map
     head_caches: list
     logit: np.ndarray
     record: StreamingRunRecord
+
+    @property
+    def split_map(self):
+        return self.cut_maps[-1]
+
+    def cut_bytes(self):
+        """Bytes per plan cut, 0 for the image, as tilestream.memory's formulas take them."""
+        return [0] + [m.nbytes for m in self.cut_maps]
 
 
 def _check_image(image, plan):
@@ -125,82 +140,96 @@ def _check_image(image, plan):
     return image
 
 
-def _tile_pass(net, params, image, tile, want_cache):
-    """Run one tile's input crop through the streaming section.
+def _tile_pass(net, params, below, tile, want_cache):
+    """Run one tile's crop of its segment's input map through the segment.
 
     Returns (out, caches, activation bytes); out is checked to cover the
-    tile's owned split-map region exactly.
+    tile's owned region exactly.
     """
     r = tile.input_forward
-    crop = np.ascontiguousarray(image[:, :, r.y0:r.y1, r.x0:r.x1])
+    crop = np.ascontiguousarray(below[:, :, r.y0:r.y1, r.x0:r.x1])
     sink = []
-    out, caches = run_stack(crop, net, params, 0, net.split_index,
+    out, caches = run_stack(crop, net, params, tile.start, tile.stop,
                             pads_seq=tile.fwd_pads, want_cache=want_cache, byte_sink=sink)
     o = tile.owned_split
     if out.shape[2:] != o.shape():
-        raise PlanError(f"tile ({tile.row},{tile.col}) produced {out.shape[2:]}, "
-                        f"owned region is {o.shape()}")
+        raise PlanError(f"tile ({tile.row},{tile.col}) of [{tile.start}, {tile.stop}) "
+                        f"produced {out.shape[2:]}, owned region is {o.shape()}")
     return out, caches, crop.nbytes + sum(b for _, b in sink)
 
 
 def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
-    """Tile-reconstruct the split map, then run the head once.
+    """Tile-rebuild every cut map bottom-up, then run the head once.
 
     Requires a validated plan for (net, image size). Returns a
-    StreamingForwardState; the split map it carries is bit-identical to the
-    whole-image streaming-section output.
+    StreamingForwardState; every map it carries, the split map last, is
+    bit-identical to the whole-image map.
     """
     _check_image(image, plan)
     if plan.split_index != net.split_index:
         raise PlanError("plan split_index does not match the network")
     n = image.shape[0]
-    c_split = net.split_shape(plan.image_size)[0]
-    sh, sw = plan.split_hw
-    split = np.empty((n, c_split, sh, sw), dtype=image.dtype)
+    shapes = net.activation_shapes(plan.image_size)
     record = StreamingRunRecord(params_bytes=param_bytes(params))
-    peak_tile = 0
-    for tile in plan.tiles:
-        out, _, nbytes = _tile_pass(net, params, image, tile, want_cache=False)
-        o = tile.owned_split
-        split[:, :, o.y0:o.y1, o.x0:o.x1] = out
-        peak_tile = max(peak_tile, nbytes)
-        record.tiles_forward += 1
+    maps = []
+    below = image
+    for _, stop, tiles in plan.segments:
+        out = np.empty((n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
+        peak_tile = 0
+        for tile in tiles:
+            y, _, nbytes = _tile_pass(net, params, below, tile, want_cache=False)
+            o = tile.owned_split
+            out[:, :, o.y0:o.y1, o.x0:o.x1] = y
+            peak_tile = max(peak_tile, nbytes)
+            record.tiles_forward += 1
+        record.segment_tile_bytes.append(peak_tile)
+        maps.append(out)
+        below = out
     head_sink = []
-    logit, head_caches = head_forward(split, net, params, byte_sink=head_sink)
+    logit, head_caches = head_forward(below, net, params, byte_sink=head_sink)
     record.head_activation_bytes = sum(b for _, b in head_sink)
-    record.peak_tile_activation_bytes = peak_tile
-    record.peak_bytes_forward = (record.params_bytes + split.nbytes
-                                 + max(peak_tile, record.head_activation_bytes))
-    return StreamingForwardState(split_map=split, head_caches=head_caches,
-                                 logit=logit, record=record)
+    state = StreamingForwardState(cut_maps=maps, head_caches=head_caches,
+                                  logit=logit, record=record)
+    record.peak_bytes_forward = stream_forward_peak(
+        record.params_bytes, record.head_activation_bytes, state.cut_bytes(),
+        record.segment_tile_bytes)
+    return state
 
 
 def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
                        state: StreamingForwardState, dloss_dlogit):
-    """Backpropagate through head and tiles; returns per-image ParamGrads."""
+    """Backpropagate through the head and the segments' tiles; returns per-image ParamGrads."""
     _check_image(image, plan)
-    if state.split_map.shape[2:] != tuple(plan.split_hw):
+    segments = plan.segments
+    if [m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[b]) for _, b, _ in segments]:
         raise PlanError("forward state does not match this plan")
     grads = ParamGrads.zeros_like(params)
-    grad_split, head_grads = head_backward(dloss_dlogit, net, params,
+    grad_above, head_grads = head_backward(dloss_dlogit, net, params,
                                            state.head_caches, state.split_map.shape)
     grads.add_by_layer_(head_grads)
 
     record = state.record
     record.grads_bytes = param_bytes(grads.per_layer)
-    peak_tile = record.peak_tile_activation_bytes
-    for tile in plan.tiles:
-        _, caches, nbytes = _tile_pass(net, params, image, tile, want_cache=True)
-        o = tile.owned_split
-        g = grad_split[:, :, o.y0:o.y1, o.x0:o.x1]
-        _, tile_grads = stack_backward(g, net, params, caches, 0, net.split_index)
-        grads.add_by_layer_(tile_grads)
-        record.tiles_backward += 1
-        peak_tile = max(peak_tile, nbytes)
-    record.peak_tile_activation_bytes = peak_tile
-    record.peak_bytes_backward = (record.params_bytes + record.grads_bytes
-                                  + 2 * state.split_map.nbytes
-                                  + record.head_activation_bytes + peak_tile)
+    inputs = [image] + state.cut_maps[:-1]
+    for s in range(len(segments) - 1, -1, -1):
+        start, stop, tiles = segments[s]
+        below = inputs[s]
+        grad_below = np.zeros_like(below) if start > 0 else None
+        for tile in tiles:
+            _, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=True)
+            o = tile.owned_split
+            g = grad_above[:, :, o.y0:o.y1, o.x0:o.x1]
+            g_in, tile_grads = stack_backward(g, net, params, caches, start, stop)
+            grads.add_by_layer_(tile_grads)
+            if grad_below is not None:
+                r = tile.input_forward
+                grad_below[:, :, r.y0:r.y1, r.x0:r.x1] += g_in
+            record.tiles_backward += 1
+            record.segment_tile_bytes[s] = max(record.segment_tile_bytes[s], nbytes)
+        grad_above = grad_below
+    record.peak_bytes_backward = stream_backward_peak(
+        record.params_bytes, record.grads_bytes, record.head_activation_bytes,
+        state.cut_bytes(), record.segment_tile_bytes)
     return grads
 
 

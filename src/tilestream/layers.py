@@ -359,16 +359,23 @@ def relu_forward(x, inplace=False):
     return check_finite(out, "relu output")
 
 
-def relu_backward(out, grad_out):
-    """Pass gradient where the activation is strictly positive (0 at 0).
+def relu_backward(out, grad_out, inplace=False):
+    """Pass gradient where the activation is strictly positive (+0.0 elsewhere).
 
     Takes the relu *output*; out > 0 holds exactly where the input was > 0,
-    so the pre-activation buffer need not be retained.
+    so the pre-activation buffer need not be retained. The gradient's bit
+    patterns are multiplied, as integers, by the 0/1 mask: 1 keeps every
+    bit (a -0.0 included) and 0 gives +0.0, the bits np.where(out > 0,
+    grad_out, 0) gives, without its per-element branch. With inplace=True
+    grad_out is overwritten and returned.
     """
     check_same_dtype(out, grad_out)
     if out.shape != grad_out.shape:
         raise ShapeError("relu grad shape mismatch")
-    return check_finite(np.where(out > 0, grad_out, grad_out.dtype.type(0)), "relu grad_in")
+    bits = np.dtype(f"i{grad_out.itemsize}")
+    result = grad_out if inplace else np.empty_like(grad_out)
+    np.multiply(grad_out.view(bits), out > 0, out=result.view(bits))
+    return check_finite(result, "relu grad_in")
 
 
 def flatten_forward(x):

@@ -8,23 +8,35 @@ desk-scale runs the predicted bytes equal the measured counters exactly
   itemsize); maxpool keeps no index map, since its backward re-derives
   the route from its input, which the layer below already retains;
 * relu runs in place and flatten is a view: zero additional bytes;
-* gradient maps are workspace and uncounted; parameter and
-  parameter-gradient bytes are separate terms;
+* gradient maps inside a tile or the head are workspace and uncounted;
+  parameter and parameter-gradient bytes are separate terms;
 * whole-image mode retains the input and every layer output until its
   backward completes (the naive retention the big-memory figures imply);
 * streaming mode never holds the whole input (tiles are cropped from
-  host-resident storage); one tile's activations are resident at a time,
-  plus the reconstructed split map, its gradient during backward, and
-  the head activations. Backward recomputes each tile's forward crop, so
-  one tile term serves both phases. Mini-batches stream per image with
-  gradients summed into one accumulator, so activation terms do not scale
-  with batch size in streaming mode (the whole-image terms do).
+  host-resident storage). The plan cuts the streaming section at
+  checkpoint maps into segments (see tilestream.planner); the engine
+  keeps every checkpoint map and the split map (the "cut maps") from the
+  moment its segment's forward starts until the pass ends. One tile's
+  activations (its crop and layer outputs) are resident at a time, plus
+  the head activations. A segment's backward holds the gradient of the
+  cut map above it and the checkpoint gradient it accumulates below (none
+  for the image). Backward recomputes each tile's forward crop, so one
+  tile term per segment serves both phases. Mini-batches stream per image
+  with gradients summed into one accumulator, so activation terms do not
+  scale with batch size in streaming mode (the whole-image terms do).
 
-Phase peaks (identical formulas in tilestream.engine):
+Phase peaks (stream_forward_peak and stream_backward_peak, which the
+engine calls with its counters). With cut maps C_1..C_k (C_k the split
+map), C_0 = 0 for the image, and T_j the largest tile of segment
+[cut j-1, cut j):
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
-    stream_f: params + split_map + max(max-tile-forward-activations, head)
-    stream_b: params + grads + 2*split_map + head + max-tile-forward-activations
+    stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head)
+    stream_b: params + grads + C_1 + .. + C_k + head
+              + max_j (C_j + C_(j-1) + T_j)
+
+With one segment these are params + split_map + max(tile, head) and
+params + grads + 2*split_map + head + tile.
 """
 
 from __future__ import annotations
@@ -34,7 +46,6 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .network import Flatten, NetworkSpec, Relu
-from .planner import TilePlan
 from .tensors import resolve_dtype
 
 
@@ -87,59 +98,81 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
                           params_bytes=params, grads_bytes=params, peak_bytes=peak)
 
 
+def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
+    """(layer index, retained bytes) per head layer for one image."""
+    shapes = net.activation_shapes(image_size)
+    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize))
+            for i in range(net.split_index, len(net.layers))]
+
+
+def stream_forward_peak(params, head, cut_bytes, tile_bytes):
+    """Forward peak of a segmented streaming pass (formula in the module doc).
+
+    cut_bytes: bytes of each cut map, 0 for the image, then the checkpoint
+    maps and the split map; tile_bytes: the largest tile of each segment.
+    """
+    held = peak = 0
+    for out, tile in zip(cut_bytes[1:], tile_bytes):
+        held += out
+        peak = max(peak, held + tile)
+    return params + max(peak, held + head)
+
+
+def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
+    """Backward peak of a segmented streaming pass (arguments as stream_forward_peak)."""
+    live = max(below + above + tile
+               for below, above, tile in zip(cut_bytes, cut_bytes[1:], tile_bytes))
+    return params + grads + sum(cut_bytes[1:]) + head + live
+
+
 def _tile_stack_bytes(net, tile, channels, item):
-    """Crop plus per-layer bytes for one tile's pass through the streaming section."""
+    """Crop plus per-layer bytes for one tile's pass through its segment."""
     regions = tile.fwd_regions
     crop = regions[0]
-    total = channels[0] * crop.height * crop.width * item
+    total = channels[tile.start] * crop.height * crop.width * item
     per_layer = []
-    for m in range(net.split_index):
-        layer = net.layers[m]
-        r = regions[m + 1]
+    for m, r in zip(range(tile.start, tile.stop), regions[1:]):
         shape = ("map", channels[m + 1], r.height, r.width)
-        b = _layer_bytes(layer, shape, 1, item)
+        b = _layer_bytes(net.layers[m], shape, 1, item)
         per_layer.append(b)
         total += b
     return total, per_layer
 
 
-def estimate_streaming(net: NetworkSpec, plan: TilePlan, batch, precision):
-    """Streaming estimate for a validated plan; per-image tile passes.
+def estimate_streaming(net: NetworkSpec, plan, batch, precision):
+    """Streaming estimate for a validated TilePlan; per-image tile passes.
 
     per_layer_bytes holds each streaming layer's largest tile term, then
-    the head terms; the phase peaks take the largest tile's whole pass.
+    the head terms; the phase peaks take each segment's largest tile pass.
     """
-    dtype = resolve_dtype(precision)
-    item = dtype.itemsize
-    shapes = net.activation_shapes(plan.image_size)
-    channels = [s[1] for s in shapes]
-    sh, sw = plan.split_hw
-    split_bytes = channels[net.split_index] * sh * sw * item
+    item = resolve_dtype(precision).itemsize
+    channels = [s[1] for s in net.activation_shapes(plan.image_size)]
+    head_per_layer = head_layer_bytes(net, plan.image_size, item)
+    head_bytes = sum(b for _, b in head_per_layer)
 
-    head_bytes = 0
-    head_per_layer = []
-    for i in range(net.split_index, len(net.layers)):
-        b = _layer_bytes(net.layers[i], shapes[i + 1], 1, item)
-        head_per_layer.append((i, b))
-        head_bytes += b
-
-    peak_tile = 0
     per_layer_max = [0] * net.split_index
-    for tile in plan.tiles:
-        total, layers = _tile_stack_bytes(net, tile, channels, item)
-        peak_tile = max(peak_tile, total)
-        per_layer_max = [max(a, b) for a, b in zip(per_layer_max, layers)]
+    tile_bytes = []
+    for start, _, tiles in plan.segments:
+        peak = 0
+        for tile in tiles:
+            total, layers = _tile_stack_bytes(net, tile, channels, item)
+            peak = max(peak, total)
+            for m, b in enumerate(layers, start):
+                per_layer_max[m] = max(per_layer_max[m], b)
+        tile_bytes.append(peak)
+    cut_bytes = [0] + [channels[c] * math.prod(plan.map_sizes[c]) * item
+                       for c in plan.cuts[1:]]
 
     params = count_param_scalars(net, plan.image_size) * item
-    peak_forward = params + split_bytes + max(peak_tile, head_bytes)
-    peak_backward = params + params + 2 * split_bytes + head_bytes + peak_tile
-    per_layer = [(m, b) for m, b in enumerate(per_layer_max)] + head_per_layer
+    peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
+    peak_backward = stream_backward_peak(params, params, head_bytes, cut_bytes, tile_bytes)
+    per_layer = list(enumerate(per_layer_max)) + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,
                           peak_bytes=max(peak_forward, peak_backward),
-                          split_map_bytes=split_bytes, head_bytes=head_bytes,
-                          peak_tile_forward_bytes=peak_tile,
+                          split_map_bytes=cut_bytes[-1], head_bytes=head_bytes,
+                          peak_tile_forward_bytes=max(tile_bytes),
                           peak_forward_bytes=peak_forward, peak_backward_bytes=peak_backward)
 
 

@@ -276,8 +276,11 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def layer_backward(grad_out, layer, lparams, cache):
-    """Run one layer backward; returns (grad_in, param_grads or None)."""
+def layer_backward(grad_out, layer, lparams, cache, inplace_ok=False):
+    """Run one layer backward; returns (grad_in, param_grads or None).
+
+    With inplace_ok a relu masks grad_out in place and returns it.
+    """
     if isinstance(layer, Conv):
         x, pads = cache
         gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
@@ -285,7 +288,7 @@ def layer_backward(grad_out, layer, lparams, cache):
     if isinstance(layer, MaxPool):
         return maxpool2d_backward(cache, grad_out, layer.kernel, layer.stride), None
     if isinstance(layer, Relu):
-        return relu_backward(cache, grad_out), None
+        return relu_backward(cache, grad_out, inplace=inplace_ok), None
     if isinstance(layer, Flatten):
         return flatten_backward(grad_out, cache), None
     if isinstance(layer, Dense):
@@ -326,14 +329,19 @@ def stack_backward(grad_out, net, params, caches, start, stop):
 
     Nothing consumes a gradient with respect to the image, so with start 0
     layer 0 yields only its parameter gradients and grad_in is None.
+    grad_out is never written (it may be a view of the caller's gradient
+    map): relu masks in place only gradient buffers the stack itself made.
     """
     grads = {}
     g = grad_out
+    owns = False  # g is a buffer this call made; flatten's backward is a reshape view
     for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
-        g, pg = layer_backward(g, layer, params[i], caches[i - start])
+        g, pg = layer_backward(g, layer, params[i], caches[i - start],
+                               inplace_ok=owns and isinstance(layer, Relu))
         if pg is not None:
             grads[i] = pg
+        owns = owns or not isinstance(layer, Flatten)
     if start == 0:
         if isinstance(net.layers[0], Conv):
             x, pads = caches[0]

@@ -1,10 +1,11 @@
-"""Tile planning: back-projection and validated tile plans.
+"""Tile planning: checkpointed segments, back-projection and validated tile plans.
 
 Geometry conventions
 --------------------
 Maps are indexed 0..L through the streaming section: map 0 is the input
-image, map m is the output of streaming layer m-1. All arithmetic is per
-axis (square kernels), with rows and columns planned independently.
+image, map m is the output of streaming layer m-1, map L the split map.
+All arithmetic is per axis (square kernels), with rows and columns
+planned independently.
 
 A layer with kernel k, stride s, pad p maps output position o to input
 span [o*s - p, o*s - p + k). Back-projecting an output interval [a, b)
@@ -13,20 +14,41 @@ the map with the clipped amounts recorded as zero-pad widths; tiles pad
 only where the true image border was met, so interior tile edges always
 consume real neighbour pixels.
 
-Partition
----------
-The split map is partitioned near-equally (remainder to the last
-row/column); each tile owns one rectangle of it. A tile's forward chain
-back-projects its owned rectangle down to the image, so the tile's input
-crop, run with the chain's pads, produces exactly the owned split-map
-values.
+Segments
+--------
+A plan cuts the streaming section at checkpoint maps 0 < c_1 < .. < c_k
+< L into segments [0, c_1), [c_1, c_2), .., [c_k, L); with no checkpoint
+it is the one segment [0, L). Each segment is tiled with the plan's grid
+over its output map: that map is partitioned near-equally (remainder to
+the last row/column), each tile owns one rectangle of it, and the tile's
+chain back-projects the rectangle down to the segment's input map. The
+tile's input crop, run with the chain's pads, produces exactly its owned
+values, so every checkpoint map, and the split map, is rebuilt bit for
+bit from the (bit-exact) map below it. The engine retains the checkpoint
+maps, so a tile above a checkpoint back-projects only to it, not to the
+image.
+
+Choosing the checkpoints
+------------------------
+The candidate checkpoints are the streaming section's pool outputs below
+the split map. build_tile_plan models every set of them (the empty set
+included) under tilestream.memory's streaming formula and keeps the set
+with the smallest modelled peak, breaking ties by fewer conv
+multiply-adds, then by fewer checkpoints. Each distinct segment is
+evaluated once, on per-axis intervals: a tile's retained scalars and a
+segment's conv work factor into row and column terms. Tile entries are
+built for the chosen set only. Every term of the model is a scalar count
+times the itemsize, and streaming terms do not scale with the batch, so
+one choice holds for both precisions and every batch size.
 
 Backward
 --------
-The backward pass reads the same crops: each tile recomputes its forward
-chain and backpropagates its owned slice of the split-map gradient. By
-linearity the per-tile parameter gradients sum to the whole-image
-gradient, so no backward halo or per-map ownership is planned.
+The backward pass walks the segments top-down and reads the same crops:
+each tile recomputes its forward chain from the segment's input map and
+backpropagates its owned slice of the gradient of the map above. By
+linearity the per-tile parameter gradients, and the input gradients the
+tiles add into the checkpoint's gradient map, sum to the whole-image
+gradients, so no backward halo or per-map ownership is planned.
 
 Plan files
 ----------
@@ -39,12 +61,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations, groupby
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import PlanError, ShapeError
-from .layers import out_size
-from .network import NetworkSpec
+from .layers import Conv, out_size
+from .memory import count_param_scalars, head_layer_bytes, stream_backward_peak, stream_forward_peak
+from .network import MaxPool, NetworkSpec, Relu
 
-PLAN_SCHEMA_VERSION = 2
+PLAN_SCHEMA_VERSION = 3
 
 
 def backproject_span(a, b, k, s, p, in_size):
@@ -112,7 +139,7 @@ def _near_equal_bounds(total, parts):
 
 
 def _chain_down(geoms, sizes, top_iv):
-    """Back-project an interval at the split down to the image; returns (ivs, pads)."""
+    """Back-project an interval of a segment's top map down to its input map; returns (ivs, pads)."""
     L = len(geoms)
     ivs = [None] * L + [top_iv]
     pads = [None] * L
@@ -125,9 +152,9 @@ def _chain_down(geoms, sizes, top_iv):
 
 
 def _plan_axis(geoms, sizes, parts):
-    """Plan one axis; returns the forward (intervals, pads) chain per part."""
-    split_bounds = _near_equal_bounds(sizes[-1], parts)
-    return [_chain_down(geoms, sizes, (split_bounds[i], split_bounds[i + 1]))
+    """Plan one axis of a segment; returns the forward (intervals, pads) chain per part."""
+    top_bounds = _near_equal_bounds(sizes[-1], parts)
+    return [_chain_down(geoms, sizes, (top_bounds[i], top_bounds[i + 1]))
             for i in range(parts)]
 
 
@@ -137,16 +164,19 @@ def _plan_axis(geoms, sizes, parts):
 
 @dataclass
 class TileEntry:
-    """One tile's forward chain: a region per map and the pads per layer.
+    """One tile of segment [start, stop): a region per map and the pads per layer.
 
-    The chain runs from the input crop (map 0) up to the tile's owned
-    split-map rectangle (map L); the named regions are views of its ends.
+    The chain runs from the input crop (map start) up to the tile's owned
+    rectangle of map stop, the split map for the top segment; the named
+    regions are views of its ends.
     """
 
     row: int
     col: int
-    fwd_regions: list                  # Region per map 0..L
-    fwd_pads: list                     # (t, b, l, r) per layer 0..L-1
+    start: int
+    stop: int
+    fwd_regions: list                  # Region per map start..stop
+    fwd_pads: list                     # (t, b, l, r) per layer start..stop-1
 
     @property
     def owned_split(self):
@@ -159,6 +189,15 @@ class TileEntry:
     input_backward = input_forward  # backward recomputes the forward crop
 
 
+@dataclass(frozen=True)
+class Layout:
+    """One set of checkpoint maps and what the planner models for it."""
+
+    checkpoints: tuple
+    peak_scalars: int                  # modelled streaming peak; times the itemsize gives bytes
+    recompute: float                   # conv multiply-adds of all tiles over one whole-image pass
+
+
 @dataclass
 class TilePlan:
     image_size: int
@@ -166,21 +205,39 @@ class TilePlan:
     grid: tuple
     geoms: list
     map_sizes: list                    # (h, w) per map 0..L
-    tiles: list
+    tiles: list                        # segment by segment bottom-up, row-major in each
+    layout: Layout                     # the checkpoints the tiles follow
+    candidates: list                   # every Layout the planner weighed, layout included
 
     @property
     def split_hw(self):
         return self.map_sizes[-1]
 
     @property
+    def checkpoints(self):
+        return self.layout.checkpoints
+
+    @property
+    def cuts(self):
+        """The image, the checkpoint maps and the split map: the segments' bounds."""
+        return (0,) + self.checkpoints + (self.split_index,)
+
+    @property
+    def segments(self):
+        """(start, stop, tiles) per segment, in the order of plan.tiles."""
+        return [(a, b, list(tiles))
+                for (a, b), tiles in groupby(self.tiles, key=attrgetter("start", "stop"))]
+
+    @property
     def recompute_ratio(self):
-        """Input pixels read by all tiles per image pixel (each pass, forward or backward)."""
-        read = sum(t.input_forward.height * t.input_forward.width for t in self.tiles)
-        return read / self.image_size ** 2
+        """Conv multiply-adds of all tiles of all segments per whole-image pass (1.0 without convs)."""
+        return self.layout.recompute
 
     def to_json_dict(self):
-        """Schema version 2, written for readers; owned_split_region and
-        input_region_forward repeat the last and first forward regions."""
+        """Schema version 3, written for readers. Each tile names its
+        segment; owned_split_region and input_region_forward repeat the last
+        and first regions of its forward chain (the owned region is on the
+        segment's top map, the split map only for the top segment)."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
@@ -188,10 +245,12 @@ class TilePlan:
             "grid": list(self.grid),
             "geoms": [list(g) for g in self.geoms],
             "map_sizes": [list(sz) for sz in self.map_sizes],
+            "checkpoints": list(self.checkpoints),
             "tiles": [
                 {
                     "row": t.row,
                     "col": t.col,
+                    "segment": [t.start, t.stop],
                     "owned_split_region": t.owned_split.as_list(),
                     "input_region_forward": t.input_forward.as_list(),
                     "forward": {"regions": [r.as_list() for r in t.fwd_regions],
@@ -205,34 +264,104 @@ class TilePlan:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def build_tile_plan(net: NetworkSpec, image_size, grid):
-    """Construct a TilePlan for (network, image size, grid)."""
-    rows, cols = grid
-    if rows < 1 or cols < 1:
-        raise PlanError(f"bad grid {grid}")
-    geoms = net.stream_geoms()
-    try:
-        sizes = _axis_sizes(geoms, image_size)
-    except ShapeError as exc:
-        raise PlanError(f"image too small for the streaming section: {exc}") from exc
-    if min(sizes) < 1:
-        raise PlanError("a streaming map collapsed to zero extent")
-    if rows > sizes[-1] or cols > sizes[-1]:
-        raise PlanError(f"grid {grid} exceeds split map {sizes[-1]}x{sizes[-1]}")
+class _Section:
+    """The streaming section of one (network, image size, grid), with each
+    segment evaluated once, on per-axis intervals."""
 
-    ay = _plan_axis(geoms, sizes, rows)
-    ax = _plan_axis(geoms, sizes, cols)
-    L = len(geoms)
-    tiles = []
-    for i, (y_ivs, y_pads) in enumerate(ay):
-        for j, (x_ivs, x_pads) in enumerate(ax):
-            fwd_regions = [Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
-                           for m in range(L + 1)]
-            fwd_pads = [y_pads[m] + x_pads[m] for m in range(L)]
-            tiles.append(TileEntry(row=i, col=j, fwd_regions=fwd_regions, fwd_pads=fwd_pads))
-    return TilePlan(image_size=image_size, split_index=net.split_index,
-                    grid=(rows, cols), geoms=geoms,
-                    map_sizes=[(z, z) for z in sizes], tiles=tiles)
+    def __init__(self, net: NetworkSpec, image_size, grid):
+        if min(grid) < 1:
+            raise PlanError(f"bad grid {grid}")
+        self.geoms = net.stream_geoms()
+        try:
+            self.sizes = _axis_sizes(self.geoms, image_size)
+        except ShapeError as exc:
+            raise PlanError(f"image too small for the streaming section: {exc}") from exc
+        if min(self.sizes) < 1:
+            raise PlanError("a streaming map collapsed to zero extent")
+        if max(grid) > self.sizes[-1]:
+            raise PlanError(f"grid {grid} exceeds split map {self.sizes[-1]}x{self.sizes[-1]}")
+        self.net, self.image_size, self.grid = net, image_size, tuple(grid)
+        L = net.split_index
+        layers = net.stream_layers
+        self.channels = [shape[1] for shape in net.activation_shapes(image_size)[: L + 1]]
+        # scalars per output pixel a tile retains (relu runs in place) and
+        # multiply-adds per output pixel, per streaming layer
+        self.kept = [0 if isinstance(layer, Relu) else self.channels[m + 1]
+                     for m, layer in enumerate(layers)]
+        self.macs = [layer.c_out * layer.c_in * layer.kernel ** 2 if isinstance(layer, Conv)
+                     else 0 for layer in layers]
+        self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
+        self.params = count_param_scalars(net, image_size)
+        self.head = sum(b for _, b in head_layer_bytes(net, image_size, 1))
+        self.candidates = [m + 1 for m, layer in enumerate(layers)
+                           if isinstance(layer, MaxPool) and m + 1 < L
+                           and self.sizes[m + 1] >= max(grid)]
+        self._axes = {}
+        self._segments = {}
+
+    def _axis(self, b, parts):
+        """Per-part chains from map b down to the image, and their extents
+        per map; a segment [a, b) takes their tails from map a."""
+        if (b, parts) not in self._axes:
+            chains = _plan_axis(self.geoms[:b], self.sizes[:b + 1], parts)
+            extents = np.array([[hi - lo for lo, hi in ivs] for ivs, _ in chains])
+            self._axes[(b, parts)] = chains, extents
+        return self._axes[(b, parts)]
+
+    def segment(self, a, b):
+        """(largest tile pass in scalars, conv multiply-adds of all tiles) of segment [a, b)."""
+        if (a, b) not in self._segments:
+            (_, hy), (_, wx) = (self._axis(b, parts) for parts in self.grid)
+            # a tile retains its crop of map a and the kept outputs above it
+            kept = np.array([self.channels[a]] + self.kept[a:b])
+            tile_peak = int(((hy[:, a:] * kept) @ wx[:, a:].T).max())
+            rows, cols = hy[:, a + 1:].sum(axis=0).tolist(), wx[:, a + 1:].sum(axis=0).tolist()
+            conv_macs = sum(m * h * w for m, h, w in zip(self.macs[a:b], rows, cols))
+            self._segments[(a, b)] = tile_peak, conv_macs
+        return self._segments[(a, b)]
+
+    def layout(self, checkpoints):
+        checkpoints = tuple(checkpoints)
+        cuts = (0,) + checkpoints + (self.net.split_index,)
+        tiles, macs = zip(*(self.segment(a, b) for a, b in zip(cuts, cuts[1:])))
+        cut_scalars = [0] + [self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:]]
+        peak = max(stream_forward_peak(self.params, self.head, cut_scalars, tiles),
+                   stream_backward_peak(self.params, self.params, self.head, cut_scalars, tiles))
+        return Layout(checkpoints, peak, sum(macs) / self.whole_macs if self.whole_macs else 1.0)
+
+    def plan(self, checkpoints, candidates=None):
+        """The TilePlan cut at these checkpoints; the chooser's candidates
+        default to this one layout."""
+        layout = self.layout(checkpoints)
+        cuts = (0,) + layout.checkpoints + (self.net.split_index,)
+        tiles = []
+        for a, b in zip(cuts, cuts[1:]):
+            (rows, _), (cols, _) = (self._axis(b, parts) for parts in self.grid)
+            for i, (y_ivs, y_pads) in enumerate(rows):
+                for j, (x_ivs, x_pads) in enumerate(cols):
+                    regions = [Region(y[0], x[0], y[1], x[1])
+                               for y, x in zip(y_ivs[a:], x_ivs[a:])]
+                    pads = [yp + xp for yp, xp in zip(y_pads[a:], x_pads[a:])]
+                    tiles.append(TileEntry(i, j, a, b, regions, pads))
+        return TilePlan(image_size=self.image_size, split_index=self.net.split_index,
+                        grid=self.grid, geoms=self.geoms,
+                        map_sizes=[(z, z) for z in self.sizes], tiles=tiles,
+                        layout=layout, candidates=candidates or [layout])
+
+
+def build_tile_plan(net: NetworkSpec, image_size, grid):
+    """Construct the TilePlan for (network, image size, grid).
+
+    Weighs every set of checkpoint maps and keeps the one with the
+    smallest modelled peak, then fewest conv multiply-adds, then fewest
+    checkpoints (module doc, "Choosing the checkpoints").
+    """
+    section = _Section(net, image_size, grid)
+    cands = section.candidates
+    sets = chain.from_iterable(combinations(cands, r) for r in range(len(cands) + 1))
+    candidates = [section.layout(cps) for cps in sets]
+    chosen = min(candidates, key=lambda c: (c.peak_scalars, c.recompute))
+    return section.plan(chosen.checkpoints, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +376,32 @@ class ValidationReport:
     @property
     def first_failure(self):
         return self.failures[0] if self.failures else None
+
+
+def _check_partition(fail, tiles, rows, cols, extent, name):
+    """The tiles' owned rectangles must form a consistent grid partition of [0, extent)^2."""
+    ybounds, xbounds = {}, {}
+    for t in tiles:
+        r = t.owned_split
+        ybounds.setdefault(t.row, (r.y0, r.y1))
+        xbounds.setdefault(t.col, (r.x0, r.x1))
+        if ybounds[t.row] != (r.y0, r.y1) or xbounds[t.col] != (r.x0, r.x1):
+            fail("partition", f"inconsistent owned rectangles of {name}")
+            break
+        if r.empty:
+            fail("partition", f"tile ({t.row},{t.col}): empty owned region of {name}")
+    ys = [ybounds.get(i, (None, None)) for i in range(rows)]
+    xs = [xbounds.get(j, (None, None)) for j in range(cols)]
+    for axis, axis_ivs in (("rows", ys), ("cols", xs)):
+        pos = 0
+        for iv in axis_ivs:
+            if iv[0] != pos or iv[1] < iv[0]:
+                fail("partition", f"{name} {axis} do not partition [0, {extent})")
+                break
+            pos = iv[1]
+        else:
+            if pos != extent:
+                fail("partition", f"{name} {axis} do not cover [0, {extent})")
 
 
 def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
@@ -265,48 +420,36 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
         return ValidationReport(False, [f"geometry: {exc}"])
     if geoms != list(plan.geoms) or [(z, z) for z in sizes] != list(plan.map_sizes):
         fail("geometry", "plan geometry does not match the network/image")
-    if len(plan.tiles) != rows * cols:
-        fail("grid", "tile count does not match grid")
+    cuts = plan.cuts
+    if plan.split_index != L or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        fail("segments", f"cuts {list(cuts)} do not increase from 0 to the split {L}")
         return ValidationReport(False, failures)
-    broken = [t for t in plan.tiles if len(t.fwd_regions) != L + 1 or len(t.fwd_pads) != L]
+    segments = plan.segments
+    if [(a, b) for a, b, _ in segments] != list(zip(cuts, cuts[1:])):
+        fail("segments", "tiles do not run segment by segment between the cuts")
+        return ValidationReport(False, failures)
+    if any(len(tiles) != rows * cols for _, _, tiles in segments):
+        fail("grid", "tile count of a segment does not match grid")
+        return ValidationReport(False, failures)
+    broken = [t for t in plan.tiles
+              if len(t.fwd_regions) != t.stop - t.start + 1 or len(t.fwd_pads) != t.stop - t.start]
     for t in broken:
-        fail("chain", f"tile ({t.row},{t.col}): {len(t.fwd_regions)} regions and "
-                      f"{len(t.fwd_pads)} pads, want {L + 1} and {L}")
+        fail("chain", f"tile ({t.row},{t.col}) of [{t.start}, {t.stop}): "
+                      f"{len(t.fwd_regions)} regions and {len(t.fwd_pads)} pads, "
+                      f"want {t.stop - t.start + 1} and {t.stop - t.start}")
     if broken:
         return ValidationReport(False, failures)
 
-    # partition: row/col boundaries of the owned split rectangles must be
-    # consistent and tile [0, split extent)
-    ybounds, xbounds = {}, {}
-    for t in plan.tiles:
-        r = t.owned_split
-        ybounds.setdefault(t.row, (r.y0, r.y1))
-        xbounds.setdefault(t.col, (r.x0, r.x1))
-        if ybounds[t.row] != (r.y0, r.y1) or xbounds[t.col] != (r.x0, r.x1):
-            fail("partition", "inconsistent owned split rectangles")
-            break
-    ys = [ybounds.get(i, (None, None)) for i in range(rows)]
-    xs = [xbounds.get(j, (None, None)) for j in range(cols)]
-    for name, axis_ivs in (("rows", ys), ("cols", xs)):
-        pos = 0
-        for iv in axis_ivs:
-            if iv[0] != pos or iv[1] < iv[0]:
-                fail("partition", f"split map {name} do not partition [0, {sizes[L]})")
-                break
-            pos = iv[1]
-        else:
-            if pos != sizes[L]:
-                fail("partition", f"split map {name} do not cover [0, {sizes[L]})")
+    for _, b, tiles in segments:
+        _check_partition(fail, tiles, rows, cols, sizes[b],
+                         "split map" if b == L else f"checkpoint map {b}")
 
     for t in plan.tiles:
-        tag = f"tile ({t.row},{t.col})"
-        if t.owned_split.empty:
-            fail("partition", f"{tag}: empty owned split region")
-
-        for m in range(L):
+        tag = f"tile ({t.row},{t.col}) of [{t.start}, {t.stop})"
+        for m in range(t.start, t.stop):
             k, s, p = geoms[m]
-            out_r, in_r = t.fwd_regions[m + 1], t.fwd_regions[m]
-            (pt, pb, pl, pr) = t.fwd_pads[m]
+            out_r, in_r = t.fwd_regions[m + 1 - t.start], t.fwd_regions[m - t.start]
+            (pt, pb, pl, pr) = t.fwd_pads[m - t.start]
             for (o0, o1, i0, i1, plo, phi, ext) in (
                     (out_r.y0, out_r.y1, in_r.y0, in_r.y1, pt, pb, sizes[m]),
                     (out_r.x0, out_r.x1, in_r.x0, in_r.x1, pl, pr, sizes[m])):

@@ -38,10 +38,17 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         assert report["verdict"] == "pass" and report["failures"] == []
     if command == "plan":
         text = capsys.readouterr().out
-        # the unpadded stride-2 conv never needs the last image row and column,
-        # so even one tile reads only 31x31 of the 32x32 pixels
-        assert "recompute: " in text and f"grid 1x1: recompute {31**2 / 32**2:.2f}x" in text
+        # the unpadded stride-2 conv never reads the last row and column of the
+        # pooled map, so one tile runs the first conv on 30x30 of its 32x32
+        # outputs: (30**2 * 18 + 7**2 * 36) / (32**2 * 18 + 7**2 * 36) multiply-adds
+        assert "recompute: 1.00x whole-image conv work" in text
+        assert "grid 1x1: recompute 0.89x" in text
         assert "grid 4x4: recompute " in text and "grid 8x8" not in text
+        # one candidate checkpoint, the pool output (map 2); one segment models less
+        item = 8 if precision == "double" else 4
+        assert (f"checkpoints none: modelled peak {1753 * item:,} bytes, conv work 1.00x"
+                "  (chosen)\n") in text
+        assert f"checkpoints 2: modelled peak {2366 * item:,} bytes, conv work 1.00x\n" in text
     if command == "bench":
         # the modelled and the traced peak, side by side, on stdout and in bench.json
         printed = json.loads(capsys.readouterr().out)

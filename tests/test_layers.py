@@ -342,6 +342,29 @@ def test_relu_finite_differences(rng):
         assert abs(fd - g.flat[idx]) <= 1e-6 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_matches_where_bit_for_bit(rng, dtype):
+    """Out of place, in place and on strided views the gradient has
+    np.where's bits: +0.0 wherever out <= 0 (an infinite gradient there
+    included), the incoming gradient, a -0.0 included, wherever out > 0."""
+    x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+    x[0, 0, 0, :4] = [0.0, -0.0, 1.0, -1.0]
+    out = relu_forward(x.copy())
+    grad = rng.standard_normal(x.shape).astype(dtype)
+    grad[0, 0, 0, :4] = [-0.0, -0.0, -0.0, -np.inf]
+    grad.flat[::5] = -0.0
+    want = np.where(out > 0, grad, dtype(0))
+    keep = grad.copy()
+    assert relu_backward(out, grad).tobytes() == want.tobytes()
+    assert grad.tobytes() == keep.tobytes()
+    view = (slice(None), slice(None), slice(1, None, 2), slice(None, None, 3))
+    assert relu_backward(out[view], grad[view]).tobytes() == want[view].tobytes()
+    got = relu_backward(out[view], grad[view], inplace=True)
+    assert got.base is grad and got.tobytes() == want[view].tobytes()
+    got = relu_backward(out, grad, inplace=True)
+    assert got is grad and got.tobytes() == want.tobytes()
+
+
 # --- dense / flatten -----------------------------------------------------
 
 def test_dense_zero_weights_is_bias(rng):

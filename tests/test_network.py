@@ -18,10 +18,12 @@ from tilestream.network import (
     head_backward,
     head_forward,
     init_params,
+    layer_backward,
     net_giga64mp,
     net_tiny2,
     net_vgg13,
     run_stack,
+    stack_backward,
 )
 from tilestream.planner import build_tile_plan
 
@@ -130,6 +132,30 @@ def test_relu_inplace_never_mutates_stack_input(rng):
     for grid in ((1, 1), (2, 1), (2, 2)):
         streaming_loss_and_grads(net, params, x, 1, build_tile_plan(net, 4, grid))
         assert np.array_equal(x, keep), grid
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_stack_backward_never_writes_grad_out(rng, start):
+    """Relu gradients are masked in place only in buffers the stack made:
+    the given gradient, which the top relu sees first, stays as it was,
+    and the results equal a pass that never masks in place."""
+    net = NetworkSpec(1, (Conv(2, 3, 1, 1), Relu(), MaxPool(2, 2), Relu(), Conv(3, 3, 1, 1),
+                          Relu(), Flatten(), Dense(1)), 6)
+    params = init_params(net, 8, seed=0)
+    x, _ = run_stack(rng.standard_normal((1, 1, 8, 8)), net, params, 0, start)
+    out, caches = run_stack(x, net, params, start, 6)
+    grad_out = rng.standard_normal(out.shape)
+    keep = grad_out.copy()
+    g_in, grads = stack_backward(grad_out, net, params, caches, start, 6)
+    assert grad_out.tobytes() == keep.tobytes()
+    g, ref = keep, {}
+    for i in range(5, max(start, 1) - 1, -1):
+        g, pg = layer_backward(g, net.layers[i], params[i], caches[i - start])
+        if pg is not None:
+            ref[i] = pg
+    assert grads[4].w.tobytes() == ref[4].w.tobytes()
+    if start:
+        assert g_in.tobytes() == g.tobytes()
 
 
 def test_head_forward_never_mutates_split_map(rng):

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tilestream
 import tilestream.network
 from tilestream.layers import Conv, ConvParams
-from tilestream.planner import TileEntry
+from tilestream.planner import Region, TileEntry
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,3 +54,18 @@ def test_conv_cost_hooks_bind_to_the_kernels(spans, rng):
 def test_names_the_benchmark_reads_exist():
     assert callable(tilestream.network.conv2d_forward)
     assert isinstance(TileEntry.input_backward, property)
+
+
+def test_the_traced_run_reads_a_segmented_plan():
+    """perfbench/run.py plans vgg13@512 4x4, which the planner now cuts into
+    segments; everything its traced run reads of the plan still works."""
+    net = tilestream.network.PRESETS["vgg13"]()
+    plan = tilestream.build_tile_plan(net, 512, (4, 4))
+    assert plan.checkpoints and tilestream.validate_tile_plan(plan, net).ok
+    for tile in plan.tiles:
+        assert isinstance(tile.input_forward, Region) and tile.input_backward == tile.input_forward
+    assert tilestream.estimate_streaming(net, plan, 1, "single").peak_bytes > 0
+    assert list(inspect.signature(tilestream.streaming_forward).parameters) == [
+        "net", "params", "image", "plan"]
+    assert list(inspect.signature(tilestream.streaming_backward).parameters) == [
+        "net", "params", "image", "plan", "state", "dloss_dlogit"]

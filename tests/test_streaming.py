@@ -1,5 +1,6 @@
 """Streaming vs whole-image equivalence, plan validity, plan JSON and the memory model."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,13 @@ from conftest import sample_streaming_config
 from test_cli import CONFIG
 from tilestream.config import build_network, parse_config
 from tilestream.data import synth_dataset
-from tilestream.engine import baseline_forward_backward, streaming_loss_and_grads
+from tilestream.engine import (
+    PassResult,
+    baseline_forward_backward,
+    streaming_backward,
+    streaming_forward,
+    streaming_loss_and_grads,
+)
 from tilestream.equivalence import (
     DOUBLE_TOLERANCES,
     compare_runs,
@@ -17,7 +24,13 @@ from tilestream.equivalence import (
     finite_difference_check,
 )
 from tilestream.errors import ShapeError
-from tilestream.memory import estimate_streaming, estimate_whole_image
+from tilestream.layers import bce_with_logits
+from tilestream.memory import (
+    estimate_streaming,
+    estimate_whole_image,
+    stream_backward_peak,
+    stream_forward_peak,
+)
 from tilestream.network import (
     Conv,
     Dense,
@@ -26,11 +39,19 @@ from tilestream.network import (
     NetworkSpec,
     Relu,
     init_params,
+    net_giga64mp,
+    net_tiny2,
     net_vgg13,
     run_stack,
     stack_backward,
 )
-from tilestream.planner import Region, build_tile_plan, validate_tile_plan
+from tilestream.planner import (
+    Region,
+    _Section,
+    backproject_span,
+    build_tile_plan,
+    validate_tile_plan,
+)
 
 SAMPLED = range(60)
 
@@ -56,13 +77,13 @@ def assert_equivalent(base, stream):
 
 @pytest.mark.parametrize("case", SAMPLED)
 def test_sampled_config_matches_whole_image(case):
-    net, z, grid, plan = sampled(case)
+    net, z, _, plan = sampled(case)
     report = validate_tile_plan(plan, net)
     assert report.ok, report.failures
     image = np.random.default_rng(case).standard_normal((1, 1, z, z))
     base, stream, record = run_both(net, z, plan, case, image)
     assert_equivalent(base, stream)
-    assert record.tiles_forward == record.tiles_backward == grid[0] * grid[1]
+    assert record.tiles_forward == record.tiles_backward == len(plan.tiles)
 
 
 @pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
@@ -74,6 +95,112 @@ def test_deep_vgg13_matches_whole_image(z, grid, seed):
     sample = synth_dataset(seed, z, 2)[seed]
     base, stream, _ = run_both(net, z, plan, seed, sample.image)
     assert_equivalent(base, stream)
+
+
+# Every set of checkpoints among the small vgg13's pool outputs (maps 5,
+# 10, 17 and 24), forced through the layout builder the chooser calls.
+POOL_OUTPUTS = (5, 10, 17, 24)
+LAYOUTS = [cps for r in range(len(POOL_OUTPUTS) + 1)
+           for cps in itertools.combinations(POOL_OUTPUTS, r)]
+
+
+@pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
+def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
+    """Every cut map is bit-identical to whole-image, and so are the loss
+    and split map; gradients agree within the precision's tolerance."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, z, grid).plan(checkpoints)
+    assert plan.checkpoints == checkpoints and validate_tile_plan(plan, net).ok
+    params = init_params(net, z, 3, precision)
+    sample = synth_dataset(3, z, 2)[1]
+    image = sample.image.astype(params[0].w.dtype)
+    before = image.tobytes()
+    base = baseline_forward_backward(net, params, image, sample.label)
+    state = streaming_forward(net, params, image, plan)
+    loss, dlogit = bce_with_logits(state.logit[0], sample.label)
+    grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
+    assert image.tobytes() == before
+    for cut, got in zip(plan.cuts[1:], state.cut_maps):
+        want, _ = run_stack(image, net, params, 0, cut, want_cache=False)
+        assert got.tobytes() == want.tobytes(), cut
+    assert state.split_map.tobytes() == base.split_map.tobytes()
+    assert float(loss) == base.loss
+    stream = PassResult(float(loss), float(state.logit[0]), state.split_map, grads, state.record)
+    report = compare_runs(base.quantities(), stream.quantities(), default_tolerances(precision))
+    assert all(e.max_rel_scaled <= e.tolerance for e in report.entries.values())
+    if precision == "double":
+        assert report.verdict, {n: report.entries[n].max_rel for n in report.failures}
+    record = state.record
+    assert record.tiles_forward == record.tiles_backward == len(plan.tiles)
+    est = estimate_streaming(net, plan, 1, precision)
+    assert est.peak_forward_bytes == record.peak_bytes_forward
+    assert est.peak_backward_bytes == record.peak_bytes_backward
+    assert est.peak_bytes == plan.layout.peak_scalars * image.itemsize
+
+
+CHOOSER_CASES = {
+    "vgg13-small-64-4x4": (lambda: net_vgg13(base=2, hidden=4), 64, (4, 4)),
+    "vgg13-small-96-3x5": (lambda: net_vgg13(base=2, hidden=4), 96, (3, 5)),
+    "vgg13-512-4x4": (net_vgg13, 512, (4, 4)),
+    "tiny2-512-8x8": (net_tiny2, 512, (8, 8)),
+    "cli-32-2x2": (lambda: build_network(parse_config(CONFIG)), 32, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
+def test_chooser_keeps_the_smallest_modelled_peak(name):
+    """The planner weighs every set of pool outputs the grid fits, models
+    each as the memory model does, and keeps the smallest peak."""
+    make, z, grid = CHOOSER_CASES[name]
+    net = make()
+    plan = build_tile_plan(net, z, grid)
+    sizes = [h for h, _ in plan.map_sizes]
+    pools = [m + 1 for m, layer in enumerate(net.stream_layers)
+             if isinstance(layer, MaxPool) and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
+    assert sorted(c.checkpoints for c in plan.candidates) == sorted(
+        cps for r in range(len(pools) + 1) for cps in itertools.combinations(pools, r))
+    peaks = {}
+    for layout in plan.candidates:
+        forced = _Section(net, z, grid).plan(layout.checkpoints)
+        assert validate_tile_plan(forced, net).ok
+        assert forced.recompute_ratio == layout.recompute
+        peaks[layout.checkpoints] = estimate_streaming(net, forced, 1, "single").peak_bytes
+        assert peaks[layout.checkpoints] == 4 * layout.peak_scalars
+    assert plan.layout in plan.candidates
+    assert peaks[plan.checkpoints] == min(peaks.values()) <= peaks[()]
+
+
+@pytest.mark.parametrize("make, z, grid, want", [
+    (net_vgg13, 512, (4, 4), (17,)),     # the vgg13-g4 benchmark workload
+    (net_tiny2, 512, (8, 8), ()),        # tiny2-g8: a map-3 checkpoint models more
+    (net_vgg13, 8192, (16, 16), ()),     # paper scale: the split map is small
+    (net_giga64mp, 8130, (16, 16), ()),
+])
+def test_chosen_checkpoints(make, z, grid, want):
+    """Planning only, no arrays: where the chooser cuts the presets."""
+    assert build_tile_plan(make(), z, grid).checkpoints == want
+
+
+@pytest.mark.parametrize("damage, tag", [("segments-reversed", "segments"),
+                                         ("checkpoint-map-overlap", "partition"),
+                                         ("tile-missing", "grid")])
+def test_broken_segments_fail_validation(damage, tag):
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 64, (2, 2)).plan((10, 24))
+    assert validate_tile_plan(plan, net).ok
+    if damage == "segments-reversed":
+        plan.tiles.reverse()
+    elif damage == "checkpoint-map-overlap":
+        tile = plan.tiles[1]  # segment [0, 10): owns a rectangle of checkpoint map 10
+        r = tile.owned_split
+        tile.fwd_regions[-1] = Region(r.y0, r.x0 - 1, r.y1, r.x1)
+    else:
+        del plan.tiles[5]
+    report = validate_tile_plan(plan, net)
+    assert not report.ok
+    assert report.first_failure.startswith(tag), report.failures
 
 
 # Streaming sections the sampled configs never draw: overlapping pool
@@ -145,21 +272,53 @@ def test_memory_model_equals_engine_counters(case):
     assert est.peak_backward_bytes == record.peak_bytes_backward
 
 
+def test_segment_peak_formulas():
+    """The shared phase peaks, by hand: cut maps of 100 and 10 bytes above
+    the image, largest tiles of 5 and 45, params and grads of 3, head 2."""
+    cuts, tiles = [0, 100, 10], [5, 45]
+    # forward: a segment holds the cut maps up to its output; the head holds them all
+    assert stream_forward_peak(3, 2, cuts, tiles) == 3 + max(100 + 5, 110 + 45, 110 + 2)
+    assert stream_forward_peak(3, 2, cuts, [50, 7]) == 3 + 100 + 50
+    # backward: every cut map and the head, plus the gradients of the cut
+    # maps bounding the segment (none for the image) and its tile
+    assert stream_backward_peak(3, 3, 2, cuts, tiles) == 3 + 3 + 110 + 2 + max(
+        0 + 100 + 5, 100 + 10 + 45)
+    # one segment: params + split + max(tile, head), params + grads + 2 split + head + tile
+    assert stream_forward_peak(3, 2, [0, 10], [50]) == 3 + 10 + 50
+    assert stream_backward_peak(3, 3, 2, [0, 10], [50]) == 3 + 3 + 2 * 10 + 2 + 50
+
+
 @pytest.mark.parametrize("case", SAMPLED)
 def test_plan_json_round_trips(case):
     """plan.json is written for readers and never loaded: its text alone
-    rebuilds the plan's geometry and every tile's forward chain."""
+    rebuilds the plan's geometry, its segments and every tile's chain,
+    each chain by back-projecting the tile's owned rectangle through its
+    segment's layers."""
     _, _, _, plan = sampled(case)
     doc = json.loads(plan.to_json())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert (doc["image_size"], doc["split_index"], tuple(doc["grid"])) == (
         plan.image_size, plan.split_index, plan.grid)
     assert [tuple(g) for g in doc["geoms"]] == plan.geoms
     assert [tuple(sz) for sz in doc["map_sizes"]] == plan.map_sizes
-    assert [(td["row"], td["col"]) for td in doc["tiles"]] == [(t.row, t.col) for t in plan.tiles]
+    assert tuple(doc["checkpoints"]) == plan.checkpoints
+    cuts = [0] + doc["checkpoints"] + [doc["split_index"]]
+    rows, cols = doc["grid"]
+    assert [(td["segment"], td["row"], td["col"]) for td in doc["tiles"]] == [
+        ([a, b], i, j) for a, b in zip(cuts, cuts[1:]) for i in range(rows) for j in range(cols)]
     for td, tile in zip(doc["tiles"], plan.tiles):
-        assert [Region(*r) for r in td["forward"]["regions"]] == tile.fwd_regions
-        assert [tuple(p) for p in td["forward"]["pads"]] == tile.fwd_pads
+        a, b = td["segment"]
+        regions = [Region(*r) for r in td["forward"]["regions"]]
+        pads = [tuple(p) for p in td["forward"]["pads"]]
+        assert (a, b, regions, pads) == (tile.start, tile.stop, tile.fwd_regions, tile.fwd_pads)
+        assert len(regions) == b - a + 1 and regions[-1] == Region(*td["owned_split_region"])
+        for m in range(b - 1, a - 1, -1):
+            size = doc["map_sizes"][m][0]
+            out = regions[m + 1 - a]
+            ys = backproject_span(out.y0, out.y1, *doc["geoms"][m], size)
+            xs = backproject_span(out.x0, out.x1, *doc["geoms"][m], size)
+            assert regions[m - a] == Region(ys[0], xs[0], ys[1], xs[1])
+            assert pads[m - a] == ys[2:] + xs[2:]
 
 
 def test_plan_json_names_the_chain_ends():
@@ -183,7 +342,7 @@ def test_broken_forward_chain_fails_validation(damage):
     elif damage == "regions-truncated":
         del tile.fwd_regions[5:]
     else:
-        del tile.fwd_pads[5:]
+        del tile.fwd_pads[3:]
     report = validate_tile_plan(plan, net)
     assert not report.ok
     assert report.first_failure.startswith("stride_alignment" if damage == "bad-pads" else "chain")
@@ -191,7 +350,7 @@ def test_broken_forward_chain_fails_validation(damage):
 
 def test_recompute_ratio_and_backward_input_region():
     plan = build_tile_plan(net_vgg13(), 512, (4, 4))
-    assert round(plan.recompute_ratio, 2) == 4.22
+    assert round(plan.recompute_ratio, 2) == 1.67
     assert all(t.input_backward == t.input_forward for t in plan.tiles)
     assert build_tile_plan(net_vgg13(), 512, (1, 1)).recompute_ratio == 1.0
 
