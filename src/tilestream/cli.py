@@ -30,7 +30,7 @@ from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError,
 from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
 from .network import cast_params, init_params
-from .planner import build_tile_plan, validate_tile_plan
+from .planner import build_tile_plan, choose_layout, validate_tile_plan
 from .tensors import resolve_dtype, write_st4
 
 
@@ -85,14 +85,14 @@ def cmd_plan(cfg: ExperimentConfig):
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     item = resolve_dtype(cfg.precision).itemsize
-    for layout in plan.candidates:
+    for layout in choose_layout(net, cfg.image_size, cfg.grid)[1]:
         maps = ",".join(map(str, layout.checkpoints)) or "none"
         chosen = "  (chosen)" if layout == plan.layout else ""
         print(f"checkpoints {maps}: modelled peak {layout.peak_scalars * item:,} bytes, "
               f"conv work {layout.recompute:.2f}x{chosen}")
     g = 1
     while g <= min(plan.split_hw):
-        ratio = build_tile_plan(net, cfg.image_size, (g, g)).recompute_ratio
+        ratio = choose_layout(net, cfg.image_size, (g, g))[0].recompute
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
@@ -126,12 +126,12 @@ def cmd_verify(cfg: ExperimentConfig):
     fd_coords = int(cfg.verify.get("fd_coords", 40))
     fd_tol = float(cfg.verify.get("fd_tol", 1e-5))
     img64 = data[0].image.astype(np.float64)
-    fd_base = finite_difference_check(net, params0, img64, data[0].label, eps=fd_eps,
-                                      seed=cfg.seed, coords_per_tensor=fd_coords)
-    sg64 = streaming_loss_and_grads(net, params0, img64, data[0].label, plan).grads
-    fd_stream = finite_difference_check(net, params0, img64, data[0].label, eps=fd_eps,
-                                        seed=cfg.seed, coords_per_tensor=fd_coords,
-                                        grads=sg64)
+    label = data[0].label
+    grad_sets = [baseline_forward_backward(net, params0, img64, label).grads,
+                 streaming_loss_and_grads(net, params0, img64, label, plan).grads]
+    fd_base, fd_stream = finite_difference_check(net, params0, img64, label, grad_sets,
+                                                 eps=fd_eps, seed=cfg.seed,
+                                                 coords_per_tensor=fd_coords)
 
     result = lockstep_train(net, params_run, data, cfg.steps, cfg.learning_rate,
                             cfg.batch_size, plan)

@@ -33,17 +33,10 @@ summation differs. Input-image gradients are not produced. Tiles run in
 row-major order and accumulate sequentially, which pins the
 floating-point summation order.
 
-Memory accounting: byte counters track retained activation arrays only,
-under the policy and the phase-peak formulas of tilestream.memory
-(stream_forward_peak, stream_backward_peak), which the engine calls with
-what it measured. Counted per tile: the crop and every layer output
-(relu and flatten are free since they run in place / as views; maxpool
-keeps no index map), the largest tile per segment. Counted per pass: the
-cut maps, the head activations, and during each segment's backward the
-gradients of the cut maps above and below it. The whole input image is
-host resident and never counted for streaming. Gradient maps inside a
-tile or the head are workspace and uncounted; parameter and
-parameter-gradient bytes are separate terms.
+Memory accounting: byte counters measure the arrays each pass retains,
+under the accounting policy stated in tilestream.memory, and the engine
+calls that module's phase-peak formulas (stream_forward_peak,
+stream_backward_peak) with what it measured.
 """
 
 from __future__ import annotations

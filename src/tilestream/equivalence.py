@@ -194,33 +194,35 @@ def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, pl
 # finite differences
 
 
-def finite_difference_check(net, params, image, label, eps=1e-5, seed=0,
-                            coords_per_tensor=200, grads=None):
-    """Max relative error of analytic grads against central finite differences.
+def finite_difference_check(net, params, image, label, grad_sets, eps=1e-5, seed=0,
+                            coords_per_tensor=200):
+    """Max relative error of each set of analytic grads against central finite differences.
 
     Samples min(coords_per_tensor, size) coordinates of every parameter
-    tensor. The relative error denominator is floored at 1e-6 of the
-    largest gradient magnitude so near-cancelled coordinates (where the
-    quadratic FD truncation dominates) do not blow up the ratio; real
-    disagreements above that floor are still caught. Double precision only.
+    tensor and probes each once; every set in grad_sets is scored against
+    the same probes, and one error is returned per set. A set's relative
+    error denominator is floored at 1e-6 of its largest gradient magnitude
+    so near-cancelled coordinates (where the quadratic FD truncation
+    dominates) do not blow up the ratio; real disagreements above that
+    floor are still caught. Double precision only.
     """
     for p in params:
         if p is not None and p.w.dtype != np.float64:
             raise ShapeError("finite differences require double precision parameters")
     if image.dtype != np.float64:
         raise ShapeError("finite differences require a double precision image")
-    if grads is None:
-        grads = baseline_forward_backward(net, params, image, label).grads
-    gscale = max((float(np.abs(t).max()) for _, t in grads.named_tensors()), default=0.0)
-    floor = max(1e-6 * gscale, REL_EPS)
+    floors = []
+    for grads in grad_sets:
+        gscale = max((float(np.abs(t).max()) for _, t in grads.named_tensors()), default=0.0)
+        floors.append(max(1e-6 * gscale, REL_EPS))
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for i, (p, g) in enumerate(zip(params, grads.per_layer)):
+    worst = [0.0] * len(grad_sets)
+    for i, p in enumerate(params):
         if p is None:
             continue
-        for arr, garr in ((p.w, g.w), (p.b, g.b)):
-            flat = arr.reshape(-1)
-            gflat = garr.reshape(-1)
+        for name in ("w", "b"):
+            flat = getattr(p, name).reshape(-1)
+            gflats = [getattr(grads.per_layer[i], name).reshape(-1) for grads in grad_sets]
             m = min(coords_per_tensor, flat.size)
             coords = rng.choice(flat.size, size=m, replace=False) if m < flat.size \
                 else np.arange(flat.size)
@@ -232,9 +234,9 @@ def finite_difference_check(net, params, image, label, eps=1e-5, seed=0,
                 lm = whole_image_loss(net, params, image, label)
                 flat[idx] = orig
                 fd = (lp - lm) / (2.0 * eps)
-                ga = float(gflat[idx])
-                rel = abs(fd - ga) / max(abs(fd), abs(ga), floor)
-                worst = max(worst, rel)
+                for k, (gflat, floor) in enumerate(zip(gflats, floors)):
+                    ga = float(gflat[idx])
+                    worst[k] = max(worst[k], abs(fd - ga) / max(abs(fd), abs(ga), floor))
                 if not math.isfinite(fd):
                     raise ShapeError("non-finite loss in finite-difference probe")
     return worst

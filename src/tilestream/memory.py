@@ -1,13 +1,15 @@
 """Analytical activation-memory accounting for whole-image vs streaming runs.
 
-Shares one accounting policy with the engine's instrumentation so that on
-desk-scale runs the predicted bytes equal the measured counters exactly
-(both count the same abstraction: retained scalars times bytes):
+Holds the accounting policy, the phase-peak formulas and the tables. The
+engine's instrumentation counts under the same policy, so on desk-scale
+runs the predicted bytes equal the measured counters exactly (both count
+the same abstraction: retained scalars times bytes):
 
 * each conv/maxpool/dense output is one retained array (n * elems *
   itemsize); maxpool keeps no index map, since its backward re-derives
   the route from its input, which the layer below already retains;
-* relu runs in place and flatten is a view: zero additional bytes;
+* relu runs in place and flatten is a view: zero additional bytes
+  (tilestream.network.retains_output);
 * gradient maps inside a tile or the head are workspace and uncounted;
   parameter and parameter-gradient bytes are separate terms;
 * whole-image mode retains the input and every layer output until its
@@ -26,9 +28,9 @@ desk-scale runs the predicted bytes equal the measured counters exactly
   scale with batch size in streaming mode (the whole-image terms do).
 
 Phase peaks (stream_forward_peak and stream_backward_peak, which the
-engine calls with its counters). With cut maps C_1..C_k (C_k the split
-map), C_0 = 0 for the image, and T_j the largest tile of segment
-[cut j-1, cut j):
+planner calls with scalar counts and the engine with its counters). With
+cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, and T_j
+the largest tile of segment [cut j-1, cut j):
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
     stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head)
@@ -36,7 +38,8 @@ map), C_0 = 0 for the image, and T_j the largest tile of segment
               + max_j (C_j + C_(j-1) + T_j)
 
 With one segment these are params + split_map + max(tile, head) and
-params + grads + 2*split_map + head + tile.
+params + grads + 2*split_map + head + tile. estimate_streaming scales the
+streaming terms the planner models (TilePlan.layout) by the itemsize.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .network import Flatten, NetworkSpec, Relu
+from .network import NetworkSpec, retains_output
 from .tensors import resolve_dtype
 
 
@@ -73,7 +76,7 @@ def count_param_scalars(net: NetworkSpec, image_size):
 
 def _layer_bytes(layer, out_shape, n, itemsize):
     """Retained bytes for one layer output under the shared policy."""
-    if isinstance(layer, (Relu, Flatten)):
+    if not retains_output(layer):
         return 0
     if out_shape[0] == "vec":
         elems = out_shape[1]
@@ -125,48 +128,22 @@ def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
     return params + grads + sum(cut_bytes[1:]) + head + live
 
 
-def _tile_stack_bytes(net, tile, channels, item):
-    """Crop plus per-layer bytes for one tile's pass through its segment."""
-    regions = tile.fwd_regions
-    crop = regions[0]
-    total = channels[tile.start] * crop.height * crop.width * item
-    per_layer = []
-    for m, r in zip(range(tile.start, tile.stop), regions[1:]):
-        shape = ("map", channels[m + 1], r.height, r.width)
-        b = _layer_bytes(net.layers[m], shape, 1, item)
-        per_layer.append(b)
-        total += b
-    return total, per_layer
-
-
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
-    """Streaming estimate for a validated TilePlan; per-image tile passes.
+    """Streaming estimate for a TilePlan: its layout's scalars times the itemsize.
 
-    per_layer_bytes holds each streaming layer's largest tile term, then
+    per_layer_bytes holds each streaming layer's largest tile output, then
     the head terms; the phase peaks take each segment's largest tile pass.
     """
     item = resolve_dtype(precision).itemsize
-    channels = [s[1] for s in net.activation_shapes(plan.image_size)]
+    layout = plan.layout
     head_per_layer = head_layer_bytes(net, plan.image_size, item)
     head_bytes = sum(b for _, b in head_per_layer)
-
-    per_layer_max = [0] * net.split_index
-    tile_bytes = []
-    for start, _, tiles in plan.segments:
-        peak = 0
-        for tile in tiles:
-            total, layers = _tile_stack_bytes(net, tile, channels, item)
-            peak = max(peak, total)
-            for m, b in enumerate(layers, start):
-                per_layer_max[m] = max(per_layer_max[m], b)
-        tile_bytes.append(peak)
-    cut_bytes = [0] + [channels[c] * math.prod(plan.map_sizes[c]) * item
-                       for c in plan.cuts[1:]]
-
+    cut_bytes = [c * item for c in layout.cut_scalars]
+    tile_bytes = [t * item for t in layout.tile_scalars]
     params = count_param_scalars(net, plan.image_size) * item
     peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
     peak_backward = stream_backward_peak(params, params, head_bytes, cut_bytes, tile_bytes)
-    per_layer = list(enumerate(per_layer_max)) + head_per_layer
+    per_layer = [(m, s * item) for m, s in enumerate(layout.layer_scalars)] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,

@@ -297,6 +297,12 @@ def layer_backward(grad_out, layer, lparams, cache, inplace_ok=False):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
+def retains_output(layer):
+    """Whether a layer's output costs activation bytes (tilestream.memory):
+    run_stack and stack_backward run relu in place, and flatten is a view."""
+    return not isinstance(layer, (Relu, Flatten))
+
+
 def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_sink=None):
     """Run layers [start, stop) forward.
 
@@ -304,9 +310,9 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     incoming array is never mutated (it may be a view of the caller's
     image or split map): relu runs in place only on buffers the stack
     itself made. byte_sink, if given, is a list that receives
-    (layer_index, activation_bytes) per layer under the shared accounting
-    policy (relu and flatten count zero; maxpool retains only its output,
-    its backward re-derives the route from the input).
+    (layer_index, activation_bytes) per layer under retains_output
+    (maxpool retains only its output, its backward re-derives the route
+    from the input).
     """
     caches = [] if want_cache else None
     owns = False  # x is a buffer this call made; flatten returns a view of its input
@@ -316,7 +322,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
         out, cache = layer_forward(x, layer, params[i], pads,
                                    inplace_ok=owns and isinstance(layer, Relu))
         if byte_sink is not None:
-            byte_sink.append((i, 0 if isinstance(layer, (Relu, Flatten)) else out.nbytes))
+            byte_sink.append((i, out.nbytes if retains_output(layer) else 0))
         if want_cache:
             caches.append(cache)
         x = out

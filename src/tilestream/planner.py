@@ -31,15 +31,18 @@ image.
 Choosing the checkpoints
 ------------------------
 The candidate checkpoints are the streaming section's pool outputs below
-the split map. build_tile_plan models every set of them (the empty set
+the split map. choose_layout models every set of them (the empty set
 included) under tilestream.memory's streaming formula and keeps the set
 with the smallest modelled peak, breaking ties by fewer conv
 multiply-adds, then by fewer checkpoints. Each distinct segment is
-evaluated once, on per-axis intervals: a tile's retained scalars and a
-segment's conv work factor into row and column terms. Tile entries are
-built for the chosen set only. Every term of the model is a scalar count
-times the itemsize, and streaming terms do not scale with the batch, so
-one choice holds for both precisions and every batch size.
+evaluated once, on per-axis intervals: its tiles are the product of its
+row and column parts, so a tile's retained scalars, each layer's largest
+tile output and the conv work factor into row and column terms. This
+per-axis model is the plan's only model; its Layout carries every
+streaming term estimate_streaming prints, as scalar counts, which do not
+scale with the batch, so one choice holds for both precisions and every
+batch size. choose_layout builds no tiles; build_tile_plan builds tile
+entries for the chosen layout only.
 
 Backward
 --------
@@ -69,7 +72,7 @@ import numpy as np
 from .errors import PlanError, ShapeError
 from .layers import Conv, out_size
 from .memory import count_param_scalars, head_layer_bytes, stream_backward_peak, stream_forward_peak
-from .network import MaxPool, NetworkSpec, Relu
+from .network import MaxPool, NetworkSpec, retains_output
 
 PLAN_SCHEMA_VERSION = 3
 
@@ -191,11 +194,15 @@ class TileEntry:
 
 @dataclass(frozen=True)
 class Layout:
-    """One set of checkpoint maps and what the planner models for it."""
+    """One set of checkpoint maps and what the planner models for it, in
+    scalars: times the itemsize they are tilestream.memory's streaming terms."""
 
     checkpoints: tuple
-    peak_scalars: int                  # modelled streaming peak; times the itemsize gives bytes
+    peak_scalars: int                  # modelled streaming peak
     recompute: float                   # conv multiply-adds of all tiles over one whole-image pass
+    cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
+    tile_scalars: tuple                # largest tile pass (crop and kept outputs) per segment
+    layer_scalars: tuple               # largest tile output per streaming layer
 
 
 @dataclass
@@ -207,7 +214,6 @@ class TilePlan:
     map_sizes: list                    # (h, w) per map 0..L
     tiles: list                        # segment by segment bottom-up, row-major in each
     layout: Layout                     # the checkpoints the tiles follow
-    candidates: list                   # every Layout the planner weighed, layout included
 
     @property
     def split_hw(self):
@@ -286,7 +292,7 @@ class _Section:
         self.channels = [shape[1] for shape in net.activation_shapes(image_size)[: L + 1]]
         # scalars per output pixel a tile retains (relu runs in place) and
         # multiply-adds per output pixel, per streaming layer
-        self.kept = [0 if isinstance(layer, Relu) else self.channels[m + 1]
+        self.kept = [self.channels[m + 1] if retains_output(layer) else 0
                      for m, layer in enumerate(layers)]
         self.macs = [layer.c_out * layer.c_in * layer.kernel ** 2 if isinstance(layer, Conv)
                      else 0 for layer in layers]
@@ -309,29 +315,40 @@ class _Section:
         return self._axes[(b, parts)]
 
     def segment(self, a, b):
-        """(largest tile pass in scalars, conv multiply-adds of all tiles) of segment [a, b)."""
+        """(largest tile pass, conv multiply-adds of all tiles, largest tile
+        output per layer) of segment [a, b), in scalars."""
         if (a, b) not in self._segments:
             (_, hy), (_, wx) = (self._axis(b, parts) for parts in self.grid)
             # a tile retains its crop of map a and the kept outputs above it
             kept = np.array([self.channels[a]] + self.kept[a:b])
             tile_peak = int(((hy[:, a:] * kept) @ wx[:, a:].T).max())
-            rows, cols = hy[:, a + 1:].sum(axis=0).tolist(), wx[:, a + 1:].sum(axis=0).tolist()
-            conv_macs = sum(m * h * w for m, h, w in zip(self.macs[a:b], rows, cols))
-            self._segments[(a, b)] = tile_peak, conv_macs
+            rows, cols = hy[:, a + 1:], wx[:, a + 1:]
+            conv_macs = sum(m * h * w for m, h, w in zip(
+                self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
+            outputs = tuple(k * h * w for k, h, w in zip(
+                self.kept[a:b], rows.max(axis=0).tolist(), cols.max(axis=0).tolist()))
+            self._segments[(a, b)] = tile_peak, conv_macs, outputs
         return self._segments[(a, b)]
 
     def layout(self, checkpoints):
         checkpoints = tuple(checkpoints)
         cuts = (0,) + checkpoints + (self.net.split_index,)
-        tiles, macs = zip(*(self.segment(a, b) for a, b in zip(cuts, cuts[1:])))
-        cut_scalars = [0] + [self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:]]
+        tiles, macs, outputs = zip(*(self.segment(a, b) for a, b in zip(cuts, cuts[1:])))
+        cut_scalars = (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
         peak = max(stream_forward_peak(self.params, self.head, cut_scalars, tiles),
                    stream_backward_peak(self.params, self.params, self.head, cut_scalars, tiles))
-        return Layout(checkpoints, peak, sum(macs) / self.whole_macs if self.whole_macs else 1.0)
+        return Layout(checkpoints, peak, sum(macs) / self.whole_macs if self.whole_macs else 1.0,
+                      cut_scalars, tiles, tuple(chain.from_iterable(outputs)))
 
-    def plan(self, checkpoints, candidates=None):
-        """The TilePlan cut at these checkpoints; the chooser's candidates
-        default to this one layout."""
+    def choose(self):
+        """(chosen Layout, every Layout weighed); see choose_layout."""
+        cands = self.candidates
+        sets = chain.from_iterable(combinations(cands, r) for r in range(len(cands) + 1))
+        layouts = [self.layout(cps) for cps in sets]
+        return min(layouts, key=lambda c: (c.peak_scalars, c.recompute)), layouts
+
+    def plan(self, checkpoints):
+        """The TilePlan cut at these checkpoints."""
         layout = self.layout(checkpoints)
         cuts = (0,) + layout.checkpoints + (self.net.split_index,)
         tiles = []
@@ -345,23 +362,25 @@ class _Section:
                     tiles.append(TileEntry(i, j, a, b, regions, pads))
         return TilePlan(image_size=self.image_size, split_index=self.net.split_index,
                         grid=self.grid, geoms=self.geoms,
-                        map_sizes=[(z, z) for z in self.sizes], tiles=tiles,
-                        layout=layout, candidates=candidates or [layout])
+                        map_sizes=[(z, z) for z in self.sizes], tiles=tiles, layout=layout)
 
 
-def build_tile_plan(net: NetworkSpec, image_size, grid):
-    """Construct the TilePlan for (network, image size, grid).
+def choose_layout(net: NetworkSpec, image_size, grid):
+    """(chosen Layout, every Layout weighed) for (network, image size, grid).
 
     Weighs every set of checkpoint maps and keeps the one with the
     smallest modelled peak, then fewest conv multiply-adds, then fewest
-    checkpoints (module doc, "Choosing the checkpoints").
+    checkpoints (module doc, "Choosing the checkpoints"). Builds no tiles.
     """
+    return _Section(net, image_size, grid).choose()
+
+
+def build_tile_plan(net: NetworkSpec, image_size, grid):
+    """Construct the TilePlan for (network, image size, grid): the tiles of
+    the layout choose_layout keeps."""
     section = _Section(net, image_size, grid)
-    cands = section.candidates
-    sets = chain.from_iterable(combinations(cands, r) for r in range(len(cands) + 1))
-    candidates = [section.layout(cps) for cps in sets]
-    chosen = min(candidates, key=lambda c: (c.peak_scalars, c.recompute))
-    return section.plan(chosen.checkpoints, candidates)
+    chosen, _ = section.choose()
+    return section.plan(chosen.checkpoints)
 
 
 # ---------------------------------------------------------------------------

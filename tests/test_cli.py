@@ -1,10 +1,13 @@
 """Smoke runs of every CLI command and their exit codes."""
 
 import json
+import re
 
 import pytest
 
+from tilestream import planner
 from tilestream.cli import main
+from tilestream.network import net_vgg13
 
 # conv3/p1 -> maxpool -> conv3/s2 on a 32x32 image; no relu, so finite
 # differences never straddle a kink.
@@ -129,3 +132,37 @@ def test_help_exits_0(capsys):
 def test_grid_beyond_split_map_exits_2(tmp_path):
     doc = dict(CONFIG, grid=[8, 8])  # split map is 7x7
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+
+
+def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch):
+    """plan builds 2-D tiles for the plan it prints and no other: its grid
+    and candidate lines read the chooser, and each grid ratio is the one
+    build_tile_plan gives for that grid."""
+    built = []
+    tile_entry = planner.TileEntry
+
+    def counting(*args):
+        built.append(tile_entry(*args))
+        return built[-1]
+
+    monkeypatch.setattr(planner, "TileEntry", counting)
+    doc = {"version": 1, "network": {"preset": "vgg13"}, "image_size": 512, "grid": [4, 4]}
+    assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
+    text = capsys.readouterr().out
+    assert "tiles: 32  grid: 4x4" in text and len(built) == 32
+    ratios = re.findall(r"^grid (\d+)x\1: recompute (\S+)x$", text, re.M)
+    assert [int(g) for g, _ in ratios] == [1, 2, 4, 8, 16, 32]
+    for g, ratio in ratios:
+        plan = planner.build_tile_plan(net_vgg13(), 512, (int(g), int(g)))
+        assert ratio == f"{plan.recompute_ratio:.2f}"
+
+
+def test_plan_reproduces_the_headline_memory_figure(tmp_path, capsys):
+    """Planning only, no arrays: a 64-megapixel image (8130x8130) in 16x16
+    tiles models 96.80% less peak activation memory than whole-image."""
+    doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert "tiles: 256  grid: 16x16" in capsys.readouterr().out
+    memory = json.loads((out / "memory.json").read_text())
+    assert round(memory["reduction_percent"], 2) == 96.80

@@ -37,7 +37,9 @@ from tilestream.network import (
     Flatten,
     MaxPool,
     NetworkSpec,
+    ParamGrads,
     Relu,
+    clone_params,
     init_params,
     net_giga64mp,
     net_tiny2,
@@ -50,6 +52,7 @@ from tilestream.planner import (
     _Section,
     backproject_span,
     build_tile_plan,
+    choose_layout,
     validate_tile_plan,
 )
 
@@ -155,21 +158,23 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
     each as the memory model does, and keeps the smallest peak."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
+    chosen, layouts = choose_layout(net, z, grid)
     plan = build_tile_plan(net, z, grid)
+    assert plan.layout == chosen
     sizes = [h for h, _ in plan.map_sizes]
     pools = [m + 1 for m, layer in enumerate(net.stream_layers)
              if isinstance(layer, MaxPool) and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
-    assert sorted(c.checkpoints for c in plan.candidates) == sorted(
+    assert sorted(c.checkpoints for c in layouts) == sorted(
         cps for r in range(len(pools) + 1) for cps in itertools.combinations(pools, r))
     peaks = {}
-    for layout in plan.candidates:
+    for layout in layouts:
         forced = _Section(net, z, grid).plan(layout.checkpoints)
         assert validate_tile_plan(forced, net).ok
         assert forced.recompute_ratio == layout.recompute
         peaks[layout.checkpoints] = estimate_streaming(net, forced, 1, "single").peak_bytes
         assert peaks[layout.checkpoints] == 4 * layout.peak_scalars
-    assert plan.layout in plan.candidates
-    assert peaks[plan.checkpoints] == min(peaks.values()) <= peaks[()]
+    assert chosen in layouts
+    assert peaks[chosen.checkpoints] == min(peaks.values()) <= peaks[()]
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
@@ -256,10 +261,22 @@ def test_gradients_match_finite_differences():
     sample = synth_dataset(0, 32, 2)[0]
     base = baseline_forward_backward(net, params, sample.image, sample.label)
     stream = streaming_loss_and_grads(net, params, sample.image, sample.label, plan)
-    for grads in (base.grads, stream.grads):
-        err = finite_difference_check(net, params, sample.image, sample.label,
-                                      coords_per_tensor=1000, grads=grads)
-        assert err <= 1e-5
+    errors = finite_difference_check(net, params, sample.image, sample.label,
+                                     [base.grads, stream.grads], coords_per_tensor=1000)
+    assert len(errors) == 2 and max(errors) <= 1e-5
+
+
+def test_finite_differences_score_each_gradient_set():
+    """One set of probes scores each gradient set on its own: the true
+    gradients pass and the same gradients doubled are off by a half."""
+    net = build_network(parse_config(CONFIG))
+    params = init_params(net, 32, seed=0)
+    sample = synth_dataset(0, 32, 2)[0]
+    grads = baseline_forward_backward(net, params, sample.image, sample.label).grads
+    doubled = ParamGrads(clone_params(grads.per_layer)).add_(grads)
+    good, bad = finite_difference_check(net, params, sample.image, sample.label,
+                                        [grads, doubled], coords_per_tensor=5)
+    assert good <= 1e-5 and abs(bad - 0.5) < 1e-3
 
 
 @pytest.mark.parametrize("case", SAMPLED)
@@ -270,6 +287,42 @@ def test_memory_model_equals_engine_counters(case):
     est = estimate_streaming(net, plan, 1, "double")
     assert est.peak_forward_bytes == record.peak_bytes_forward
     assert est.peak_backward_bytes == record.peak_bytes_backward
+
+
+def measured_layer_peaks(net, params, image, plan):
+    """(layer, bytes) of each streaming layer's largest output over every
+    tile, as run_stack's byte sink measures the arrays it makes."""
+    inputs = {a: run_stack(image, net, params, 0, a, want_cache=False)[0] for a in plan.cuts[:-1]}
+    peaks = [0] * net.split_index
+    for tile in plan.tiles:
+        r, sink = tile.input_forward, []
+        run_stack(inputs[tile.start][:, :, r.y0:r.y1, r.x0:r.x1], net, params, tile.start,
+                  tile.stop, pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
+        for m, b in sink:
+            peaks[m] = max(peaks[m], b)
+    return list(enumerate(peaks))
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_streaming_layer_table_matches_measured_arrays(case):
+    """The per-layer table plan prints, modelled per axis, against the
+    outputs every tile really makes."""
+    net, z, _, plan = sampled(case)
+    params = init_params(net, z, case)
+    image = np.random.default_rng(case).standard_normal((1, 1, z, z))
+    est = estimate_streaming(net, plan, 1, "double")
+    assert est.per_layer_bytes[:net.split_index] == measured_layer_peaks(net, params, image, plan)
+
+
+@pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_streaming_layer_table_of_every_layout(precision, checkpoints):
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 64, (4, 4)).plan(checkpoints)
+    params = init_params(net, 64, 3, precision)
+    image = synth_dataset(3, 64, 2)[1].image.astype(params[0].w.dtype)
+    est = estimate_streaming(net, plan, 1, precision)
+    assert est.per_layer_bytes[:net.split_index] == measured_layer_peaks(net, params, image, plan)
 
 
 def test_segment_peak_formulas():
