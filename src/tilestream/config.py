@@ -15,8 +15,7 @@ and "grid" optional with the defaults below:
   "seed": 0, "precision": "single" | "double",
   "mode": "sgd" | "ssgd",
   "dataset": {"n_train": 32, "noise": 0.02},
-  "tolerances": {"loss": ..., "grad": ..., "logit": ..., "split_map": ...},
-  "verify": {"fd_coords": 40, "fd_eps": 1e-5, "fd_tol": 1e-5},
+  "verify": {"fd_coords": 40},
   "bench": {"steps": 3},
   "out": "path"
 }
@@ -24,7 +23,9 @@ and "grid" optional with the defaults below:
 parse_config rejects, with ConfigError, any key not listed here (a
 preset takes the keyword arguments of its function in
 tilestream.network) and any value of the wrong type or range: counts
-are ints (never booleans), tolerances and noise non-negative numbers.
+are ints (never booleans), noise a non-negative number. verify's gates
+(tilestream.equivalence's tolerances and finite-difference step and
+tolerance) are constants that no config can widen.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ _FIELDS = {
     "precision": (str, lambda v: v in ("single", "double")),
     "mode": (str, lambda v: v in ("sgd", "ssgd")),
     "dataset": {"n_train": (int, lambda v: v >= 2 and v % 2 == 0), "noise": _NONNEG},
-    "tolerances": dict.fromkeys(("loss", "grad", "logit", "split_map"), _NONNEG),
-    "verify": {"fd_coords": _NONNEG_INT, "fd_eps": ((int, float), lambda v: v > 0),
-               "fd_tol": _NONNEG},
+    "verify": {"fd_coords": _NONNEG_INT},
     "bench": {"steps": _POS_INT},
     "out": (str, lambda v: True),
 }
@@ -86,7 +85,6 @@ class ExperimentConfig:
     precision: str = "double"
     mode: str = "ssgd"
     dataset: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     bench: dict = field(default_factory=dict)
     out: str = None

@@ -32,6 +32,10 @@ REL_EPS = 1e-30
 DOUBLE_TOLERANCES = {"loss": 1e-10, "logit": 1e-10, "split_map": 0.0, "grad": 1e-9}
 SINGLE_TOLERANCES = {"loss": 1e-4, "logit": 1e-4, "split_map": 0.0, "grad": 1e-4}
 
+# Finite differences: central-difference step and the gate on their max relative error.
+FD_EPS = 1e-5
+FD_TOL = 1e-5
+
 # Leading lockstep steps rerun to check that both arms reproduce bit for bit.
 DETERMINISM_CHECK_STEPS = 2
 
@@ -83,20 +87,13 @@ class EquivalenceReport:
         }
 
 
-def _tolerance_for(name, tolerances):
-    if name in tolerances:
-        return tolerances[name]
-    group = name.split(":")[0]
-    if group in tolerances:
-        return tolerances[group]
-    raise ShapeError(f"no tolerance given for quantity {name!r}")
-
-
 def compare_runs(quantities_a, quantities_b, tolerances):
     """Elementwise comparison of two runs' quantities.
 
     Relative difference per element is |a-b| / max(|a|, |b|, 1e-30); a
-    quantity passes when its max relative difference is within tolerance.
+    quantity passes when its max relative difference is within the
+    tolerance of its group (the name before any ":", so "grad:conv0.w"
+    reads tolerances["grad"]).
     Symmetric in the two arguments and zero on identical inputs.
     """
     if set(quantities_a) != set(quantities_b):
@@ -109,7 +106,7 @@ def compare_runs(quantities_a, quantities_b, tolerances):
             raise ShapeError(f"shape mismatch for {name}: {a.shape} vs {b.shape}")
         diff = np.abs(a - b)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_EPS)
-        tol = _tolerance_for(name, tolerances)
+        tol = tolerances[name.split(":")[0]]
         max_rel = float((diff / denom).max()) if diff.size else 0.0
         scale = max(float(np.abs(a).max()) if a.size else 0.0,
                     float(np.abs(b).max()) if b.size else 0.0, REL_EPS)
@@ -194,7 +191,7 @@ def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, pl
 # finite differences
 
 
-def finite_difference_check(net, params, image, label, grad_sets, eps=1e-5, seed=0,
+def finite_difference_check(net, params, image, label, grad_sets, eps=FD_EPS, seed=0,
                             coords_per_tensor=200):
     """Max relative error of each set of analytic grads against central finite differences.
 

@@ -28,6 +28,12 @@ bit from the (bit-exact) map below it. The engine retains the checkpoint
 maps, so a tile above a checkpoint back-projects only to it, not to the
 image.
 
+A TileEntry records only what the engine runs: the input crop, the owned
+rectangle and the pads per layer. validate_tile_plan walks each crop up
+through its pads, per axis, checking that every pad sits at the map
+border within the layer pad and every padded window lies on the layer's
+sampling lattice, and that the walk lands on the owned rectangle.
+
 Choosing the checkpoints
 ------------------------
 The candidate checkpoints are the streaming section's pool outputs below
@@ -55,9 +61,10 @@ gradients, so no backward halo or per-map ownership is planned.
 
 Plan files
 ----------
-TilePlan.to_json writes the plan (plan.json of the plan command) for
-people and tools that read it; nothing in the package loads a plan file,
-so plans are always rebuilt from (network, image size, grid).
+TilePlan.to_json writes the plan (plan.json of the plan command, schema
+4) for people and tools that read it: each tile's segment, owned
+rectangle, input crop and pads. Nothing in the package loads a plan
+file, so plans are always rebuilt from (network, image size, grid).
 """
 
 from __future__ import annotations
@@ -70,11 +77,11 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import PlanError, ShapeError
-from .layers import Conv, out_size
+from .layers import Conv
 from .memory import count_param_scalars, head_layer_bytes, stream_backward_peak, stream_forward_peak
 from .network import MaxPool, NetworkSpec, retains_output
 
-PLAN_SCHEMA_VERSION = 3
+PLAN_SCHEMA_VERSION = 4
 
 
 def backproject_span(a, b, k, s, p, in_size):
@@ -127,13 +134,6 @@ class Region:
 # single-axis planning
 
 
-def _axis_sizes(geoms, z):
-    sizes = [z]
-    for k, s, p in geoms:
-        sizes.append(out_size(sizes[-1], k, s, p))
-    return sizes
-
-
 def _near_equal_bounds(total, parts):
     if parts < 1 or parts > total:
         raise PlanError(f"cannot split extent {total} into {parts} nonempty parts")
@@ -143,22 +143,12 @@ def _near_equal_bounds(total, parts):
 
 def _chain_down(geoms, sizes, top_iv):
     """Back-project an interval of a segment's top map down to its input map; returns (ivs, pads)."""
-    L = len(geoms)
-    ivs = [None] * L + [top_iv]
-    pads = [None] * L
-    for m in range(L - 1, -1, -1):
-        k, s, p = geoms[m]
-        lo, hi, pad_lo, pad_hi = backproject_span(*ivs[m + 1], k, s, p, sizes[m])
-        ivs[m] = (lo, hi)
-        pads[m] = (pad_lo, pad_hi)
-    return ivs, pads
-
-
-def _plan_axis(geoms, sizes, parts):
-    """Plan one axis of a segment; returns the forward (intervals, pads) chain per part."""
-    top_bounds = _near_equal_bounds(sizes[-1], parts)
-    return [_chain_down(geoms, sizes, (top_bounds[i], top_bounds[i + 1]))
-            for i in range(parts)]
+    ivs, pads = [top_iv], []
+    for (k, s, p), size in zip(geoms[::-1], sizes[-2::-1]):
+        lo, hi, pad_lo, pad_hi = backproject_span(*ivs[-1], k, s, p, size)
+        ivs.append((lo, hi))
+        pads.append((pad_lo, pad_hi))
+    return ivs[::-1], pads[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -167,29 +157,24 @@ def _plan_axis(geoms, sizes, parts):
 
 @dataclass
 class TileEntry:
-    """One tile of segment [start, stop): a region per map and the pads per layer.
+    """One tile of segment [start, stop): what the engine runs.
 
-    The chain runs from the input crop (map start) up to the tile's owned
-    rectangle of map stop, the split map for the top segment; the named
-    regions are views of its ends.
+    The input crop of map start, run through the segment's layers with
+    fwd_pads, yields exactly the owned rectangle of map stop (the split
+    map for the top segment).
     """
 
     row: int
     col: int
     start: int
     stop: int
-    fwd_regions: list                  # Region per map start..stop
+    input_forward: Region              # crop of map start
+    owned_split: Region                # owned rectangle of map stop
     fwd_pads: list                     # (t, b, l, r) per layer start..stop-1
 
     @property
-    def owned_split(self):
-        return self.fwd_regions[-1]
-
-    @property
-    def input_forward(self):
-        return self.fwd_regions[0]
-
-    input_backward = input_forward  # backward recomputes the forward crop
+    def input_backward(self):
+        return self.input_forward      # backward recomputes the forward crop
 
 
 @dataclass(frozen=True)
@@ -240,10 +225,11 @@ class TilePlan:
         return self.layout.recompute
 
     def to_json_dict(self):
-        """Schema version 3, written for readers. Each tile names its
-        segment; owned_split_region and input_region_forward repeat the last
-        and first regions of its forward chain (the owned region is on the
-        segment's top map, the split map only for the top segment)."""
+        """Schema version 4, written for readers. Each tile names its
+        segment, its owned rectangle of the segment's top map (the split map
+        only for the top segment), its input crop and its pads per layer;
+        back-projecting the owned rectangle (backproject_span) gives the
+        regions between."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
@@ -259,8 +245,7 @@ class TilePlan:
                     "segment": [t.start, t.stop],
                     "owned_split_region": t.owned_split.as_list(),
                     "input_region_forward": t.input_forward.as_list(),
-                    "forward": {"regions": [r.as_list() for r in t.fwd_regions],
-                                "pads": [list(p) for p in t.fwd_pads]},
+                    "pads": [list(p) for p in t.fwd_pads],
                 }
                 for t in self.tiles
             ],
@@ -277,19 +262,18 @@ class _Section:
     def __init__(self, net: NetworkSpec, image_size, grid):
         if min(grid) < 1:
             raise PlanError(f"bad grid {grid}")
-        self.geoms = net.stream_geoms()
+        L = net.split_index
         try:
-            self.sizes = _axis_sizes(self.geoms, image_size)
+            shapes = net.activation_shapes(image_size)[: L + 1]
         except ShapeError as exc:
-            raise PlanError(f"image too small for the streaming section: {exc}") from exc
-        if min(self.sizes) < 1:
-            raise PlanError("a streaming map collapsed to zero extent")
+            raise PlanError(f"image too small for the network: {exc}") from exc
+        self.sizes = [shape[2] for shape in shapes]
+        self.channels = [shape[1] for shape in shapes]
         if max(grid) > self.sizes[-1]:
             raise PlanError(f"grid {grid} exceeds split map {self.sizes[-1]}x{self.sizes[-1]}")
         self.net, self.image_size, self.grid = net, image_size, tuple(grid)
-        L = net.split_index
+        self.geoms = net.stream_geoms()
         layers = net.stream_layers
-        self.channels = [shape[1] for shape in net.activation_shapes(image_size)[: L + 1]]
         # scalars per output pixel a tile retains (relu runs in place) and
         # multiply-adds per output pixel, per streaming layer
         self.kept = [self.channels[m + 1] if retains_output(layer) else 0
@@ -309,7 +293,9 @@ class _Section:
         """Per-part chains from map b down to the image, and their extents
         per map; a segment [a, b) takes their tails from map a."""
         if (b, parts) not in self._axes:
-            chains = _plan_axis(self.geoms[:b], self.sizes[:b + 1], parts)
+            bounds = _near_equal_bounds(self.sizes[b], parts)
+            chains = [_chain_down(self.geoms[:b], self.sizes[:b + 1], iv)
+                      for iv in zip(bounds, bounds[1:])]
             extents = np.array([[hi - lo for lo, hi in ivs] for ivs, _ in chains])
             self._axes[(b, parts)] = chains, extents
         return self._axes[(b, parts)]
@@ -356,10 +342,10 @@ class _Section:
             (rows, _), (cols, _) = (self._axis(b, parts) for parts in self.grid)
             for i, (y_ivs, y_pads) in enumerate(rows):
                 for j, (x_ivs, x_pads) in enumerate(cols):
-                    regions = [Region(y[0], x[0], y[1], x[1])
-                               for y, x in zip(y_ivs[a:], x_ivs[a:])]
+                    crop, owned = (Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
+                                   for m in (a, b))
                     pads = [yp + xp for yp, xp in zip(y_pads[a:], x_pads[a:])]
-                    tiles.append(TileEntry(i, j, a, b, regions, pads))
+                    tiles.append(TileEntry(i, j, a, b, crop, owned, pads))
         return TilePlan(image_size=self.image_size, split_index=self.net.split_index,
                         grid=self.grid, geoms=self.geoms,
                         map_sizes=[(z, z) for z in self.sizes], tiles=tiles, layout=layout)
@@ -423,8 +409,28 @@ def _check_partition(fail, tiles, rows, cols, extent, name):
                 fail("partition", f"{name} {axis} do not cover [0, {extent})")
 
 
+def _walk_up(iv, pads, geoms, sizes):
+    """Walk one axis of a tile's crop up its pads and layers: (the interval
+    it lands on, None), or (None, (tag, layer, message)) at the first fault."""
+    lo, hi = iv
+    for m, ((k, s, p), (plo, phi)) in enumerate(zip(geoms, pads)):
+        if plo > p or phi > p:
+            return None, ("padding", m, "pads exceed the layer pad")
+        if lo < 0 or hi > sizes[m] or (plo and lo) or (phi and hi != sizes[m]):
+            return None, ("padding", m, "pads away from the border")
+        a, extent = lo - plo + p, hi + phi - lo + plo  # padded start + p, padded extent
+        if a % s or extent < k or (extent - k) % s:
+            return None, ("stride_alignment", m, "region off the sampling lattice")
+        lo, hi = a // s, a // s + (extent - k) // s + 1
+    return (lo, hi), None
+
+
 def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
-    """Integer consistency checks; returns a ValidationReport (never raises)."""
+    """Integer consistency checks; returns a ValidationReport (never raises).
+
+    Each tile's crop is walked up through its pads, per axis, and must land
+    on its owned rectangle; no intermediate region is stored or read.
+    """
     failures = []
 
     def fail(tag, msg):
@@ -434,7 +440,7 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     L = len(geoms)
     rows, cols = plan.grid
     try:
-        sizes = _axis_sizes(geoms, plan.image_size)
+        sizes = [shape[2] for shape in net.activation_shapes(plan.image_size)[: L + 1]]
     except ShapeError as exc:
         return ValidationReport(False, [f"geometry: {exc}"])
     if geoms != list(plan.geoms) or [(z, z) for z in sizes] != list(plan.map_sizes):
@@ -450,35 +456,26 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     if any(len(tiles) != rows * cols for _, _, tiles in segments):
         fail("grid", "tile count of a segment does not match grid")
         return ValidationReport(False, failures)
-    broken = [t for t in plan.tiles
-              if len(t.fwd_regions) != t.stop - t.start + 1 or len(t.fwd_pads) != t.stop - t.start]
-    for t in broken:
-        fail("chain", f"tile ({t.row},{t.col}) of [{t.start}, {t.stop}): "
-                      f"{len(t.fwd_regions)} regions and {len(t.fwd_pads)} pads, "
-                      f"want {t.stop - t.start + 1} and {t.stop - t.start}")
-    if broken:
-        return ValidationReport(False, failures)
-
     for _, b, tiles in segments:
         _check_partition(fail, tiles, rows, cols, sizes[b],
                          "split map" if b == L else f"checkpoint map {b}")
 
     for t in plan.tiles:
         tag = f"tile ({t.row},{t.col}) of [{t.start}, {t.stop})"
-        for m in range(t.start, t.stop):
-            k, s, p = geoms[m]
-            out_r, in_r = t.fwd_regions[m + 1 - t.start], t.fwd_regions[m - t.start]
-            (pt, pb, pl, pr) = t.fwd_pads[m - t.start]
-            for (o0, o1, i0, i1, plo, phi, ext) in (
-                    (out_r.y0, out_r.y1, in_r.y0, in_r.y1, pt, pb, sizes[m]),
-                    (out_r.x0, out_r.x1, in_r.x0, in_r.x1, pl, pr, sizes[m])):
-                want_lo = o0 * s - p
-                want_hi = (o1 - 1) * s - p + k
-                if i0 - plo != want_lo or i1 + phi != want_hi:
-                    fail("stride_alignment", f"{tag}: layer {m} region off the sampling lattice")
-                if plo > p or phi > p:
-                    fail("padding", f"{tag}: layer {m} pads exceed the layer pad")
-                if (plo > 0 and i0 != 0) or (phi > 0 and i1 != ext):
-                    fail("padding", f"{tag}: layer {m} pads away from the border")
+        if len(t.fwd_pads) != t.stop - t.start:
+            fail("chain", f"{tag}: {len(t.fwd_pads)} pads, want {t.stop - t.start}")
+            continue
+        r, o = t.input_forward, t.owned_split
+        landed = []
+        for iv, pads in (((r.y0, r.y1), [pd[:2] for pd in t.fwd_pads]),
+                         ((r.x0, r.x1), [pd[2:] for pd in t.fwd_pads])):
+            out, fault = _walk_up(iv, pads, geoms[t.start:t.stop], sizes[t.start:t.stop])
+            if fault:
+                kind, m, msg = fault
+                fail(kind, f"{tag}: layer {t.start + m} {msg}")
+            landed.append(out)
+        if None not in landed and landed != [(o.y0, o.y1), (o.x0, o.x1)]:
+            fail("chain", f"{tag}: the crop lands on rows {landed[0]}, cols {landed[1]}, "
+                          f"not on the owned region {o.as_list()}")
 
     return ValidationReport(not failures, failures)

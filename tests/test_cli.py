@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tilestream import planner
+from tilestream import equivalence, planner
 from tilestream.cli import main
 from tilestream.network import net_vgg13
 
@@ -132,6 +132,30 @@ def test_help_exits_0(capsys):
 def test_grid_beyond_split_map_exits_2(tmp_path):
     doc = dict(CONFIG, grid=[8, 8])  # split map is 7x7
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+
+
+@pytest.mark.parametrize("z", [16, 8])
+def test_image_too_small_exits_2(tmp_path, capsys, z):
+    """At 16x16 the image is too small only for the head's pool, at 8x8
+    already for the streaming section: both are infeasible plans."""
+    doc = dict(CONFIG, network={"preset": "vgg13", "base": 2, "hidden": 4},
+               image_size=z, grid=[1, 1])
+    assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+    assert "image too small for the network" in capsys.readouterr().err
+
+
+def test_verify_fail_lines_name_metric_and_margin(tmp_path, capsys, monkeypatch):
+    """A failing quantity's line carries its max relative difference against
+    the tolerance and its sup-norm-scaled difference."""
+    monkeypatch.setitem(equivalence.DOUBLE_TOLERANCES, "grad", 0.0)
+    assert main(["verify", "--config", write_config(tmp_path, CONFIG),
+                 "--precision", "double"]) == 3
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL grad:")]
+    assert lines
+    number = r"\d\.\d{3}e[+-]\d\d"
+    for line in lines:
+        assert re.fullmatch(rf"FAIL grad:\S+ max_rel_diff {number} > 0\.0 "
+                            rf"\(sup-norm scaled {number}\)", line), line
 
 
 def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch):

@@ -200,7 +200,7 @@ def test_broken_segments_fail_validation(damage, tag):
     elif damage == "checkpoint-map-overlap":
         tile = plan.tiles[1]  # segment [0, 10): owns a rectangle of checkpoint map 10
         r = tile.owned_split
-        tile.fwd_regions[-1] = Region(r.y0, r.x0 - 1, r.y1, r.x1)
+        tile.owned_split = Region(r.y0, r.x0 - 1, r.y1, r.x1)
     else:
         del plan.tiles[5]
     report = validate_tile_plan(plan, net)
@@ -346,10 +346,10 @@ def test_plan_json_round_trips(case):
     """plan.json is written for readers and never loaded: its text alone
     rebuilds the plan's geometry, its segments and every tile's chain,
     each chain by back-projecting the tile's owned rectangle through its
-    segment's layers."""
+    segment's layers down to its input crop and pads."""
     _, _, _, plan = sampled(case)
     doc = json.loads(plan.to_json())
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert (doc["image_size"], doc["split_index"], tuple(doc["grid"])) == (
         plan.image_size, plan.split_index, plan.grid)
     assert [tuple(g) for g in doc["geoms"]] == plan.geoms
@@ -361,44 +361,59 @@ def test_plan_json_round_trips(case):
         ([a, b], i, j) for a, b in zip(cuts, cuts[1:]) for i in range(rows) for j in range(cols)]
     for td, tile in zip(doc["tiles"], plan.tiles):
         a, b = td["segment"]
-        regions = [Region(*r) for r in td["forward"]["regions"]]
-        pads = [tuple(p) for p in td["forward"]["pads"]]
-        assert (a, b, regions, pads) == (tile.start, tile.stop, tile.fwd_regions, tile.fwd_pads)
-        assert len(regions) == b - a + 1 and regions[-1] == Region(*td["owned_split_region"])
+        assert (a, b) == (tile.start, tile.stop)
+        region = Region(*td["owned_split_region"])
+        pads = []
         for m in range(b - 1, a - 1, -1):
             size = doc["map_sizes"][m][0]
-            out = regions[m + 1 - a]
-            ys = backproject_span(out.y0, out.y1, *doc["geoms"][m], size)
-            xs = backproject_span(out.x0, out.x1, *doc["geoms"][m], size)
-            assert regions[m - a] == Region(ys[0], xs[0], ys[1], xs[1])
-            assert pads[m - a] == ys[2:] + xs[2:]
+            ys = backproject_span(region.y0, region.y1, *doc["geoms"][m], size)
+            xs = backproject_span(region.x0, region.x1, *doc["geoms"][m], size)
+            region = Region(ys[0], xs[0], ys[1], xs[1])
+            pads.insert(0, list(ys[2:] + xs[2:]))
+        assert region == Region(*td["input_region_forward"])
+        assert pads == td["pads"]
 
 
 def test_plan_json_names_the_chain_ends():
-    """Each tile's owned and input regions are the ends of its one forward chain,
-    and plan.json still writes them out under their schema-2 names."""
+    """Each tile's owned rectangle and input crop are written under their
+    schema-2 names."""
     plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 3))
     for tile, doc in zip(plan.tiles, plan.to_json_dict()["tiles"]):
-        regions = doc["forward"]["regions"]
-        assert doc["owned_split_region"] == regions[-1] == tile.owned_split.as_list()
-        assert doc["input_region_forward"] == regions[0] == tile.input_backward.as_list()
+        assert doc["owned_split_region"] == tile.owned_split.as_list()
+        assert doc["input_region_forward"] == tile.input_forward.as_list() == \
+            tile.input_backward.as_list()
 
 
-@pytest.mark.parametrize("damage", ["bad-pads", "regions-truncated", "pads-truncated"])
-def test_broken_forward_chain_fails_validation(damage):
+@pytest.mark.parametrize("damage, tag, what", [
+    pytest.param("bad-pads", "padding", "pads away from the border", id="bad-pads"),
+    pytest.param("pads-exceed", "padding", "pads exceed the layer pad", id="pads-exceed"),
+    pytest.param("crop-shifted", "stride_alignment", "off the sampling lattice",
+                 id="crop-shifted"),
+    pytest.param("crop-shifted-a-stride", "chain", "not on the owned region",
+                 id="crop-shifted-a-stride"),
+    pytest.param("pads-truncated", "chain", "3 pads, want 5", id="pads-truncated")])
+def test_broken_forward_chain_fails_validation(damage, tag, what):
     """A damaged chain is reported as a failure; validation never raises."""
     net = net_vgg13(base=2, hidden=4)
-    plan = build_tile_plan(net, 64, (2, 2))
+    plan = build_tile_plan(net, 64, (4, 4) if damage.startswith("crop") else (2, 2))
     tile = plan.tiles[0]
     if damage == "bad-pads":
         tile.fwd_pads[0] = (0, 0, 0, 0)
-    elif damage == "regions-truncated":
-        del tile.fwd_regions[5:]
+    elif damage == "pads-exceed":
+        tile.fwd_pads[0] = (2, 0, 2, 0)
+    elif damage.startswith("crop"):
+        # row 1, col 1: an interior tile of segment [0, 10), whose layers
+        # pool by 4; a 4-row shift stays on the lattice and lands one row off
+        tile = plan.tiles[5]
+        assert tile.stop == 10 and all(p == (0, 0, 0, 0) for p in tile.fwd_pads)
+        r, dy = tile.input_forward, 1 if damage == "crop-shifted" else 4
+        tile.input_forward = Region(r.y0 + dy, r.x0, r.y1 + dy, r.x1)
     else:
         del tile.fwd_pads[3:]
     report = validate_tile_plan(plan, net)
     assert not report.ok
-    assert report.first_failure.startswith("stride_alignment" if damage == "bad-pads" else "chain")
+    assert report.first_failure.startswith(tag) and what in report.first_failure, \
+        report.failures
 
 
 def test_recompute_ratio_and_backward_input_region():
