@@ -8,21 +8,22 @@ segments, each tiled from the retained map below it; every checkpoint
 map and the split map are reconstructed bit-exactly, and the head runs
 once on the split map. The backward pass walks the segments top-down and
 recomputes each tile's forward crop instead of retaining its
-activations, summing the tiles' parameter gradients into the whole-image
-gradient and their input gradients into the checkpoints' gradient maps.
+activations (but the last tile's), summing the tiles' parameter gradients
+into the whole-image gradient and their input gradients into the
+checkpoints' gradient maps. Whole-image training is whole_image_plan.
 """
 
 from .engine import (
     StreamingForwardState,
     StreamingRunRecord,
     accumulate_minibatch,
-    baseline_forward_backward,
     sgd_step,
     streaming_backward,
     streaming_forward,
     train_step,
 )
-from .equivalence import compare_runs, finite_difference_check, lockstep_train
+from .equivalence import (baseline_forward_backward, compare_runs, finite_difference_check,
+                          lockstep_train)
 from .errors import (
     ConfigError,
     NondeterminismError,
@@ -50,6 +51,7 @@ from .planner import (
     TilePlan,
     build_tile_plan,
     validate_tile_plan,
+    whole_image_plan,
 )
 
 __version__ = "0.1.0"

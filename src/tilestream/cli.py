@@ -7,7 +7,7 @@ divergence (non-finite loss). The output directory (--out or config
 directory, such as an existing file, is a config error (exit 1). All runs
 are deterministic in (config, seed): reruns produce bit-identical CSVs,
 checkpoints and reports. train, bench and verify's lockstep all step
-through engine.train_step.
+through engine.train_step, whole-image as planner.whole_image_plan.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ import numpy as np
 
 from .config import ExperimentConfig, build_network, load_config
 from .data import minibatch, synth_dataset
-from .engine import baseline_forward_backward, streaming_loss_and_grads, train_step
+from .engine import streaming_loss_and_grads, train_step
 from .equivalence import (FD_EPS, FD_TOL, compare_runs, default_tolerances,
                           finite_difference_check, lockstep_train)
 from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError, TilestreamError
 from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
 from .network import cast_params, init_params
-from .planner import build_tile_plan, choose_layout, validate_tile_plan
+from .planner import _Section, choose_layout, validate_tile_plan, whole_image_plan
 from .tensors import resolve_dtype, write_st4
 
 
@@ -61,19 +61,19 @@ def save_checkpoint(dirpath, net, params, precision):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _prepare(cfg: ExperimentConfig, need_plan):
+def _prepare(cfg: ExperimentConfig):
     net = build_network(cfg)
-    plan = None
-    if need_plan:
-        plan = build_tile_plan(net, cfg.image_size, cfg.grid)
-        report = validate_tile_plan(plan, net)
-        if not report.ok:
-            raise PlanError("; ".join(report.failures[:3]))
-    return net, plan
+    section = _Section(net, cfg.image_size, cfg.grid)
+    chosen, layouts = section.choose()
+    plan = section.plan(chosen.checkpoints)
+    report = validate_tile_plan(plan, net)
+    if not report.ok:
+        raise PlanError("; ".join(report.failures[:3]))
+    return net, plan, layouts
 
 
 def cmd_plan(cfg: ExperimentConfig):
-    net, plan = _prepare(cfg, need_plan=True)
+    net, plan, layouts = _prepare(cfg)
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
@@ -86,14 +86,15 @@ def cmd_plan(cfg: ExperimentConfig):
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     item = resolve_dtype(cfg.precision).itemsize
-    for layout in choose_layout(net, cfg.image_size, cfg.grid)[1]:
+    for layout in layouts:
         maps = ",".join(map(str, layout.checkpoints)) or "none"
         chosen = "  (chosen)" if layout == plan.layout else ""
         print(f"checkpoints {maps}: modelled peak {layout.peak_scalars * item:,} bytes, "
               f"conv work {layout.recompute:.2f}x{chosen}")
     g = 1
     while g <= min(plan.split_hw):
-        ratio = choose_layout(net, cfg.image_size, (g, g))[0].recompute
+        ratio = (plan.recompute_ratio if (g, g) == plan.grid
+                 else choose_layout(net, cfg.image_size, (g, g))[0].recompute)
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
@@ -108,7 +109,8 @@ def cmd_plan(cfg: ExperimentConfig):
 
 
 def cmd_verify(cfg: ExperimentConfig):
-    net, plan = _prepare(cfg, need_plan=True)
+    net, plan, _ = _prepare(cfg)
+    whole = whole_image_plan(net, cfg.image_size)
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
                          in_channels=net.in_channels, noise=cfg.noise)
     params0 = init_params(net, cfg.image_size, cfg.seed, precision="double")
@@ -118,7 +120,7 @@ def cmd_verify(cfg: ExperimentConfig):
     # one-shot full comparison at the initial parameters
     img = data[0].image.astype(resolve_dtype(cfg.precision))
     label = data[0].label
-    base = baseline_forward_backward(net, params_run, img, label)
+    base = streaming_loss_and_grads(net, params_run, img, label, whole)
     stream = streaming_loss_and_grads(net, params_run, img, label, plan)
     report = compare_runs(base.quantities(), stream.quantities(), tol)
 
@@ -126,12 +128,10 @@ def cmd_verify(cfg: ExperimentConfig):
     # double the one-shot pair already ran on these parameters and image
     fd_coords = int(cfg.verify.get("fd_coords", 40))
     img64 = data[0].image.astype(np.float64)
-    if cfg.precision == "double":
-        grad_sets = [base.grads, stream.grads]
-    else:
-        grad_sets = [baseline_forward_backward(net, params0, img64, label).grads,
-                     streaming_loss_and_grads(net, params0, img64, label, plan).grads]
-    fd_base, fd_stream = finite_difference_check(net, params0, img64, label, grad_sets,
+    runs = (base, stream) if cfg.precision == "double" else [
+        streaming_loss_and_grads(net, params0, img64, label, p) for p in (whole, plan)]
+    fd_base, fd_stream = finite_difference_check(net, params0, img64, label,
+                                                 [r.grads for r in runs],
                                                  seed=cfg.seed, coords_per_tensor=fd_coords)
 
     result = lockstep_train(net, params_run, data, cfg.steps, cfg.learning_rate,
@@ -176,7 +176,8 @@ def cmd_verify(cfg: ExperimentConfig):
 def cmd_train(cfg: ExperimentConfig):
     if not cfg.out:
         raise ConfigError("train needs an output directory (--out or config 'out')")
-    net, plan = _prepare(cfg, need_plan=cfg.mode == "ssgd")
+    net, plan, _ = _prepare(cfg)
+    plan = plan if cfg.mode == "ssgd" else whole_image_plan(net, cfg.image_size)
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
                          in_channels=net.in_channels, noise=cfg.noise)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
@@ -200,12 +201,12 @@ def cmd_train(cfg: ExperimentConfig):
 
 
 def cmd_bench(cfg: ExperimentConfig):
-    net, plan = _prepare(cfg, need_plan=True)
+    net, plan, _ = _prepare(cfg)
     data = synth_dataset(cfg.seed, cfg.image_size, max(cfg.batch_size * 2, 2),
                          in_channels=net.in_channels, noise=cfg.noise)
     steps = int(cfg.bench.get("steps", 3))
     report = {}
-    for mode, use_plan in (("sgd", None), ("ssgd", plan)):
+    for mode, use_plan in (("sgd", whole_image_plan(net, cfg.image_size)), ("ssgd", plan)):
         params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
         times, peak = [], 0
         for step in range(steps):

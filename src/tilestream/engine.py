@@ -1,12 +1,8 @@
-"""Execution: whole-image and tiled passes, and the one SGD training step.
+"""Execution: one per-image executor over a tile plan, and the one SGD training step.
 
-Both executors run one image forward and backward and return a
-PassResult; train_step is the only code that picks between them (plan
-None selects whole-image), so train, bench and verify's lockstep run the
-same SGD loop and differ only in the per-image executor.
-
-Whole image: the streaming section and the head run once on the whole
-image with standard backprop, through the same kernels as the tiles.
+train, bench and verify's lockstep all step through train_step and
+differ only in the plan. Whole-image training is planner.whole_image_plan
+(one tile, no checkpoints): standard backprop through the same kernels.
 
 Streaming forward: the plan cuts the streaming section at checkpoint
 maps into segments (tilestream.planner). Segment by segment, bottom-up,
@@ -14,24 +10,25 @@ each tile's crop of the segment's input map (the image for the first
 segment) runs through the segment's layers with the plan's border-only
 padding, lands exactly on its owned region of the segment's output map
 and is pasted there; tile activations are then dropped, so only the cut
-maps (checkpoints and split map, plus head activations) persist. The
-head runs once on the split map. Because every forward value depends
-only on its receptive field (fixed-shape conv products, exact max
-pooling; see tilestream.layers), each cut map is bit-identical to a
-whole-image pass, by induction from the image up.
+maps (checkpoints and split map, plus head activations) persist, and the
+caches of the plan's last tile. The head runs once on the split map.
+Because every forward value depends only on its receptive field
+(fixed-shape conv products, exact max pooling; see tilestream.layers),
+each cut map is bit-identical to a whole-image pass, by induction from
+the image up.
 
 Streaming backward: the head gradient is computed once on the whole split
-map. Segment by segment, top-down, each tile recomputes its forward crop
-with caches from the segment's retained input map and backpropagates its
-owned slice of the gradient of the map above through the same
-stack_backward the whole-image executor uses. Below the top segment that
-gradient is the checkpoint's gradient map, which the segment above filled
-by adding each tile's input gradient over its crop. Each tile computes
-its owned values exactly, so by linearity the per-tile parameter and
-input gradients sum to the whole-image gradients; only the order of
-summation differs. Input-image gradients are not produced. Tiles run in
-row-major order and accumulate sequentially, which pins the
-floating-point summation order.
+map. Segment by segment, top-down, each tile backpropagates its owned
+slice of the gradient of the map above through stack_backward: first the
+kept tile, from forward's caches, then every other tile, recomputing its
+forward crop from the segment's retained input map. Below the top
+segment that gradient is the checkpoint's gradient map, which the
+segment above filled by adding each tile's input gradient over its crop.
+Each tile computes its owned values exactly, so by linearity the
+per-tile parameter and input gradients sum to the whole-image gradients;
+only the order of summation differs. Input-image gradients are not
+produced. Tiles accumulate sequentially (the kept tile, then row-major),
+which pins the floating-point summation order.
 
 Memory accounting: byte counters measure the arrays each pass retains,
 under the accounting policy stated in tilestream.memory, and the engine
@@ -63,10 +60,10 @@ from .tensors import check_tensor4
 
 @dataclass
 class StreamingRunRecord:
-    """Instrumentation counters for one image pass, tiled or whole-image."""
+    """Instrumentation counters for one image pass through a plan."""
 
     tiles_forward: int = 0
-    tiles_backward: int = 0
+    tiles_backward: int = 0            # backward recomputes all but the kept one
     segment_tile_bytes: list = field(default_factory=list)  # largest tile per segment
     head_activation_bytes: int = 0
     params_bytes: int = 0
@@ -81,7 +78,7 @@ class StreamingRunRecord:
 
 @dataclass
 class PassResult:
-    """One image's forward and backward pass, from either executor."""
+    """One image's forward and backward pass through a plan."""
 
     loss: float
     logit: float
@@ -90,7 +87,7 @@ class PassResult:
     record: StreamingRunRecord
 
     def quantities(self):
-        """Everything compared between executors, keyed as compare_runs expects."""
+        """Everything compared between two plans' runs, keyed as compare_runs expects."""
         out = {"loss": self.loss, "logit": self.logit, "split_map": self.split_map}
         for name, t in self.grads.named_tensors():
             out[f"grad:{name}"] = t
@@ -115,6 +112,7 @@ class StreamingForwardState:
     head_caches: list
     logit: np.ndarray
     record: StreamingRunRecord
+    kept: tuple                        # (plan's last tile, its caches) until backward takes them
 
     @property
     def split_map(self):
@@ -130,7 +128,6 @@ def _check_image(image, plan):
     n, c, h, w = image.shape
     if (h, w) != (plan.image_size, plan.image_size):
         raise PlanError(f"image {h}x{w} does not match plan image_size {plan.image_size}")
-    return image
 
 
 def _tile_pass(net, params, below, tile, want_cache):
@@ -166,11 +163,12 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     record = StreamingRunRecord(params_bytes=param_bytes(params))
     maps = []
     below = image
+    last = plan.tiles[-1]
     for _, stop, tiles in plan.segments:
         out = np.empty((n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
         peak_tile = 0
         for tile in tiles:
-            y, _, nbytes = _tile_pass(net, params, below, tile, want_cache=False)
+            y, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=tile is last)
             o = tile.owned_split
             out[:, :, o.y0:o.y1, o.x0:o.x1] = y
             peak_tile = max(peak_tile, nbytes)
@@ -182,7 +180,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     logit, head_caches = head_forward(below, net, params, byte_sink=head_sink)
     record.head_activation_bytes = sum(b for _, b in head_sink)
     state = StreamingForwardState(cut_maps=maps, head_caches=head_caches,
-                                  logit=logit, record=record)
+                                  logit=logit, record=record, kept=(last, caches))
     record.peak_bytes_forward = stream_forward_peak(
         record.params_bytes, record.head_activation_bytes, state.cut_bytes(),
         record.segment_tile_bytes)
@@ -191,15 +189,18 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
 
 def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
                        state: StreamingForwardState, dloss_dlogit):
-    """Backpropagate through the head and the segments' tiles; returns per-image ParamGrads."""
+    """Backpropagate a forward state, once, through the head and tiles; returns ParamGrads."""
     _check_image(image, plan)
     segments = plan.segments
-    if [m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[b]) for _, b, _ in segments]:
-        raise PlanError("forward state does not match this plan")
+    if ([m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[b]) for _, b, _ in segments]
+            or state.kept is None or state.kept[0] != plan.tiles[-1]):
+        raise PlanError("forward state does not match this plan, or was backpropagated")
+    kept, state.kept = state.kept, None
     grads = ParamGrads.zeros_like(params)
     grad_above, head_grads = head_backward(dloss_dlogit, net, params,
                                            state.head_caches, state.split_map.shape)
     grads.add_by_layer_(head_grads)
+    del head_grads
 
     record = state.record
     record.grads_bytes = param_bytes(grads.per_layer)
@@ -208,17 +209,23 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
         start, stop, tiles = segments[s]
         below = inputs[s]
         grad_below = np.zeros_like(below) if start > 0 else None
+        if kept:  # the top segment: its last tile first, from forward's caches
+            tiles = tiles[-1:] + tiles[:-1]
         for tile in tiles:
-            _, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=True)
+            if kept:
+                (_, caches), kept = kept, None
+            else:
+                _, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=True)
+                record.segment_tile_bytes[s] = max(record.segment_tile_bytes[s], nbytes)
             o = tile.owned_split
             g = grad_above[:, :, o.y0:o.y1, o.x0:o.x1]
             g_in, tile_grads = stack_backward(g, net, params, caches, start, stop)
+            del caches
             grads.add_by_layer_(tile_grads)
             if grad_below is not None:
                 r = tile.input_forward
                 grad_below[:, :, r.y0:r.y1, r.x0:r.x1] += g_in
             record.tiles_backward += 1
-            record.segment_tile_bytes[s] = max(record.segment_tile_bytes[s], nbytes)
         grad_above = grad_below
     record.peak_bytes_backward = stream_backward_peak(
         record.params_bytes, record.grads_bytes, record.head_activation_bytes,
@@ -227,51 +234,26 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
 
 
 def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TilePlan):
-    """One streaming image pass: tiled forward, BCE loss, recomputing backward."""
+    """One image's pass through plan: tiled forward, BCE loss, recomputing backward."""
+    if check_tensor4(image, "image").shape[0] != 1:
+        raise ShapeError("streaming_loss_and_grads runs one image at a time")
     state = streaming_forward(net, params, image, plan)
     loss, dlogit = bce_with_logits(state.logit[0], label)
     grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
     return PassResult(float(loss), float(state.logit[0]), state.split_map, grads, state.record)
 
 
-def baseline_forward_backward(net: NetworkSpec, params, image, label):
-    """Single whole-image pass with standard backprop; same kernels as streaming."""
-    check_tensor4(image, "image")
-    if image.shape[0] != 1:
-        raise ShapeError("baseline executor runs one image at a time")
-    sink = []
-    split, s_caches = run_stack(image, net, params, 0, net.split_index, byte_sink=sink)
-    head_sink = []
-    logit, h_caches = head_forward(split, net, params, byte_sink=head_sink)
-    loss, dlogit = bce_with_logits(logit[0], label)
-    grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params,
-                                           h_caches, split.shape)
-    _, stream_grads = stack_backward(grad_split, net, params, s_caches, 0, net.split_index)
-    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
-
-    record = StreamingRunRecord(params_bytes=param_bytes(params))
-    act = image.nbytes + sum(b for _, b in sink) + sum(b for _, b in head_sink)
-    record.grads_bytes = param_bytes(grads.per_layer)
-    record.peak_bytes_forward = record.params_bytes + act
-    record.peak_bytes_backward = record.params_bytes + record.grads_bytes + act
-    return PassResult(float(loss), float(logit[0]), split, grads, record)
-
-
-def train_step(net: NetworkSpec, params, batch, lr, plan: TilePlan = None):
+def train_step(net: NetworkSpec, params, batch, lr, plan: TilePlan):
     """One SGD step on a mini-batch of samples (each with .image and .label).
 
-    Every image is cast to the parameters' dtype and runs whole-image when
-    plan is None, tiled through plan otherwise. The per-image gradients
-    are averaged in batch order and applied to params in place.
+    Every image is cast to the parameters' dtype and runs through plan
+    (planner.whole_image_plan for whole-image training). The per-image
+    gradients are averaged in batch order and applied to params in place.
     """
     dtype = next(p.w.dtype for p in params if p is not None)
     per_image, losses, logits, peak = [], [], [], 0
     for sample in batch:
-        image = sample.image.astype(dtype)
-        if plan is None:
-            res = baseline_forward_backward(net, params, image, sample.label)
-        else:
-            res = streaming_loss_and_grads(net, params, image, sample.label, plan)
+        res = streaming_loss_and_grads(net, params, sample.image.astype(dtype), sample.label, plan)
         per_image.append(res.grads)
         losses.append(res.loss)
         logits.append(res.logit)

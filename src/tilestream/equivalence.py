@@ -1,15 +1,17 @@
 """Streaming-vs-whole-image comparison: quantity diffs, lockstep training,
 finite differences.
 
-The two executors live in tilestream.engine. Because each forward value
-depends only on its receptive field (see tilestream.layers), the
-whole-image split map and loss are bit-identical to the streaming
-reconstruction; parameter gradients differ in floating-point summation
-order (tiles accumulate blockwise, and the gradient kernels' products
-follow the map size) and are compared under per-precision tolerances.
-lockstep_train runs both executors through the one engine.train_step.
-Central finite differences give both executors an independent ground
-truth.
+Whole-image is the engine's 1x1 plan (planner.whole_image_plan). Because
+each forward value depends only on its receptive field (see
+tilestream.layers), its split map and loss are bit-identical to the
+streaming reconstruction; parameter gradients differ in floating-point
+summation order (tiles accumulate blockwise, and the gradient kernels'
+products follow the map size) and are compared under per-precision
+tolerances. lockstep_train runs both plans through engine.train_step.
+The 1x1 plan runs no halo crop, interior pad or checkpoint gradient, so
+the comparison still checks the tiled paths. Independent of the engine
+are central finite differences (forward-only run_stack), the brute-force
+kernel oracles and the tests' plain-backprop oracle.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import minibatch
-# baseline_forward_backward is also reached under this module's name (the
-# benchmark in perfbench/ traces it as equivalence.baseline_forward_backward).
-from .engine import baseline_forward_backward, train_step
+from .engine import streaming_loss_and_grads, train_step
 from .errors import NondeterminismError, ShapeError
 from .layers import bce_with_logits
 from .network import NetworkSpec, ParamGrads, clone_params, run_stack
+from .planner import whole_image_plan
 
 REL_EPS = 1e-30
 
@@ -43,6 +44,11 @@ DETERMINISM_CHECK_STEPS = 2
 def default_tolerances(precision):
     return dict(DOUBLE_TOLERANCES if str(precision) in ("double", "float64")
                 else SINGLE_TOLERANCES)
+
+
+def baseline_forward_backward(net, params, image, label):
+    """One whole-image pass, whole_image_plan's, as the benchmark in perfbench/ runs it."""
+    return streaming_loss_and_grads(net, params, image, label, whole_image_plan(net, image.shape[-1]))
 
 
 def whole_image_loss(net, params, image, label):
@@ -153,18 +159,20 @@ class LockstepResult:
 def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, plan):
     """Train whole-image and streaming arms from identical state, in lockstep.
 
-    Both arms start from copies of params0 and see the same batches; each
-    step's batch-mean losses and applied gradients are compared. The first
-    DETERMINISM_CHECK_STEPS steps are rerun and must reproduce their
-    losses bit for bit, or NondeterminismError is raised.
+    Both arms (whole_image_plan and plan) start from copies of params0 and
+    see the same batches; each step's batch-mean losses and applied
+    gradients are compared. The first DETERMINISM_CHECK_STEPS steps are
+    rerun and must reproduce their losses bit for bit, or
+    NondeterminismError is raised.
     """
+    whole = whole_image_plan(net, plan.image_size)
 
     def run(n_steps):
         pa, pb = clone_params(params0), clone_params(params0)
         metrics = []
         for step in range(n_steps):
             batch = minibatch(dataset, step, batch_size)
-            a = train_step(net, pa, batch, lr)
+            a = train_step(net, pa, batch, lr, whole)
             b = train_step(net, pb, batch, lr, plan)
             # only the differences are read here; verify gates them
             diff = compare_runs(grad_quantities(a.grads), grad_quantities(b.grads),

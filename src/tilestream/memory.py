@@ -20,11 +20,12 @@ the same abstraction: retained scalars times bytes):
   keeps every checkpoint map and the split map (the "cut maps") from the
   moment its segment's forward starts until the pass ends. One tile's
   activations (its crop and layer outputs) are resident at a time, plus
-  the head activations. A segment's backward holds the gradient of the
-  cut map above it and the checkpoint gradient it accumulates below (none
-  for the image). Backward recomputes each tile's forward crop, so one
-  tile term per segment serves both phases. Mini-batches stream per image
-  with gradients summed into one accumulator, so activation terms do not
+  the head activations and the plan's last tile, which backward runs
+  first. A segment's backward holds the gradient of the cut map above it
+  and the checkpoint gradient it accumulates below (none for the image).
+  Backward recomputes the other tiles' forward crops, so one tile term
+  per segment serves both phases. Mini-batches stream per image with
+  gradients summed into one accumulator, so activation terms do not
   scale with batch size in streaming mode (the whole-image terms do).
 
 Phase peaks (stream_forward_peak and stream_backward_peak, which the
@@ -33,13 +34,14 @@ cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, and T_j
 the largest tile of segment [cut j-1, cut j):
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
-    stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head)
+    stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head + T_k)
     stream_b: params + grads + C_1 + .. + C_k + head
               + max_j (C_j + C_(j-1) + T_j)
 
-With one segment these are params + split_map + max(tile, head) and
-params + grads + 2*split_map + head + tile. estimate_streaming scales the
-streaming terms the planner models (TilePlan.layout) by the itemsize.
+With one segment these are params + split_map + tile + head and params +
+grads + 2*split_map + head + tile. stream_f <= stream_b (its last term is
+in stream_b's j = k one). estimate_streaming scales the streaming terms
+the planner models (TilePlan.layout) by the itemsize.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def stream_forward_peak(params, head, cut_bytes, tile_bytes):
     for out, tile in zip(cut_bytes[1:], tile_bytes):
         held += out
         peak = max(peak, held + tile)
-    return params + max(peak, held + head)
+    return params + max(peak, held + head + tile_bytes[-1])
 
 
 def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):

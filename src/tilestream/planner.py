@@ -52,12 +52,11 @@ entries for the chosen layout only.
 
 Backward
 --------
-The backward pass walks the segments top-down and reads the same crops:
-each tile recomputes its forward chain from the segment's input map and
-backpropagates its owned slice of the gradient of the map above. By
-linearity the per-tile parameter gradients, and the input gradients the
-tiles add into the checkpoint's gradient map, sum to the whole-image
-gradients, so no backward halo or per-map ownership is planned.
+The backward pass walks the segments top-down and reruns the forward
+crops (tilestream.engine). By linearity the per-tile parameter gradients,
+and the input gradients the tiles add into the checkpoint's gradient
+map, sum to the whole-image gradients, so no backward halo or per-map
+ownership is planned.
 
 Plan files
 ----------
@@ -367,6 +366,11 @@ def build_tile_plan(net: NetworkSpec, image_size, grid):
     section = _Section(net, image_size, grid)
     chosen, _ = section.choose()
     return section.plan(chosen.checkpoints)
+
+
+def whole_image_plan(net: NetworkSpec, image_size):
+    """The plan of whole-image training: one tile and no checkpoints."""
+    return _Section(net, image_size, (1, 1)).plan(())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
+from tilestream.engine import PassResult
 from tilestream.errors import PlanError, ShapeError
-from tilestream.network import Conv, Dense, Flatten, MaxPool, NetworkSpec, Relu
+from tilestream.layers import bce_with_logits
+from tilestream.network import (
+    Conv,
+    Dense,
+    Flatten,
+    MaxPool,
+    NetworkSpec,
+    ParamGrads,
+    Relu,
+    head_backward,
+    head_forward,
+    run_stack,
+    stack_backward,
+)
 from tilestream.planner import build_tile_plan
 
 GRIDS = [(1, 1), (2, 2), (2, 4), (4, 4)]
@@ -33,6 +47,19 @@ def sample_streaming_config(rng, min_size=16, max_size=64):
         except (PlanError, ShapeError):
             continue
         return net, z, grid, plan
+
+
+def plain_backprop(net, params, image, label):
+    """Whole-image reference with no plan or tile: run_stack, then the head,
+    then stack_backward. A PassResult without a run record."""
+    split, caches = run_stack(image, net, params, 0, net.split_index)
+    logit, head_caches = head_forward(split, net, params)
+    loss, dlogit = bce_with_logits(logit[0], label)
+    grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params, head_caches,
+                                           split.shape)
+    _, stream_grads = stack_backward(grad_split, net, params, caches, 0, net.split_index)
+    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
+    return PassResult(float(loss), float(logit[0]), split, grads, None)
 
 
 @pytest.fixture

@@ -190,3 +190,21 @@ def test_plan_reproduces_the_headline_memory_figure(tmp_path, capsys):
     assert "tiles: 256  grid: 16x16" in capsys.readouterr().out
     memory = json.loads((out / "memory.json").read_text())
     assert round(memory["reduction_percent"], 2) == 96.80
+
+
+def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):
+    """plan models each grid once: the configured one for the plan and its
+    candidate lines, and one per other grid line (giga64mp@8130 prints
+    grids 1x1 to 256x256, nine in all)."""
+    grids = []
+    section_init = planner._Section.__init__
+
+    def counting(self, net, image_size, grid):
+        grids.append(tuple(grid))
+        section_init(self, net, image_size, grid)
+
+    monkeypatch.setattr(planner._Section, "__init__", counting)
+    doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}
+    assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
+    assert "grid 256x256: recompute" in capsys.readouterr().out
+    assert sorted(grids) == [(g, g) for g in (1, 2, 4, 8, 16, 32, 64, 128, 256)]

@@ -3,7 +3,7 @@ import pytest
 
 import tilestream
 import tilestream.layers
-from tilestream.engine import baseline_forward_backward, streaming_loss_and_grads
+from tilestream.engine import streaming_loss_and_grads
 from tilestream.errors import ShapeError
 from tilestream.layers import bce_with_logits, conv2d_forward, DenseParams
 from tilestream.memory import count_param_scalars
@@ -127,7 +127,7 @@ def test_relu_inplace_never_mutates_stack_input(rng):
     keep = x.copy()
     run_stack(x, net, params, 0, 2)
     assert np.array_equal(x, keep)
-    baseline_forward_backward(net, params, x, 1)
+    tilestream.baseline_forward_backward(net, params, x, 1)
     assert np.array_equal(x, keep)
     for grid in ((1, 1), (2, 1), (2, 2)):
         streaming_loss_and_grads(net, params, x, 1, build_tile_plan(net, 4, grid))

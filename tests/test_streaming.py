@@ -6,28 +6,28 @@ import json
 import numpy as np
 import pytest
 
-from conftest import sample_streaming_config
+import tilestream.engine
+from conftest import plain_backprop, sample_streaming_config
 from test_cli import CONFIG
 from tilestream.config import build_network, parse_config
 from tilestream.data import synth_dataset
 from tilestream.engine import (
     PassResult,
-    baseline_forward_backward,
     streaming_backward,
     streaming_forward,
     streaming_loss_and_grads,
 )
 from tilestream.equivalence import (
     DOUBLE_TOLERANCES,
+    baseline_forward_backward,
     compare_runs,
     default_tolerances,
     finite_difference_check,
 )
-from tilestream.errors import ShapeError
+from tilestream.errors import PlanError, ShapeError
 from tilestream.layers import bce_with_logits
 from tilestream.memory import (
     estimate_streaming,
-    estimate_whole_image,
     stream_backward_peak,
     stream_forward_peak,
 )
@@ -54,6 +54,7 @@ from tilestream.planner import (
     build_tile_plan,
     choose_layout,
     validate_tile_plan,
+    whole_image_plan,
 )
 
 SAMPLED = range(60)
@@ -66,7 +67,7 @@ def sampled(case):
 def run_both(net, z, plan, seed, image):
     label = seed % 2
     params = init_params(net, z, seed)
-    base = baseline_forward_backward(net, params, image, label)
+    base = plain_backprop(net, params, image, label)
     stream = streaming_loss_and_grads(net, params, image, label, plan)
     return base, stream.quantities(), stream.record
 
@@ -120,7 +121,7 @@ def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
     sample = synth_dataset(3, z, 2)[1]
     image = sample.image.astype(params[0].w.dtype)
     before = image.tobytes()
-    base = baseline_forward_backward(net, params, image, sample.label)
+    base = plain_backprop(net, params, image, sample.label)
     state = streaming_forward(net, params, image, plan)
     loss, dlogit = bce_with_logits(state.logit[0], sample.label)
     grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
@@ -230,7 +231,7 @@ def test_overlapping_pools_and_relu_after_pool_match_whole_image(name, precision
     sample = synth_dataset(5, z, 2)[1]
     image = sample.image.astype(params[0].w.dtype)
     before = image.tobytes()
-    base = baseline_forward_backward(net, params, image, sample.label)
+    base = plain_backprop(net, params, image, sample.label)
     stream = streaming_loss_and_grads(net, params, image, sample.label, plan)
     assert image.tobytes() == before
     assert stream.split_map.tobytes() == base.split_map.tobytes()
@@ -243,14 +244,112 @@ def test_overlapping_pools_and_relu_after_pool_match_whole_image(name, precision
     # one conv4.w entry differs by 1.6e-4 of itself, 3.3e-7 of the tensor's
     # largest entry, from summation order alone; the per-tensor scaled
     # metric above bounds it.
-    est = estimate_streaming(net, plan, 1, precision)
-    assert est.peak_forward_bytes == stream.record.peak_bytes_forward
-    assert est.peak_backward_bytes == stream.record.peak_bytes_backward
-    assert estimate_whole_image(net, z, 1, precision).peak_bytes == base.record.peak_bytes
+    whole = whole_image_plan(net, z)
+    for p, record in ((plan, stream.record),
+                      (whole, streaming_loss_and_grads(net, params, image, sample.label,
+                                                       whole).record)):
+        est = estimate_streaming(net, p, 1, precision)
+        assert est.peak_forward_bytes == record.peak_bytes_forward
+        assert est.peak_backward_bytes == record.peak_bytes_backward
+
+
+# name: (net, image size, layers whose last output row and column no layer
+# above reads). A pool 3s2 on an even map skips its input's last row and
+# column, so the 1x1 plan, which back-projects like any plan, does not
+# compute them: that conv's parameter-gradient sums run over 39x39 (47x47)
+# positions instead of 40x40 (48x48), and agree only within tolerance.
+WHOLE_IMAGE_NETS = dict(
+    {"vgg13-small": (net_vgg13(base=2, hidden=4), 64, ())},
+    **{name: (NetworkSpec(1, layers + (Flatten(), Dense(1)), len(layers)), z, ("conv0",))
+       for name, (layers, z, _) in OVERLAPPING_POOL_NETS.items()})
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("name", sorted(WHOLE_IMAGE_NETS))
+def test_whole_image_plan_is_plain_backprop_bit_for_bit(name, precision):
+    """The 1x1 plan with no checkpoints runs standard backprop: its loss,
+    split map and every gradient equal the tests' oracle bit for bit, but
+    for the parameter gradients of a layer whose output it trims."""
+    net, z, trimmed = WHOLE_IMAGE_NETS[name]
+    plan = whole_image_plan(net, z)
+    assert len(plan.tiles) == 1 and plan.checkpoints == () and validate_tile_plan(plan, net).ok
+    params = init_params(net, z, 5, precision)
+    sample = synth_dataset(5, z, 2)[1]
+    image = sample.image.astype(params[0].w.dtype)
+    want = plain_backprop(net, params, image, sample.label).quantities()
+    for got in (streaming_loss_and_grads(net, params, image, sample.label, plan),
+                baseline_forward_backward(net, params, image, sample.label)):
+        got = got.quantities()
+        report = compare_runs(want, got, default_tolerances(precision))
+        for key, value in want.items():
+            if key.partition(":")[2].split(".")[0] in trimmed:
+                assert report.entries[key].max_rel_scaled <= report.entries[key].tolerance, key
+            else:
+                assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def counted_tile_passes(monkeypatch):
+    """Record want_cache of every engine._tile_pass call."""
+    calls, tile_pass = [], tilestream.engine._tile_pass
+
+    def counting(*args, want_cache):
+        calls.append(want_cache)
+        return tile_pass(*args, want_cache=want_cache)
+
+    monkeypatch.setattr(tilestream.engine, "_tile_pass", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid, checkpoints", [((1, 1), ()), ((2, 2), ()), ((4, 4), (10, 24)),
+                                               ((3, 5), (17,))])
+def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, checkpoints):
+    """Forward runs every tile once and keeps the caches of the last only;
+    backward backpropagates every tile and recomputes all but that one."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 96, grid).plan(checkpoints)
+    params = init_params(net, 96, 0)
+    image = synth_dataset(0, 96, 2)[0].image
+    calls = counted_tile_passes(monkeypatch)
+    state = streaming_forward(net, params, image, plan)
+    assert calls == [False] * (len(plan.tiles) - 1) + [True]
+    assert state.kept[0] is plan.tiles[-1]
+    del calls[:]
+    streaming_backward(net, params, image, plan, state, np.asarray([1.0]))
+    assert calls == [True] * (len(plan.tiles) - 1)
+    assert state.record.tiles_forward == state.record.tiles_backward == len(plan.tiles)
+    assert state.kept is None
+
+
+def test_forward_state_of_another_plan_raises():
+    """A forward state carries the caches of its plan's last tile: a 2x2
+    state, whose cut maps have the shapes of the 4x4 plan's, and a state
+    already backpropagated are both refused; a refusal leaves the state
+    usable with its own plan."""
+    net = net_vgg13(base=2, hidden=4)
+    coarse, fine = (_Section(net, 64, grid).plan((10,)) for grid in ((2, 2), (4, 4)))
+    params = init_params(net, 64, 0)
+    image = synth_dataset(0, 64, 2)[0].image
+    state = streaming_forward(net, params, image, coarse)
+    with pytest.raises(PlanError, match="does not match this plan"):
+        streaming_backward(net, params, image, fine, state, np.asarray([1.0]))
+    streaming_backward(net, params, image, coarse, state, np.asarray([1.0]))
+    state = streaming_forward(net, params, image, fine)
+    streaming_backward(net, params, image, fine, state, np.asarray([1.0]))
+    with pytest.raises(PlanError, match="was backpropagated"):
+        streaming_backward(net, params, image, fine, state, np.asarray([1.0]))
+
+
+def test_a_pass_takes_one_image():
+    net = net_vgg13(base=2, hidden=4)
+    params = init_params(net, 64, 0)
+    batch = np.stack([s.image[0] for s in synth_dataset(0, 64, 2)])
+    with pytest.raises(ShapeError, match="one image at a time"):
+        streaming_loss_and_grads(net, params, batch, 1, whole_image_plan(net, 64))
 
 
 def test_gradients_match_finite_differences():
-    """Both executors against central differences on the CLI tests' ReLU-free net.
+    """The whole-image and a 2x2 plan against central differences on the
+    CLI tests' ReLU-free net.
 
     Without ReLU no probe straddles a kink, so every coordinate of every
     tensor is checked at the default eps in double precision.
@@ -259,10 +358,10 @@ def test_gradients_match_finite_differences():
     plan = build_tile_plan(net, 32, (2, 2))
     params = init_params(net, 32, seed=0)
     sample = synth_dataset(0, 32, 2)[0]
-    base = baseline_forward_backward(net, params, sample.image, sample.label)
-    stream = streaming_loss_and_grads(net, params, sample.image, sample.label, plan)
-    errors = finite_difference_check(net, params, sample.image, sample.label,
-                                     [base.grads, stream.grads], coords_per_tensor=1000)
+    grad_sets = [streaming_loss_and_grads(net, params, sample.image, sample.label, p).grads
+                 for p in (whole_image_plan(net, 32), plan)]
+    errors = finite_difference_check(net, params, sample.image, sample.label, grad_sets,
+                                     coords_per_tensor=1000)
     assert len(errors) == 2 and max(errors) <= 1e-5
 
 
@@ -272,7 +371,7 @@ def test_finite_differences_score_each_gradient_set():
     net = build_network(parse_config(CONFIG))
     params = init_params(net, 32, seed=0)
     sample = synth_dataset(0, 32, 2)[0]
-    grads = baseline_forward_backward(net, params, sample.image, sample.label).grads
+    grads = plain_backprop(net, params, sample.image, sample.label).grads
     doubled = ParamGrads(clone_params(grads.per_layer)).add_(grads)
     good, bad = finite_difference_check(net, params, sample.image, sample.label,
                                         [grads, doubled], coords_per_tensor=5)
@@ -329,16 +428,29 @@ def test_segment_peak_formulas():
     """The shared phase peaks, by hand: cut maps of 100 and 10 bytes above
     the image, largest tiles of 5 and 45, params and grads of 3, head 2."""
     cuts, tiles = [0, 100, 10], [5, 45]
-    # forward: a segment holds the cut maps up to its output; the head holds them all
-    assert stream_forward_peak(3, 2, cuts, tiles) == 3 + max(100 + 5, 110 + 45, 110 + 2)
-    assert stream_forward_peak(3, 2, cuts, [50, 7]) == 3 + 100 + 50
+    # forward: a segment holds the cut maps up to its output; the head holds
+    # them all and the top segment's kept tile
+    assert stream_forward_peak(3, 2, cuts, tiles) == 3 + max(100 + 5, 110 + 45, 110 + 2 + 45)
+    assert stream_forward_peak(3, 2, cuts, [50, 7]) == 3 + max(100 + 50, 110 + 2 + 7)
     # backward: every cut map and the head, plus the gradients of the cut
     # maps bounding the segment (none for the image) and its tile
     assert stream_backward_peak(3, 3, 2, cuts, tiles) == 3 + 3 + 110 + 2 + max(
         0 + 100 + 5, 100 + 10 + 45)
-    # one segment: params + split + max(tile, head), params + grads + 2 split + head + tile
-    assert stream_forward_peak(3, 2, [0, 10], [50]) == 3 + 10 + 50
+    # one segment: params + split + tile + head, params + grads + 2 split + head + tile
+    assert stream_forward_peak(3, 2, [0, 10], [50]) == 3 + 10 + 50 + 2
     assert stream_backward_peak(3, 3, 2, [0, 10], [50]) == 3 + 3 + 2 * 10 + 2 + 50
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_forward_peak_never_exceeds_backward_peak(case):
+    """The kept tile in the forward's head term moves no modelled peak: for
+    every checkpoint layout the chooser weighs, stream_f <= stream_b."""
+    net, z, grid, _ = sampled(case)
+    section = _Section(net, z, grid)
+    for layout in section.choose()[1]:
+        cuts, tiles = layout.cut_scalars, layout.tile_scalars
+        assert stream_forward_peak(section.params, section.head, cuts, tiles) <= \
+            stream_backward_peak(section.params, section.params, section.head, cuts, tiles)
 
 
 @pytest.mark.parametrize("case", SAMPLED)
