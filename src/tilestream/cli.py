@@ -176,8 +176,11 @@ def cmd_verify(cfg: ExperimentConfig):
 def cmd_train(cfg: ExperimentConfig):
     if not cfg.out:
         raise ConfigError("train needs an output directory (--out or config 'out')")
-    net, plan, _ = _prepare(cfg)
-    plan = plan if cfg.mode == "ssgd" else whole_image_plan(net, cfg.image_size)
+    if cfg.mode == "ssgd":
+        net, plan, _ = _prepare(cfg)
+    else:  # the configured grid plays no part
+        net = build_network(cfg)
+        plan = whole_image_plan(net, cfg.image_size)
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
                          in_channels=net.in_channels, noise=cfg.noise)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)

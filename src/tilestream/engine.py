@@ -9,13 +9,14 @@ maps into segments (tilestream.planner). Segment by segment, bottom-up,
 each tile's crop of the segment's input map (the image for the first
 segment) runs through the segment's layers with the plan's border-only
 padding, lands exactly on its owned region of the segment's output map
-and is pasted there; tile activations are then dropped, so only the cut
-maps (checkpoints and split map, plus head activations) persist, and the
-caches of the plan's last tile. The head runs once on the split map.
-Because every forward value depends only on its receptive field
-(fixed-shape conv products, exact max pooling; see tilestream.layers),
-each cut map is bit-identical to a whole-image pass, by induction from
-the image up.
+and is pasted there (a segment's lone tile owns the whole map, and its
+output becomes the map without a copy); tile activations are then
+dropped, so only the cut maps (checkpoints and split map, plus head
+activations) persist, and the caches of the plan's last tile. The head
+runs once on the split map. Because every forward value depends only on
+its receptive field (fixed-shape conv products, exact max pooling; see
+tilestream.layers), each cut map is bit-identical to a whole-image pass,
+by induction from the image up.
 
 Streaming backward: the head gradient is computed once on the whole split
 map. Segment by segment, top-down, each tile backpropagates its owned
@@ -165,12 +166,16 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     below = image
     last = plan.tiles[-1]
     for _, stop, tiles in plan.segments:
-        out = np.empty((n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
+        out = None if len(tiles) == 1 else np.empty(
+            (n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
         peak_tile = 0
         for tile in tiles:
             y, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=tile is last)
             o = tile.owned_split
-            out[:, :, o.y0:o.y1, o.x0:o.x1] = y
+            if out is None:  # a lone tile owns the whole map: its output is the cut map
+                out = y
+            else:
+                out[:, :, o.y0:o.y1, o.x0:o.x1] = y
             peak_tile = max(peak_tile, nbytes)
             record.tiles_forward += 1
         record.segment_tile_bytes.append(peak_tile)

@@ -29,21 +29,31 @@ conv's geometry is written down once, in the network.
   routed values tap by tap in reverse row-major order, which for every
   input pixel is output row-major order.
 
-Gradients are tolerance-only. conv2d_input_grad (W.T @ grad_out columns,
-then one strided col2im add per tap) and conv2d_param_grad (grad_out
-columns @ im2col columns.T, summed over bands) use products whose shapes
-follow the map, so tile and whole-image passes agree within the
+Gradients. conv2d_input_grad is a forward-shaped product: the stride-1
+correlation of grad_out, zero-stuffed at the conv's stride and
+zero-padded, with the flipped, transposed weights (Dumoulin & Visin,
+arXiv:1603.07285), through the forward's (c_in, K) @ (K, _BLOCK)
+products with K = c_out * k * k. For a stride-s conv the stuffed zeros
+make that s^2 times the products of a direct scatter; no preset has a
+strided conv. conv2d_param_grad multiplies grad_out by the forward's
+im2col columns, transposed, summed over bands. Gradients are
+tolerance-only: the parameter gradient's products have shapes that
+follow the map, and a tile adds only its own outputs' share to each
+input pixel's gradient, so tile and whole-image passes agree within the
 documented equivalence tolerances, not bitwise. Dense layers use einsum.
 
-Workspace. The conv kernels walk bands of whole output rows. A band has
-as many rows as keep its columns (K x band positions) within 1/_BAND_DIV
-of one image's output, but covers at least _BAND_MIN positions (whole
-rows, at most the map), because one-row bands made the input gradient
-2-3x slower on small maps. Besides its result a conv kernel allocates
-the band's columns (forward: rounded up to whole _BLOCKs, plus a
-(c_out, same) result buffer), a zero-padded copy of its input when pads
-are non-zero (forward and param grad), and the finiteness check's mask
-of one byte per result element.
+Workspace. All three conv kernels get their im2col columns from one
+banded column builder (_bands), band by band of whole output rows. A
+band has as many rows as keep its columns (K x band positions) within
+1/_BAND_DIV of one image's output, but covers at least _BAND_MIN
+positions (whole rows, at most the map), because one-row bands made the
+input gradient 2-3x slower on small maps. Besides its result a conv
+kernel allocates the band's columns (forward and input gradient: rounded
+up to whole _BLOCKs, plus a result buffer of the same width) and, when
+its source is padded or zero-stuffed, one staging buffer of a band's
+padded source rows, (c, s * (rows - 1) + k, padded width); no kernel
+copies or pads a whole map. The input gradient also holds its flipped
+weights, and the parameter gradient one (c_out, K) product per band.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
@@ -55,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NonFiniteError, ShapeError
 from .tensors import check_finite, check_same_dtype, check_tensor4
@@ -119,22 +129,16 @@ def out_size(z, k, s, p=0):
     return (z + 2 * p - k) // s + 1
 
 
-def _norm_pads(pads):
+def _norm_pads(pads, k):
+    """(top, bottom, left, right) from None, an int or a 4-tuple; each in [0, k)."""
     if pads is None:
         return (0, 0, 0, 0)
     if isinstance(pads, int):
-        return (pads,) * 4
+        pads = (pads,) * 4
     pt, pb, pl, pr = pads
-    if min(pt, pb, pl, pr) < 0:
-        raise ShapeError(f"negative pad {pads}")
+    if min(pt, pb, pl, pr) < 0 or max(pt, pb, pl, pr) >= k:
+        raise ShapeError(f"pads {pads} outside [0, kernel {k})")
     return (pt, pb, pl, pr)
-
-
-def _pad_input(x, pads):
-    pt, pb, pl, pr = pads
-    if pt == pb == pl == pr == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
 
 
 def _band_rows(kk, c_out, oh, ow):
@@ -144,36 +148,86 @@ def _band_rows(kk, c_out, oh, ow):
     return min(oh, max(c_out * oh // (_BAND_DIV * kk), -(-_BAND_MIN // ow)))
 
 
-def _windows(x, pads, k, s):
-    """(n, c, oh, ow, k, k) read-only view of the padded input's k x k windows at stride s."""
-    return sliding_window_view(_pad_input(x, pads), (k, k), axis=(2, 3))[:, :, ::s, ::s]
+def _stage(buf, src, pt, pl, d, a):
+    """Fill buf (c, R, width) with padded rows [a, a + R) of src (c, h, w):
+    source pixel (j, i) sits at (pt + d * j, pl + d * i), zeros elsewhere.
+    With d == 1 the column pads keep the zeros buf was allocated with."""
+    h, w = src.shape[1:]
+    j0 = max(0, -((pt - a) // d))
+    j1 = min(h, (a + buf.shape[1] - 1 - pt) // d + 1)
+    y0 = pt + d * j0 - a
+    y1 = y0 + d * (j1 - j0 - 1) + 1
+    if d > 1 or j1 <= j0:
+        buf.fill(0)
+    else:
+        if y0 > 0:
+            buf[:, :y0] = 0
+        if y1 < buf.shape[1]:
+            buf[:, y1:] = 0
+    if j1 > j0:
+        buf[:, y0:y1:d, pl : pl + d * (w - 1) + 1 : d] = src[:, j0:j1]
 
 
-def _im2col(win, i, r0, r1, cols):
-    """Copy the windows of output rows r0:r1 of image i into cols[:, :p],
-    rows ordered (ci, ky, kx) and columns (y, x); returns p = (r1 - r0) * ow."""
-    c, _, ow, k, _ = win.shape[1:]
-    p = (r1 - r0) * ow
-    np.copyto(cols[:, :p].reshape(c, k, k, r1 - r0, ow), win[i, :, r0:r1].transpose(0, 3, 4, 1, 2))
-    return p
+def _windows(a, k, s, oh, ow):
+    """Read-only (..., c, k, k, oh, ow) view of a's k x k windows at stride s."""
+    ys, xs = a.strides[-2:]
+    return as_strided(a, a.shape[:-2] + (k, k, oh, ow), a.strides[:-2] + (ys, xs, s * ys, s * xs),
+                      writeable=False)
 
 
-def _block_matmul(a, b, out):
-    """out = a @ b as one batched run of (r, K) @ (K, _BLOCK) products, plus
-    one narrower product for the last b.shape[1] % _BLOCK columns.
+def _bands(src, k, s, d, pads, oh, ow, rows, cols):
+    """The im2col column builder of every conv kernel.
 
-    The block-wide products have one shape per layer, so each column's
-    bits depend on its own operands alone; the forward zero-fills its
-    columns to whole blocks and never runs the narrower product. The
-    input gradient uses the same split for speed: on a shared 2-vCPU
-    x86_64 host, whole-band products such as (9, 4) @ (4, 28672)
-    intermittently took 5-16 ms, about 100x their usual time, while the
-    block-wide products kept their speed.
+    The source src (n, c, h, w) is zero-stuffed at step d and zero-padded
+    by pads; its k x k windows at stride s give oh x ow outputs. For each
+    image i and band [r0, r1) of at most `rows` output rows, fills
+    cols[:, :p], p = (r1 - r0) * ow, rows ordered (ci, ky, kx) and columns
+    (y, x), and yields (i, r0, r1, p). Each band's padded rows are staged
+    in one reusable (c, s * (rows - 1) + k, padded width) buffer, or with
+    no pads and no stuffing the source is read directly; one strided view,
+    made once, windows either.
     """
-    full = b.shape[1] - b.shape[1] % _BLOCK
-    np.matmul(a, b[:, :full].reshape(len(b), -1, _BLOCK).transpose(1, 0, 2),
-              out=out[:, :full].reshape(len(out), -1, _BLOCK).transpose(1, 0, 2))
-    np.matmul(a, b[:, full:], out=out[:, full:])
+    n, c, h, w = src.shape
+    pt, pb, pl, pr = pads
+    dst = cols[:, : rows * ow].reshape(c, k, k, rows, ow)
+    staged = d > 1 or any(pads)
+    if staged:
+        buf = np.zeros((c, s * (rows - 1) + k, pl + d * (w - 1) + 1 + pr), dtype=src.dtype)
+        win = _windows(buf, k, s, rows, ow)
+    else:
+        win = _windows(src, k, s, oh, ow)
+    for i in range(n):
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            if staged:
+                _stage(buf, src[i], pt, pl, d, s * r0)
+                band = win[:, :, :, : r1 - r0]
+            else:
+                band = win[i, :, :, :, r0:r1]
+            np.copyto(dst[:, :, :, : r1 - r0], band)
+            yield i, r0, r1, (r1 - r0) * ow
+
+
+def _correlate(src, wmat, k, s, d, pads, oh, ow):
+    """(n, r, oh, ow): wmat (r, K) times _bands' columns, one batched run of
+    (r, K) @ (K, _BLOCK) products per band. Each band's partial last block
+    is zero-filled, so every output column comes from a product of that
+    one shape (see the module docstring)."""
+    n = len(src)
+    r, kk = wmat.shape
+    rows = _band_rows(kk, r, oh, ow)
+    width = -(-rows * ow // _BLOCK) * _BLOCK
+    cols = np.empty((kk, width), dtype=src.dtype)
+    res = np.empty((r, width), dtype=src.dtype)
+    out = np.empty((n, r, oh * ow), dtype=src.dtype)
+    for i, r0, r1, p in _bands(src, k, s, d, pads, oh, ow, rows, cols):
+        m = -(-p // _BLOCK) * _BLOCK
+        if p < m:
+            cols[:, p:m] = 0
+        np.matmul(wmat, cols[:, :m].reshape(kk, -1, _BLOCK).transpose(1, 0, 2),
+                  out=res[:, :m].reshape(r, -1, _BLOCK).transpose(1, 0, 2))
+        out[i, :, r0 * ow : r1 * ow] = res[:, :p]
+    return out.reshape(n, r, oh, ow)
 
 
 def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
@@ -190,77 +244,41 @@ def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
     n, c, h, w = x.shape
     if c != spec.c_in:
         raise ShapeError(f"conv input channels {c} != spec c_in {spec.c_in}")
-    pads = _norm_pads(spec.pad if pads is None else pads)
-    pt, pb, pl, pr = pads
     k, s, co = spec.kernel, spec.stride, spec.c_out
+    pads = _norm_pads(spec.pad if pads is None else pads, k)
+    pt, pb, pl, pr = pads
     oh = out_size(h + pt + pb, k, s, 0)
     ow = out_size(w + pl + pr, k, s, 0)
-    kk = c * k * k
-    win = _windows(x, pads, k, s)
-    wmat = params.w.reshape(co, kk)
-    rows = _band_rows(kk, co, oh, ow)
-    width = -(-rows * ow // _BLOCK) * _BLOCK
-    cols = np.empty((kk, width), dtype=x.dtype)
-    res = np.empty((co, width), dtype=x.dtype)
-    out = np.empty((n, co, oh * ow), dtype=x.dtype)
-    for i in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            p = _im2col(win, i, r0, r1, cols)
-            m = -(-p // _BLOCK)
-            cols[:, p : m * _BLOCK] = 0
-            _block_matmul(wmat, cols[:, : m * _BLOCK], res[:, : m * _BLOCK])
-            out[i, :, r0 * ow : r1 * ow] = res[:, :p]
-    out += params.b[None, :, None]
-    return check_finite(out.reshape(n, co, oh, ow), "conv output")
-
-
-def _tap_span(o0, o1, t, s, pad, size):
-    """Along one axis: the outputs [lo, hi) of [o0, o1) whose tap t reads
-    inside [0, size) rather than padding, and the input slice they read."""
-    lo = max(o0, -((t - pad) // s))
-    hi = max(lo, min(o1, (size - 1 + pad - t) // s + 1))
-    x0 = s * lo + t - pad
-    return lo, hi, slice(x0, x0 + s * (hi - lo), s)
+    out = _correlate(x, params.w.reshape(co, c * k * k), k, s, 1, pads, oh, ow)
+    out += params.b[None, :, None, None]
+    return check_finite(out, "conv output")
 
 
 def conv2d_input_grad(grad_out, spec: Conv, params: ConvParams, in_hw, pads=None):
-    """Gradient w.r.t. the conv input: per row band, W.T @ grad_out columns,
-    then one strided col2im add per kernel tap."""
+    """Gradient w.r.t. the conv input: the stride-1 correlation of grad_out,
+    zero-stuffed at stride s and zero-padded by (k-1-pt, h+pt-1-s(oh-1),
+    k-1-pl, w+pl-1-s(ow-1)), with the flipped, transposed weights (see the
+    module docstring; s^2 times a direct scatter's products for s > 1)."""
     check_tensor4(grad_out, "conv grad_out")
     check_same_dtype(grad_out, params.w)
     n, co, oh, ow = grad_out.shape
     if co != spec.c_out:
         raise ShapeError(f"grad_out channels {co} != spec c_out {spec.c_out}")
-    pads = _norm_pads(spec.pad if pads is None else pads)
-    pt, pb, pl, pr = pads
     h, w = in_hw
     k, s, c = spec.kernel, spec.stride, spec.c_in
+    pt, pb, pl, pr = _norm_pads(spec.pad if pads is None else pads, k)
     if out_size(h + pt + pb, k, s, 0) != oh or out_size(w + pl + pr, k, s, 0) != ow:
         raise ShapeError(f"grad_out {grad_out.shape} inconsistent with input {in_hw}, {spec}")
-    kk = c * k * k
-    wt = params.w.reshape(co, kk).T
-    g = grad_out.reshape(n, co, oh * ow)
-    rows = _band_rows(kk, co, oh, ow)
-    cols = np.empty((kk, rows * ow), dtype=grad_out.dtype)
-    x_spans = [_tap_span(0, ow, kx, s, pl, w) for kx in range(k)]
-    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    for i in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            p = (r1 - r0) * ow
-            _block_matmul(wt, g[i, :, r0 * ow : r1 * ow], cols[:, :p])
-            taps = cols[:, :p].reshape(c, k, k, r1 - r0, ow)
-            for ky in range(k):
-                ylo, yhi, ys = _tap_span(r0, r1, ky, s, pt, h)
-                for kx, (xlo, xhi, xs) in enumerate(x_spans):
-                    gx[i, :, ys, xs] += taps[:, ky, kx, ylo - r0 : yhi - r0, xlo:xhi]
+    wflip = params.w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, co * k * k)
+    gpads = (k - 1 - pt, h + pt - 1 - s * (oh - 1), k - 1 - pl, w + pl - 1 - s * (ow - 1))
+    gx = _correlate(grad_out, wflip, k, 1, s, gpads, h, w)
     return check_finite(gx, "conv grad_in")
 
 
 def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     """Gradients w.r.t. conv weights and bias: per row band of the output,
-    grad_out columns @ im2col columns.T, accumulated over bands and images."""
+    grad_out columns @ the forward's im2col columns.T, accumulated over
+    bands and images."""
     check_tensor4(x, "conv input")
     check_tensor4(grad_out, "conv grad_out")
     check_same_dtype(x, grad_out)
@@ -268,21 +286,18 @@ def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
         raise ShapeError("batch mismatch between input and grad_out")
     n, c, h, w = x.shape
     _, co, oh, ow = grad_out.shape
-    pads = _norm_pads(spec.pad if pads is None else pads)
     k, s = spec.kernel, spec.stride
-    kk = c * k * k
-    win = _windows(x, pads, k, s)
-    if win.shape[2:4] != (oh, ow):
+    pads = _norm_pads(spec.pad if pads is None else pads, k)
+    pt, pb, pl, pr = pads
+    if out_size(h + pt + pb, k, s, 0) != oh or out_size(w + pl + pr, k, s, 0) != ow:
         raise ShapeError(f"grad_out {grad_out.shape} inconsistent with input {x.shape}, {spec}")
+    kk = c * k * k
     g = grad_out.reshape(n, co, oh * ow)
     rows = _band_rows(kk, co, oh, ow)
     cols = np.empty((kk, rows * ow), dtype=x.dtype)
     gw = np.zeros((co, kk), dtype=x.dtype)
-    for i in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            p = _im2col(win, i, r0, r1, cols)
-            gw += g[i, :, r0 * ow : r1 * ow] @ cols[:, :p].T
+    for i, r0, r1, p in _bands(x, k, s, 1, pads, oh, ow, rows, cols):
+        gw += g[i, :, r0 * ow : r1 * ow] @ cols[:, :p].T
     gw = gw.reshape(co, c, k, k)
     gb = grad_out.sum(axis=(0, 2, 3))
     check_finite(gw, "conv grad_w")

@@ -24,7 +24,9 @@ the same abstraction: retained scalars times bytes):
   first. A segment's backward holds the gradient of the cut map above it
   and the checkpoint gradient it accumulates below (none for the image).
   Backward recomputes the other tiles' forward crops, so one tile term
-  per segment serves both phases. Mini-batches stream per image with
+  per segment serves both phases. A segment of one tile takes that
+  tile's output as its cut map, which the formulas count twice, so for
+  it they are an upper bound. Mini-batches stream per image with
   gradients summed into one accumulator, so activation terms do not
   scale with batch size in streaming mode (the whole-image terms do).
 

@@ -52,8 +52,11 @@ def check_tensor4(x, name="tensor"):
 
 
 def check_finite(x, name="tensor"):
-    """Raise NonFiniteError if any scalar is NaN/Inf; returns x unchanged."""
-    if not np.isfinite(x).all():
+    """Raise NonFiniteError if any scalar is NaN/Inf; returns x unchanged.
+
+    Allocates no mask: a NaN propagates through min and max, and an Inf
+    is one of them."""
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise NonFiniteError(f"{name}: non-finite values detected")
     return x
 

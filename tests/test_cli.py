@@ -134,6 +134,14 @@ def test_grid_beyond_split_map_exits_2(tmp_path):
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
 
 
+def test_sgd_train_ignores_the_grid(tmp_path, capsys):
+    """Whole-image training builds only the 1x1 plan, so a grid the split
+    map cannot hold does not stop it."""
+    doc = dict(CONFIG, grid=[8, 8], mode="sgd")
+    code = main(["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+    assert code == 0, capsys.readouterr()
+
+
 @pytest.mark.parametrize("z", [16, 8])
 def test_image_too_small_exits_2(tmp_path, capsys, z):
     """At 16x16 the image is too small only for the head's pool, at 8x8

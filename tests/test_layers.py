@@ -107,6 +107,15 @@ def test_conv_errors(rng):
                        ConvParams(np.zeros((1, 1, 5, 5)), np.zeros(1)))  # kernel > input
     with pytest.raises(ShapeError):
         Conv(1, 3, 1, 3, c_in=1)  # pad >= kernel
+    one = Conv(1, 3, 1, 0, c_in=1)
+    p1 = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+    for pads in [(0, 3, 0, 0), (0, 0, -1, 0)]:  # a pad outside [0, kernel)
+        with pytest.raises(ShapeError):
+            conv2d_forward(x[:, :1], one, p1, pads)
+        with pytest.raises(ShapeError):
+            conv2d_input_grad(np.ones((1, 1, 2, 2)), one, p1, (4, 4), pads)
+        with pytest.raises(ShapeError):
+            conv2d_param_grad(x[:, :1], one, np.ones((1, 1, 2, 2)), pads)
     with pytest.raises(NonFiniteError):
         bad = x[:, :1].copy()
         bad[0, 0, 0, 0] = np.nan
@@ -508,29 +517,51 @@ def _traced_peak(fn):
     return peak, sum(a.nbytes for a in results)
 
 
-@pytest.mark.parametrize("shape,c_out", [((1, 4, 256, 256), 4), ((1, 32, 32, 32), 32)])
-def test_conv_workspace_within_band_policy(rng, shape, c_out):
+def _band_workspace(c, c_out, k, h, w, pads, item):
+    """Bytes one stride-1 correlation's bands may take, as (staging, rest):
+    the staging buffer of a band's padded source rows (none without pads),
+    and its im2col columns and result buffer, both whole _BLOCKs wide."""
+    kk = c * k * k
+    rows = min(h, max(c_out * h // (_BAND_DIV * kk), -(-_BAND_MIN // w)))
+    band = -(-rows * w // _BLOCK) * _BLOCK
+    pt, pb, pl, pr = pads
+    staging = c * (rows - 1 + k) * (w + pl + pr) if any(pads) else 0
+    return staging * item, (kk + c_out) * band * item
+
+
+@pytest.mark.parametrize("shape,c_out,pads", [
+    pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), id="shape0-4"),
+    pytest.param((1, 32, 32, 32), 32, (1, 1, 1, 1), id="shape1-32"),
+    pytest.param((1, 4, 256, 256), 4, (1, 0, 0, 1), id="shape0-4-border-pads")])
+def test_conv_workspace_within_band_policy(rng, shape, c_out, pads):
     """Beyond their results the kernels allocate at most the documented
-    workspace: band columns (and the forward's result buffer), the padded
-    input and the one-byte-per-element finiteness mask."""
+    workspace, one correlation's bands at a time (see _band_workspace); the
+    input gradient's source is grad_out padded by k - 1 - pad."""
     n, c, h, w = shape
     k, item = 3, 4
+    pt, pb, pl, pr = pads
     x = rng.standard_normal(shape).astype(np.float32)
     params = ConvParams(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
                         np.zeros(c_out, np.float32))
     spec = Conv(c_out, k, 1, 1, c_in=c)
-    grad = rng.standard_normal((n, c_out, h, w)).astype(np.float32)
-    kk = c * k * k
-    rows = min(h, max(c_out * h * w // (_BAND_DIV * kk * w), -(-_BAND_MIN // w)))
-    band = -(-rows * w // _BLOCK) * _BLOCK
-    padded = n * c * (h + 2) * (w + 2) * item
-    slack = 16 * 1024  # Python objects, views and (c_out, K) products
-    fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params)])
-    assert fwd_peak - fwd_out <= padded + (kk + c_out) * band * item + fwd_out // item + slack
-    bwd_peak, bwd_out = _traced_peak(lambda: conv2d_backward(x, spec, params, grad))
-    assert bwd_peak - bwd_out <= padded + kk * rows * w * item + x.size + slack
-    # the whole-map im2col this policy avoids would not fit the bound
-    assert kk * h * w * item > padded + (kk + c_out) * band * item + x.size + slack
+    oh, ow = h + pt + pb - k + 1, w + pl + pr - k + 1
+    grad = rng.standard_normal((n, c_out, oh, ow)).astype(np.float32)
+    slack = 16 * 1024  # Python objects and views
+    staging, rest = _band_workspace(c, c_out, k, oh, ow, pads, item)
+    fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params, pads)])
+    assert fwd_peak - fwd_out <= staging + rest + slack
+    # the parameter gradient's bands take at most the forward's; either
+    # gradient holds one (c_out, K) matrix: a band's product or the
+    # flipped weights
+    gpads = (k - 1 - pt, h + pt - oh, k - 1 - pl, w + pl - ow)
+    bwd = max(staging + rest, sum(_band_workspace(c_out, c, k, h, w, gpads, item)))
+    bwd += c * c_out * k * k * item
+    bwd_peak, bwd_out = _traced_peak(lambda: conv2d_backward(x, spec, params, grad, pads))
+    assert bwd_peak - bwd_out <= bwd + slack
+    # a whole-map padded copy in place of the staging buffer, or the
+    # whole-map im2col in place of the bands, would not fit the bounds
+    assert n * c * (h + pt + pb) * (w + pl + pr) * item > staging + slack
+    assert c * k * k * oh * ow * item > max(staging + rest, bwd) + slack
 
 
 def _loop_conv_grads(x, w, g, stride, pads):
@@ -573,6 +604,36 @@ def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
     for got, want in ((got_x, want_x), (got_w, want_w), (got_b, g.sum(axis=(0, 2, 3)))):
         assert got.dtype == f32 and got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2), c_in=st.integers(1, 8), c_out=st.integers(1, 8),
+       k=st.integers(1, 5), s=st.integers(1, 3), pads=st.tuples(*[st.integers(0, 4)] * 4),
+       h=st.integers(1, 40), w=st.integers(1, 24),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, c_in=3, c_out=2, k=3, s=1, pads=(1, 0, 0, 2), h=4, w=3,
+         dtype=np.float64, seed=0)  # a map smaller than one band
+@example(n=2, c_in=2, c_out=8, k=3, s=1, pads=(1, 1, 0, 1), h=40, w=20,
+         dtype=np.float32, seed=1)  # bands of 13 input rows: 13, 13, 13, 1
+@example(n=1, c_in=4, c_out=3, k=5, s=3, pads=(4, 0, 2, 3), h=39, w=23,
+         dtype=np.float32, seed=2)  # stuffed at stride 3, unread bottom rows
+def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, dtype, seed):
+    """The input gradient, a correlation of the stuffed, padded grad_out,
+    matches the adjoint loops of brute_conv in both precisions."""
+    pt, pb, pl, pr = (p % k for p in pads)
+    h, w = max(h, k - pt - pb), max(w, k - pl - pr)
+    r = np.random.default_rng(seed)
+    wt = r.standard_normal((c_out, c_in, k, k))
+    oh, ow = out_size(h + pt + pb, k, s), out_size(w + pl + pr, k, s)
+    g = r.standard_normal((n, c_out, oh, ow))
+    want, _ = _loop_conv_grads(np.zeros((n, c_in, h, w)), wt, g, s, (pt, pb, pl, pr))
+    spec = Conv(c_out, k, s, 0, c_in=c_in)
+    got = conv2d_input_grad(g.astype(dtype), spec,
+                            ConvParams(wt.astype(dtype), np.zeros(c_out, dtype)),
+                            (h, w), (pt, pb, pl, pr))
+    assert got.dtype == dtype and got.shape == want.shape
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_maxpool_backward_matches_per_map_scatter():

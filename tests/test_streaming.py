@@ -320,6 +320,26 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
     assert state.kept is None
 
 
+@pytest.mark.parametrize("checkpoints", [(), (10, 24)])
+def test_one_tile_segments_keep_their_tile_output(monkeypatch, checkpoints):
+    """On a 1x1 plan every cut map, the split map included, is the output
+    of its segment's lone tile, not a copy of it."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 96, (1, 1)).plan(checkpoints)
+    outputs, tile_pass = [], tilestream.engine._tile_pass
+
+    def recording(*args, want_cache):
+        result = tile_pass(*args, want_cache=want_cache)
+        outputs.append(result[0])
+        return result
+
+    monkeypatch.setattr(tilestream.engine, "_tile_pass", recording)
+    state = streaming_forward(net, init_params(net, 96, 0), synth_dataset(0, 96, 2)[0].image, plan)
+    assert len(outputs) == len(state.cut_maps) == len(checkpoints) + 1
+    for cut, out in zip(state.cut_maps, outputs):
+        assert np.shares_memory(cut, out) and cut.shape == out.shape
+
+
 def test_forward_state_of_another_plan_raises():
     """A forward state carries the caches of its plan's last tile: a 2x2
     state, whose cut maps have the shapes of the 4x4 plan's, and a state

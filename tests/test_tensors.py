@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,3 +87,25 @@ def test_validators():
     assert resolve_dtype("double") == np.float64
     with pytest.raises(ShapeError):
         resolve_dtype("half")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_finds_any_bad_scalar_without_a_mask(dtype, bad):
+    """check_finite finds one NaN or Inf anywhere in a map, also in a strided
+    view, and allocates no per-element mask on a finite one."""
+    x = np.zeros((1, 4, 64, 64), dtype)
+    tracemalloc.start()
+    try:
+        check_finite(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size // 8
+    for idx in [(0, 0, 0, 0), (0, 3, 63, 63), (0, 2, 17, 40)]:
+        y = x.copy()
+        y[idx] = bad
+        with pytest.raises(NonFiniteError):
+            check_finite(y)
+        with pytest.raises(NonFiniteError):
+            check_finite(y[:, :, idx[2]:, idx[3]:])
