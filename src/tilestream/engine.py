@@ -25,11 +25,14 @@ kept tile, from forward's caches, then every other tile, recomputing its
 forward crop from the segment's retained input map. Below the top
 segment that gradient is the checkpoint's gradient map, which the
 segment above filled by adding each tile's input gradient over its crop.
-Each tile computes its owned values exactly, so by linearity the
-per-tile parameter and input gradients sum to the whole-image gradients;
-only the order of summation differs. Input-image gradients are not
-produced. Tiles accumulate sequentially (the kept tile, then row-major),
-which pins the floating-point summation order.
+stack_backward (and head_backward) pops each layer's cache as that
+layer's backward starts and adds its parameter gradients into the pass's
+one ParamGrads, so a tile's activations are freed as its backward
+descends. Each tile computes its owned values exactly, so by linearity
+the per-tile parameter and input gradients sum to the whole-image
+gradients; only the order of summation differs. Input-image gradients
+are not produced. Tiles accumulate sequentially (the kept tile, then
+row-major), which pins the floating-point summation order.
 
 Memory accounting: byte counters measure the arrays each pass retains,
 under the accounting policy stated in tilestream.memory, and the engine
@@ -202,11 +205,8 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
         raise PlanError("forward state does not match this plan, or was backpropagated")
     kept, state.kept = state.kept, None
     grads = ParamGrads.zeros_like(params)
-    grad_above, head_grads = head_backward(dloss_dlogit, net, params,
-                                           state.head_caches, state.split_map.shape)
-    grads.add_by_layer_(head_grads)
-    del head_grads
-
+    grad_above = head_backward(dloss_dlogit, net, params, state.head_caches,
+                               state.split_map.shape, grads)
     record = state.record
     record.grads_bytes = param_bytes(grads.per_layer)
     inputs = [image] + state.cut_maps[:-1]
@@ -220,13 +220,10 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
             if kept:
                 (_, caches), kept = kept, None
             else:
-                _, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=True)
-                record.segment_tile_bytes[s] = max(record.segment_tile_bytes[s], nbytes)
+                _, caches, _ = _tile_pass(net, params, below, tile, want_cache=True)
             o = tile.owned_split
-            g = grad_above[:, :, o.y0:o.y1, o.x0:o.x1]
-            g_in, tile_grads = stack_backward(g, net, params, caches, start, stop)
-            del caches
-            grads.add_by_layer_(tile_grads)
+            g_in = stack_backward(grad_above[:, :, o.y0:o.y1, o.x0:o.x1], net, params,
+                                  caches, start, stop, grads)
             if grad_below is not None:
                 r = tile.input_forward
                 grad_below[:, :, r.y0:r.y1, r.x0:r.x1] += g_in

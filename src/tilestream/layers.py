@@ -53,7 +53,7 @@ up to whole _BLOCKs, plus a result buffer of the same width) and, when
 its source is padded or zero-stuffed, one staging buffer of a band's
 padded source rows, (c, s * (rows - 1) + k, padded width); no kernel
 copies or pads a whole map. The input gradient also holds its flipped
-weights, and the parameter gradient one (c_out, K) product per band.
+weights, and the parameter gradient one (c_out, K) product per call.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
@@ -296,8 +296,9 @@ def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     rows = _band_rows(kk, co, oh, ow)
     cols = np.empty((kk, rows * ow), dtype=x.dtype)
     gw = np.zeros((co, kk), dtype=x.dtype)
+    prod = np.empty_like(gw)
     for i, r0, r1, p in _bands(x, k, s, 1, pads, oh, ow, rows, cols):
-        gw += g[i, :, r0 * ow : r1 * ow] @ cols[:, :p].T
+        gw += np.matmul(g[i, :, r0 * ow : r1 * ow], cols[:, :p].T, out=prod)
     gw = gw.reshape(co, c, k, k)
     gb = grad_out.sum(axis=(0, 2, 3))
     check_finite(gw, "conv grad_w")

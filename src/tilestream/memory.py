@@ -23,10 +23,11 @@ the same abstraction: retained scalars times bytes):
   the head activations and the plan's last tile, which backward runs
   first. A segment's backward holds the gradient of the cut map above it
   and the checkpoint gradient it accumulates below (none for the image).
-  Backward recomputes the other tiles' forward crops, so one tile term
-  per segment serves both phases. A segment of one tile takes that
-  tile's output as its cut map, which the formulas count twice, so for
-  it they are an upper bound. Mini-batches stream per image with
+  Backward recomputes the other tiles' forward crops and releases each
+  layer's activations once its backward is done, so one tile term per
+  segment, T_j, bounds a tile's live activations in both phases. A
+  segment of one tile takes that tile's output as its cut map, which the
+  formulas count twice, so for it they are an upper bound. Mini-batches stream per image with
   gradients summed into one accumulator, so activation terms do not
   scale with batch size in streaming mode (the whole-image terms do).
 

@@ -231,12 +231,10 @@ class ParamGrads:
             mine.b += theirs.b
         return self
 
-    def add_by_layer_(self, by_layer):
-        """Add a {layer index: ConvParams/DenseParams} gradient dict in place."""
-        for i, pg in by_layer.items():
-            self.per_layer[i].w += pg.w
-            self.per_layer[i].b += pg.b
-        return self
+    def add_layer_(self, i, pg):
+        """Add layer i's gradients (ConvParams/DenseParams) in place."""
+        self.per_layer[i].w += pg.w
+        self.per_layer[i].b += pg.b
 
     def div_(self, count):
         for g in self.per_layer:
@@ -330,30 +328,32 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     return x, caches
 
 
-def stack_backward(grad_out, net, params, caches, start, stop):
-    """Backward through layers [start, stop); returns (grad_in, grads_by_layer).
+def stack_backward(grad_out, net, params, caches, start, stop, grads):
+    """Backward through layers [start, stop); returns the gradient wrt their input.
 
-    Nothing consumes a gradient with respect to the image, so with start 0
-    layer 0 yields only its parameter gradients and grad_in is None.
-    grad_out is never written (it may be a view of the caller's gradient
-    map): relu masks in place only gradient buffers the stack itself made.
+    Pops each layer's cache from caches (run_stack's list) as its backward
+    starts and adds its parameter gradients into grads, the pass's
+    ParamGrads. With start 0 layer 0 yields only its parameter gradients
+    (nothing consumes an image gradient) and None is returned. grad_out is
+    never written (it may be a view of the caller's gradient map): relu
+    masks in place only gradient buffers the stack itself made.
     """
-    grads = {}
     g = grad_out
     owns = False  # g is a buffer this call made; flatten's backward is a reshape view
     for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
-        g, pg = layer_backward(g, layer, params[i], caches[i - start],
+        g, pg = layer_backward(g, layer, params[i], caches.pop(),
                                inplace_ok=owns and isinstance(layer, Relu))
         if pg is not None:
-            grads[i] = pg
+            grads.add_layer_(i, pg)
         owns = owns or not isinstance(layer, Flatten)
     if start == 0:
+        cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
         if isinstance(net.layers[0], Conv):
-            x, pads = caches[0]
-            grads[0] = ConvParams(*conv2d_param_grad(x, net.layers[0], g, pads))
+            x, pads = cache
+            grads.add_layer_(0, ConvParams(*conv2d_param_grad(x, net.layers[0], g, pads)))
         g = None
-    return g, grads
+    return g
 
 
 def head_forward(split_map, net, params, byte_sink=None):
@@ -365,14 +365,14 @@ def head_forward(split_map, net, params, byte_sink=None):
     return out[:, 0], caches
 
 
-def head_backward(dlogit, net, params, caches, split_shape):
-    """Gradient of the head: returns (grad wrt split map, head grads dict)."""
+def head_backward(dlogit, net, params, caches, split_shape, grads):
+    """Head backward into grads, as stack_backward; returns the split-map gradient."""
     n = split_shape[0]
     g = np.asarray(dlogit).reshape(n, 1)
-    grad_map, grads = stack_backward(g, net, params, caches, net.split_index, len(net.layers))
+    grad_map = stack_backward(g, net, params, caches, net.split_index, len(net.layers), grads)
     if grad_map.shape != split_shape:
         raise ShapeError("head backward produced wrong split-map gradient shape")
-    return grad_map, grads
+    return grad_map
 
 
 def net_vgg13(in_channels=1, base=4, hidden=32):

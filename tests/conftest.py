@@ -55,10 +55,9 @@ def plain_backprop(net, params, image, label):
     split, caches = run_stack(image, net, params, 0, net.split_index)
     logit, head_caches = head_forward(split, net, params)
     loss, dlogit = bce_with_logits(logit[0], label)
-    grad_split, head_grads = head_backward(np.asarray([dlogit]), net, params, head_caches,
-                                           split.shape)
-    _, stream_grads = stack_backward(grad_split, net, params, caches, 0, net.split_index)
-    grads = ParamGrads.zeros_like(params).add_by_layer_(head_grads).add_by_layer_(stream_grads)
+    grads = ParamGrads.zeros_like(params)
+    grad_split = head_backward(np.asarray([dlogit]), net, params, head_caches, split.shape, grads)
+    stack_backward(grad_split, net, params, caches, 0, net.split_index, grads)
     return PassResult(float(loss), float(logit[0]), split, grads, None)
 
 

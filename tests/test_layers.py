@@ -551,8 +551,8 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads):
     fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params, pads)])
     assert fwd_peak - fwd_out <= staging + rest + slack
     # the parameter gradient's bands take at most the forward's; either
-    # gradient holds one (c_out, K) matrix: a band's product or the
-    # flipped weights
+    # gradient holds one (c_out, K) matrix: the product buffer the bands
+    # share or the flipped weights
     gpads = (k - 1 - pt, h + pt - oh, k - 1 - pl, w + pl - ow)
     bwd = max(staging + rest, sum(_band_workspace(c_out, c, k, h, w, gpads, item)))
     bwd += c * c_out * k * k * item

@@ -13,6 +13,7 @@ from tilestream.network import (
     Flatten,
     MaxPool,
     NetworkSpec,
+    ParamGrads,
     Relu,
     clone_params,
     head_backward,
@@ -104,7 +105,8 @@ def test_head_backward_fd(rng):
 
     logit, caches = head_forward(feats, net, params)
     _, dlogit = bce_with_logits(logit[0], 1)
-    gmap, _ = head_backward(np.asarray([dlogit]), net, params, caches, feats.shape)
+    gmap = head_backward(np.asarray([dlogit]), net, params, caches, feats.shape,
+                         ParamGrads.zeros_like(params))
     eps, worst = 1e-5, 0.0
     for idx in range(feats.size):
         orig = feats.flat[idx]
@@ -144,16 +146,18 @@ def test_stack_backward_never_writes_grad_out(rng, start):
     params = init_params(net, 8, seed=0)
     x, _ = run_stack(rng.standard_normal((1, 1, 8, 8)), net, params, 0, start)
     out, caches = run_stack(x, net, params, start, 6)
+    ref_caches = list(caches)  # stack_backward empties caches
     grad_out = rng.standard_normal(out.shape)
     keep = grad_out.copy()
-    g_in, grads = stack_backward(grad_out, net, params, caches, start, 6)
+    grads = ParamGrads.zeros_like(params)
+    g_in = stack_backward(grad_out, net, params, caches, start, 6, grads)
     assert grad_out.tobytes() == keep.tobytes()
-    g, ref = keep, {}
+    g, ref = keep, ParamGrads.zeros_like(params)
     for i in range(5, max(start, 1) - 1, -1):
-        g, pg = layer_backward(g, net.layers[i], params[i], caches[i - start])
+        g, pg = layer_backward(g, net.layers[i], params[i], ref_caches[i - start])
         if pg is not None:
-            ref[i] = pg
-    assert grads[4].w.tobytes() == ref[4].w.tobytes()
+            ref.add_layer_(i, pg)
+    assert grads.per_layer[4].w.tobytes() == ref.per_layer[4].w.tobytes()
     if start:
         assert g_in.tobytes() == g.tobytes()
 

@@ -1,12 +1,16 @@
 """Streaming vs whole-image equivalence, plan validity, plan JSON and the memory model."""
 
+import gc
 import itertools
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import tilestream.engine
+import tilestream.network
 from conftest import plain_backprop, sample_streaming_config
 from test_cli import CONFIG
 from tilestream.config import build_network, parse_config
@@ -320,6 +324,59 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
     assert state.kept is None
 
 
+def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
+    """On a whole-image (1x1) pass, when layer j's backward starts, every
+    array that only the caches of layers above j referenced is already
+    freed; afterwards the stream's and the head's cache lists are empty."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = whole_image_plan(net, 64)
+    params = init_params(net, 64, 0)
+    image = synth_dataset(0, 64, 2)[0].image
+    state = streaming_forward(net, params, image, plan)
+    stream_caches, head_caches = state.kept[1], state.head_caches
+    held = {id(m) for m in state.cut_maps}  # the engine keeps these until the pass ends
+    lowest = {}  # array id -> (lowest layer whose cache holds it, weakref)
+    for i, cache in enumerate(stream_caches + head_caches):
+        parts = cache if isinstance(cache, tuple) else (cache,)  # conv caches (x, pads)
+        for a in parts:
+            if isinstance(a, np.ndarray) and id(a) not in held:
+                lowest.setdefault(id(a), (i, weakref.ref(a)))
+    del cache, parts, a
+    alive, layer_backward = [], tilestream.network.layer_backward
+
+    def checking(grad_out, layer, lparams, cache, inplace_ok=False):
+        j = len(net.layers) - 1 - len(alive)  # layers run top-down; layer 0 never calls
+        assert layer is net.layers[j]
+        alive.append([i for i, ref in lowest.values() if i > j and ref() is not None])
+        return layer_backward(grad_out, layer, lparams, cache, inplace_ok)
+
+    monkeypatch.setattr(tilestream.network, "layer_backward", checking)
+    streaming_backward(net, params, image, plan, state, np.asarray([1.0]))
+    assert alive == [[]] * (len(net.layers) - 1)
+    assert stream_caches == [] and head_caches == []
+
+
+def test_whole_image_pass_traced_peak_within_model():
+    """The tracemalloc peak of one whole-image (1x1 plan) pass of vgg13@256
+    in single precision is at most estimate_streaming's modelled peak for
+    that plan. The scope is the whole-image case only; no bound on the
+    traced peak of tiled plans is claimed here."""
+    net = net_vgg13()
+    plan = whole_image_plan(net, 256)
+    params = init_params(net, 256, 0, "single")
+    sample = synth_dataset(0, 256, 2)[0]
+    image = sample.image.astype(np.float32)
+    streaming_loss_and_grads(net, params, image, sample.label, plan)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        streaming_loss_and_grads(net, params, image, sample.label, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate_streaming(net, plan, 1, "single").peak_bytes
+
+
 @pytest.mark.parametrize("checkpoints", [(), (10, 24)])
 def test_one_tile_segments_keep_their_tile_output(monkeypatch, checkpoints):
     """On a 1x1 plan every cut map, the split map included, is the output
@@ -560,9 +617,10 @@ def test_stack_backward_gives_layer0_param_grads_only(rng):
     params = init_params(net, 32, 0)
     x = rng.standard_normal((1, 1, 32, 32))
     out, caches = run_stack(x, net, params, 0, net.split_index)
-    g_in, grads = stack_backward(np.ones_like(out), net, params, caches, 0, net.split_index)
-    assert g_in is None
-    assert grads[0].w.shape == params[0].w.shape
-    g0 = np.ones((2,) + caches[1].shape[1:])  # relu 1 caches layer 0's output shape
+    grads = ParamGrads.zeros_like(params)
+    assert stack_backward(np.ones_like(out), net, params, caches, 0, net.split_index,
+                          grads) is None
+    assert np.any(grads.per_layer[0].w)
+    out0, caches = run_stack(x, net, params, 0, 1)  # fresh caches: the call above emptied them
     with pytest.raises(ShapeError, match="batch mismatch"):
-        stack_backward(g0, net, params, caches, 0, 1)
+        stack_backward(np.ones((2,) + out0.shape[1:]), net, params, caches, 0, 1, grads)
