@@ -65,15 +65,19 @@ def _prepare(cfg: ExperimentConfig):
     net = build_network(cfg)
     section = _Section(net, cfg.image_size, cfg.grid)
     chosen, layouts = section.choose()
-    plan = section.plan(chosen.checkpoints)
+    plan = section.plan(chosen.checkpoints, chosen.grids)
     report = validate_tile_plan(plan, net)
     if not report.ok:
         raise PlanError("; ".join(report.failures[:3]))
-    return net, plan, layouts
+    return net, plan, layouts, section.budget
+
+
+def _grids(grids):
+    return ",".join(f"{r}x{c}" for r, c in grids)
 
 
 def cmd_plan(cfg: ExperimentConfig):
-    net, plan, layouts = _prepare(cfg)
+    net, plan, layouts, budget = _prepare(cfg)
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
@@ -84,13 +88,18 @@ def cmd_plan(cfg: ExperimentConfig):
     print(format_table(net, stream))
     print()
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
+          f"segment grids: {_grids(plan.grids)}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     item = resolve_dtype(cfg.precision).itemsize
+    print(f"budget: modelled peak {budget * item:,} bytes, the least with every segment "
+          f"at {plan.grid[0]}x{plan.grid[1]}")
     for layout in layouts:
         maps = ",".join(map(str, layout.checkpoints)) or "none"
-        chosen = "  (chosen)" if layout == plan.layout else ""
-        print(f"checkpoints {maps}: modelled peak {layout.peak_scalars * item:,} bytes, "
-              f"conv work {layout.recompute:.2f}x{chosen}")
+        mark = ("  (chosen)" if layout == plan.layout
+                else "  (over budget)" if layout.peak_scalars > budget else "")
+        print(f"checkpoints {maps} grids {_grids(layout.grids)}: modelled peak "
+              f"{layout.peak_scalars * item:,} bytes, conv work {layout.recompute:.2f}x, "
+              f"{layout.calls} tile-layer calls, {layout.seconds:.3f} s modelled{mark}")
     g = 1
     while g <= min(plan.split_hw):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid
@@ -109,7 +118,7 @@ def cmd_plan(cfg: ExperimentConfig):
 
 
 def cmd_verify(cfg: ExperimentConfig):
-    net, plan, _ = _prepare(cfg)
+    net, plan, _, _ = _prepare(cfg)
     whole = whole_image_plan(net, cfg.image_size)
     data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
                          in_channels=net.in_channels, noise=cfg.noise)
@@ -177,7 +186,7 @@ def cmd_train(cfg: ExperimentConfig):
     if not cfg.out:
         raise ConfigError("train needs an output directory (--out or config 'out')")
     if cfg.mode == "ssgd":
-        net, plan, _ = _prepare(cfg)
+        net, plan, _, _ = _prepare(cfg)
     else:  # the configured grid plays no part
         net = build_network(cfg)
         plan = whole_image_plan(net, cfg.image_size)
@@ -204,7 +213,7 @@ def cmd_train(cfg: ExperimentConfig):
 
 
 def cmd_bench(cfg: ExperimentConfig):
-    net, plan, _ = _prepare(cfg)
+    net, plan, _, _ = _prepare(cfg)
     data = synth_dataset(cfg.seed, cfg.image_size, max(cfg.batch_size * 2, 2),
                          in_channels=net.in_channels, noise=cfg.noise)
     steps = int(cfg.bench.get("steps", 3))

@@ -286,6 +286,7 @@ def sgd_step(params, grads: ParamGrads, lr):
         if g is None or g.w.shape != p.w.shape:
             raise ShapeError("gradient/parameter shape mismatch in sgd_step")
         scale = p.w.dtype.type(lr)
-        p.w -= scale * g.w
+        for pw, gw in zip(p.w, g.w):  # row by row: no temporary as large as a weight
+            pw -= scale * gw
         p.b -= scale * g.b
     return params

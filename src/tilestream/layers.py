@@ -14,10 +14,12 @@ conv's geometry is written down once, in the network.
   rows ordered (ci, ky, kx). Every output column, all c_out channels of
   one position, comes from a product of one fixed shape,
   (c_out, K) @ (K, _BLOCK) with K = c_in * k * k, whatever the map size
-  and wherever the position falls in its block; a partial last block is
-  zero-filled. BLAS promises no reduction order across shapes (a column
-  of A @ B can change bits with the number of columns or its offset),
-  but one shape computes each column from that column's operands alone.
+  and wherever the position falls in its block; a partial last block
+  reads stale columns of an earlier band in its spare columns, and its
+  spare outputs are overwritten or dropped. BLAS promises no
+  reduction order across shapes (a column of A @ B can change bits with
+  the number of columns or its offset), but one shape computes each
+  column from that column's operands alone.
   tests/test_layers.py checks crops against whole maps bit for bit in
   both precisions. The bias is added last.
 * maxpool2d_forward is the running np.maximum of the k * k strided tap
@@ -49,10 +51,11 @@ band has as many rows as keep its columns (K x band positions) within
 positions (whole rows, at most the map), because one-row bands made the
 input gradient 2-3x slower on small maps. Besides its result a conv
 kernel allocates the band's columns (forward and input gradient: rounded
-up to whole _BLOCKs, plus a result buffer of the same width) and, when
-its source is padded or zero-stuffed, one staging buffer of a band's
-padded source rows, (c, s * (rows - 1) + k, padded width); no kernel
-copies or pads a whole map. The input gradient also holds its flipped
+up to whole _BLOCKs, plus a result buffer of the same width once a
+band's last block runs past the map) and, when its source is padded or
+zero-stuffed, one staging buffer of a band's padded source rows,
+(c, s * (rows - 1) + k, padded width); no kernel copies or pads a whole
+map. The input gradient also holds its flipped
 weights, and the parameter gradient one (c_out, K) product per call.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
@@ -210,23 +213,30 @@ def _bands(src, k, s, d, pads, oh, ow, rows, cols):
 
 def _correlate(src, wmat, k, s, d, pads, oh, ow):
     """(n, r, oh, ow): wmat (r, K) times _bands' columns, one batched run of
-    (r, K) @ (K, _BLOCK) products per band. Each band's partial last block
-    is zero-filled, so every output column comes from a product of that
-    one shape (see the module docstring)."""
+    (r, K) @ (K, _BLOCK) products per band, written straight into the
+    output. A band's partial last block reads stale columns of an earlier
+    band (zeros before the first) and spills into the next band's
+    positions, which that band overwrites; only a band whose blocks run
+    past the image's map goes through a result buffer. Every output column
+    comes from a product of that one shape (see the module docstring)."""
     n = len(src)
     r, kk = wmat.shape
     rows = _band_rows(kk, r, oh, ow)
     width = -(-rows * ow // _BLOCK) * _BLOCK
-    cols = np.empty((kk, width), dtype=src.dtype)
-    res = np.empty((r, width), dtype=src.dtype)
+    cols = np.zeros((kk, width), dtype=src.dtype)
     out = np.empty((n, r, oh * ow), dtype=src.dtype)
+    res = None
     for i, r0, r1, p in _bands(src, k, s, d, pads, oh, ow, rows, cols):
         m = -(-p // _BLOCK) * _BLOCK
-        if p < m:
-            cols[:, p:m] = 0
+        a = r0 * ow
+        past_map = a + m > oh * ow
+        if past_map and res is None:
+            res = np.empty((r, width), dtype=src.dtype)
+        dst = res[:, :m] if past_map else out[i, :, a : a + m]
         np.matmul(wmat, cols[:, :m].reshape(kk, -1, _BLOCK).transpose(1, 0, 2),
-                  out=res[:, :m].reshape(r, -1, _BLOCK).transpose(1, 0, 2))
-        out[i, :, r0 * ow : r1 * ow] = res[:, :p]
+                  out=dst.reshape(r, -1, _BLOCK).transpose(1, 0, 2))
+        if past_map:
+            out[i, :, a : a + p] = res[:, :p]
     return out.reshape(n, r, oh, ow)
 
 

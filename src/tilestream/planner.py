@@ -18,7 +18,7 @@ Segments
 --------
 A plan cuts the streaming section at checkpoint maps 0 < c_1 < .. < c_k
 < L into segments [0, c_1), [c_1, c_2), .., [c_k, L); with no checkpoint
-it is the one segment [0, L). Each segment is tiled with the plan's grid
+it is the one segment [0, L). Each segment is tiled with its own grid
 over its output map: that map is partitioned near-equally (remainder to
 the last row/column), each tile owns one rectangle of it, and the tile's
 chain back-projects the rectangle down to the segment's input map. The
@@ -34,21 +34,51 @@ through its pads, per axis, checking that every pad sits at the map
 border within the layer pad and every padded window lies on the layer's
 sampling lattice, and that the walk lands on the owned rectangle.
 
-Choosing the checkpoints
-------------------------
-The candidate checkpoints are the streaming section's pool outputs below
-the split map. choose_layout models every set of them (the empty set
-included) under tilestream.memory's streaming formula and keeps the set
-with the smallest modelled peak, breaking ties by fewer conv
-multiply-adds, then by fewer checkpoints. Each distinct segment is
-evaluated once, on per-axis intervals: its tiles are the product of its
-row and column parts, so a tile's retained scalars, each layer's largest
-tile output and the conv work factor into row and column terms. This
-per-axis model is the plan's only model; its Layout carries every
-streaming term estimate_streaming prints, as scalar counts, which do not
-scale with the batch, so one choice holds for both precisions and every
-batch size. choose_layout builds no tiles; build_tile_plan builds tile
-entries for the chosen layout only.
+Choosing the layout
+-------------------
+A layout is a set of checkpoint maps and one grid per segment. The
+candidate checkpoints are the streaming section's pool outputs below the
+split map that hold the configured grid; a segment's grid is a
+coarsening of the configured (r, c), (max(1, r >> j), max(1, c >> j))
+for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole.
+
+The budget is the smallest modelled peak (tilestream.memory's streaming
+formula) over every set of checkpoints, the empty set included, with
+every segment at the configured grid. Within the budget choose_layout
+keeps the layout with the least modelled step time
+
+    SEC_PER_MAC * conv multiply-adds + SEC_PER_CALL * tile-layer calls
+
+(a tile-layer call is one tile through one layer), breaking ties by the
+smaller peak, then by fewer checkpoints. The search is separable: for a
+fixed set of checkpoints each phase peak is a maximum of terms that hold
+at most one segment's tile term T_j, so a layout fits the budget exactly
+when each segment fits with every other tile term at zero, and the time
+is a sum over segments. Each segment therefore takes its fastest grid
+that fits on its own (ties to the smaller T_j), which equals the best of
+the exhaustive product of grids.
+
+The constants are fitted on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS,
+two BLAS threads), single precision. One vgg13@512 image ran forward and
+backward (streaming_loss_and_grads) through 9 layouts, interleaved in
+one process: no checkpoints at 1x1 and 2x2; checkpoint 17 at 4x4,4x4,
+4x4,2x2 and 8x8,4x4; checkpoints 10,17 at 4x4,2x2,1x1; checkpoints
+10,17,24 at 8x8,4x4,2x2,1x1, 4x4,4x4,2x2,1x1 and 4x4,2x2,2x2,1x1. The
+medians of their step seconds were fitted by least squares on conv
+multiply-adds, tile-layer calls and a constant (about 0.05 s, the same
+for every layout, so it is left out). Two fits, of 5 and 7 runs per
+layout, gave 2.97e-10 and 3.14e-10 s per multiply-add and 2.86e-4 and
+2.97e-4 s per call. Refit them the same way on another host.
+
+Each distinct (segment, grid) is evaluated once, on per-axis intervals:
+its tiles are the product of its row and column parts, so a tile's
+retained scalars, each layer's largest tile output and the conv work
+factor into row and column terms. This per-axis model is the plan's only
+model; its Layout carries every streaming term estimate_streaming
+prints, as scalar counts, which do not scale with the batch, so one
+choice holds for both precisions and every batch size. choose_layout
+builds no tiles; build_tile_plan builds tile entries for the chosen
+layout only.
 
 Backward
 --------
@@ -61,15 +91,17 @@ ownership is planned.
 Plan files
 ----------
 TilePlan.to_json writes the plan (plan.json of the plan command, schema
-4) for people and tools that read it: each tile's segment, owned
-rectangle, input crop and pads. Nothing in the package loads a plan
-file, so plans are always rebuilt from (network, image size, grid).
+5) for people and tools that read it: each segment's grid, and each
+tile's segment, owned rectangle, input crop and pads. Nothing in the
+package loads a plan file, so plans are always rebuilt from (network,
+image size, grid).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, groupby
 from operator import attrgetter
 
@@ -80,7 +112,11 @@ from .layers import Conv
 from .memory import count_param_scalars, head_layer_bytes, stream_backward_peak, stream_forward_peak
 from .network import MaxPool, NetworkSpec, retains_output
 
-PLAN_SCHEMA_VERSION = 4
+PLAN_SCHEMA_VERSION = 5
+
+# The modelled step time's constants (module doc, "Choosing the layout").
+SEC_PER_MAC = 3.0e-10     # seconds per conv multiply-add of a tile pass
+SEC_PER_CALL = 2.9e-4     # seconds per tile-layer call
 
 
 def backproject_span(a, b, k, s, p, in_size):
@@ -178,12 +214,16 @@ class TileEntry:
 
 @dataclass(frozen=True)
 class Layout:
-    """One set of checkpoint maps and what the planner models for it, in
-    scalars: times the itemsize they are tilestream.memory's streaming terms."""
+    """One set of checkpoint maps with a grid per segment, and what the
+    planner models for it. Memory is in scalars: times the itemsize they are
+    tilestream.memory's streaming terms."""
 
     checkpoints: tuple
+    grids: tuple                       # (rows, cols) per segment, bottom-up
     peak_scalars: int                  # modelled streaming peak
     recompute: float                   # conv multiply-adds of all tiles over one whole-image pass
+    calls: int                         # tile-layer calls: each segment's tiles times its layers
+    seconds: float                     # modelled step time
     cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
     tile_scalars: tuple                # largest tile pass (crop and kept outputs) per segment
     layer_scalars: tuple               # largest tile output per streaming layer
@@ -193,7 +233,7 @@ class Layout:
 class TilePlan:
     image_size: int
     split_index: int
-    grid: tuple
+    grid: tuple                        # the configured grid; each segment's is in grids
     geoms: list
     map_sizes: list                    # (h, w) per map 0..L
     tiles: list                        # segment by segment bottom-up, row-major in each
@@ -206,6 +246,11 @@ class TilePlan:
     @property
     def checkpoints(self):
         return self.layout.checkpoints
+
+    @property
+    def grids(self):
+        """(rows, cols) per segment, bottom-up."""
+        return self.layout.grids
 
     @property
     def cuts(self):
@@ -224,11 +269,11 @@ class TilePlan:
         return self.layout.recompute
 
     def to_json_dict(self):
-        """Schema version 4, written for readers. Each tile names its
-        segment, its owned rectangle of the segment's top map (the split map
-        only for the top segment), its input crop and its pads per layer;
-        back-projecting the owned rectangle (backproject_span) gives the
-        regions between."""
+        """Schema version 5, written for readers. grids holds each segment's
+        grid, bottom-up. Each tile names its segment, its owned rectangle of
+        the segment's top map (the split map only for the top segment), its
+        input crop and its pads per layer; back-projecting the owned
+        rectangle (backproject_span) gives the regions between."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
@@ -237,6 +282,7 @@ class TilePlan:
             "geoms": [list(g) for g in self.geoms],
             "map_sizes": [list(sz) for sz in self.map_sizes],
             "checkpoints": list(self.checkpoints),
+            "grids": [list(g) for g in self.grids],
             "tiles": [
                 {
                     "row": t.row,
@@ -256,7 +302,7 @@ class TilePlan:
 
 class _Section:
     """The streaming section of one (network, image size, grid), with each
-    segment evaluated once, on per-axis intervals."""
+    (segment, grid) evaluated once, on per-axis intervals."""
 
     def __init__(self, net: NetworkSpec, image_size, grid):
         if min(grid) < 1:
@@ -282,9 +328,14 @@ class _Section:
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
         self.params = count_param_scalars(net, image_size)
         self.head = sum(b for _, b in head_layer_bytes(net, image_size, 1))
-        self.candidates = [m + 1 for m, layer in enumerate(layers)
-                           if isinstance(layer, MaxPool) and m + 1 < L
-                           and self.sizes[m + 1] >= max(grid)]
+        candidates = [m + 1 for m, layer in enumerate(layers)
+                      if isinstance(layer, MaxPool) and m + 1 < L
+                      and self.sizes[m + 1] >= max(grid)]
+        self.checkpoint_sets = list(chain.from_iterable(
+            combinations(candidates, r) for r in range(len(candidates) + 1)))
+        r, c = self.grid
+        self.coarsenings = [(max(1, r >> j), max(1, c >> j))
+                            for j in range(max(r, c).bit_length())]
         self._axes = {}
         self._segments = {}
 
@@ -299,11 +350,12 @@ class _Section:
             self._axes[(b, parts)] = chains, extents
         return self._axes[(b, parts)]
 
-    def segment(self, a, b):
+    def segment(self, a, b, grid):
         """(largest tile pass, conv multiply-adds of all tiles, largest tile
-        output per layer) of segment [a, b), in scalars."""
-        if (a, b) not in self._segments:
-            (_, hy), (_, wx) = (self._axis(b, parts) for parts in self.grid)
+        output per layer, tile-layer calls, modelled seconds) of segment
+        [a, b) cut by grid, in scalars."""
+        if (a, b, grid) not in self._segments:
+            (_, hy), (_, wx) = (self._axis(b, parts) for parts in grid)
             # a tile retains its crop of map a and the kept outputs above it
             kept = np.array([self.channels[a]] + self.kept[a:b])
             tile_peak = int(((hy[:, a:] * kept) @ wx[:, a:].T).max())
@@ -312,33 +364,71 @@ class _Section:
                 self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
             outputs = tuple(k * h * w for k, h, w in zip(
                 self.kept[a:b], rows.max(axis=0).tolist(), cols.max(axis=0).tolist()))
-            self._segments[(a, b)] = tile_peak, conv_macs, outputs
-        return self._segments[(a, b)]
+            calls = grid[0] * grid[1] * (b - a)
+            self._segments[(a, b, grid)] = (tile_peak, conv_macs, outputs, calls,
+                                            SEC_PER_MAC * conv_macs + SEC_PER_CALL * calls)
+        return self._segments[(a, b, grid)]
 
-    def layout(self, checkpoints):
-        checkpoints = tuple(checkpoints)
-        cuts = (0,) + checkpoints + (self.net.split_index,)
-        tiles, macs, outputs = zip(*(self.segment(a, b) for a, b in zip(cuts, cuts[1:])))
-        cut_scalars = (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
-        peak = max(stream_forward_peak(self.params, self.head, cut_scalars, tiles),
+    def _cuts(self, checkpoints):
+        cuts = (0,) + tuple(checkpoints) + (self.net.split_index,)
+        return cuts, (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
+
+    def _peak(self, cut_scalars, tiles):
+        return max(stream_forward_peak(self.params, self.head, cut_scalars, tiles),
                    stream_backward_peak(self.params, self.params, self.head, cut_scalars, tiles))
-        return Layout(checkpoints, peak, sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                      cut_scalars, tiles, tuple(chain.from_iterable(outputs)))
+
+    def layout(self, checkpoints, grids=None):
+        """The Layout of these checkpoints, each segment at its grid in grids
+        (default: every segment at the configured grid)."""
+        checkpoints = tuple(checkpoints)
+        cuts, cut_scalars = self._cuts(checkpoints)
+        grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
+        tiles, macs, outputs, calls, seconds = zip(
+            *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
+        return Layout(checkpoints, grids, self._peak(cut_scalars, tiles),
+                      sum(macs) / self.whole_macs if self.whole_macs else 1.0,
+                      sum(calls), sum(seconds), cut_scalars, tiles,
+                      tuple(chain.from_iterable(outputs)))
+
+    @cached_property
+    def budget(self):
+        """The smallest modelled peak, in scalars, over every set of
+        checkpoints with every segment at the configured grid."""
+        return min(self.layout(cps).peak_scalars for cps in self.checkpoint_sets)
+
+    def fastest(self, checkpoints):
+        """The Layout of these checkpoints with the least modelled seconds
+        within the budget, each segment's grid chosen on its own (module
+        doc, "Choosing the layout"); None if some segment fits no grid."""
+        cuts, cut_scalars = self._cuts(checkpoints)
+        grids = []
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            fits = []
+            for grid in self.coarsenings:
+                tile, _, _, _, seconds = self.segment(a, b, grid)
+                alone = [0] * (len(cuts) - 1)
+                alone[j] = tile
+                if self._peak(cut_scalars, alone) <= self.budget:
+                    fits.append((seconds, tile, grid))
+            if not fits:
+                return None
+            grids.append(min(fits)[2])
+        return self.layout(checkpoints, grids)
 
     def choose(self):
         """(chosen Layout, every Layout weighed); see choose_layout."""
-        cands = self.candidates
-        sets = chain.from_iterable(combinations(cands, r) for r in range(len(cands) + 1))
-        layouts = [self.layout(cps) for cps in sets]
-        return min(layouts, key=lambda c: (c.peak_scalars, c.recompute)), layouts
+        layouts = [self.fastest(cps) or self.layout(cps) for cps in self.checkpoint_sets]
+        fits = [c for c in layouts if c.peak_scalars <= self.budget]
+        return min(fits, key=lambda c: (c.seconds, c.peak_scalars, len(c.checkpoints))), layouts
 
-    def plan(self, checkpoints):
-        """The TilePlan cut at these checkpoints."""
-        layout = self.layout(checkpoints)
-        cuts = (0,) + layout.checkpoints + (self.net.split_index,)
+    def plan(self, checkpoints, grids=None):
+        """The TilePlan cut at these checkpoints, each segment tiled by its
+        grid in grids (default: the configured grid)."""
+        layout = self.layout(checkpoints, grids)
+        cuts, _ = self._cuts(layout.checkpoints)
         tiles = []
-        for a, b in zip(cuts, cuts[1:]):
-            (rows, _), (cols, _) = (self._axis(b, parts) for parts in self.grid)
+        for a, b, grid in zip(cuts, cuts[1:], layout.grids):
+            (rows, _), (cols, _) = (self._axis(b, parts) for parts in grid)
             for i, (y_ivs, y_pads) in enumerate(rows):
                 for j, (x_ivs, x_pads) in enumerate(cols):
                     crop, owned = (Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
@@ -353,9 +443,11 @@ class _Section:
 def choose_layout(net: NetworkSpec, image_size, grid):
     """(chosen Layout, every Layout weighed) for (network, image size, grid).
 
-    Weighs every set of checkpoint maps and keeps the one with the
-    smallest modelled peak, then fewest conv multiply-adds, then fewest
-    checkpoints (module doc, "Choosing the checkpoints"). Builds no tiles.
+    Weighs every set of checkpoint maps, each with its fastest per-segment
+    grids within the budget (or, if none fit, every segment at the
+    configured grid), and keeps the least modelled step time, then the
+    smallest peak, then fewest checkpoints (module doc, "Choosing the
+    layout"). Builds no tiles.
     """
     return _Section(net, image_size, grid).choose()
 
@@ -365,7 +457,7 @@ def build_tile_plan(net: NetworkSpec, image_size, grid):
     the layout choose_layout keeps."""
     section = _Section(net, image_size, grid)
     chosen, _ = section.choose()
-    return section.plan(chosen.checkpoints)
+    return section.plan(chosen.checkpoints, chosen.grids)
 
 
 def whole_image_plan(net: NetworkSpec, image_size):
@@ -442,7 +534,6 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
 
     geoms = net.stream_geoms()
     L = len(geoms)
-    rows, cols = plan.grid
     try:
         sizes = [shape[2] for shape in net.activation_shapes(plan.image_size)[: L + 1]]
     except ShapeError as exc:
@@ -457,10 +548,12 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     if [(a, b) for a, b, _ in segments] != list(zip(cuts, cuts[1:])):
         fail("segments", "tiles do not run segment by segment between the cuts")
         return ValidationReport(False, failures)
-    if any(len(tiles) != rows * cols for _, _, tiles in segments):
-        fail("grid", "tile count of a segment does not match grid")
+    grids = plan.grids
+    if len(grids) != len(segments) or any(
+            len(tiles) != rows * cols for (_, _, tiles), (rows, cols) in zip(segments, grids)):
+        fail("grid", "tile count of a segment does not match its grid")
         return ValidationReport(False, failures)
-    for _, b, tiles in segments:
+    for (_, b, tiles), (rows, cols) in zip(segments, grids):
         _check_partition(fail, tiles, rows, cols, sizes[b],
                          "split map" if b == L else f"checkpoint map {b}")
 

@@ -47,11 +47,18 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         assert "recompute: 1.00x whole-image conv work" in text
         assert "grid 1x1: recompute 0.89x" in text
         assert "grid 4x4: recompute " in text and "grid 8x8" not in text
-        # one candidate checkpoint, the pool output (map 2); one segment models less
+        # one candidate checkpoint, the pool output (map 2); one segment models
+        # less, and its 1x1 grid exceeds that budget
         item = 8 if precision == "double" else 4
-        assert (f"checkpoints none: modelled peak {1753 * item:,} bytes, conv work 1.00x"
-                "  (chosen)\n") in text
-        assert f"checkpoints 2: modelled peak {2366 * item:,} bytes, conv work 1.00x\n" in text
+        assert f"budget: modelled peak {1753 * item:,} bytes, the least with every segment " \
+               "at 2x2\n" in text
+        seconds = r"\d\.\d{3} s modelled"
+        assert re.search(rf"^checkpoints none grids 2x2: modelled peak {1753 * item:,} bytes, "
+                         rf"conv work 1\.00x, 12 tile-layer calls, {seconds}  \(chosen\)$",
+                         text, re.M)
+        assert re.search(rf"^checkpoints 2 grids 2x2,2x2: modelled peak {2366 * item:,} bytes, "
+                         rf"conv work 1\.00x, 12 tile-layer calls, {seconds}  \(over budget\)$",
+                         text, re.M)
     if command == "bench":
         # the modelled and the traced peak, side by side, on stdout and in bench.json
         printed = json.loads(capsys.readouterr().out)
@@ -181,7 +188,13 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
     doc = {"version": 1, "network": {"preset": "vgg13"}, "image_size": 512, "grid": [4, 4]}
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
     text = capsys.readouterr().out
-    assert "tiles: 32  grid: 4x4" in text and len(built) == 32
+    assert "tiles: 20  grid: 4x4  segment grids: 4x4,2x2" in text and len(built) == 20
+    number = r"\d[\d,.]*"
+    candidates = re.findall(rf"^checkpoints (\S+) grids (\S+): modelled peak ({number}) bytes, "
+                            rf"conv work {number}x, (\d+) tile-layer calls, {number} s modelled"
+                            r"(  \(chosen\)|  \(over budget\))?$", text, re.M)
+    assert len(candidates) == 16 and [c[0] for c in candidates if "over" not in c[4]] == ["17"]
+    assert ("17", "4x4,2x2", "9,904,088", "324", "  (chosen)") in candidates
     ratios = re.findall(r"^grid (\d+)x\1: recompute (\S+)x$", text, re.M)
     assert [int(g) for g, _ in ratios] == [1, 2, 4, 8, 16, 32]
     for g, ratio in ratios:

@@ -1,5 +1,6 @@
 """Streaming vs whole-image equivalence, plan validity, plan JSON and the memory model."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -112,15 +113,10 @@ LAYOUTS = [cps for r in range(len(POOL_OUTPUTS) + 1)
            for cps in itertools.combinations(POOL_OUTPUTS, r)]
 
 
-@pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
-@pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
-def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
-    """Every cut map is bit-identical to whole-image, and so are the loss
-    and split map; gradients agree within the precision's tolerance."""
-    net = net_vgg13(base=2, hidden=4)
-    plan = _Section(net, z, grid).plan(checkpoints)
-    assert plan.checkpoints == checkpoints and validate_tile_plan(plan, net).ok
+def assert_layout_matches_whole_image(net, z, plan, precision):
+    """Every cut map of plan is bit-identical to whole-image, and so are the
+    loss and split map; gradients agree within the precision's tolerance."""
+    assert validate_tile_plan(plan, net).ok
     params = init_params(net, z, 3, precision)
     sample = synth_dataset(3, z, 2)[1]
     image = sample.image.astype(params[0].w.dtype)
@@ -148,38 +144,113 @@ def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
     assert est.peak_bytes == plan.layout.peak_scalars * image.itemsize
 
 
+@pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
+def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
+    """Every segment at the configured grid."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, z, grid).plan(checkpoints)
+    assert plan.checkpoints == checkpoints and plan.grids == (grid,) * (len(checkpoints) + 1)
+    assert_layout_matches_whole_image(net, z, plan, precision)
+
+
+def coarsenings(grid):
+    """The grids a segment may take: (max(1, r >> j), max(1, c >> j)), j = 0, 1, .. to 1x1."""
+    r, c = grid
+    return sorted({(max(1, r >> j), max(1, c >> j)) for j in range(max(r, c).bit_length())},
+                  reverse=True)
+
+
+@pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
+def test_every_mixed_grid_layout_matches_whole_image(z, grid, precision, checkpoints):
+    """Mixed grids: segment s takes the configured grid coarsened s times
+    (down to 1x1), and the top segment runs whole at 1x1."""
+    net = net_vgg13(base=2, hidden=4)
+    options = coarsenings(grid)
+    grids = tuple(options[min(s, len(options) - 1)] for s in range(len(checkpoints))) + ((1, 1),)
+    plan = _Section(net, z, grid).plan(checkpoints, grids)
+    assert plan.checkpoints == checkpoints and plan.grids == grids and plan.grid == grid
+    assert [len(tiles) for _, _, tiles in plan.segments] == [r * c for r, c in grids]
+    assert_layout_matches_whole_image(net, z, plan, precision)
+
+
 CHOOSER_CASES = {
     "vgg13-small-64-4x4": (lambda: net_vgg13(base=2, hidden=4), 64, (4, 4)),
     "vgg13-small-96-3x5": (lambda: net_vgg13(base=2, hidden=4), 96, (3, 5)),
     "vgg13-512-4x4": (net_vgg13, 512, (4, 4)),
     "tiny2-512-8x8": (net_tiny2, 512, (8, 8)),
     "cli-32-2x2": (lambda: build_network(parse_config(CONFIG)), 32, (2, 2)),
+    "vgg13-256-4x4": (net_vgg13, 256, (4, 4)),
 }
+
+
+def every_layout(section):
+    """The exhaustive product: every set of checkpoints, every grid per segment."""
+    for cps in section.checkpoint_sets:
+        for grids in itertools.product(coarsenings(section.grid), repeat=len(cps) + 1):
+            yield section.layout(cps, grids)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
 def test_chooser_keeps_the_smallest_modelled_peak(name):
-    """The planner weighs every set of pool outputs the grid fits, models
-    each as the memory model does, and keeps the smallest peak."""
+    """The planner weighs every set of pool outputs the grid fits. The
+    chosen modelled peak is the least over those sets with every segment
+    at the configured grid (the budget), as the memory model computes it
+    on the built plans, and no layout within it, of any set and any grid
+    per segment, has less modelled time."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
     chosen, layouts = choose_layout(net, z, grid)
     plan = build_tile_plan(net, z, grid)
-    assert plan.layout == chosen
+    assert plan.layout == chosen and plan.grid == grid
     sizes = [h for h, _ in plan.map_sizes]
     pools = [m + 1 for m, layer in enumerate(net.stream_layers)
              if isinstance(layer, MaxPool) and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
-    assert sorted(c.checkpoints for c in layouts) == sorted(
-        cps for r in range(len(pools) + 1) for cps in itertools.combinations(pools, r))
-    peaks = {}
-    for layout in layouts:
-        forced = _Section(net, z, grid).plan(layout.checkpoints)
+    sets = sorted(cps for r in range(len(pools) + 1) for cps in itertools.combinations(pools, r))
+    assert sorted(c.checkpoints for c in layouts) == sets
+    section = _Section(net, z, grid)
+    uniform = {}
+    for cps in sets:
+        forced = section.plan(cps)
         assert validate_tile_plan(forced, net).ok
-        assert forced.recompute_ratio == layout.recompute
-        peaks[layout.checkpoints] = estimate_streaming(net, forced, 1, "single").peak_bytes
-        assert peaks[layout.checkpoints] == 4 * layout.peak_scalars
+        uniform[cps] = estimate_streaming(net, forced, 1, "single").peak_bytes
+        assert uniform[cps] == 4 * forced.layout.peak_scalars
+    budget = min(uniform.values())
+    assert estimate_streaming(net, plan, 1, "single").peak_bytes == budget <= uniform[()]
     assert chosen in layouts
-    assert peaks[chosen.checkpoints] == min(peaks.values()) <= peaks[()]
+    for layout in layouts:
+        forced = section.plan(layout.checkpoints, layout.grids)
+        assert validate_tile_plan(forced, net).ok and forced.layout == layout
+        assert forced.recompute_ratio == layout.recompute
+        assert estimate_streaming(net, forced, 1, "single").peak_bytes == 4 * layout.peak_scalars
+    for layout in every_layout(section):
+        if 4 * layout.peak_scalars <= budget:
+            assert layout.seconds >= chosen.seconds, (layout.checkpoints, layout.grids)
+
+
+@pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
+def test_separable_search_equals_the_exhaustive_product(name):
+    """Each segment taking its fastest grid that fits on its own gives,
+    per set of checkpoints and overall, the layout the exhaustive product
+    of per-segment grids keeps within the budget."""
+    make, z, grid = CHOOSER_CASES[name]
+    section = _Section(make(), z, grid)
+    assert sorted(section.coarsenings, reverse=True) == coarsenings(grid)
+    best = {}
+    for layout in every_layout(section):
+        if layout.peak_scalars <= section.budget:
+            key = (layout.seconds, layout.peak_scalars)
+            cps = layout.checkpoints
+            if cps not in best or key < (best[cps].seconds, best[cps].peak_scalars):
+                best[cps] = layout
+    for cps in section.checkpoint_sets:
+        assert section.fastest(cps) == best.get(cps), cps
+    chosen, _ = section.choose()
+    assert chosen == min(best.values(),
+                         key=lambda c: (c.seconds, c.peak_scalars, len(c.checkpoints)))
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
@@ -191,6 +262,32 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
 def test_chosen_checkpoints(make, z, grid, want):
     """Planning only, no arrays: where the chooser cuts the presets."""
     assert build_tile_plan(make(), z, grid).checkpoints == want
+
+
+@pytest.mark.parametrize("make, z, grid, checkpoints, grids", [
+    (net_vgg13, 512, (4, 4), (17,), ((4, 4), (2, 2))),    # vgg13-g4: 20 tiles
+    (net_vgg13, 256, (4, 4), (10, 24), ((4, 4), (4, 4), (1, 1))),
+    (net_vgg13, 512, (2, 2), (10,), ((2, 2), (2, 2))),
+    (net_tiny2, 512, (8, 8), (), ((8, 8),)),
+    (net_vgg13, 8192, (16, 16), (), ((16, 16),)),
+    (net_giga64mp, 8130, (16, 16), (), ((16, 16),)),
+])
+def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
+    """Planning only: each segment's grid the chooser picks for the presets."""
+    plan = build_tile_plan(make(), z, grid)
+    assert (plan.checkpoints, plan.grids, plan.grid) == (checkpoints, grids, grid)
+    assert len(plan.tiles) == sum(r * c for r, c in grids)
+
+
+def test_a_segment_off_its_grid_fails_validation():
+    """Each segment's tiles are checked against that segment's own grid."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 64, (4, 4)).plan((10, 24), ((4, 4), (2, 2), (1, 1)))
+    assert validate_tile_plan(plan, net).ok
+    for grids in (((4, 4), (4, 4), (1, 1)), ((4, 4), (2, 2))):
+        plan.layout = dataclasses.replace(plan.layout, grids=grids)
+        report = validate_tile_plan(plan, net)
+        assert not report.ok and report.first_failure.startswith("grid"), report.failures
 
 
 @pytest.mark.parametrize("damage, tag", [("segments-reversed", "segments"),
@@ -538,16 +635,18 @@ def test_plan_json_round_trips(case):
     segment's layers down to its input crop and pads."""
     _, _, _, plan = sampled(case)
     doc = json.loads(plan.to_json())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert (doc["image_size"], doc["split_index"], tuple(doc["grid"])) == (
         plan.image_size, plan.split_index, plan.grid)
     assert [tuple(g) for g in doc["geoms"]] == plan.geoms
     assert [tuple(sz) for sz in doc["map_sizes"]] == plan.map_sizes
     assert tuple(doc["checkpoints"]) == plan.checkpoints
+    assert tuple(map(tuple, doc["grids"])) == plan.grids
     cuts = [0] + doc["checkpoints"] + [doc["split_index"]]
-    rows, cols = doc["grid"]
+    assert len(doc["grids"]) == len(cuts) - 1
     assert [(td["segment"], td["row"], td["col"]) for td in doc["tiles"]] == [
-        ([a, b], i, j) for a, b in zip(cuts, cuts[1:]) for i in range(rows) for j in range(cols)]
+        ([a, b], i, j) for a, b, (rows, cols) in zip(cuts, cuts[1:], doc["grids"])
+        for i in range(rows) for j in range(cols)]
     for td, tile in zip(doc["tiles"], plan.tiles):
         a, b = td["segment"]
         assert (a, b) == (tile.start, tile.stop)
@@ -607,7 +706,7 @@ def test_broken_forward_chain_fails_validation(damage, tag, what):
 
 def test_recompute_ratio_and_backward_input_region():
     plan = build_tile_plan(net_vgg13(), 512, (4, 4))
-    assert round(plan.recompute_ratio, 2) == 1.67
+    assert round(plan.recompute_ratio, 2) == 1.29
     assert all(t.input_backward == t.input_forward for t in plan.tiles)
     assert build_tile_plan(net_vgg13(), 512, (1, 1)).recompute_ratio == 1.0
 
