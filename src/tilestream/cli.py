@@ -30,7 +30,7 @@ from .equivalence import (FD_EPS, FD_TOL, compare_runs, default_tolerances,
 from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError, TilestreamError
 from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
-from .network import cast_params, init_params
+from .network import cast_params, init_params, param_bytes
 from .planner import _Section, choose_layout, validate_tile_plan, whole_image_plan
 from .tensors import resolve_dtype, write_st4
 
@@ -217,6 +217,10 @@ def cmd_bench(cfg: ExperimentConfig):
     data = synth_dataset(cfg.seed, cfg.image_size, max(cfg.batch_size * 2, 2),
                          in_channels=net.in_channels, noise=cfg.noise)
     steps = int(cfg.bench.get("steps", 3))
+    # the traced peak leaves out the parameters, made before tracing starts;
+    # train_step runs a batch one image at a time, so the models take batch 1
+    models = {"sgd": estimate_whole_image(net, cfg.image_size, 1, cfg.precision),
+              "ssgd": estimate_streaming(net, plan, 1, cfg.precision)}
     report = {}
     for mode, use_plan in (("sgd", whole_image_plan(net, cfg.image_size)), ("ssgd", plan)):
         params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
@@ -236,7 +240,9 @@ def cmd_bench(cfg: ExperimentConfig):
         finally:
             tracemalloc.stop()
         report[mode] = {"median_step_seconds": float(np.median(times)),
-                        "peak_bytes": peak, "traced_peak_bytes": traced}
+                        "peak_bytes": peak, "traced_peak_bytes": traced,
+                        "param_bytes": param_bytes(params),
+                        "modelled_peak_bytes": models[mode].peak_bytes}
     ratio = report["ssgd"]["median_step_seconds"] / report["sgd"]["median_step_seconds"]
     report["recompute_time_ratio"] = ratio
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -26,13 +26,18 @@ forward crop from the segment's retained input map. Below the top
 segment that gradient is the checkpoint's gradient map, which the
 segment above filled by adding each tile's input gradient over its crop.
 stack_backward (and head_backward) pops each layer's cache as that
-layer's backward starts and adds its parameter gradients into the pass's
-one ParamGrads, so a tile's activations are freed as its backward
-descends. Each tile computes its owned values exactly, so by linearity
-the per-tile parameter and input gradients sum to the whole-image
-gradients; only the order of summation differs. Input-image gradients
-are not produced. Tiles accumulate sequentially (the kept tile, then
-row-major), which pins the floating-point summation order.
+layer's backward starts and hands the layer its entry of the pass's one
+ParamGrads, which the layer adds its parameter gradients into; so a
+tile's activations are freed as its backward descends, and no
+parameter-sized gradient exists besides that set (train_step passes
+every image of its mini-batch the same set). Each tile computes its
+owned values exactly, so by linearity the per-tile parameter and input
+gradients sum to the whole-image gradients; only the order of summation
+differs. Input-image gradients are not produced. Tiles accumulate
+sequentially (the kept tile, then row-major), which pins the
+floating-point summation order; in a mini-batch the second image's tiles
+add onto the first image's sum, so at batch > 1 a tiled plan's step
+gradient may differ in the last bits from summing per-image sets.
 
 Memory accounting: byte counters measure the arrays each pass retains,
 under the accounting policy stated in tilestream.memory, and the engine
@@ -198,13 +203,20 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
 def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
                        state: StreamingForwardState, dloss_dlogit):
     """Backpropagate a forward state, once, through the head and tiles; returns ParamGrads."""
+    return _backward(net, params, image, plan, state, dloss_dlogit, None)
+
+
+def _backward(net, params, image, plan, state, dloss_dlogit, grads):
+    """streaming_backward, adding the pass's parameter gradients into grads
+    (a fresh ParamGrads if None); returns grads."""
     _check_image(image, plan)
     segments = plan.segments
     if ([m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[b]) for _, b, _ in segments]
             or state.kept is None or state.kept[0] != plan.tiles[-1]):
         raise PlanError("forward state does not match this plan, or was backpropagated")
     kept, state.kept = state.kept, None
-    grads = ParamGrads.zeros_like(params)
+    if grads is None:
+        grads = ParamGrads.zeros_like(params)
     grad_above = head_backward(dloss_dlogit, net, params, state.head_caches,
                                state.split_map.shape, grads)
     record = state.record
@@ -235,45 +247,57 @@ def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,
     return grads
 
 
-def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TilePlan):
-    """One image's pass through plan: tiled forward, BCE loss, recomputing backward."""
+def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TilePlan,
+                             grads=None):
+    """One image's pass through plan: tiled forward, BCE loss, recomputing backward.
+
+    The pass adds its parameter gradients into grads, a ParamGrads that
+    train_step keeps for the whole mini-batch, or into a fresh one.
+    """
     if check_tensor4(image, "image").shape[0] != 1:
         raise ShapeError("streaming_loss_and_grads runs one image at a time")
     state = streaming_forward(net, params, image, plan)
     loss, dlogit = bce_with_logits(state.logit[0], label)
-    grads = streaming_backward(net, params, image, plan, state, np.asarray([dlogit]))
+    grads = _backward(net, params, image, plan, state, np.asarray([dlogit]), grads)
     return PassResult(float(loss), float(state.logit[0]), state.split_map, grads, state.record)
 
 
 def train_step(net: NetworkSpec, params, batch, lr, plan: TilePlan):
     """One SGD step on a mini-batch of samples (each with .image and .label).
 
-    Every image is cast to the parameters' dtype and runs through plan
-    (planner.whole_image_plan for whole-image training). The per-image
-    gradients are averaged in batch order and applied to params in place.
+    Every image runs through plan (planner.whole_image_plan for
+    whole-image training) in the parameters' dtype; an image already in
+    it is not copied. The step holds one gradient set whatever the batch
+    size: each pass adds into it in batch order, it is divided once by
+    the batch size and applied to params in place.
     """
     dtype = next(p.w.dtype for p in params if p is not None)
-    per_image, losses, logits, peak = [], [], [], 0
+    grads, losses, logits, peak = None, [], [], 0
     for sample in batch:
-        res = streaming_loss_and_grads(net, params, sample.image.astype(dtype), sample.label, plan)
-        per_image.append(res.grads)
+        res = streaming_loss_and_grads(net, params, sample.image.astype(dtype, copy=False),
+                                       sample.label, plan, grads)
+        grads = res.grads
         losses.append(res.loss)
         logits.append(res.logit)
         peak = max(peak, res.record.peak_bytes)
-    grads = accumulate_minibatch(per_image)
+        del res  # its split map would stay alive through the next image's pass
+    if grads is None:
+        raise ShapeError("empty mini-batch")
+    grads.div_(len(batch))
     sgd_step(params, grads, lr)
     return StepResult(float(np.mean(losses)), logits, grads, peak)
 
 
 def accumulate_minibatch(per_image):
-    """Sum per-image gradients in order, then divide by the batch size."""
+    """The mean of per-image gradient sets: summed in order into the first
+    set, in place, then divided by the batch size. Returns that first set;
+    at batch 1 it is returned as it is, and nothing is allocated."""
     if not per_image:
         raise ShapeError("empty mini-batch")
-    total = ParamGrads.zeros_like(per_image[0].per_layer)
-    for g in per_image:
+    total = per_image[0]
+    for g in per_image[1:]:
         total.add_(g)
-    total.div_(len(per_image))
-    return total
+    return total.div_(len(per_image))
 
 
 def sgd_step(params, grads: ParamGrads, lr):

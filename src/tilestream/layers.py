@@ -27,9 +27,11 @@ conv's geometry is written down once, in the network.
   leaves open which operand a tie of -0.0 and +0.0 returns. It returns
   the output alone: no index map is kept.
 * maxpool2d_backward takes the pool *input* and re-derives each window's
-  route, its first tap in row-major order equal to the max. It adds the
-  routed values tap by tap in reverse row-major order, which for every
-  input pixel is output row-major order.
+  route, its first tap in row-major order equal to the max. With disjoint
+  windows (k <= s, every preset pool) it writes each tap's routed values
+  straight into that tap's view of the gradient; with k > s it adds them
+  tap by tap in reverse row-major order, which for every input pixel is
+  output row-major order. Both equal a scatter-add onto zeros bit for bit.
 
 Gradients. conv2d_input_grad is a forward-shaped product: the stride-1
 correlation of grad_out, zero-stuffed at the conv's stride and
@@ -42,7 +44,9 @@ im2col columns, transposed, summed over bands. Gradients are
 tolerance-only: the parameter gradient's products have shapes that
 follow the map, and a tile adds only its own outputs' share to each
 input pixel's gradient, so tile and whole-image passes agree within the
-documented equivalence tolerances, not bitwise. Dense layers use einsum.
+documented equivalence tolerances, not bitwise. Dense layers use einsum;
+dense_backward adds its weight gradient into the caller's accumulator one
+output row at a time, so no (out, in) temporary exists.
 
 Workspace. All three conv kernels get their im2col columns from one
 banded column builder (_bands), band by band of whole output rows. A
@@ -340,6 +344,19 @@ def _pool_max(x, k, s):
     return out
 
 
+def _first_hits(x, best, k, s):
+    """Yields (ky, kx, hit) per tap in row-major order; hit marks the windows
+    whose first entry equal to their max, best, is that tap."""
+    oh, ow = best.shape[2:]
+    taken = np.zeros(best.shape, dtype=bool)
+    for t in range(k * k):
+        ky, kx = divmod(t, k)
+        hit = _tap(x, ky, kx, s, oh, ow) == best
+        np.greater(hit, taken, out=hit)
+        taken |= hit
+        yield ky, kx, hit
+
+
 def maxpool2d_forward(x, k, s):
     """Max pooling over k x k windows at stride s; returns the output alone,
     no index map. A zero max reads +0.0 whatever the signs of its zeros."""
@@ -353,9 +370,12 @@ def maxpool2d_backward(x, grad_out, k, s):
     """Route each window's gradient to its first maximal entry, re-derived from the pool input x.
 
     A tap hits the windows where it equals the recomputed max and no earlier
-    tap did. The hits are added onto zeros tap by tap in reverse row-major
-    order, which for every input pixel is output row-major order: bit for
-    bit a scatter-add onto zeros of each map's outputs in row-major order.
+    tap did. With k <= s the windows are disjoint: each tap's view of the
+    gradient is set to grad_out + 0 (a routed -0.0 reads +0.0) times its
+    hits, multiplied as integer bit patterns as in relu_backward. With
+    k > s the hits are added onto zeros tap by tap in reverse row-major
+    order. Either way the result is bit for bit a scatter-add onto zeros of
+    each map's outputs in row-major order.
     """
     check_tensor4(x, "pool input")
     check_tensor4(grad_out, "pool grad_out")
@@ -365,17 +385,16 @@ def maxpool2d_backward(x, grad_out, k, s):
         raise ShapeError(f"grad_out {grad_out.shape} is not the pool output {best.shape} "
                          f"of input {x.shape}")
     oh, ow = best.shape[2:]
-    taken = np.zeros(best.shape, dtype=bool)
-    hits = []
-    for t in range(k * k):
-        hit = _tap(x, t // k, t % k, s, oh, ow) == best
-        np.greater(hit, taken, out=hit)
-        taken |= hit
-        hits.append(hit)
     gx = np.zeros(x.shape, dtype=grad_out.dtype)
-    for t in reversed(range(k * k)):
-        view = _tap(gx, t // k, t % k, s, oh, ow)
-        view += grad_out * hits[t]
+    if k <= s:
+        bits = np.dtype(f"i{grad_out.itemsize}")
+        routed = (grad_out + 0).view(bits)
+        for ky, kx, hit in _first_hits(x, best, k, s):
+            np.multiply(routed, hit, out=_tap(gx, ky, kx, s, oh, ow).view(bits))
+    else:
+        for ky, kx, hit in reversed(list(_first_hits(x, best, k, s))):
+            view = _tap(gx, ky, kx, s, oh, ow)
+            view += grad_out * hit
     return check_finite(gx, "pool grad_in")
 
 
@@ -423,14 +442,19 @@ def dense_forward(x, params: DenseParams):
     return check_finite(y, "dense output")
 
 
-def dense_backward(x, params: DenseParams, grad_out):
-    """Returns (grad_x, grad_w, grad_b)."""
-    check_same_dtype(x, grad_out)
+def dense_backward(x, params: DenseParams, grad_out, acc: DenseParams):
+    """Returns grad_x; adds the weight and bias gradients into acc in place.
+
+    The weight gradient is added one output row at a time, so besides
+    grad_x the call allocates one (in,) row, never an (out, in) array.
+    """
+    check_same_dtype(x, grad_out, acc.w)
     gx = np.einsum("no,of->nf", grad_out, params.w, optimize=False)
-    gw = np.einsum("no,nf->of", grad_out, x, optimize=False)
-    gb = grad_out.sum(axis=0)
+    for o, row in enumerate(acc.w):
+        row += np.einsum("n,nf->f", grad_out[:, o], x, optimize=False)
+    acc.b += grad_out.sum(axis=0)
     check_finite(gx, "dense grad_in")
-    return gx, gw, gb
+    return gx
 
 
 def sigmoid(x):

@@ -12,6 +12,14 @@ the same abstraction: retained scalars times bytes):
   (tilestream.network.retains_output);
 * gradient maps inside a tile or the head are workspace and uncounted;
   parameter and parameter-gradient bytes are separate terms;
+* one parameter-gradient set per training step, as in gradient
+  checkpointing's accounting (Chen et al., arXiv:1604.06174): every
+  layer's backward adds into the pass's one accumulator, and
+  engine.train_step passes every image of its mini-batch the same set, so
+  the grads term equals the params term at any batch size. Left out as
+  workspace: a conv's kernel-sized and a dense layer's one-row gradient
+  temporaries, and the conv kernels' band workspace (im2col columns,
+  staging and result buffers; see tilestream.layers);
 * whole-image mode retains the input and every layer output until its
   backward completes (the naive retention the big-memory figures imply);
 * streaming mode never holds the whole input (tiles are cropped from
@@ -27,9 +35,10 @@ the same abstraction: retained scalars times bytes):
   layer's activations once its backward is done, so one tile term per
   segment, T_j, bounds a tile's live activations in both phases. A
   segment of one tile takes that tile's output as its cut map, which the
-  formulas count twice, so for it they are an upper bound. Mini-batches stream per image with
-  gradients summed into one accumulator, so activation terms do not
-  scale with batch size in streaming mode (the whole-image terms do).
+  formulas count twice, so for it they are an upper bound. Mini-batches
+  stream per image into the step's one gradient set, so activation terms
+  do not scale with batch size in streaming mode (the whole-image terms
+  do).
 
 Phase peaks (stream_forward_peak and stream_backward_peak, which the
 planner calls with scalar counts and the engine with its counters). With

@@ -231,12 +231,10 @@ class ParamGrads:
             mine.b += theirs.b
         return self
 
-    def add_layer_(self, i, pg):
-        """Add layer i's gradients (ConvParams/DenseParams) in place."""
-        self.per_layer[i].w += pg.w
-        self.per_layer[i].b += pg.b
-
     def div_(self, count):
+        """Divide every gradient by count in place; dividing by 1 is skipped (it is exact)."""
+        if count == 1:
+            return self
         for g in self.per_layer:
             if g is not None:
                 g.w /= g.w.dtype.type(count)
@@ -274,24 +272,27 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def layer_backward(grad_out, layer, lparams, cache, inplace_ok=False):
-    """Run one layer backward; returns (grad_in, param_grads or None).
+def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
+    """Run one layer backward; returns grad_in.
 
-    With inplace_ok a relu masks grad_out in place and returns it.
+    A conv or dense layer adds its parameter gradients into acc, its entry
+    of the pass's ParamGrads (None for parameter-free layers). With
+    inplace_ok a relu masks grad_out in place and returns it.
     """
     if isinstance(layer, Conv):
         x, pads = cache
         gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
-        return gx, ConvParams(gw, gb)
+        acc.w += gw
+        acc.b += gb
+        return gx
     if isinstance(layer, MaxPool):
-        return maxpool2d_backward(cache, grad_out, layer.kernel, layer.stride), None
+        return maxpool2d_backward(cache, grad_out, layer.kernel, layer.stride)
     if isinstance(layer, Relu):
-        return relu_backward(cache, grad_out, inplace=inplace_ok), None
+        return relu_backward(cache, grad_out, inplace=inplace_ok)
     if isinstance(layer, Flatten):
-        return flatten_backward(grad_out, cache), None
+        return flatten_backward(grad_out, cache)
     if isinstance(layer, Dense):
-        gx, gw, gb = dense_backward(cache, lparams, grad_out)
-        return gx, DenseParams(gw, gb)
+        return dense_backward(cache, lparams, grad_out, acc)
     raise ShapeError(f"unknown layer {layer!r}")
 
 
@@ -342,16 +343,16 @@ def stack_backward(grad_out, net, params, caches, start, stop, grads):
     owns = False  # g is a buffer this call made; flatten's backward is a reshape view
     for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
-        g, pg = layer_backward(g, layer, params[i], caches.pop(),
-                               inplace_ok=owns and isinstance(layer, Relu))
-        if pg is not None:
-            grads.add_layer_(i, pg)
+        g = layer_backward(g, layer, params[i], caches.pop(), grads.per_layer[i],
+                           inplace_ok=owns and isinstance(layer, Relu))
         owns = owns or not isinstance(layer, Flatten)
     if start == 0:
         cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
         if isinstance(net.layers[0], Conv):
             x, pads = cache
-            grads.add_layer_(0, ConvParams(*conv2d_param_grad(x, net.layers[0], g, pads)))
+            gw, gb = conv2d_param_grad(x, net.layers[0], g, pads)
+            grads.per_layer[0].w += gw
+            grads.per_layer[0].b += gb
         g = None
     return g
 

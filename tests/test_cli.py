@@ -64,8 +64,17 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         printed = json.loads(capsys.readouterr().out)
         for report in (printed, json.loads((out / "bench.json").read_text())):
             for mode in ("sgd", "ssgd"):
-                for key in ("peak_bytes", "traced_peak_bytes"):
+                for key in ("peak_bytes", "traced_peak_bytes", "param_bytes",
+                            "modelled_peak_bytes"):
                     assert type(report[mode][key]) is int and report[mode][key] > 0
+            # conv 18 + 2 and 36 + 2, dense 2*7*7 + 1 scalars; the
+            # streaming model equals the engine's counters, and no mode's
+            # model counts less than its parameters and their gradients
+            item = 8 if precision == "double" else 4
+            assert report["sgd"]["param_bytes"] == report["ssgd"]["param_bytes"] == 157 * item
+            assert report["ssgd"]["modelled_peak_bytes"] == report["ssgd"]["peak_bytes"]
+            for mode in ("sgd", "ssgd"):
+                assert report[mode]["modelled_peak_bytes"] > 2 * report[mode]["param_bytes"]
 
 
 @pytest.mark.parametrize("doc, extra", [

@@ -326,6 +326,20 @@ def test_maxpool_forward_allocates_only_its_output(rng, k, s):
     assert peak <= out + max(out // x.itemsize, np.getbufsize() * x.itemsize) + 4096
 
 
+@pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (2, 3)])
+def test_maxpool_backward_allocates_no_per_tap_temporaries(rng, k, s):
+    """With disjoint windows (k <= s) the backward writes each tap's routed
+    values straight into the gradient. Beyond the gradient it holds the
+    recomputed max and the normalised grad_out (one output each), at most
+    three boolean output masks (the taken windows and two taps' hits) and
+    numpy's ufunc buffer, plus a small constant. A mask kept per tap, or a
+    grad_out * hit product, would exceed this bound."""
+    x = rng.standard_normal((1, 8, 255, 255)).astype(np.float32)
+    g = rng.standard_normal(maxpool2d_forward(x, k, s).shape).astype(np.float32)
+    peak, gx = _traced_peak(lambda: [maxpool2d_backward(x, g, k, s)])
+    assert peak <= gx + 2 * g.nbytes + 3 * g.size + np.getbufsize() * x.itemsize + 4096
+
+
 # --- relu ----------------------------------------------------------------
 
 def test_relu_values():
@@ -398,11 +412,28 @@ def test_dense_backward_fd(rng):
     def loss():
         return float((dense_forward(x, DenseParams(w, b)) * proj).sum())
 
-    gx, gw, gb = dense_backward(x, DenseParams(w, b), proj)
+    acc = DenseParams(np.zeros_like(w), np.zeros_like(b))
+    gx = dense_backward(x, DenseParams(w, b), proj, acc)
+    gw, gb = acc.w, acc.b
     for arr, grad in ((x, gx), (w, gw), (b, gb)):
         for idx in range(arr.size):
             fd = fd_scalar(loss, arr, idx)
             assert abs(fd - grad.flat[idx]) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_dense_backward_adds_into_acc_one_row_at_a_time(rng):
+    """Besides grad_x the backward allocates one weight row at a time (plus
+    a small constant), never an (out, in) weight gradient, and it adds onto
+    what acc already holds."""
+    x = rng.standard_normal((1, 16384)).astype(np.float32)
+    p = DenseParams(rng.standard_normal((16, 16384)).astype(np.float32), np.zeros(16, np.float32))
+    proj = rng.standard_normal((1, 16)).astype(np.float32)
+    acc = DenseParams(rng.standard_normal(p.w.shape).astype(np.float32), np.ones(16, np.float32))
+    want_w = acc.w + np.einsum("no,nf->of", proj, x)
+    want_b = acc.b + proj[0]
+    peak, gx = _traced_peak(lambda: [dense_backward(x, p, proj, acc)])
+    assert peak <= gx + p.w[0].nbytes + 4096
+    assert np.array_equal(acc.w, want_w) and np.array_equal(acc.b, want_b)
 
 
 # --- bce -----------------------------------------------------------------

@@ -154,9 +154,7 @@ def test_stack_backward_never_writes_grad_out(rng, start):
     assert grad_out.tobytes() == keep.tobytes()
     g, ref = keep, ParamGrads.zeros_like(params)
     for i in range(5, max(start, 1) - 1, -1):
-        g, pg = layer_backward(g, net.layers[i], params[i], ref_caches[i - start])
-        if pg is not None:
-            ref.add_layer_(i, pg)
+        g = layer_backward(g, net.layers[i], params[i], ref_caches[i - start], ref.per_layer[i])
     assert grads.per_layer[4].w.tobytes() == ref.per_layer[4].w.tobytes()
     if start:
         assert g_in.tobytes() == g.tobytes()

@@ -7,6 +7,7 @@ package from breaking it unnoticed.
 import importlib
 import importlib.util
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +70,31 @@ def test_the_traced_run_reads_a_segmented_plan():
         "net", "params", "image", "plan"]
     assert list(inspect.signature(tilestream.streaming_backward).parameters) == [
         "net", "params", "image", "plan", "state", "dloss_dlogit"]
+
+
+def test_accumulate_minibatch_sums_into_the_first_set(rng):
+    """perfbench averages each step's one gradient set with it: at batch 1
+    the set comes back as it is, with no array allocated (a set is 69 KiB
+    here; under 1 KiB is a Python object or two); at batch 2 the first set
+    holds the mean."""
+    net = tilestream.network.net_tiny2()
+    params = tilestream.init_params(net, 64, 0, "single")
+    sets = [tilestream.network.ParamGrads(tilestream.network.clone_params(params))
+            for _ in range(2)]
+    for grads in sets:
+        for _, a in grads.named_tensors():
+            a[...] = rng.standard_normal(a.shape)
+    first = [a.copy() for _, a in sets[0].named_tensors()]
+    batch_of_one = sets[:1]
+    tracemalloc.start()
+    try:
+        same = tilestream.accumulate_minibatch(batch_of_one)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same is sets[0] and allocated < 1024
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(first, same.named_tensors()))
+    mean = tilestream.accumulate_minibatch(sets)
+    assert mean is sets[0]
+    for a, (_, b), (_, m) in zip(first, sets[1].named_tensors(), mean.named_tensors()):
+        assert np.array_equal(m, (a + b) / np.float32(2))

@@ -21,6 +21,7 @@ from tilestream.engine import (
     streaming_backward,
     streaming_forward,
     streaming_loss_and_grads,
+    train_step,
 )
 from tilestream.equivalence import (
     DOUBLE_TOLERANCES,
@@ -441,11 +442,11 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     del cache, parts, a
     alive, layer_backward = [], tilestream.network.layer_backward
 
-    def checking(grad_out, layer, lparams, cache, inplace_ok=False):
+    def checking(grad_out, layer, lparams, cache, acc, inplace_ok=False):
         j = len(net.layers) - 1 - len(alive)  # layers run top-down; layer 0 never calls
         assert layer is net.layers[j]
         alive.append([i for i, ref in lowest.values() if i > j and ref() is not None])
-        return layer_backward(grad_out, layer, lparams, cache, inplace_ok)
+        return layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok)
 
     monkeypatch.setattr(tilestream.network, "layer_backward", checking)
     streaming_backward(net, params, image, plan, state, np.asarray([1.0]))
@@ -472,6 +473,59 @@ def test_whole_image_pass_traced_peak_within_model():
     finally:
         tracemalloc.stop()
     assert peak <= estimate_streaming(net, plan, 1, "single").peak_bytes
+
+
+def _single_precision_tiny2(size, grid):
+    """tiny2 with a plan, single-precision parameters and two single-precision samples."""
+    net = net_tiny2()
+    plan = build_tile_plan(net, size, grid)
+    params = init_params(net, size, 0, "single")
+    samples = [dataclasses.replace(s, image=s.image.astype(np.float32))
+               for s in synth_dataset(0, size, 2)]
+    return net, plan, params, samples
+
+
+def test_a_step_holds_one_gradient_set():
+    """tiny2@256 4x4, single precision, batch 2: the step's traced peak
+    exceeds one pass's by at most one dense-weight row (sgd_step's
+    temporary) plus a 16 KiB slack for the step's Python objects. Each pass
+    adds into the step's one gradient set; a per-image set or a mean copy
+    would add 1 MiB (the head weight) each, and an image cast or a split
+    map kept from the previous image 256 KiB."""
+    net, plan, params, samples = _single_precision_tiny2(256, (4, 4))
+
+    def traced_peak(fn):
+        fn()  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    image, label = samples[0].image, samples[0].label
+    one_pass = traced_peak(lambda: streaming_loss_and_grads(net, params, image, label, plan))
+    step = traced_peak(lambda: train_step(net, params, samples, 0.0, plan))
+    row = max(p.w[0].nbytes for p in params if p is not None)
+    assert row == 16384 * 4
+    assert step <= one_pass + row + 16 * 1024
+
+
+def test_a_batch_one_step_applies_the_pass_gradient():
+    """At batch 1 the applied gradient is the pass's bit for bit, and so is
+    each parameter update."""
+    net, plan, params, samples = _single_precision_tiny2(128, (2, 2))
+    sample = samples[0]
+    want = streaming_loss_and_grads(net, params, sample.image, sample.label, plan).grads
+    stepped = clone_params(params)
+    got = train_step(net, stepped, [sample], 0.05, plan).grads
+    for (name, a), (_, b) in zip(want.named_tensors(), got.named_tensors(), strict=True):
+        assert np.array_equal(a, b), name
+    for p, q, g in zip(params, stepped, want.per_layer):
+        if p is not None:
+            assert np.array_equal(q.w, p.w - np.float32(0.05) * g.w)
+            assert np.array_equal(q.b, p.b - np.float32(0.05) * g.b)
 
 
 @pytest.mark.parametrize("checkpoints", [(), (10, 24)])
