@@ -62,14 +62,25 @@ def save_checkpoint(dirpath, net, params, precision):
 
 
 def _prepare(cfg: ExperimentConfig):
+    """(network, validated plan, every layout weighed, budget), chosen and
+    budgeted in the run's precision."""
     net = build_network(cfg)
     section = _Section(net, cfg.image_size, cfg.grid)
-    chosen, layouts = section.choose()
+    item = resolve_dtype(cfg.precision).itemsize
+    chosen, layouts = section.choose(item)
     plan = section.plan(chosen.checkpoints, chosen.grids)
     report = validate_tile_plan(plan, net)
     if not report.ok:
         raise PlanError("; ".join(report.failures[:3]))
-    return net, plan, layouts, section.budget
+    return net, plan, layouts, section.budget(item)
+
+
+def _dataset(cfg: ExperimentConfig, net, n):
+    """synth_dataset's n samples, cast once to the run's dtype."""
+    dtype = resolve_dtype(cfg.precision)
+    return [dataclasses.replace(s, image=s.image.astype(dtype))
+            for s in synth_dataset(cfg.seed, cfg.image_size, n,
+                                   in_channels=net.in_channels, noise=cfg.noise)]
 
 
 def _grids(grids):
@@ -91,19 +102,19 @@ def cmd_plan(cfg: ExperimentConfig):
           f"segment grids: {_grids(plan.grids)}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     item = resolve_dtype(cfg.precision).itemsize
-    print(f"budget: modelled peak {budget * item:,} bytes, the least with every segment "
+    print(f"budget: modelled peak {budget:,} bytes, the least with every segment "
           f"at {plan.grid[0]}x{plan.grid[1]}")
     for layout in layouts:
         maps = ",".join(map(str, layout.checkpoints)) or "none"
         mark = ("  (chosen)" if layout == plan.layout
-                else "  (over budget)" if layout.peak_scalars > budget else "")
+                else "  (over budget)" if layout.peak_bytes[item] > budget else "")
         print(f"checkpoints {maps} grids {_grids(layout.grids)}: modelled peak "
-              f"{layout.peak_scalars * item:,} bytes, conv work {layout.recompute:.2f}x, "
+              f"{layout.peak_bytes[item]:,} bytes, conv work {layout.recompute:.2f}x, "
               f"{layout.calls} tile-layer calls, {layout.seconds:.3f} s modelled{mark}")
     g = 1
     while g <= min(plan.split_hw):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid
-                 else choose_layout(net, cfg.image_size, (g, g))[0].recompute)
+                 else choose_layout(net, cfg.image_size, (g, g), cfg.precision)[0].recompute)
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
@@ -190,8 +201,7 @@ def cmd_train(cfg: ExperimentConfig):
     else:  # the configured grid plays no part
         net = build_network(cfg)
         plan = whole_image_plan(net, cfg.image_size)
-    data = synth_dataset(cfg.seed, cfg.image_size, cfg.n_train,
-                         in_channels=net.in_channels, noise=cfg.noise)
+    data = _dataset(cfg, net, cfg.n_train)
     params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
     rows = [("step", "loss", "train_acc_running", "peak_bytes")]
     seen = correct = 0
@@ -214,8 +224,7 @@ def cmd_train(cfg: ExperimentConfig):
 
 def cmd_bench(cfg: ExperimentConfig):
     net, plan, _, _ = _prepare(cfg)
-    data = synth_dataset(cfg.seed, cfg.image_size, max(cfg.batch_size * 2, 2),
-                         in_channels=net.in_channels, noise=cfg.noise)
+    data = _dataset(cfg, net, max(cfg.batch_size * 2, 2))
     steps = int(cfg.bench.get("steps", 3))
     # the traced peak leaves out the parameters, made before tracing starts;
     # train_step runs a batch one image at a time, so the models take batch 1

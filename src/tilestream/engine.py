@@ -7,13 +7,16 @@ differ only in the plan. Whole-image training is planner.whole_image_plan
 Streaming forward: the plan cuts the streaming section at checkpoint
 maps into segments (tilestream.planner). Segment by segment, bottom-up,
 each tile's crop of the segment's input map (the image for the first
-segment) runs through the segment's layers with the plan's border-only
-padding, lands exactly on its owned region of the segment's output map
-and is pasted there (a segment's lone tile owns the whole map, and its
-output becomes the map without a copy); tile activations are then
-dropped, so only the cut maps (checkpoints and split map, plus head
-activations) persist, and the caches of the plan's last tile. The head
-runs once on the split map. Because every forward value depends only on
+segment), a view and not a copy, runs through the segment's layers with
+the plan's border-only padding, lands exactly on its owned region of the
+segment's output map and is pasted there (a segment's lone tile owns the
+whole map, and its output becomes the map without a copy); tile
+activations are then dropped, so only the cut maps (checkpoints and
+split map, plus head activations) persist, and the caches of the plan's
+last tile. Within a pass a pool keeps a uint8 route and a relu directly
+below it keeps nothing (tilestream.network.run_stack), so the map below
+a pool is freed once the pool has run. The head runs once on the split
+map. Because every forward value depends only on
 its receptive field (fixed-shape conv products, exact max pooling; see
 tilestream.layers), each cut map is bit-identical to a whole-image pass,
 by induction from the image up.
@@ -40,8 +43,9 @@ add onto the first image's sum, so at batch > 1 a tiled plan's step
 gradient may differ in the last bits from summing per-image sets.
 
 Memory accounting: byte counters measure the arrays each pass retains,
-under the accounting policy stated in tilestream.memory, and the engine
-calls that module's phase-peak formulas (stream_forward_peak,
+under the accounting policy stated in tilestream.memory: a tile's and the
+head's term is the running maximum of run_stack's live bytes, and the
+engine calls that module's phase-peak formulas (stream_forward_peak,
 stream_backward_peak) with what it measured.
 """
 
@@ -142,19 +146,21 @@ def _check_image(image, plan):
 def _tile_pass(net, params, below, tile, want_cache):
     """Run one tile's crop of its segment's input map through the segment.
 
-    Returns (out, caches, activation bytes); out is checked to cover the
-    tile's owned region exactly.
+    The crop is a view: run_stack never writes its input, and the conv
+    kernels read strided windows. Returns (out, caches, activation bytes),
+    the bytes being the running maximum of the tile's live bytes (see
+    run_stack); out is checked to cover the tile's owned region exactly.
     """
     r = tile.input_forward
-    crop = np.ascontiguousarray(below[:, :, r.y0:r.y1, r.x0:r.x1])
     sink = []
-    out, caches = run_stack(crop, net, params, tile.start, tile.stop,
-                            pads_seq=tile.fwd_pads, want_cache=want_cache, byte_sink=sink)
+    out, caches = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, tile.start,
+                            tile.stop, pads_seq=tile.fwd_pads, want_cache=want_cache,
+                            byte_sink=sink)
     o = tile.owned_split
     if out.shape[2:] != o.shape():
         raise PlanError(f"tile ({tile.row},{tile.col}) of [{tile.start}, {tile.stop}) "
                         f"produced {out.shape[2:]}, owned region is {o.shape()}")
-    return out, caches, crop.nbytes + sum(b for _, b in sink)
+    return out, caches, max(live for _, _, live in sink)
 
 
 def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
@@ -191,7 +197,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
         below = out
     head_sink = []
     logit, head_caches = head_forward(below, net, params, byte_sink=head_sink)
-    record.head_activation_bytes = sum(b for _, b in head_sink)
+    record.head_activation_bytes = max(live for _, _, live in head_sink)
     state = StreamingForwardState(cut_maps=maps, head_caches=head_caches,
                                   logit=logit, record=record, kept=(last, caches))
     record.peak_bytes_forward = stream_forward_peak(

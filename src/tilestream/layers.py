@@ -24,14 +24,19 @@ conv's geometry is written down once, in the network.
   both precisions. The bias is added last.
 * maxpool2d_forward is the running np.maximum of the k * k strided tap
   views; max is exact, no rounding. A zero max reads +0.0, since numpy
-  leaves open which operand a tie of -0.0 and +0.0 returns. It returns
-  the output alone: no index map is kept.
-* maxpool2d_backward takes the pool *input* and re-derives each window's
-  route, its first tap in row-major order equal to the max. With disjoint
-  windows (k <= s, every preset pool) it writes each tap's routed values
-  straight into that tap's view of the gradient; with k > s it adds them
-  tap by tap in reverse row-major order, which for every input pixel is
-  output row-major order. Both equal a scatter-add onto zeros bit for bit.
+  leaves open which operand a tie of -0.0 and +0.0 returns. A cached
+  pass also asks for the route: one uint8 per window, its first tap in
+  row-major order equal to the max, encoded with arithmetic into one
+  reused buffer while the taps run. The pool's input is not needed again.
+* maxpool2d_backward scatters from the route into a zero map of the input
+  shape. Given the pool's output as relu_out, it also applies the mask of
+  a relu run directly below the pool (the routed input is > 0 exactly
+  where the output is), so that relu keeps no map. With disjoint windows
+  (k <= s, every preset pool) it writes each tap's routed values straight
+  into that tap's view of the gradient; with k > s it adds them tap by
+  tap in reverse row-major order, which for every input pixel is output
+  row-major order. Both equal relu_backward of a scatter-add onto zeros
+  bit for bit.
 
 Gradients. conv2d_input_grad is a forward-shaped product: the stride-1
 correlation of grad_out, zero-stuffed at the conv's stride and
@@ -332,69 +337,94 @@ def _tap(a, ky, kx, s, oh, ow):
     return a[:, :, ky : ky + s * (oh - 1) + 1 : s, kx : kx + s * (ow - 1) + 1 : s]
 
 
-def _pool_max(x, k, s):
+def _pool_max(x, k, s, route=None):
     """Running np.maximum of the k*k tap views: each window's max value. On a
     tie of -0.0 and +0.0 numpy may return either operand, so the sign of a
-    zero max is left open here."""
+    zero max is left open here.
+
+    With route, a uint8 array of the output's shape, also writes each
+    window's first tap in row-major order equal to its max: tap t raises the
+    window's code to t where it exceeds the running max of taps 0..t-1, an
+    arithmetic np.maximum(route, (tap > max) * t) in one reused buffer, and
+    codes only grow with t, so the last raise is the first maximal tap."""
     oh = out_size(x.shape[2], k, s, 0)
     ow = out_size(x.shape[3], k, s, 0)
     out = _tap(x, 0, 0, s, oh, ow).copy()
+    if route is not None:
+        route.fill(0)
+        code = np.empty(out.shape, dtype=np.uint8)
     for t in range(1, k * k):
-        np.maximum(out, _tap(x, t // k, t % k, s, oh, ow), out=out)
+        tap = _tap(x, t // k, t % k, s, oh, ow)
+        if route is not None:
+            np.greater(tap, out, out=code.view(bool))
+            np.multiply(code, np.uint8(t), out=code)
+            np.maximum(route, code, out=route)
+        np.maximum(out, tap, out=out)
     return out
 
 
-def _first_hits(x, best, k, s):
-    """Yields (ky, kx, hit) per tap in row-major order; hit marks the windows
-    whose first entry equal to their max, best, is that tap."""
-    oh, ow = best.shape[2:]
-    taken = np.zeros(best.shape, dtype=bool)
-    for t in range(k * k):
-        ky, kx = divmod(t, k)
-        hit = _tap(x, ky, kx, s, oh, ow) == best
-        np.greater(hit, taken, out=hit)
-        taken |= hit
-        yield ky, kx, hit
+def maxpool2d_forward(x, k, s, route=False):
+    """Max pooling over k x k windows at stride s. A zero max reads +0.0
+    whatever the signs of its zeros.
 
-
-def maxpool2d_forward(x, k, s):
-    """Max pooling over k x k windows at stride s; returns the output alone,
-    no index map. A zero max reads +0.0 whatever the signs of its zeros."""
-    check_tensor4(x, "pool input")
-    out = _pool_max(x, k, s)
-    out += 0
-    return check_finite(out, "pool output")
-
-
-def maxpool2d_backward(x, grad_out, k, s):
-    """Route each window's gradient to its first maximal entry, re-derived from the pool input x.
-
-    A tap hits the windows where it equals the recomputed max and no earlier
-    tap did. With k <= s the windows are disjoint: each tap's view of the
-    gradient is set to grad_out + 0 (a routed -0.0 reads +0.0) times its
-    hits, multiplied as integer bit patterns as in relu_backward. With
-    k > s the hits are added onto zeros tap by tap in reverse row-major
-    order. Either way the result is bit for bit a scatter-add onto zeros of
-    each map's outputs in row-major order.
+    Returns the output alone, or with route=True (output, route): route is
+    uint8 of the output's shape holding each window's first tap in
+    row-major order equal to its max, ky * k + kx, which maxpool2d_backward
+    scatters from. A route needs k * k <= 256.
     """
     check_tensor4(x, "pool input")
+    if route and k * k > 256:
+        raise ShapeError(f"a {k}x{k} pool has more taps than a uint8 route holds")
+    n, c, h, w = x.shape
+    taps = np.empty((n, c, out_size(h, k, s, 0), out_size(w, k, s, 0)),
+                    dtype=np.uint8) if route else None
+    out = _pool_max(x, k, s, taps)
+    out += 0
+    check_finite(out, "pool output")
+    return out if taps is None else (out, taps)
+
+
+def maxpool2d_backward(route, grad_out, k, s, in_shape, relu_out=None):
+    """Scatter each window's gradient to its routed tap, into a zero map of in_shape.
+
+    route is maxpool2d_forward's. relu_out, the pool's output when a relu
+    directly below the pool ran on its input, applies that relu's mask:
+    the routed tap's input is > 0 exactly where the window's max is, so a
+    window whose output is <= 0 routes +0.0. The gradient is grad_out + 0
+    (a routed -0.0 reads +0.0), masked by multiplying its bit patterns, as
+    integers, by relu_out > 0, as in relu_backward. With k <= s the windows
+    are disjoint: each tap's view of the gradient is set to that gradient
+    times the tap's hits (route == tap), multiplied the same way. With
+    k > s the hits are added onto zeros tap by tap in reverse row-major
+    order, which for every input pixel is output row-major order. Either
+    way the result is bit for bit relu_backward of a scatter-add onto zeros
+    of each map's outputs in row-major order.
+    """
     check_tensor4(grad_out, "pool grad_out")
-    check_same_dtype(x, grad_out)
-    best = _pool_max(x, k, s)
-    if best.shape != grad_out.shape:
-        raise ShapeError(f"grad_out {grad_out.shape} is not the pool output {best.shape} "
-                         f"of input {x.shape}")
-    oh, ow = best.shape[2:]
-    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    n, c, h, w = in_shape
+    if (route.dtype != np.uint8 or route.shape != grad_out.shape
+            or route.shape != (n, c, out_size(h, k, s, 0), out_size(w, k, s, 0))):
+        raise ShapeError(f"grad_out {grad_out.shape} and route {route.shape} are not the "
+                         f"pool output of input {tuple(in_shape)}")
+    bits = np.dtype(f"i{grad_out.itemsize}")
+    routed = grad_out + 0
+    if relu_out is not None:
+        check_same_dtype(relu_out, grad_out)
+        if relu_out.shape != grad_out.shape:
+            raise ShapeError("relu mask shape mismatch")
+        np.multiply(routed.view(bits), relu_out > 0, out=routed.view(bits))
+    oh, ow = route.shape[2:]
+    gx = np.zeros(in_shape, dtype=grad_out.dtype)
+    hit = np.empty(route.shape, dtype=bool)
     if k <= s:
-        bits = np.dtype(f"i{grad_out.itemsize}")
-        routed = (grad_out + 0).view(bits)
-        for ky, kx, hit in _first_hits(x, best, k, s):
-            np.multiply(routed, hit, out=_tap(gx, ky, kx, s, oh, ow).view(bits))
+        for t in range(k * k):
+            np.equal(route, t, out=hit)
+            np.multiply(routed.view(bits), hit, out=_tap(gx, t // k, t % k, s, oh, ow).view(bits))
     else:
-        for ky, kx, hit in reversed(list(_first_hits(x, best, k, s))):
-            view = _tap(gx, ky, kx, s, oh, ow)
-            view += grad_out * hit
+        for t in range(k * k - 1, -1, -1):
+            np.equal(route, t, out=hit)
+            view = _tap(gx, t // k, t % k, s, oh, ow)
+            view += routed * hit
     return check_finite(gx, "pool grad_in")
 
 

@@ -3,13 +3,17 @@
 Holds the accounting policy, the phase-peak formulas and the tables. The
 engine's instrumentation counts under the same policy, so on desk-scale
 runs the predicted bytes equal the measured counters exactly (both count
-the same abstraction: retained scalars times bytes):
+the same abstraction: retained scalars times bytes, plus route bytes):
 
 * each conv/maxpool/dense output is one retained array (n * elems *
-  itemsize); maxpool keeps no index map, since its backward re-derives
-  the route from its input, which the layer below already retains;
-* relu runs in place and flatten is a view: zero additional bytes
-  (tilestream.network.retains_output);
+  itemsize); relu runs in place and flatten is a view: zero additional
+  bytes (tilestream.network.retains_output);
+* a maxpool keeps a uint8 route, one byte per output element in either
+  precision, and not its input: the map below a pool counts only until
+  the pool has run (tilestream.network.pool_frees: unless it is the
+  stack's input, or a relu or a fused pool's cache holds it). So a
+  stack's term is the running maximum of its live bytes (live_maps),
+  counted after each layer has run and before its pool frees anything;
 * gradient maps inside a tile or the head are workspace and uncounted;
   parameter and parameter-gradient bytes are separate terms;
 * one parameter-gradient set per training step, as in gradient
@@ -20,30 +24,33 @@ the same abstraction: retained scalars times bytes):
   workspace: a conv's kernel-sized and a dense layer's one-row gradient
   temporaries, and the conv kernels' band workspace (im2col columns,
   staging and result buffers; see tilestream.layers);
-* whole-image mode retains the input and every layer output until its
-  backward completes (the naive retention the big-memory figures imply);
-* streaming mode never holds the whole input (tiles are cropped from
-  host-resident storage). The plan cuts the streaming section at
+* whole-image mode (estimate_whole_image) is the naive-retention
+  reference the big-memory figures imply: it retains the input and every
+  layer output until its backward completes, and no routes;
+* streaming mode never holds the whole input: a tile reads a view of its
+  segment's input map (the image, host-resident, or a retained checkpoint
+  map), so its crop costs nothing. The plan cuts the streaming section at
   checkpoint maps into segments (see tilestream.planner); the engine
   keeps every checkpoint map and the split map (the "cut maps") from the
   moment its segment's forward starts until the pass ends. One tile's
-  activations (its crop and layer outputs) are resident at a time, plus
-  the head activations and the plan's last tile, which backward runs
-  first. A segment's backward holds the gradient of the cut map above it
-  and the checkpoint gradient it accumulates below (none for the image).
-  Backward recomputes the other tiles' forward crops and releases each
-  layer's activations once its backward is done, so one tile term per
-  segment, T_j, bounds a tile's live activations in both phases. A
-  segment of one tile takes that tile's output as its cut map, which the
-  formulas count twice, so for it they are an upper bound. Mini-batches
-  stream per image into the step's one gradient set, so activation terms
-  do not scale with batch size in streaming mode (the whole-image terms
-  do).
+  activations are resident at a time, plus the head activations and the
+  plan's last tile, which backward runs first. A segment's backward holds
+  the gradient of the cut map above it and the checkpoint gradient it
+  accumulates below (none for the image). Backward recomputes the other
+  tiles' forward crops and releases each layer's activations once its
+  backward is done, so one tile term per segment, T_j, the running
+  maximum of its largest tile's live bytes, bounds a tile's live
+  activations in both phases; the head term is the head's running
+  maximum. A segment of one tile takes that tile's output as its cut map,
+  which the formulas count twice, so for it they are an upper bound.
+  Mini-batches stream per image into the step's one gradient set, so
+  activation terms do not scale with batch size in streaming mode (the
+  whole-image terms do).
 
 Phase peaks (stream_forward_peak and stream_backward_peak, which the
-planner calls with scalar counts and the engine with its counters). With
+planner calls with modelled bytes and the engine with its counters). With
 cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, and T_j
-the largest tile of segment [cut j-1, cut j):
+the largest tile term of segment [cut j-1, cut j):
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
     stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head + T_k)
@@ -52,8 +59,8 @@ the largest tile of segment [cut j-1, cut j):
 
 With one segment these are params + split_map + tile + head and params +
 grads + 2*split_map + head + tile. stream_f <= stream_b (its last term is
-in stream_b's j = k one). estimate_streaming scales the streaming terms
-the planner models (TilePlan.layout) by the itemsize.
+in stream_b's j = k one). estimate_streaming reads the tile terms the
+planner models (TilePlan.layout) in the run's precision.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .network import NetworkSpec, retains_output
+from .network import MaxPool, NetworkSpec, pool_frees, retains_output
 from .tensors import resolve_dtype
 
 
@@ -88,15 +95,34 @@ def count_param_scalars(net: NetworkSpec, image_size):
                for w, b in filter(None, net.param_shapes(image_size)))
 
 
+def _elements(shape):
+    """Elements of one image's activation shape, ('map', c, h, w) or ('vec', f)."""
+    return shape[1] if shape[0] == "vec" else shape[1] * shape[2] * shape[3]
+
+
 def _layer_bytes(layer, out_shape, n, itemsize):
-    """Retained bytes for one layer output under the shared policy."""
-    if not retains_output(layer):
-        return 0
-    if out_shape[0] == "vec":
-        elems = out_shape[1]
-    else:
-        elems = out_shape[1] * out_shape[2] * out_shape[3]
-    return n * elems * itemsize
+    """Retained bytes for one layer output under the shared policy (no route)."""
+    return n * _elements(out_shape) * itemsize if retains_output(layer) else 0
+
+
+def live_maps(net: NetworkSpec, start, stop):
+    """What run_stack's cached pass over layers [start, stop) holds once each
+    layer has run, before a pool frees the map below it: per layer, two 0/1
+    tuples over maps start..stop, the maps whose arrays are held
+    (retains_output, not yet freed by pool_frees) and the pool outputs
+    whose routes are. run_stack's byte sink counts the same per array."""
+    layers = net.layers
+    arrays = [0] * (stop - start + 1)
+    routes = list(arrays)
+    steps = []
+    for i in range(start, stop):
+        arrays[i + 1 - start] = int(retains_output(layers[i]))
+        routes[i + 1 - start] = int(isinstance(layers[i], MaxPool))
+        steps.append((tuple(arrays), tuple(routes)))
+        freed = pool_frees(layers, start, i) if routes[i + 1 - start] else None
+        if freed is not None:
+            arrays[freed - start] = 0
+    return steps
 
 
 def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
@@ -116,10 +142,19 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
 
 
 def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
-    """(layer index, retained bytes) per head layer for one image."""
+    """(layer index, retained bytes: its output and a pool's route) per head
+    layer for one image."""
     shapes = net.activation_shapes(image_size)
-    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize))
+    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize)
+             + (_elements(shapes[i + 1]) if isinstance(net.layers[i], MaxPool) else 0))
             for i in range(net.split_index, len(net.layers))]
+
+
+def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
+    """The head term for one image: the running maximum of the head's live bytes."""
+    elements = [_elements(shape) for shape in net.activation_shapes(image_size)[net.split_index:]]
+    return max(sum((a * itemsize + r) * e for a, r, e in zip(arrays, routes, elements))
+               for arrays, routes in live_maps(net, net.split_index, len(net.layers)))
 
 
 def stream_forward_peak(params, head, cut_bytes, tile_bytes):
@@ -143,21 +178,23 @@ def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
 
 
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
-    """Streaming estimate for a TilePlan: its layout's scalars times the itemsize.
+    """Streaming estimate for a TilePlan: its layout's terms in the run's precision.
 
-    per_layer_bytes holds each streaming layer's largest tile output, then
-    the head terms; the phase peaks take each segment's largest tile pass.
+    per_layer_bytes holds each streaming layer's largest tile output (and a
+    pool's route), then the head terms; the phase peaks take each
+    segment's tile term.
     """
     item = resolve_dtype(precision).itemsize
     layout = plan.layout
     head_per_layer = head_layer_bytes(net, plan.image_size, item)
-    head_bytes = sum(b for _, b in head_per_layer)
+    head_bytes = head_peak_bytes(net, plan.image_size, item)
     cut_bytes = [c * item for c in layout.cut_scalars]
-    tile_bytes = [t * item for t in layout.tile_scalars]
+    tile_bytes = list(layout.tile_bytes[item])
     params = count_param_scalars(net, plan.image_size) * item
     peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
     peak_backward = stream_backward_peak(params, params, head_bytes, cut_bytes, tile_bytes)
-    per_layer = [(m, s * item) for m, s in enumerate(layout.layer_scalars)] + head_per_layer
+    per_layer = [(m, s * item + (s if isinstance(net.layers[m], MaxPool) else 0))
+                 for m, s in enumerate(layout.layer_scalars)] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,

@@ -29,8 +29,8 @@ from .layers import (
     Conv,
     ConvParams,
     DenseParams,
-    conv2d_backward,
     conv2d_forward,
+    conv2d_input_grad,
     conv2d_param_grad,
     dense_backward,
     dense_forward,
@@ -251,15 +251,21 @@ class ParamGrads:
             yield f"{kind}{i}.b", g.b
 
 
-def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
-    """Run one layer; returns (out, cache) where cache feeds layer_backward."""
+def layer_forward(x, layer, lparams, pads=None, inplace_ok=False, want_cache=True):
+    """Run one layer; returns (out, cache) where cache feeds layer_backward.
+
+    A pool's cache is (route, input shape, None), and a route is computed
+    only when want_cache is set; run_stack puts the pool's output in the
+    last slot when a relu directly below the pool ran in the same stack.
+    """
     if isinstance(layer, Conv):
         out = conv2d_forward(x, layer, lparams, pads)
         return out, (x, pads)
     if isinstance(layer, MaxPool):
-        # the pool's input, not its output: a relu after the pool may
-        # overwrite the output in place, and nothing writes the input
-        return maxpool2d_forward(x, layer.kernel, layer.stride), x
+        if not want_cache:
+            return maxpool2d_forward(x, layer.kernel, layer.stride), None
+        out, route = maxpool2d_forward(x, layer.kernel, layer.stride, route=True)
+        return out, (route, x.shape, None)
     if isinstance(layer, Relu):
         out = relu_forward(x, inplace=inplace_ok)
         return out, out
@@ -272,22 +278,33 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
+def _add_conv_param_grads(acc, x, layer, grad_out, pads):
+    gw, gb = conv2d_param_grad(x, layer, grad_out, pads)
+    acc.w += gw
+    acc.b += gb
+
+
 def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
     """Run one layer backward; returns grad_in.
 
     A conv or dense layer adds its parameter gradients into acc, its entry
-    of the pass's ParamGrads (None for parameter-free layers). With
-    inplace_ok a relu masks grad_out in place and returns it.
+    of the pass's ParamGrads (None for parameter-free layers); a conv adds
+    them before its input gradient's products run, so its weight-gradient
+    temporary and their workspace are never live together. With
+    inplace_ok a relu masks grad_out in place and returns it; a relu
+    without a cache, fused into the pool above it, returns grad_out as it
+    is, since that pool's backward applied its mask.
     """
     if isinstance(layer, Conv):
         x, pads = cache
-        gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
-        acc.w += gw
-        acc.b += gb
-        return gx
+        _add_conv_param_grads(acc, x, layer, grad_out, pads)
+        return conv2d_input_grad(grad_out, layer, lparams, x.shape[2:], pads)
     if isinstance(layer, MaxPool):
-        return maxpool2d_backward(cache, grad_out, layer.kernel, layer.stride)
+        route, in_shape, relu_out = cache
+        return maxpool2d_backward(route, grad_out, layer.kernel, layer.stride, in_shape, relu_out)
     if isinstance(layer, Relu):
+        if cache is None:
+            return grad_out
         return relu_backward(cache, grad_out, inplace=inplace_ok)
     if isinstance(layer, Flatten):
         return flatten_backward(grad_out, cache)
@@ -302,27 +319,69 @@ def retains_output(layer):
     return not isinstance(layer, (Relu, Flatten))
 
 
+def fused_relu(layers, start, i):
+    """Whether layer i of a stack starting at start is a pool with a relu
+    directly below it in the stack: that relu caches nothing, and the pool
+    keeps a reference to its output to apply the relu's mask. A relu above
+    the pool may run in place on that output; the output is >= +0.0, so
+    the relu leaves it as it was."""
+    return isinstance(layers[i], MaxPool) and i > start and isinstance(layers[i - 1], Relu)
+
+
+def pool_frees(layers, start, i):
+    """The map whose array run_stack's cached pass stops holding once pool i
+    has run, or None (map m is layer m's input, so the pool reads map i).
+
+    The pool's cache holds its route, not its input. That array is made by
+    the layer below the pool, or below its fused relu, which runs in place;
+    it stays held if it is the stack's input, if another relu caches it,
+    or if it is the output of a pool with a fused relu.
+    """
+    m = i - 1 if fused_relu(layers, start, i) else i
+    if m == start or isinstance(layers[m - 1], Relu) or fused_relu(layers, start, m - 1):
+        return None
+    return m
+
+
 def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_sink=None):
     """Run layers [start, stop) forward.
 
     Returns (out, caches); caches is None when want_cache is False. The
     incoming array is never mutated (it may be a view of the caller's
     image or split map): relu runs in place only on buffers the stack
-    itself made. byte_sink, if given, is a list that receives
-    (layer_index, activation_bytes) per layer under retains_output
-    (maxpool retains only its output, its backward re-derives the route
-    from the input).
+    itself made. A relu directly followed by a pool caches nothing (see
+    fused_relu), and a pool caches its uint8 route, so the map below a
+    pool is freed once the pool has run (pool_frees).
+
+    byte_sink, if given, is a list that receives per layer (layer_index,
+    retained bytes, live bytes) under tilestream.memory's policy, for the
+    cached pass whatever want_cache is: its output's bytes under
+    retains_output plus a pool's route, one byte per output element; and
+    the stack's retained bytes once the layer has run, before a pool frees
+    the map below it.
     """
+    layers = net.layers
     caches = [] if want_cache else None
     owns = False  # x is a buffer this call made; flatten returns a view of its input
+    live, made = 0, {}
     for i in range(start, stop):
-        layer = net.layers[i]
+        layer = layers[i]
         pads = pads_seq[i - start] if pads_seq is not None else None
         out, cache = layer_forward(x, layer, params[i], pads,
-                                   inplace_ok=owns and isinstance(layer, Relu))
+                                   inplace_ok=owns and isinstance(layer, Relu),
+                                   want_cache=want_cache)
         if byte_sink is not None:
-            byte_sink.append((i, out.nbytes if retains_output(layer) else 0))
+            made[i + 1] = out.nbytes if retains_output(layer) else 0
+            kept = made[i + 1] + (out.size if isinstance(layer, MaxPool) else 0)
+            live += kept
+            byte_sink.append((i, kept, live))
+            freed = pool_frees(layers, start, i) if isinstance(layer, MaxPool) else None
+            live -= made.get(freed, 0)
         if want_cache:
+            if i + 1 < stop and fused_relu(layers, start, i + 1):
+                cache = None
+            elif fused_relu(layers, start, i):
+                cache = cache[:2] + (out,)
             caches.append(cache)
         x = out
         owns = owns or not isinstance(layer, Flatten)
@@ -334,10 +393,12 @@ def stack_backward(grad_out, net, params, caches, start, stop, grads):
 
     Pops each layer's cache from caches (run_stack's list) as its backward
     starts and adds its parameter gradients into grads, the pass's
-    ParamGrads. With start 0 layer 0 yields only its parameter gradients
-    (nothing consumes an image gradient) and None is returned. grad_out is
-    never written (it may be a view of the caller's gradient map): relu
-    masks in place only gradient buffers the stack itself made.
+    ParamGrads. A pool scatters from its route, with its fused relu's mask
+    if it has one, and that relu passes the gradient on. With start 0
+    layer 0 yields only its parameter gradients (nothing consumes an image
+    gradient) and None is returned. grad_out is never written (it may be a
+    view of the caller's gradient map): relu masks in place only gradient
+    buffers the stack itself made.
     """
     g = grad_out
     owns = False  # g is a buffer this call made; flatten's backward is a reshape view
@@ -350,9 +411,7 @@ def stack_backward(grad_out, net, params, caches, start, stop, grads):
         cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
         if isinstance(net.layers[0], Conv):
             x, pads = cache
-            gw, gb = conv2d_param_grad(x, net.layers[0], g, pads)
-            grads.per_layer[0].w += gw
-            grads.per_layer[0].b += gb
+            _add_conv_param_grads(grads.per_layer[0], x, net.layers[0], g, pads)
         g = None
     return g
 

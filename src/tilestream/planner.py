@@ -43,9 +43,9 @@ coarsening of the configured (r, c), (max(1, r >> j), max(1, c >> j))
 for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole.
 
 The budget is the smallest modelled peak (tilestream.memory's streaming
-formula) over every set of checkpoints, the empty set included, with
-every segment at the configured grid. Within the budget choose_layout
-keeps the layout with the least modelled step time
+formula) in the run's precision over every set of checkpoints, the empty
+set included, with every segment at the configured grid. Within the
+budget choose_layout keeps the layout with the least modelled step time
 
     SEC_PER_MAC * conv multiply-adds + SEC_PER_CALL * tile-layer calls
 
@@ -71,12 +71,17 @@ layout, gave 2.97e-10 and 3.14e-10 s per multiply-add and 2.86e-4 and
 2.97e-4 s per call. Refit them the same way on another host.
 
 Each distinct (segment, grid) is evaluated once, on per-axis intervals:
-its tiles are the product of its row and column parts, so a tile's
-retained scalars, each layer's largest tile output and the conv work
-factor into row and column terms. This per-axis model is the plan's only
-model; its Layout carries every streaming term estimate_streaming
-prints, as scalar counts, which do not scale with the batch, so one
-choice holds for both precisions and every batch size. choose_layout
+its tiles are the product of its row and column parts, so each map's
+tile extent, each layer's largest tile output and the conv work factor
+into row and column terms. A segment's tile term is the running maximum
+of a tile's live bytes (tilestream.memory.live_maps) over its layers,
+taken over the distinct row and column extents. This per-axis model is
+the plan's only model; its Layout carries every streaming term
+estimate_streaming prints, none of which scale with the batch. A route
+costs one byte per pool output element in either precision, so the peak
+and the tile terms are held per itemsize, and the chooser weighs the
+run's precision (build_tile_plan's precision, double by default, as in
+the config); every preset chooses the same layout in both. choose_layout
 builds no tiles; build_tile_plan builds tile entries for the chosen
 layout only.
 
@@ -101,7 +106,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, groupby
 from operator import attrgetter
 
@@ -109,10 +113,15 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import Conv
-from .memory import count_param_scalars, head_layer_bytes, stream_backward_peak, stream_forward_peak
+from .memory import (count_param_scalars, head_peak_bytes, live_maps, stream_backward_peak,
+                     stream_forward_peak)
 from .network import MaxPool, NetworkSpec, retains_output
+from .tensors import resolve_dtype
 
 PLAN_SCHEMA_VERSION = 5
+
+# Bytes per scalar of the two precisions; the memory terms are modelled in both.
+ITEMSIZES = (4, 8)
 
 # The modelled step time's constants (module doc, "Choosing the layout").
 SEC_PER_MAC = 3.0e-10     # seconds per conv multiply-add of a tile pass
@@ -215,17 +224,19 @@ class TileEntry:
 @dataclass(frozen=True)
 class Layout:
     """One set of checkpoint maps with a grid per segment, and what the
-    planner models for it. Memory is in scalars: times the itemsize they are
+    planner models for it. The peak and the tile terms are bytes per
+    itemsize (ITEMSIZES), since a route's byte does not scale with it;
+    cut maps and layer outputs are scalars, times the itemsize
     tilestream.memory's streaming terms."""
 
     checkpoints: tuple
     grids: tuple                       # (rows, cols) per segment, bottom-up
-    peak_scalars: int                  # modelled streaming peak
+    peak_bytes: dict                   # itemsize -> modelled streaming peak
     recompute: float                   # conv multiply-adds of all tiles over one whole-image pass
     calls: int                         # tile-layer calls: each segment's tiles times its layers
     seconds: float                     # modelled step time
     cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
-    tile_scalars: tuple                # largest tile pass (crop and kept outputs) per segment
+    tile_bytes: dict                   # itemsize -> largest tile term per segment
     layer_scalars: tuple               # largest tile output per streaming layer
 
 
@@ -319,15 +330,15 @@ class _Section:
         self.net, self.image_size, self.grid = net, image_size, tuple(grid)
         self.geoms = net.stream_geoms()
         layers = net.stream_layers
-        # scalars per output pixel a tile retains (relu runs in place) and
-        # multiply-adds per output pixel, per streaming layer
+        # scalars per output pixel a layer's output retains (relu runs in
+        # place) and multiply-adds per output pixel, per streaming layer
         self.kept = [self.channels[m + 1] if retains_output(layer) else 0
                      for m, layer in enumerate(layers)]
         self.macs = [layer.c_out * layer.c_in * layer.kernel ** 2 if isinstance(layer, Conv)
                      else 0 for layer in layers]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
         self.params = count_param_scalars(net, image_size)
-        self.head = sum(b for _, b in head_layer_bytes(net, image_size, 1))
+        self.head = {item: head_peak_bytes(net, image_size, item) for item in ITEMSIZES}
         candidates = [m + 1 for m, layer in enumerate(layers)
                       if isinstance(layer, MaxPool) and m + 1 < L
                       and self.sizes[m + 1] >= max(grid)]
@@ -338,34 +349,53 @@ class _Section:
                             for j in range(max(r, c).bit_length())]
         self._axes = {}
         self._segments = {}
+        self._lives = {}
+        self._budgets = {}
 
     def _axis(self, b, parts):
-        """Per-part chains from map b down to the image, and their extents
-        per map; a segment [a, b) takes their tails from map a."""
+        """Per-part chains from map b down to the image, their extents per
+        map, and those extents' distinct rows; a segment [a, b) takes their
+        tails from map a."""
         if (b, parts) not in self._axes:
             bounds = _near_equal_bounds(self.sizes[b], parts)
             chains = [_chain_down(self.geoms[:b], self.sizes[:b + 1], iv)
                       for iv in zip(bounds, bounds[1:])]
             extents = np.array([[hi - lo for lo, hi in ivs] for ivs, _ in chains])
-            self._axes[(b, parts)] = chains, extents
+            distinct = np.array(sorted(set(map(tuple, extents.tolist()))))
+            self._axes[(b, parts)] = chains, extents, distinct
         return self._axes[(b, parts)]
 
+    def _live(self, a, b):
+        """Per layer of segment [a, b), the scalars and route bytes per pixel
+        of each map a..b that a tile holds once the layer has run
+        (tilestream.memory.live_maps). A segment's steps are the first ones
+        of the walk from map a to the split map."""
+        if a not in self._lives:
+            ch = np.array(self.channels[a:])
+            self._lives[a] = [np.array(flags) * ch
+                              for flags in zip(*live_maps(self.net, a, self.net.split_index))]
+        return [terms[:b - a, :b - a + 1] for terms in self._lives[a]]
+
     def segment(self, a, b, grid):
-        """(largest tile pass, conv multiply-adds of all tiles, largest tile
-        output per layer, tile-layer calls, modelled seconds) of segment
-        [a, b) cut by grid, in scalars."""
+        """(largest tile term per itemsize, conv multiply-adds of all tiles,
+        largest tile output per layer, tile-layer calls, modelled seconds)
+        of segment [a, b) cut by grid; outputs and work in scalars."""
         if (a, b, grid) not in self._segments:
-            (_, hy), (_, wx) = (self._axis(b, parts) for parts in grid)
-            # a tile retains its crop of map a and the kept outputs above it
-            kept = np.array([self.channels[a]] + self.kept[a:b])
-            tile_peak = int(((hy[:, a:] * kept) @ wx[:, a:].T).max())
+            (_, hy, ys), (_, wx, xs) = (self._axis(b, parts) for parts in grid)
+            # a tile's live bytes after each layer, over the distinct tile
+            # extents per axis of maps a..b
+            arrays, routes = self._live(a, b)
+            per_item = np.multiply.outer(ITEMSIZES, arrays) + routes
+            peaks = np.einsum("ism,ym,xm->isyx", per_item, ys[:, a:],
+                              xs[:, a:]).max(axis=(1, 2, 3))
+            tile = dict(zip(ITEMSIZES, peaks.tolist()))
             rows, cols = hy[:, a + 1:], wx[:, a + 1:]
             conv_macs = sum(m * h * w for m, h, w in zip(
                 self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
             outputs = tuple(k * h * w for k, h, w in zip(
                 self.kept[a:b], rows.max(axis=0).tolist(), cols.max(axis=0).tolist()))
             calls = grid[0] * grid[1] * (b - a)
-            self._segments[(a, b, grid)] = (tile_peak, conv_macs, outputs, calls,
+            self._segments[(a, b, grid)] = (tile, conv_macs, outputs, calls,
                                             SEC_PER_MAC * conv_macs + SEC_PER_CALL * calls)
         return self._segments[(a, b, grid)]
 
@@ -373,9 +403,11 @@ class _Section:
         cuts = (0,) + tuple(checkpoints) + (self.net.split_index,)
         return cuts, (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
 
-    def _peak(self, cut_scalars, tiles):
-        return max(stream_forward_peak(self.params, self.head, cut_scalars, tiles),
-                   stream_backward_peak(self.params, self.params, self.head, cut_scalars, tiles))
+    def _peak(self, cut_scalars, tiles, item):
+        """The modelled peak in bytes at itemsize item, tiles being the tile terms in bytes."""
+        params, cuts = self.params * item, [c * item for c in cut_scalars]
+        return max(stream_forward_peak(params, self.head[item], cuts, tiles),
+                   stream_backward_peak(params, params, self.head[item], cuts, tiles))
 
     def layout(self, checkpoints, grids=None):
         """The Layout of these checkpoints, each segment at its grid in grids
@@ -385,21 +417,26 @@ class _Section:
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
         tiles, macs, outputs, calls, seconds = zip(
             *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
-        return Layout(checkpoints, grids, self._peak(cut_scalars, tiles),
+        tile_bytes = {item: tuple(t[item] for t in tiles) for item in ITEMSIZES}
+        return Layout(checkpoints, grids,
+                      {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES},
                       sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                      sum(calls), sum(seconds), cut_scalars, tiles,
+                      sum(calls), sum(seconds), cut_scalars, tile_bytes,
                       tuple(chain.from_iterable(outputs)))
 
-    @cached_property
-    def budget(self):
-        """The smallest modelled peak, in scalars, over every set of
-        checkpoints with every segment at the configured grid."""
-        return min(self.layout(cps).peak_scalars for cps in self.checkpoint_sets)
+    def budget(self, item):
+        """The smallest modelled peak, in bytes at itemsize item, over every
+        set of checkpoints with every segment at the configured grid."""
+        if item not in self._budgets:
+            self._budgets[item] = min(self.layout(cps).peak_bytes[item]
+                                      for cps in self.checkpoint_sets)
+        return self._budgets[item]
 
-    def fastest(self, checkpoints):
+    def fastest(self, checkpoints, item):
         """The Layout of these checkpoints with the least modelled seconds
-        within the budget, each segment's grid chosen on its own (module
-        doc, "Choosing the layout"); None if some segment fits no grid."""
+        within the budget at itemsize item, each segment's grid chosen on
+        its own (module doc, "Choosing the layout"); None if some segment
+        fits no grid."""
         cuts, cut_scalars = self._cuts(checkpoints)
         grids = []
         for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
@@ -407,19 +444,19 @@ class _Section:
             for grid in self.coarsenings:
                 tile, _, _, _, seconds = self.segment(a, b, grid)
                 alone = [0] * (len(cuts) - 1)
-                alone[j] = tile
-                if self._peak(cut_scalars, alone) <= self.budget:
-                    fits.append((seconds, tile, grid))
+                alone[j] = tile[item]
+                if self._peak(cut_scalars, alone, item) <= self.budget(item):
+                    fits.append((seconds, tile[item], grid))
             if not fits:
                 return None
             grids.append(min(fits)[2])
         return self.layout(checkpoints, grids)
 
-    def choose(self):
-        """(chosen Layout, every Layout weighed); see choose_layout."""
-        layouts = [self.fastest(cps) or self.layout(cps) for cps in self.checkpoint_sets]
-        fits = [c for c in layouts if c.peak_scalars <= self.budget]
-        return min(fits, key=lambda c: (c.seconds, c.peak_scalars, len(c.checkpoints))), layouts
+    def choose(self, item):
+        """(chosen Layout, every Layout weighed) at itemsize item; see choose_layout."""
+        layouts = [self.fastest(cps, item) or self.layout(cps) for cps in self.checkpoint_sets]
+        fits = [c for c in layouts if c.peak_bytes[item] <= self.budget(item)]
+        return min(fits, key=lambda c: (c.seconds, c.peak_bytes[item], len(c.checkpoints))), layouts
 
     def plan(self, checkpoints, grids=None):
         """The TilePlan cut at these checkpoints, each segment tiled by its
@@ -428,7 +465,7 @@ class _Section:
         cuts, _ = self._cuts(layout.checkpoints)
         tiles = []
         for a, b, grid in zip(cuts, cuts[1:], layout.grids):
-            (rows, _), (cols, _) = (self._axis(b, parts) for parts in grid)
+            (rows, _, _), (cols, _, _) = (self._axis(b, parts) for parts in grid)
             for i, (y_ivs, y_pads) in enumerate(rows):
                 for j, (x_ivs, x_pads) in enumerate(cols):
                     crop, owned = (Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
@@ -440,23 +477,23 @@ class _Section:
                         map_sizes=[(z, z) for z in self.sizes], tiles=tiles, layout=layout)
 
 
-def choose_layout(net: NetworkSpec, image_size, grid):
+def choose_layout(net: NetworkSpec, image_size, grid, precision="double"):
     """(chosen Layout, every Layout weighed) for (network, image size, grid).
 
     Weighs every set of checkpoint maps, each with its fastest per-segment
-    grids within the budget (or, if none fit, every segment at the
-    configured grid), and keeps the least modelled step time, then the
-    smallest peak, then fewest checkpoints (module doc, "Choosing the
-    layout"). Builds no tiles.
+    grids within the budget in the precision's bytes (or, if none fit,
+    every segment at the configured grid), and keeps the least modelled
+    step time, then the smallest peak, then fewest checkpoints (module
+    doc, "Choosing the layout"). Builds no tiles.
     """
-    return _Section(net, image_size, grid).choose()
+    return _Section(net, image_size, grid).choose(resolve_dtype(precision).itemsize)
 
 
-def build_tile_plan(net: NetworkSpec, image_size, grid):
+def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double"):
     """Construct the TilePlan for (network, image size, grid): the tiles of
-    the layout choose_layout keeps."""
+    the layout choose_layout keeps in this precision."""
     section = _Section(net, image_size, grid)
-    chosen, _ = section.choose()
+    chosen, _ = section.choose(resolve_dtype(precision).itemsize)
     return section.plan(chosen.checkpoints, chosen.grids)
 
 

@@ -218,33 +218,50 @@ def scatter_pool_grad(arg, grad_out, in_hw):
     return gx.reshape(n, c, *in_hw)
 
 
+def pool_routed(x, k, s):
+    """maxpool2d_forward's cached form: (output, route); its output equals the uncached one."""
+    y, route = maxpool2d_forward(x, k, s, route=True)
+    assert route.dtype == np.uint8 and route.shape == y.shape
+    assert y.tobytes() == maxpool2d_forward(x, k, s).tobytes()
+    return y, route
+
+
+def oracle_taps(arg, k, s, w):
+    """The oracle's flat spatial argmax as a tap index ky * k + kx of its window."""
+    oy, ox = np.indices(arg.shape[2:])
+    return (arg // w - oy * s) * k + (arg % w - ox * s)
+
+
 def test_maxpool_basic():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    y = maxpool2d_forward(x, 2, 2)
+    y, route = pool_routed(x, 2, 2)
     assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 4.0
-    gx = maxpool2d_backward(x, np.ones_like(y), 2, 2)
+    gx = maxpool2d_backward(route, np.ones_like(y), 2, 2, x.shape)
     assert np.flatnonzero(gx).tolist() == [3]
 
 
 def test_maxpool_tie_first_occurrence():
     x = np.full((1, 1, 4, 4), 2.5)
-    y = maxpool2d_forward(x, 2, 2)
+    y, route = pool_routed(x, 2, 2)
     assert np.all(y == 2.5)
-    gx = maxpool2d_backward(x, np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2), 2, 2)
+    gx = maxpool2d_backward(route, np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2), 2, 2,
+                            x.shape)
     # each window's gradient lands on its top-left entry
     assert np.array_equal(gx[0, 0], [[1, 0, 2, 0], [0, 0, 0, 0], [3, 0, 4, 0], [0, 0, 0, 0]])
     # a tie of signed zeros reads +0.0 and still routes to the first entry
     z = np.array([[-0.0, 0.0], [-0.0, -0.0]]).reshape(1, 1, 2, 2)
-    assert not np.signbit(maxpool2d_forward(z, 2, 2)).any()
-    assert np.flatnonzero(maxpool2d_backward(z, np.ones((1, 1, 1, 1)), 2, 2)).tolist() == [0]
+    y, route = pool_routed(z, 2, 2)
+    assert not np.signbit(y).any()
+    assert np.flatnonzero(maxpool2d_backward(route, np.ones((1, 1, 1, 1)), 2, 2,
+                                             z.shape)).tolist() == [0]
 
 
 def test_maxpool_5x5_drops_edges(rng):
     x = rng.standard_normal((1, 1, 5, 5))
-    y = maxpool2d_forward(x, 2, 2)
+    y, route = pool_routed(x, 2, 2)
     assert y.shape == (1, 1, 2, 2)
     assert out_size(5, 2, 2) == 2
-    gx = maxpool2d_backward(x, np.ones_like(y), 2, 2)
+    gx = maxpool2d_backward(route, np.ones_like(y), 2, 2, x.shape)
     # bottom row / right col never referenced; each window routes to one entry
     assert not gx[0, 0, 4, :].any() and not gx[0, 0, :, 4].any()
     assert np.count_nonzero(gx) == 4
@@ -252,37 +269,57 @@ def test_maxpool_5x5_drops_edges(rng):
 
 def test_maxpool_backward_routes():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    gx = maxpool2d_backward(x, np.ones((1, 1, 1, 1)), 2, 2)
+    _, route = pool_routed(x, 2, 2)
+    gx = maxpool2d_backward(route, np.ones((1, 1, 1, 1)), 2, 2, x.shape)
     assert np.array_equal(gx[0, 0], [[0.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(maxpool2d_backward(x, np.zeros((1, 1, 1, 1)), 2, 2),
+    assert np.array_equal(maxpool2d_backward(route, np.zeros((1, 1, 1, 1)), 2, 2, x.shape),
                           np.zeros((1, 1, 2, 2)))
 
 
 def test_maxpool_grad_conservation(rng):
     x = rng.standard_normal((1, 2, 8, 8))
-    gy = rng.standard_normal(maxpool2d_forward(x, 2, 2).shape)
-    gx = maxpool2d_backward(x, gy, 2, 2)
+    y, route = pool_routed(x, 2, 2)
+    gy = rng.standard_normal(y.shape)
+    gx = maxpool2d_backward(route, gy, 2, 2, x.shape)
     # non-overlapping windows: routing is a permutation, sums exactly equal
     assert math.fsum(gx.ravel()) == math.fsum(gy.ravel())
 
 
 def test_maxpool_overlapping_conservation(rng):
     x = rng.standard_normal((1, 1, 8, 8))
-    gy = rng.standard_normal(maxpool2d_forward(x, 3, 2).shape)
-    gx = maxpool2d_backward(x, gy, 3, 2)
+    y, route = pool_routed(x, 3, 2)
+    gy = rng.standard_normal(y.shape)
+    gx = maxpool2d_backward(route, gy, 3, 2, x.shape)
     assert abs(math.fsum(gx.ravel()) - math.fsum(gy.ravel())) < 1e-12
 
 
 def test_maxpool_stale_grad_out(rng):
-    """A grad_out that is not the pool output of x (of another input size,
-    window or channel count) raises rather than being routed."""
+    """A grad_out or route that is not the pool output of the input shape
+    (of another input size, window or channel count) raises rather than
+    being routed."""
     x = rng.standard_normal((1, 1, 6, 6))
+    _, route = pool_routed(x, 2, 2)
     with pytest.raises(ShapeError):
-        maxpool2d_backward(x, np.ones((1, 1, 2, 2)), 2, 2)
+        maxpool2d_backward(route, np.ones((1, 1, 2, 2)), 2, 2, x.shape)
     with pytest.raises(ShapeError):
-        maxpool2d_backward(x, np.ones((1, 1, 3, 3)), 3, 3)
+        maxpool2d_backward(route, np.ones((1, 1, 3, 3)), 3, 3, x.shape)
     with pytest.raises(ShapeError):
-        maxpool2d_backward(x, np.ones((1, 2, 3, 3)), 2, 2)
+        maxpool2d_backward(route, np.ones((1, 2, 3, 3)), 2, 2, x.shape)
+    with pytest.raises(ShapeError):
+        maxpool2d_backward(route, np.ones((1, 1, 3, 3)), 2, 2, (1, 1, 8, 8))
+    with pytest.raises(ShapeError):
+        maxpool2d_backward(route.astype(np.int64), np.ones((1, 1, 3, 3)), 2, 2, x.shape)
+
+
+def test_maxpool_route_holds_at_most_256_taps(rng):
+    """A uint8 route numbers taps 0..255: a 16x16 window routes, a 17x17
+    one is refused when a route is asked for and pools without one."""
+    x = rng.standard_normal((1, 1, 17, 17))
+    _, route = pool_routed(x[:, :, :16, :16], 16, 16)
+    assert route.item() == int(np.argmax(x[0, 0, :16, :16]))
+    with pytest.raises(ShapeError, match="uint8 route"):
+        maxpool2d_forward(x, 17, 17, route=True)
+    assert maxpool2d_forward(x, 17, 17).item() == x.max()
 
 
 @settings(max_examples=120, deadline=None)
@@ -293,9 +330,9 @@ def test_maxpool_stale_grad_out(rng):
 @example(n=1, c=2, k=2, s=3, dh=14, dw=11, ties=True, dtype=np.float64, seed=1)  # gaps
 @example(n=2, c=1, k=4, s=1, dh=14, dw=14, ties=False, dtype=np.float32, seed=2)
 def test_maxpool_matches_brute_force_bit_for_bit(n, c, k, s, dh, dw, ties, dtype, seed):
-    """Output and gradient equal the first-occurrence oracle bit for bit for
-    k < s, k = s and k > s, h and w in [k, 14]. Tied inputs are small
-    integers and signed zeros (a zero max reads +0.0); grad_out holds
+    """Output, route and gradient equal the first-occurrence oracle bit for
+    bit for k < s, k = s and k > s, h and w in [k, 14]. Tied inputs are
+    small integers and signed zeros (a zero max reads +0.0); grad_out holds
     signed zeros too."""
     r = np.random.default_rng(seed)
     shape = (n, c, k + dh % (15 - k), k + dw % (15 - k))
@@ -304,40 +341,82 @@ def test_maxpool_matches_brute_force_bit_for_bit(n, c, k, s, dh, dw, ties, dtype
     else:
         x = r.standard_normal(shape).astype(dtype)
     want_y, arg = brute_pool(x, k, s)
-    y = maxpool2d_forward(x, k, s)
+    y, route = pool_routed(x, k, s)
     assert y.dtype == dtype and y.tobytes() == want_y.tobytes()
+    assert np.array_equal(route, oracle_taps(arg, k, s, shape[3]))
     g = r.standard_normal(y.shape).astype(dtype)
     g[r.random(g.shape) < 0.3] = -0.0
     g[r.random(g.shape) < 0.1] = 0.0
-    gx = maxpool2d_backward(x, g, k, s)
+    gx = maxpool2d_backward(route, g, k, s, x.shape)
     assert gx.dtype == dtype
     assert gx.tobytes() == scatter_pool_grad(arg, g, x.shape[2:]).tobytes()
 
 
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 4), s=st.integers(1, 4),
+       dh=st.integers(0, 14), dw=st.integers(0, 14), values=st.sampled_from(["ties", "normal"]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+@example(n=2, c=3, k=3, s=2, dh=14, dw=14, values="ties", dtype=np.float32, seed=0)  # k > s
+@example(n=1, c=2, k=2, s=2, dh=14, dw=11, values="ties", dtype=np.float64, seed=1)  # k = s
+@example(n=2, c=1, k=2, s=3, dh=13, dw=14, values="ties", dtype=np.float32, seed=3)  # k < s
+def test_fused_relu_pool_backward_matches_masked_scatter(n, c, k, s, dh, dw, values, dtype,
+                                                          seed):
+    """A pool over a relu's output, routed with that relu's mask (the pool
+    output > 0), gives bit for bit relu_backward of the oracle's scatter:
+    ties, signed zeros and all-zero windows (most of the tied inputs are
+    <= 0), k <= s and k > s, both precisions."""
+    r = np.random.default_rng(seed)
+    shape = (n, c, k + dh % (15 - k), k + dw % (15 - k))
+    if values == "ties":
+        pre = r.choice(np.array([-0.0, 0.0, -1.0, 1.0, -2.0, 2.0]), shape,
+                       p=[0.3, 0.3, 0.15, 0.1, 0.1, 0.05]).astype(dtype)
+    else:
+        pre = r.standard_normal(shape).astype(dtype)
+    x = relu_forward(pre.copy())
+    want_y, arg = brute_pool(x, k, s)
+    y, route = pool_routed(x, k, s)
+    assert y.tobytes() == want_y.tobytes()
+    g = r.standard_normal(y.shape).astype(dtype)
+    g[r.random(g.shape) < 0.3] = -0.0
+    g[r.random(g.shape) < 0.1] = 0.0
+    want = relu_backward(x, scatter_pool_grad(arg, g, x.shape[2:]))
+    got = maxpool2d_backward(route, g, k, s, x.shape, relu_out=y)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1)])
 def test_maxpool_forward_allocates_only_its_output(rng, k, s):
-    """The forward keeps no index map. Beyond its output it allocates, one
-    at a time, numpy's ufunc buffer (np.getbufsize() elements, for the
-    strided tap views) and the finiteness check's one byte per output
-    element, plus a small constant. A uint8 window offset kept while the
-    taps run would exceed this bound."""
+    """The uncached forward keeps no index map. Beyond its output it
+    allocates, one at a time, numpy's ufunc buffer (np.getbufsize()
+    elements, for the strided tap views) and the finiteness check's one
+    byte per output element, plus a small constant. A uint8 window offset
+    kept while the taps run would exceed this bound. The cached forward
+    adds its uint8 route and one reused uint8 buffer of the output's
+    shape, no per-tap temporary."""
     x = rng.standard_normal((1, 8, 256, 256)).astype(np.float32)
     peak, out = _traced_peak(lambda: [maxpool2d_forward(x, k, s)])
     assert peak <= out + max(out // x.itemsize, np.getbufsize() * x.itemsize) + 4096
+    peak, both = _traced_peak(lambda: maxpool2d_forward(x, k, s, route=True))
+    route = both - out
+    assert route == out // x.itemsize
+    assert peak <= out + 2 * route + max(route, np.getbufsize() * x.itemsize) + 4096
 
 
 @pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (2, 3)])
 def test_maxpool_backward_allocates_no_per_tap_temporaries(rng, k, s):
     """With disjoint windows (k <= s) the backward writes each tap's routed
     values straight into the gradient. Beyond the gradient it holds the
-    recomputed max and the normalised grad_out (one output each), at most
-    three boolean output masks (the taken windows and two taps' hits) and
-    numpy's ufunc buffer, plus a small constant. A mask kept per tap, or a
+    normalised grad_out (one output), one boolean output mask of the taps'
+    hits, with a relu's mask one more, and numpy's ufunc buffers (a cast
+    and a strided output), plus a small constant: within two outputs,
+    three boolean masks and one ufunc buffer. A mask kept per tap, or a
     grad_out * hit product, would exceed this bound."""
     x = rng.standard_normal((1, 8, 255, 255)).astype(np.float32)
-    g = rng.standard_normal(maxpool2d_forward(x, k, s).shape).astype(np.float32)
-    peak, gx = _traced_peak(lambda: [maxpool2d_backward(x, g, k, s)])
-    assert peak <= gx + 2 * g.nbytes + 3 * g.size + np.getbufsize() * x.itemsize + 4096
+    y, route = maxpool2d_forward(x, k, s, route=True)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    for relu_out in (None, y):
+        peak, gx = _traced_peak(lambda: [maxpool2d_backward(route, g, k, s, x.shape, relu_out)])
+        assert peak <= gx + 2 * g.nbytes + 3 * g.size + np.getbufsize() * x.itemsize + 4096
 
 
 # --- relu ----------------------------------------------------------------
@@ -518,7 +597,8 @@ def _crop_rows(o0, o1, k, s, pad, size):
 @example(n=1, c_in=2, c_out=3, k=2, s=2, pads=(0, 1, 1, 0), h=40, w=40, crop=(3, 17, 0, 999),
          dtype=np.float64, seed=2)  # 20 x 20 = 400 positions, several bands
 def test_conv_forward_crop_bit_exact(n, c_in, c_out, k, s, pads, h, w, crop, dtype, seed):
-    """Any crop with border-only padding reproduces its outputs bit for bit."""
+    """Any crop with border-only padding reproduces its outputs bit for bit,
+    given as a copy or as a view of the map, as tiles pass it."""
     pt, pb, pl, pr = (p % k for p in pads)
     h, w = max(h, k - pt - pb), max(w, k - pl - pr)
     r = np.random.default_rng(seed)
@@ -534,8 +614,9 @@ def test_conv_forward_crop_bit_exact(n, c_in, c_out, k, s, pads, h, w, crop, dty
     b1 = b0 + 1 + crop[3] % (ow - b0)
     y0, y1, ct, cb = _crop_rows(a0, a1, k, s, pt, h)
     x0, x1, cl, cr = _crop_rows(b0, b1, k, s, pl, w)
-    part = conv2d_forward(np.ascontiguousarray(x[:, :, y0:y1, x0:x1]), spec, params, (ct, cb, cl, cr))
-    assert part.tobytes() == np.ascontiguousarray(whole[:, :, a0:a1, b0:b1]).tobytes()
+    want = np.ascontiguousarray(whole[:, :, a0:a1, b0:b1]).tobytes()
+    for crop_x in (np.ascontiguousarray(x[:, :, y0:y1, x0:x1]), x[:, :, y0:y1, x0:x1]):
+        assert conv2d_forward(crop_x, spec, params, (ct, cb, cl, cr)).tobytes() == want
 
 
 def _traced_peak(fn):
@@ -674,7 +755,8 @@ def test_maxpool_backward_matches_per_map_scatter():
     r = np.random.default_rng(7)
     x = r.integers(0, 3, (2, 3, 11, 9)).astype(np.float32)  # many ties
     want_y, arg = brute_pool(x, 3, 2)
-    assert maxpool2d_forward(x, 3, 2).tobytes() == want_y.tobytes()
+    y, route = pool_routed(x, 3, 2)
+    assert y.tobytes() == want_y.tobytes()
     gy = r.standard_normal(arg.shape).astype(np.float32)
-    got = maxpool2d_backward(x, gy, 3, 2)
+    got = maxpool2d_backward(route, gy, 3, 2, x.shape)
     assert got.tobytes() == scatter_pool_grad(arg, gy, (11, 9)).tobytes()

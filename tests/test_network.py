@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from tilestream.network import (
     net_giga64mp,
     net_tiny2,
     net_vgg13,
+    pool_frees,
     run_stack,
     stack_backward,
 )
@@ -134,6 +138,47 @@ def test_relu_inplace_never_mutates_stack_input(rng):
     for grid in ((1, 1), (2, 1), (2, 2)):
         streaming_loss_and_grads(net, params, x, 1, build_tile_plan(net, 4, grid))
         assert np.array_equal(x, keep), grid
+
+
+# Streaming sections whose pools read a conv's output, through a relu or
+# not, a fused or an unfused pool's output, a map another relu caches, and
+# (from layer 1) the stack's input.
+POOL_STACKS = {
+    "relu-pool-pool": (Conv(2, 3, 1, 1), Relu(), MaxPool(2, 2), MaxPool(2, 2)),
+    "pool-pool": (Conv(2, 3, 1, 1), MaxPool(2, 2), MaxPool(2, 2)),
+    "relu-relu-pool": (Conv(2, 3, 1, 1), Relu(), Relu(), MaxPool(2, 2)),
+    "pool-relu-pool": (Conv(2, 3, 1, 1), MaxPool(2, 2), Relu(), MaxPool(2, 2)),
+    "relu-pool-relu-pool": (Conv(2, 3, 1, 1), Relu(), MaxPool(2, 2), Relu(), MaxPool(2, 2)),
+}
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("name", sorted(POOL_STACKS))
+def test_pool_frees_names_the_maps_the_caches_release(monkeypatch, rng, name, start):
+    """After a cached run_stack, with its output and caches held, the map
+    each pool read is freed exactly when pool_frees names it, so the
+    memory model and the byte sink free what the caches really release. A
+    relu at the stack's start writes a fresh array, which the policy never
+    counts (relu retains nothing); its fused pool frees that one too."""
+    layers = POOL_STACKS[name]
+    net = NetworkSpec(1, layers + (Flatten(), Dense(1)), len(layers))
+    params = init_params(net, 16, seed=0)
+    x, _ = run_stack(rng.standard_normal((1, 1, 16, 16)), net, params, 0, start)
+    read, pool = [], tilestream.network.maxpool2d_forward
+
+    def recording(a, k, s, route=False):
+        read.append(weakref.ref(a))
+        return pool(a, k, s, route)
+
+    monkeypatch.setattr(tilestream.network, "maxpool2d_forward", recording)
+    out, caches = run_stack(x, net, params, start, len(layers))
+    gc.collect()
+    pools = [i for i in range(start, len(layers)) if isinstance(layers[i], MaxPool)]
+    assert len(read) == len(pools)
+    fresh = isinstance(layers[start], Relu)
+    assert [ref() is None for ref in read] == [
+        pool_frees(net.layers, start, i) is not None or (fresh and i == start + 1)
+        for i in pools]
 
 
 @pytest.mark.parametrize("start", [0, 1])

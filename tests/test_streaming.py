@@ -62,6 +62,7 @@ from tilestream.planner import (
     validate_tile_plan,
     whole_image_plan,
 )
+from tilestream.tensors import resolve_dtype
 
 SAMPLED = range(60)
 
@@ -142,7 +143,7 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_forward_bytes == record.peak_bytes_forward
     assert est.peak_backward_bytes == record.peak_bytes_backward
-    assert est.peak_bytes == plan.layout.peak_scalars * image.itemsize
+    assert est.peak_bytes == plan.layout.peak_bytes[image.itemsize]
 
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
@@ -201,57 +202,62 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
     chosen modelled peak is the least over those sets with every segment
     at the configured grid (the budget), as the memory model computes it
     on the built plans, and no layout within it, of any set and any grid
-    per segment, has less modelled time."""
+    per segment, has less modelled time; in each precision, whose bytes
+    the chooser weighs."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
-    chosen, layouts = choose_layout(net, z, grid)
-    plan = build_tile_plan(net, z, grid)
-    assert plan.layout == chosen and plan.grid == grid
-    sizes = [h for h, _ in plan.map_sizes]
-    pools = [m + 1 for m, layer in enumerate(net.stream_layers)
-             if isinstance(layer, MaxPool) and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
-    sets = sorted(cps for r in range(len(pools) + 1) for cps in itertools.combinations(pools, r))
-    assert sorted(c.checkpoints for c in layouts) == sets
     section = _Section(net, z, grid)
-    uniform = {}
-    for cps in sets:
-        forced = section.plan(cps)
-        assert validate_tile_plan(forced, net).ok
-        uniform[cps] = estimate_streaming(net, forced, 1, "single").peak_bytes
-        assert uniform[cps] == 4 * forced.layout.peak_scalars
-    budget = min(uniform.values())
-    assert estimate_streaming(net, plan, 1, "single").peak_bytes == budget <= uniform[()]
-    assert chosen in layouts
-    for layout in layouts:
-        forced = section.plan(layout.checkpoints, layout.grids)
-        assert validate_tile_plan(forced, net).ok and forced.layout == layout
-        assert forced.recompute_ratio == layout.recompute
-        assert estimate_streaming(net, forced, 1, "single").peak_bytes == 4 * layout.peak_scalars
-    for layout in every_layout(section):
-        if 4 * layout.peak_scalars <= budget:
-            assert layout.seconds >= chosen.seconds, (layout.checkpoints, layout.grids)
+    for precision, item in (("single", 4), ("double", 8)):
+        chosen, layouts = choose_layout(net, z, grid, precision)
+        plan = build_tile_plan(net, z, grid, precision)
+        assert plan.layout == chosen and plan.grid == grid
+        sizes = [h for h, _ in plan.map_sizes]
+        pools = [m + 1 for m, layer in enumerate(net.stream_layers) if isinstance(layer, MaxPool)
+                 and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
+        sets = sorted(cps for r in range(len(pools) + 1)
+                      for cps in itertools.combinations(pools, r))
+        assert sorted(c.checkpoints for c in layouts) == sets
+        uniform = {}
+        for cps in sets:
+            forced = section.plan(cps)
+            assert validate_tile_plan(forced, net).ok
+            uniform[cps] = estimate_streaming(net, forced, 1, precision).peak_bytes
+            assert uniform[cps] == forced.layout.peak_bytes[item]
+        budget = min(uniform.values())
+        assert estimate_streaming(net, plan, 1, precision).peak_bytes == budget <= uniform[()]
+        assert chosen in layouts
+        for layout in layouts:
+            forced = section.plan(layout.checkpoints, layout.grids)
+            assert validate_tile_plan(forced, net).ok and forced.layout == layout
+            assert forced.recompute_ratio == layout.recompute
+            assert estimate_streaming(net, forced, 1, precision).peak_bytes == \
+                layout.peak_bytes[item]
+        for layout in every_layout(section):
+            if layout.peak_bytes[item] <= budget:
+                assert layout.seconds >= chosen.seconds, (layout.checkpoints, layout.grids)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
 def test_separable_search_equals_the_exhaustive_product(name):
     """Each segment taking its fastest grid that fits on its own gives,
     per set of checkpoints and overall, the layout the exhaustive product
-    of per-segment grids keeps within the budget."""
+    of per-segment grids keeps within the budget, in each precision."""
     make, z, grid = CHOOSER_CASES[name]
     section = _Section(make(), z, grid)
     assert sorted(section.coarsenings, reverse=True) == coarsenings(grid)
-    best = {}
-    for layout in every_layout(section):
-        if layout.peak_scalars <= section.budget:
-            key = (layout.seconds, layout.peak_scalars)
-            cps = layout.checkpoints
-            if cps not in best or key < (best[cps].seconds, best[cps].peak_scalars):
-                best[cps] = layout
-    for cps in section.checkpoint_sets:
-        assert section.fastest(cps) == best.get(cps), cps
-    chosen, _ = section.choose()
-    assert chosen == min(best.values(),
-                         key=lambda c: (c.seconds, c.peak_scalars, len(c.checkpoints)))
+    for item in (4, 8):
+        best = {}
+        for layout in every_layout(section):
+            if layout.peak_bytes[item] <= section.budget(item):
+                key = (layout.seconds, layout.peak_bytes[item])
+                cps = layout.checkpoints
+                if cps not in best or key < (best[cps].seconds, best[cps].peak_bytes[item]):
+                    best[cps] = layout
+        for cps in section.checkpoint_sets:
+            assert section.fastest(cps, item) == best.get(cps), cps
+        chosen, _ = section.choose(item)
+        assert chosen == min(best.values(),
+                             key=lambda c: (c.seconds, c.peak_bytes[item], len(c.checkpoints)))
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
@@ -267,17 +273,19 @@ def test_chosen_checkpoints(make, z, grid, want):
 
 @pytest.mark.parametrize("make, z, grid, checkpoints, grids", [
     (net_vgg13, 512, (4, 4), (17,), ((4, 4), (2, 2))),    # vgg13-g4: 20 tiles
-    (net_vgg13, 256, (4, 4), (10, 24), ((4, 4), (4, 4), (1, 1))),
+    (net_vgg13, 256, (4, 4), (17,), ((4, 4), (2, 2))),
     (net_vgg13, 512, (2, 2), (10,), ((2, 2), (2, 2))),
     (net_tiny2, 512, (8, 8), (), ((8, 8),)),
     (net_vgg13, 8192, (16, 16), (), ((16, 16),)),
     (net_giga64mp, 8130, (16, 16), (), ((16, 16),)),
 ])
 def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
-    """Planning only: each segment's grid the chooser picks for the presets."""
-    plan = build_tile_plan(make(), z, grid)
-    assert (plan.checkpoints, plan.grids, plan.grid) == (checkpoints, grids, grid)
-    assert len(plan.tiles) == sum(r * c for r, c in grids)
+    """Planning only: each segment's grid the chooser picks for the presets,
+    the same in both precisions."""
+    for precision in ("single", "double"):
+        plan = build_tile_plan(make(), z, grid, precision)
+        assert (plan.checkpoints, plan.grids, plan.grid) == (checkpoints, grids, grid)
+        assert len(plan.tiles) == sum(r * c for r, c in grids)
 
 
 def test_a_segment_off_its_grid_fails_validation():
@@ -423,14 +431,28 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
 
 
 def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
-    """On a whole-image (1x1) pass, when layer j's backward starts, every
-    array that only the caches of layers above j referenced is already
-    freed; afterwards the stream's and the head's cache lists are empty."""
+    """On a whole-image (1x1) pass, after the cached forward no cache holds
+    a map a pool read (a pool keeps its route), but for the split map the
+    engine keeps anyway; when layer j's backward starts, every array that
+    only the caches of layers above j referenced is already freed;
+    afterwards the stream's and the head's cache lists are empty."""
     net = net_vgg13(base=2, hidden=4)
     plan = whole_image_plan(net, 64)
     params = init_params(net, 64, 0)
     image = synth_dataset(0, 64, 2)[0].image
+    pool_inputs, pool = [], tilestream.network.maxpool2d_forward
+
+    def recording(x, k, s, route=False):
+        pool_inputs.append(weakref.ref(x))
+        return pool(x, k, s, route)
+
+    monkeypatch.setattr(tilestream.network, "maxpool2d_forward", recording)
     state = streaming_forward(net, params, image, plan)
+    monkeypatch.undo()
+    pools = [i for i, layer in enumerate(net.layers) if isinstance(layer, MaxPool)]
+    assert len(pool_inputs) == len(pools) == 5 and pools[-1] == net.split_index
+    assert [ref() is None for ref in pool_inputs[:-1]] == [True] * 4
+    assert pool_inputs[-1]() is state.split_map
     stream_caches, head_caches = state.kept[1], state.head_caches
     held = {id(m) for m in state.cut_maps}  # the engine keeps these until the pass ends
     lowest = {}  # array id -> (lowest layer whose cache holds it, weakref)
@@ -606,26 +628,32 @@ def test_finite_differences_score_each_gradient_set():
     assert good <= 1e-5 and abs(bad - 0.5) < 1e-3
 
 
-@pytest.mark.parametrize("case", SAMPLED)
-def test_memory_model_equals_engine_counters(case):
+@pytest.mark.parametrize("case, precision", [
+    pytest.param(case, precision, id=str(case) if precision == "double" else f"{case}-single")
+    for precision in ("double", "single") for case in SAMPLED])
+def test_memory_model_equals_engine_counters(case, precision):
+    """In both precisions: a route's byte does not scale with the itemsize."""
     net, z, _, plan = sampled(case)
+    params = init_params(net, z, case, precision)
     image = np.random.default_rng(case).standard_normal((1, 1, z, z))
-    _, _, record = run_both(net, z, plan, case, image)
-    est = estimate_streaming(net, plan, 1, "double")
+    image = image.astype(resolve_dtype(precision))
+    record = streaming_loss_and_grads(net, params, image, case % 2, plan).record
+    est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_forward_bytes == record.peak_bytes_forward
     assert est.peak_backward_bytes == record.peak_bytes_backward
 
 
 def measured_layer_peaks(net, params, image, plan):
-    """(layer, bytes) of each streaming layer's largest output over every
-    tile, as run_stack's byte sink measures the arrays it makes."""
+    """(layer, bytes) of each streaming layer's largest output, and a pool's
+    route, over every tile, as run_stack's byte sink measures the arrays it
+    makes."""
     inputs = {a: run_stack(image, net, params, 0, a, want_cache=False)[0] for a in plan.cuts[:-1]}
     peaks = [0] * net.split_index
     for tile in plan.tiles:
         r, sink = tile.input_forward, []
         run_stack(inputs[tile.start][:, :, r.y0:r.y1, r.x0:r.x1], net, params, tile.start,
                   tile.stop, pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
-        for m, b in sink:
+        for m, b, _ in sink:
             peaks[m] = max(peaks[m], b)
     return list(enumerate(peaks))
 
@@ -675,10 +703,12 @@ def test_forward_peak_never_exceeds_backward_peak(case):
     every checkpoint layout the chooser weighs, stream_f <= stream_b."""
     net, z, grid, _ = sampled(case)
     section = _Section(net, z, grid)
-    for layout in section.choose()[1]:
-        cuts, tiles = layout.cut_scalars, layout.tile_scalars
-        assert stream_forward_peak(section.params, section.head, cuts, tiles) <= \
-            stream_backward_peak(section.params, section.params, section.head, cuts, tiles)
+    for item in (4, 8):
+        params, head = section.params * item, section.head[item]
+        for layout in section.choose(item)[1]:
+            cuts, tiles = [c * item for c in layout.cut_scalars], layout.tile_bytes[item]
+            assert stream_forward_peak(params, head, cuts, tiles) <= \
+                stream_backward_peak(params, params, head, cuts, tiles)
 
 
 @pytest.mark.parametrize("case", SAMPLED)
@@ -733,7 +763,7 @@ def test_plan_json_names_the_chain_ends():
                  id="crop-shifted"),
     pytest.param("crop-shifted-a-stride", "chain", "not on the owned region",
                  id="crop-shifted-a-stride"),
-    pytest.param("pads-truncated", "chain", "3 pads, want 5", id="pads-truncated")])
+    pytest.param("pads-truncated", "chain", "3 pads, want 10", id="pads-truncated")])
 def test_broken_forward_chain_fails_validation(damage, tag, what):
     """A damaged chain is reported as a failure; validation never raises."""
     net = net_vgg13(base=2, hidden=4)
