@@ -31,7 +31,7 @@ from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError,
 from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
 from .network import cast_params, init_params, param_bytes
-from .planner import _Section, choose_layout, validate_tile_plan, whole_image_plan
+from .planner import _Section, build_tile_plan, validate_tile_plan, whole_image_plan
 from .tensors import resolve_dtype, write_st4
 
 
@@ -62,17 +62,16 @@ def save_checkpoint(dirpath, net, params, precision):
 
 
 def _prepare(cfg: ExperimentConfig):
-    """(network, validated plan, every layout weighed, budget), chosen and
+    """(network, validated plan, every plan weighed, budget), chosen and
     budgeted in the run's precision."""
     net = build_network(cfg)
     section = _Section(net, cfg.image_size, cfg.grid)
     item = resolve_dtype(cfg.precision).itemsize
-    chosen, layouts = section.choose(item)
-    plan = section.plan(chosen.checkpoints, chosen.grids)
+    plan, candidates = section.choose(item)
     report = validate_tile_plan(plan, net)
     if not report.ok:
         raise PlanError("; ".join(report.failures[:3]))
-    return net, plan, layouts, section.budget(item)
+    return net, plan, candidates, section.budget(item)
 
 
 def _dataset(cfg: ExperimentConfig, net, n):
@@ -88,7 +87,7 @@ def _grids(grids):
 
 
 def cmd_plan(cfg: ExperimentConfig):
-    net, plan, layouts, budget = _prepare(cfg)
+    net, plan, candidates, budget = _prepare(cfg)
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
@@ -104,17 +103,17 @@ def cmd_plan(cfg: ExperimentConfig):
     item = resolve_dtype(cfg.precision).itemsize
     print(f"budget: modelled peak {budget:,} bytes, the least with every segment "
           f"at {plan.grid[0]}x{plan.grid[1]}")
-    for layout in layouts:
-        maps = ",".join(map(str, layout.checkpoints)) or "none"
-        mark = ("  (chosen)" if layout == plan.layout
-                else "  (over budget)" if layout.peak_bytes[item] > budget else "")
-        print(f"checkpoints {maps} grids {_grids(layout.grids)}: modelled peak "
-              f"{layout.peak_bytes[item]:,} bytes, conv work {layout.recompute:.2f}x, "
-              f"{layout.calls} tile-layer calls, {layout.seconds:.3f} s modelled{mark}")
+    for candidate in candidates:
+        maps = ",".join(map(str, candidate.checkpoints)) or "none"
+        mark = ("  (chosen)" if candidate is plan
+                else "  (over budget)" if candidate.peak_bytes[item] > budget else "")
+        print(f"checkpoints {maps} grids {_grids(candidate.grids)}: modelled peak "
+              f"{candidate.peak_bytes[item]:,} bytes, conv work {candidate.recompute_ratio:.2f}x, "
+              f"{candidate.calls} tile-layer calls, {candidate.seconds:.3f} s modelled{mark}")
     g = 1
     while g <= min(plan.split_hw):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid
-                 else choose_layout(net, cfg.image_size, (g, g), cfg.precision)[0].recompute)
+                 else build_tile_plan(net, cfg.image_size, (g, g), cfg.precision).recompute_ratio)
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
@@ -228,10 +227,9 @@ def cmd_bench(cfg: ExperimentConfig):
     steps = int(cfg.bench.get("steps", 3))
     # the traced peak leaves out the parameters, made before tracing starts;
     # train_step runs a batch one image at a time, so the models take batch 1
-    models = {"sgd": estimate_whole_image(net, cfg.image_size, 1, cfg.precision),
-              "ssgd": estimate_streaming(net, plan, 1, cfg.precision)}
+    plans = {"sgd": whole_image_plan(net, cfg.image_size), "ssgd": plan}
     report = {}
-    for mode, use_plan in (("sgd", whole_image_plan(net, cfg.image_size)), ("ssgd", plan)):
+    for mode, use_plan in plans.items():
         params = init_params(net, cfg.image_size, cfg.seed, precision=cfg.precision)
         times, peak = [], 0
         for step in range(steps):
@@ -251,7 +249,8 @@ def cmd_bench(cfg: ExperimentConfig):
         report[mode] = {"median_step_seconds": float(np.median(times)),
                         "peak_bytes": peak, "traced_peak_bytes": traced,
                         "param_bytes": param_bytes(params),
-                        "modelled_peak_bytes": models[mode].peak_bytes}
+                        "modelled_peak_bytes": estimate_streaming(net, use_plan, 1,
+                                                                  cfg.precision).peak_bytes}
     ratio = report["ssgd"]["median_step_seconds"] / report["sgd"]["median_step_seconds"]
     report["recompute_time_ratio"] = ratio
     print(json.dumps(report, indent=2, sort_keys=True))

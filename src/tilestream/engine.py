@@ -178,8 +178,9 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     record = StreamingRunRecord(params_bytes=param_bytes(params))
     maps = []
     below = image
-    last = plan.tiles[-1]
-    for _, stop, tiles in plan.segments:
+    last = plan.segments[-1].tiles[-1]
+    for segment in plan.segments:
+        stop, tiles = segment.stop, segment.tiles
         out = None if len(tiles) == 1 else np.empty(
             (n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
         peak_tile = 0
@@ -217,8 +218,8 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     (a fresh ParamGrads if None); returns grads."""
     _check_image(image, plan)
     segments = plan.segments
-    if ([m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[b]) for _, b, _ in segments]
-            or state.kept is None or state.kept[0] != plan.tiles[-1]):
+    if ([m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[s.stop]) for s in segments]
+            or state.kept is None or state.kept[0] is not segments[-1].tiles[-1]):
         raise PlanError("forward state does not match this plan, or was backpropagated")
     kept, state.kept = state.kept, None
     if grads is None:
@@ -228,10 +229,9 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     record = state.record
     record.grads_bytes = param_bytes(grads.per_layer)
     inputs = [image] + state.cut_maps[:-1]
-    for s in range(len(segments) - 1, -1, -1):
-        start, stop, tiles = segments[s]
-        below = inputs[s]
-        grad_below = np.zeros_like(below) if start > 0 else None
+    for segment, below in zip(segments[::-1], inputs[::-1]):
+        grad_below = np.zeros_like(below) if segment.start > 0 else None
+        tiles = segment.tiles
         if kept:  # the top segment: its last tile first, from forward's caches
             tiles = tiles[-1:] + tiles[:-1]
         for tile in tiles:
@@ -241,7 +241,7 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
                 _, caches, _ = _tile_pass(net, params, below, tile, want_cache=True)
             o = tile.owned_split
             g_in = stack_backward(grad_above[:, :, o.y0:o.y1, o.x0:o.x1], net, params,
-                                  caches, start, stop, grads)
+                                  caches, segment.start, segment.stop, grads)
             if grad_below is not None:
                 r = tile.input_forward
                 grad_below[:, :, r.y0:r.y1, r.x0:r.x1] += g_in

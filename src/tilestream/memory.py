@@ -59,8 +59,8 @@ the largest tile term of segment [cut j-1, cut j):
 
 With one segment these are params + split_map + tile + head and params +
 grads + 2*split_map + head + tile. stream_f <= stream_b (its last term is
-in stream_b's j = k one). estimate_streaming reads the tile terms the
-planner models (TilePlan.layout) in the run's precision.
+in stream_b's j = k one). estimate_streaming reads the terms the planner
+stores on the TilePlan, in the run's precision.
 """
 
 from __future__ import annotations
@@ -178,23 +178,22 @@ def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
 
 
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
-    """Streaming estimate for a TilePlan: its layout's terms in the run's precision.
+    """Streaming estimate for a TilePlan: its modelled terms in the run's precision.
 
     per_layer_bytes holds each streaming layer's largest tile output (and a
     pool's route), then the head terms; the phase peaks take each
     segment's tile term.
     """
     item = resolve_dtype(precision).itemsize
-    layout = plan.layout
     head_per_layer = head_layer_bytes(net, plan.image_size, item)
     head_bytes = head_peak_bytes(net, plan.image_size, item)
-    cut_bytes = [c * item for c in layout.cut_scalars]
-    tile_bytes = list(layout.tile_bytes[item])
+    cut_bytes = [c * item for c in plan.cut_scalars]
+    tile_bytes = list(plan.tile_bytes[item])
     params = count_param_scalars(net, plan.image_size) * item
     peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
     peak_backward = stream_backward_peak(params, params, head_bytes, cut_bytes, tile_bytes)
     per_layer = [(m, s * item + (s if isinstance(net.layers[m], MaxPool) else 0))
-                 for m, s in enumerate(layout.layer_scalars)] + head_per_layer
+                 for m, s in enumerate(plan.layer_scalars)] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,

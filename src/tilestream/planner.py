@@ -19,40 +19,47 @@ Segments
 A plan cuts the streaming section at checkpoint maps 0 < c_1 < .. < c_k
 < L into segments [0, c_1), [c_1, c_2), .., [c_k, L); with no checkpoint
 it is the one segment [0, L). Each segment is tiled with its own grid
-over its output map: that map is partitioned near-equally (remainder to
-the last row/column), each tile owns one rectangle of it, and the tile's
-chain back-projects the rectangle down to the segment's input map. The
-tile's input crop, run with the chain's pads, produces exactly its owned
-values, so every checkpoint map, and the split map, is rebuilt bit for
-bit from the (bit-exact) map below it. The engine retains the checkpoint
-maps, so a tile above a checkpoint back-projects only to it, not to the
-image.
+over its output map, and a plan stores it per axis: each axis of that
+map is partitioned near-equally (remainder to the last part), and each
+part's chain back-projects its owned interval down to the segment's
+input map. A Segment holds its row parts and its column parts, so its
+grid is their counts; an AxisPart is a crop interval of the input map,
+an owned interval of the output map and the (lo, hi) pads per layer. A
+tile is one row part crossed with one column part. Its input crop, run
+with the chains' pads, produces exactly its owned values, so every
+checkpoint map, and the split map, is rebuilt bit for bit from the
+(bit-exact) map below it. The engine retains the checkpoint maps, so a
+tile above a checkpoint back-projects only to it, not to the image.
 
-A TileEntry records only what the engine runs: the input crop, the owned
-rectangle and the pads per layer. validate_tile_plan walks each crop up
-through its pads, per axis, checking that every pad sits at the map
-border within the layer pad and every padded window lies on the layer's
-sampling lattice, and that the walk lands on the owned rectangle.
+A segment's tiles, the TileEntry records the engine runs (the input
+crop, the owned rectangle and the pads per layer), are the row-major
+product of its parts, built once, on first read. Planning, the memory
+model and validation read only the parts: validate_tile_plan checks
+that each axis's owned intervals partition the segment's output map,
+and walks each part's crop up through its pads, checking that every pad
+sits at the map border within the layer pad and every padded window
+lies on the layer's sampling lattice, and that the walk lands on the
+owned interval.
 
-Choosing the layout
--------------------
-A layout is a set of checkpoint maps and one grid per segment. The
-candidate checkpoints are the streaming section's pool outputs below the
-split map that hold the configured grid; a segment's grid is a
+Choosing the plan
+-----------------
+A candidate plan is a set of checkpoint maps and one grid per segment.
+The candidate checkpoints are the streaming section's pool outputs below
+the split map that hold the configured grid; a segment's grid is a
 coarsening of the configured (r, c), (max(1, r >> j), max(1, c >> j))
 for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole.
 
 The budget is the smallest modelled peak (tilestream.memory's streaming
 formula) in the run's precision over every set of checkpoints, the empty
 set included, with every segment at the configured grid. Within the
-budget choose_layout keeps the layout with the least modelled step time
+budget _Section.choose keeps the plan with the least modelled step time
 
     SEC_PER_MAC * conv multiply-adds + SEC_PER_CALL * tile-layer calls
 
 (a tile-layer call is one tile through one layer), breaking ties by the
 smaller peak, then by fewer checkpoints. The search is separable: for a
 fixed set of checkpoints each phase peak is a maximum of terms that hold
-at most one segment's tile term T_j, so a layout fits the budget exactly
+at most one segment's tile term T_j, so a plan fits the budget exactly
 when each segment fits with every other tile term at zero, and the time
 is a sum over segments. Each segment therefore takes its fastest grid
 that fits on its own (ties to the smaller T_j), which equals the best of
@@ -60,30 +67,30 @@ the exhaustive product of grids.
 
 The constants are fitted on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS,
 two BLAS threads), single precision. One vgg13@512 image ran forward and
-backward (streaming_loss_and_grads) through 9 layouts, interleaved in
-one process: no checkpoints at 1x1 and 2x2; checkpoint 17 at 4x4,4x4,
+backward (streaming_loss_and_grads) through 9 plans, interleaved in one
+process: no checkpoints at 1x1 and 2x2; checkpoint 17 at 4x4,4x4,
 4x4,2x2 and 8x8,4x4; checkpoints 10,17 at 4x4,2x2,1x1; checkpoints
 10,17,24 at 8x8,4x4,2x2,1x1, 4x4,4x4,2x2,1x1 and 4x4,2x2,2x2,1x1. The
 medians of their step seconds were fitted by least squares on conv
 multiply-adds, tile-layer calls and a constant (about 0.05 s, the same
-for every layout, so it is left out). Two fits, of 5 and 7 runs per
-layout, gave 2.97e-10 and 3.14e-10 s per multiply-add and 2.86e-4 and
-2.97e-4 s per call. Refit them the same way on another host.
+for every plan, so it is left out). Two fits, of 5 and 7 runs per plan,
+gave 2.97e-10 and 3.14e-10 s per multiply-add and 2.86e-4 and 2.97e-4 s
+per call. Refit them the same way on another host.
 
-Each distinct (segment, grid) is evaluated once, on per-axis intervals:
-its tiles are the product of its row and column parts, so each map's
-tile extent, each layer's largest tile output and the conv work factor
-into row and column terms. A segment's tile term is the running maximum
-of a tile's live bytes (tilestream.memory.live_maps) over its layers,
-taken over the distinct row and column extents. This per-axis model is
-the plan's only model; its Layout carries every streaming term
-estimate_streaming prints, none of which scale with the batch. A route
-costs one byte per pool output element in either precision, so the peak
-and the tile terms are held per itemsize, and the chooser weighs the
-run's precision (build_tile_plan's precision, double by default, as in
-the config); every preset chooses the same layout in both. choose_layout
-builds no tiles; build_tile_plan builds tile entries for the chosen
-layout only.
+Each distinct (segment, grid) is evaluated once, on per-axis intervals,
+and _Section.segment caches its Segment with its terms, so a candidate
+plan costs only the sums of its segments' terms. A segment's tiles are
+the product of its row and column parts, so each map's tile extent,
+each layer's largest tile output and the conv work factor into row and
+column terms. A segment's tile term is the running maximum of a tile's
+live bytes (tilestream.memory.live_maps) over its layers, taken over the
+distinct row and column extents. This per-axis model is the plan's only
+model; the TilePlan carries every streaming term estimate_streaming
+prints, none of which scale with the batch. A route costs one byte per
+pool output element in either precision, so the peak and the tile terms
+are held per itemsize, and the chooser weighs the run's precision
+(build_tile_plan's precision, double by default, as in the config);
+every preset chooses the same plan in both. Planning builds no tiles.
 
 Backward
 --------
@@ -97,17 +104,17 @@ Plan files
 ----------
 TilePlan.to_json writes the plan (plan.json of the plan command, schema
 5) for people and tools that read it: each segment's grid, and each
-tile's segment, owned rectangle, input crop and pads. Nothing in the
-package loads a plan file, so plans are always rebuilt from (network,
-image size, grid).
+tile's segment, owned rectangle, input crop and pads, so writing it
+builds the tiles. Nothing in the package loads a plan file, so plans
+are always rebuilt from (network, image size, grid).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -123,7 +130,7 @@ PLAN_SCHEMA_VERSION = 5
 # Bytes per scalar of the two precisions; the memory terms are modelled in both.
 ITEMSIZES = (4, 8)
 
-# The modelled step time's constants (module doc, "Choosing the layout").
+# The modelled step time's constants (module doc, "Choosing the plan").
 SEC_PER_MAC = 3.0e-10     # seconds per conv multiply-add of a tile pass
 SEC_PER_CALL = 2.9e-4     # seconds per tile-layer call
 
@@ -162,10 +169,6 @@ class Region:
     @property
     def width(self):
         return self.x1 - self.x0
-
-    @property
-    def empty(self):
-        return self.height == 0 or self.width == 0
 
     def shape(self):
         return (self.height, self.width)
@@ -222,33 +225,61 @@ class TileEntry:
 
 
 @dataclass(frozen=True)
-class Layout:
-    """One set of checkpoint maps with a grid per segment, and what the
+class AxisPart:
+    """One row (or column) band of a segment [start, stop): its crop of map
+    start, its owned interval of map stop and the (lo, hi) pads of each
+    layer start..stop-1."""
+
+    crop: tuple
+    owned: tuple
+    pads: tuple
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Segment [start, stop) cut into row and column parts: its grid is
+    (len(rows), len(cols)), and its tiles are the parts' row-major product."""
+
+    start: int
+    stop: int
+    rows: tuple                        # AxisPart per row band, top-down
+    cols: tuple                        # AxisPart per column band, left to right
+
+    @property
+    def grid(self):
+        return len(self.rows), len(self.cols)
+
+    @cached_property
+    def tiles(self):
+        """The TileEntry of each (row, column) pair, row-major, built on first read."""
+        return [TileEntry(i, j, self.start, self.stop,
+                          Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
+                          Region(y.owned[0], x.owned[0], y.owned[1], x.owned[1]),
+                          [yp + xp for yp, xp in zip(y.pads, x.pads)])
+                for i, y in enumerate(self.rows) for j, x in enumerate(self.cols)]
+
+
+@dataclass
+class TilePlan:
+    """A set of checkpoint maps with each segment's parts, and what the
     planner models for it. The peak and the tile terms are bytes per
     itemsize (ITEMSIZES), since a route's byte does not scale with it;
     cut maps and layer outputs are scalars, times the itemsize
     tilestream.memory's streaming terms."""
 
-    checkpoints: tuple
-    grids: tuple                       # (rows, cols) per segment, bottom-up
-    peak_bytes: dict                   # itemsize -> modelled streaming peak
-    recompute: float                   # conv multiply-adds of all tiles over one whole-image pass
-    calls: int                         # tile-layer calls: each segment's tiles times its layers
-    seconds: float                     # modelled step time
-    cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
-    tile_bytes: dict                   # itemsize -> largest tile term per segment
-    layer_scalars: tuple               # largest tile output per streaming layer
-
-
-@dataclass
-class TilePlan:
     image_size: int
     split_index: int
     grid: tuple                        # the configured grid; each segment's is in grids
     geoms: list
     map_sizes: list                    # (h, w) per map 0..L
-    tiles: list                        # segment by segment bottom-up, row-major in each
-    layout: Layout                     # the checkpoints the tiles follow
+    segments: list                     # Segment per segment, bottom-up
+    peak_bytes: dict                   # itemsize -> modelled streaming peak
+    recompute_ratio: float             # conv multiply-adds of all tiles per whole-image pass
+    calls: int                         # tile-layer calls: each segment's tiles times its layers
+    seconds: float                     # modelled step time
+    cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
+    tile_bytes: dict                   # itemsize -> largest tile term per segment
+    layer_scalars: tuple               # largest tile output per streaming layer
 
     @property
     def split_hw(self):
@@ -256,12 +287,12 @@ class TilePlan:
 
     @property
     def checkpoints(self):
-        return self.layout.checkpoints
+        return tuple(s.start for s in self.segments[1:])
 
     @property
     def grids(self):
         """(rows, cols) per segment, bottom-up."""
-        return self.layout.grids
+        return tuple(s.grid for s in self.segments)
 
     @property
     def cuts(self):
@@ -269,15 +300,9 @@ class TilePlan:
         return (0,) + self.checkpoints + (self.split_index,)
 
     @property
-    def segments(self):
-        """(start, stop, tiles) per segment, in the order of plan.tiles."""
-        return [(a, b, list(tiles))
-                for (a, b), tiles in groupby(self.tiles, key=attrgetter("start", "stop"))]
-
-    @property
-    def recompute_ratio(self):
-        """Conv multiply-adds of all tiles of all segments per whole-image pass (1.0 without convs)."""
-        return self.layout.recompute
+    def tiles(self):
+        """Every segment's tiles, bottom-up; the same objects on every read."""
+        return [t for s in self.segments for t in s.tiles]
 
     def to_json_dict(self):
         """Schema version 5, written for readers. grids holds each segment's
@@ -377,11 +402,11 @@ class _Section:
         return [terms[:b - a, :b - a + 1] for terms in self._lives[a]]
 
     def segment(self, a, b, grid):
-        """(largest tile term per itemsize, conv multiply-adds of all tiles,
-        largest tile output per layer, tile-layer calls, modelled seconds)
-        of segment [a, b) cut by grid; outputs and work in scalars."""
+        """(Segment, largest tile term per itemsize, conv multiply-adds of
+        all tiles, largest tile output per layer, tile-layer calls, modelled
+        seconds) of segment [a, b) cut by grid; outputs and work in scalars."""
         if (a, b, grid) not in self._segments:
-            (_, hy, ys), (_, wx, xs) = (self._axis(b, parts) for parts in grid)
+            (ychains, hy, ys), (xchains, wx, xs) = (self._axis(b, parts) for parts in grid)
             # a tile's live bytes after each layer, over the distinct tile
             # extents per axis of maps a..b
             arrays, routes = self._live(a, b)
@@ -395,7 +420,10 @@ class _Section:
             outputs = tuple(k * h * w for k, h, w in zip(
                 self.kept[a:b], rows.max(axis=0).tolist(), cols.max(axis=0).tolist()))
             calls = grid[0] * grid[1] * (b - a)
-            self._segments[(a, b, grid)] = (tile, conv_macs, outputs, calls,
+            segment = Segment(a, b, *(tuple(AxisPart(ivs[a], ivs[b], tuple(pads[a:]))
+                                            for ivs, pads in chains)
+                                      for chains in (ychains, xchains)))
+            self._segments[(a, b, grid)] = (segment, tile, conv_macs, outputs, calls,
                                             SEC_PER_MAC * conv_macs + SEC_PER_CALL * calls)
         return self._segments[(a, b, grid)]
 
@@ -409,40 +437,40 @@ class _Section:
         return max(stream_forward_peak(params, self.head[item], cuts, tiles),
                    stream_backward_peak(params, params, self.head[item], cuts, tiles))
 
-    def layout(self, checkpoints, grids=None):
-        """The Layout of these checkpoints, each segment at its grid in grids
-        (default: every segment at the configured grid)."""
-        checkpoints = tuple(checkpoints)
+    def plan(self, checkpoints, grids=None):
+        """The TilePlan cut at these checkpoints, each segment at its grid in
+        grids (default: every segment at the configured grid)."""
         cuts, cut_scalars = self._cuts(checkpoints)
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
-        tiles, macs, outputs, calls, seconds = zip(
+        segments, tiles, macs, outputs, calls, seconds = zip(
             *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
         tile_bytes = {item: tuple(t[item] for t in tiles) for item in ITEMSIZES}
-        return Layout(checkpoints, grids,
-                      {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES},
-                      sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                      sum(calls), sum(seconds), cut_scalars, tile_bytes,
-                      tuple(chain.from_iterable(outputs)))
+        peaks = {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES}
+        return TilePlan(self.image_size, self.net.split_index, self.grid, self.geoms,
+                        [(z, z) for z in self.sizes], list(segments), peaks,
+                        sum(macs) / self.whole_macs if self.whole_macs else 1.0,
+                        sum(calls), sum(seconds), cut_scalars, tile_bytes,
+                        tuple(chain.from_iterable(outputs)))
 
     def budget(self, item):
         """The smallest modelled peak, in bytes at itemsize item, over every
         set of checkpoints with every segment at the configured grid."""
         if item not in self._budgets:
-            self._budgets[item] = min(self.layout(cps).peak_bytes[item]
+            self._budgets[item] = min(self.plan(cps).peak_bytes[item]
                                       for cps in self.checkpoint_sets)
         return self._budgets[item]
 
     def fastest(self, checkpoints, item):
-        """The Layout of these checkpoints with the least modelled seconds
+        """The TilePlan of these checkpoints with the least modelled seconds
         within the budget at itemsize item, each segment's grid chosen on
-        its own (module doc, "Choosing the layout"); None if some segment
+        its own (module doc, "Choosing the plan"); None if some segment
         fits no grid."""
         cuts, cut_scalars = self._cuts(checkpoints)
         grids = []
         for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
             fits = []
             for grid in self.coarsenings:
-                tile, _, _, _, seconds = self.segment(a, b, grid)
+                _, tile, _, _, _, seconds = self.segment(a, b, grid)
                 alone = [0] * (len(cuts) - 1)
                 alone[j] = tile[item]
                 if self._peak(cut_scalars, alone, item) <= self.budget(item):
@@ -450,51 +478,25 @@ class _Section:
             if not fits:
                 return None
             grids.append(min(fits)[2])
-        return self.layout(checkpoints, grids)
+        return self.plan(checkpoints, grids)
 
     def choose(self, item):
-        """(chosen Layout, every Layout weighed) at itemsize item; see choose_layout."""
-        layouts = [self.fastest(cps, item) or self.layout(cps) for cps in self.checkpoint_sets]
-        fits = [c for c in layouts if c.peak_bytes[item] <= self.budget(item)]
-        return min(fits, key=lambda c: (c.seconds, c.peak_bytes[item], len(c.checkpoints))), layouts
+        """(chosen TilePlan, every TilePlan weighed) at itemsize item.
 
-    def plan(self, checkpoints, grids=None):
-        """The TilePlan cut at these checkpoints, each segment tiled by its
-        grid in grids (default: the configured grid)."""
-        layout = self.layout(checkpoints, grids)
-        cuts, _ = self._cuts(layout.checkpoints)
-        tiles = []
-        for a, b, grid in zip(cuts, cuts[1:], layout.grids):
-            (rows, _, _), (cols, _, _) = (self._axis(b, parts) for parts in grid)
-            for i, (y_ivs, y_pads) in enumerate(rows):
-                for j, (x_ivs, x_pads) in enumerate(cols):
-                    crop, owned = (Region(y_ivs[m][0], x_ivs[m][0], y_ivs[m][1], x_ivs[m][1])
-                                   for m in (a, b))
-                    pads = [yp + xp for yp, xp in zip(y_pads[a:], x_pads[a:])]
-                    tiles.append(TileEntry(i, j, a, b, crop, owned, pads))
-        return TilePlan(image_size=self.image_size, split_index=self.net.split_index,
-                        grid=self.grid, geoms=self.geoms,
-                        map_sizes=[(z, z) for z in self.sizes], tiles=tiles, layout=layout)
-
-
-def choose_layout(net: NetworkSpec, image_size, grid, precision="double"):
-    """(chosen Layout, every Layout weighed) for (network, image size, grid).
-
-    Weighs every set of checkpoint maps, each with its fastest per-segment
-    grids within the budget in the precision's bytes (or, if none fit,
-    every segment at the configured grid), and keeps the least modelled
-    step time, then the smallest peak, then fewest checkpoints (module
-    doc, "Choosing the layout"). Builds no tiles.
-    """
-    return _Section(net, image_size, grid).choose(resolve_dtype(precision).itemsize)
+        Weighs every set of checkpoint maps, each with its fastest
+        per-segment grids within the budget (or, if none fit, every segment
+        at the configured grid), and keeps the least modelled step time,
+        then the smallest peak, then fewest checkpoints (module doc,
+        "Choosing the plan")."""
+        plans = [self.fastest(cps, item) or self.plan(cps) for cps in self.checkpoint_sets]
+        fits = [p for p in plans if p.peak_bytes[item] <= self.budget(item)]
+        return min(fits, key=lambda p: (p.seconds, p.peak_bytes[item], len(p.checkpoints))), plans
 
 
 def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double"):
-    """Construct the TilePlan for (network, image size, grid): the tiles of
-    the layout choose_layout keeps in this precision."""
-    section = _Section(net, image_size, grid)
-    chosen, _ = section.choose(resolve_dtype(precision).itemsize)
-    return section.plan(chosen.checkpoints, chosen.grids)
+    """The TilePlan for (network, image size, grid) that the chooser keeps
+    in this precision (_Section.choose). Builds no tiles."""
+    return _Section(net, image_size, grid).choose(resolve_dtype(precision).itemsize)[0]
 
 
 def whole_image_plan(net: NetworkSpec, image_size):
@@ -516,32 +518,6 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def _check_partition(fail, tiles, rows, cols, extent, name):
-    """The tiles' owned rectangles must form a consistent grid partition of [0, extent)^2."""
-    ybounds, xbounds = {}, {}
-    for t in tiles:
-        r = t.owned_split
-        ybounds.setdefault(t.row, (r.y0, r.y1))
-        xbounds.setdefault(t.col, (r.x0, r.x1))
-        if ybounds[t.row] != (r.y0, r.y1) or xbounds[t.col] != (r.x0, r.x1):
-            fail("partition", f"inconsistent owned rectangles of {name}")
-            break
-        if r.empty:
-            fail("partition", f"tile ({t.row},{t.col}): empty owned region of {name}")
-    ys = [ybounds.get(i, (None, None)) for i in range(rows)]
-    xs = [xbounds.get(j, (None, None)) for j in range(cols)]
-    for axis, axis_ivs in (("rows", ys), ("cols", xs)):
-        pos = 0
-        for iv in axis_ivs:
-            if iv[0] != pos or iv[1] < iv[0]:
-                fail("partition", f"{name} {axis} do not partition [0, {extent})")
-                break
-            pos = iv[1]
-        else:
-            if pos != extent:
-                fail("partition", f"{name} {axis} do not cover [0, {extent})")
-
-
 def _walk_up(iv, pads, geoms, sizes):
     """Walk one axis of a tile's crop up its pads and layers: (the interval
     it lands on, None), or (None, (tag, layer, message)) at the first fault."""
@@ -561,8 +537,9 @@ def _walk_up(iv, pads, geoms, sizes):
 def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     """Integer consistency checks; returns a ValidationReport (never raises).
 
-    Each tile's crop is walked up through its pads, per axis, and must land
-    on its owned rectangle; no intermediate region is stored or read.
+    Each segment's row and column owned intervals must partition its top
+    map, and each part's crop, walked up through its pads, must land on
+    its owned interval; no intermediate region is stored or read.
     """
     failures = []
 
@@ -581,35 +558,30 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     if plan.split_index != L or any(a >= b for a, b in zip(cuts, cuts[1:])):
         fail("segments", f"cuts {list(cuts)} do not increase from 0 to the split {L}")
         return ValidationReport(False, failures)
-    segments = plan.segments
-    if [(a, b) for a, b, _ in segments] != list(zip(cuts, cuts[1:])):
-        fail("segments", "tiles do not run segment by segment between the cuts")
+    if [(s.start, s.stop) for s in plan.segments] != list(zip(cuts, cuts[1:])):
+        fail("segments", "segments do not run between the cuts")
         return ValidationReport(False, failures)
-    grids = plan.grids
-    if len(grids) != len(segments) or any(
-            len(tiles) != rows * cols for (_, _, tiles), (rows, cols) in zip(segments, grids)):
-        fail("grid", "tile count of a segment does not match its grid")
-        return ValidationReport(False, failures)
-    for (_, b, tiles), (rows, cols) in zip(segments, grids):
-        _check_partition(fail, tiles, rows, cols, sizes[b],
-                         "split map" if b == L else f"checkpoint map {b}")
 
-    for t in plan.tiles:
-        tag = f"tile ({t.row},{t.col}) of [{t.start}, {t.stop})"
-        if len(t.fwd_pads) != t.stop - t.start:
-            fail("chain", f"{tag}: {len(t.fwd_pads)} pads, want {t.stop - t.start}")
-            continue
-        r, o = t.input_forward, t.owned_split
-        landed = []
-        for iv, pads in (((r.y0, r.y1), [pd[:2] for pd in t.fwd_pads]),
-                         ((r.x0, r.x1), [pd[2:] for pd in t.fwd_pads])):
-            out, fault = _walk_up(iv, pads, geoms[t.start:t.stop], sizes[t.start:t.stop])
-            if fault:
-                kind, m, msg = fault
-                fail(kind, f"{tag}: layer {t.start + m} {msg}")
-            landed.append(out)
-        if None not in landed and landed != [(o.y0, o.y1), (o.x0, o.x1)]:
-            fail("chain", f"{tag}: the crop lands on rows {landed[0]}, cols {landed[1]}, "
-                          f"not on the owned region {o.as_list()}")
+    for s in plan.segments:
+        extent = sizes[s.stop]
+        name = "split map" if s.stop == L else f"checkpoint map {s.stop}"
+        for axis, parts in (("row", s.rows), ("col", s.cols)):
+            owned = [part.owned for part in parts]
+            if ([0] + [hi for _, hi in owned] != [lo for lo, _ in owned] + [extent]
+                    or any(lo >= hi for lo, hi in owned)):
+                fail("partition", f"{name} {axis}s do not partition [0, {extent})")
+            for i, part in enumerate(parts):
+                tag = f"{axis} {i} of [{s.start}, {s.stop})"
+                if len(part.pads) != s.stop - s.start:
+                    fail("chain", f"{tag}: {len(part.pads)} pads, want {s.stop - s.start}")
+                    continue
+                landed, fault = _walk_up(part.crop, part.pads, geoms[s.start:s.stop],
+                                         sizes[s.start:s.stop])
+                if fault:
+                    kind, m, msg = fault
+                    fail(kind, f"{tag}: layer {s.start + m} {msg}")
+                elif landed != part.owned:
+                    fail("chain", f"{tag}: the crop lands on {landed}, "
+                                  f"not on the owned region {part.owned}")
 
     return ValidationReport(not failures, failures)

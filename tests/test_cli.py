@@ -7,6 +7,7 @@ import pytest
 
 from tilestream import cli, equivalence, planner
 from tilestream.cli import main
+from tilestream.errors import NondeterminismError
 from tilestream.network import net_vgg13
 
 # conv3/p1 -> maxpool -> conv3/s2 on a 32x32 image; no relu, so finite
@@ -72,13 +73,13 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
                 for key in ("peak_bytes", "traced_peak_bytes", "param_bytes",
                             "modelled_peak_bytes"):
                     assert type(report[mode][key]) is int and report[mode][key] > 0
-            # conv 18 + 2 and 36 + 2, dense 2*7*7 + 1 scalars; the
-            # streaming model equals the engine's counters, and no mode's
-            # model counts less than its parameters and their gradients
+            # conv 18 + 2 and 36 + 2, dense 2*7*7 + 1 scalars; each mode's
+            # model (sgd runs the 1x1 plan) equals the engine's counters,
+            # and none counts less than its parameters and their gradients
             item = 8 if precision == "double" else 4
             assert report["sgd"]["param_bytes"] == report["ssgd"]["param_bytes"] == 157 * item
-            assert report["ssgd"]["modelled_peak_bytes"] == report["ssgd"]["peak_bytes"]
             for mode in ("sgd", "ssgd"):
+                assert report[mode]["modelled_peak_bytes"] == report[mode]["peak_bytes"]
                 assert report[mode]["modelled_peak_bytes"] > 2 * report[mode]["param_bytes"]
 
 
@@ -143,6 +144,35 @@ def test_out_is_a_file_exits_1(tmp_path, capsys, command):
     out.write_text("not a directory")
     assert main([command, "--config", write_config(tmp_path, CONFIG), "--out", str(out)]) == 1
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_divergence_exits_4(tmp_path, capsys, precision):
+    """A learning rate of 1e20 drives the CLI net's outputs non-finite
+    within four steps in both precisions; train reports divergence."""
+    doc = dict(CONFIG, learning_rate=1e20, steps=4)
+    assert main(["train", "--config", write_config(tmp_path, doc), "--precision", precision,
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "divergence: " in capsys.readouterr().err
+
+
+def test_nondeterminism_exits_3(tmp_path, capsys, monkeypatch):
+    def nondeterministic(*args):
+        raise NondeterminismError("rerun differs")
+
+    monkeypatch.setattr(cli, "lockstep_train", nondeterministic)
+    assert main(["verify", "--config", write_config(tmp_path, CONFIG)]) == 3
+    assert "nondeterminism: rerun differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    pytest.param("plan", "missing.json", "cannot read config", id="config-missing"),
+    pytest.param("train", None, "train needs an output directory", id="train-without-out"),
+])
+def test_config_errors_exit_1(tmp_path, capsys, command, config, message):
+    path = str(tmp_path / config) if config else write_config(tmp_path, CONFIG)
+    assert main([command, "--config", path]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

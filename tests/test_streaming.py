@@ -12,12 +12,15 @@ import pytest
 
 import tilestream.engine
 import tilestream.network
+import tilestream.planner
 from conftest import plain_backprop, sample_streaming_config
 from test_cli import CONFIG
 from tilestream.config import build_network, parse_config
 from tilestream.data import synth_dataset
 from tilestream.engine import (
     PassResult,
+    accumulate_minibatch,
+    sgd_step,
     streaming_backward,
     streaming_forward,
     streaming_loss_and_grads,
@@ -55,10 +58,10 @@ from tilestream.network import (
 )
 from tilestream.planner import (
     Region,
+    TileEntry,
     _Section,
     backproject_span,
     build_tile_plan,
-    choose_layout,
     validate_tile_plan,
     whole_image_plan,
 )
@@ -109,7 +112,7 @@ def test_deep_vgg13_matches_whole_image(z, grid, seed):
 
 
 # Every set of checkpoints among the small vgg13's pool outputs (maps 5,
-# 10, 17 and 24), forced through the layout builder the chooser calls.
+# 10, 17 and 24), forced through the plan builder the chooser calls.
 POOL_OUTPUTS = (5, 10, 17, 24)
 LAYOUTS = [cps for r in range(len(POOL_OUTPUTS) + 1)
            for cps in itertools.combinations(POOL_OUTPUTS, r)]
@@ -143,7 +146,7 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_forward_bytes == record.peak_bytes_forward
     assert est.peak_backward_bytes == record.peak_bytes_backward
-    assert est.peak_bytes == plan.layout.peak_bytes[image.itemsize]
+    assert est.peak_bytes == plan.peak_bytes[image.itemsize]
 
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
@@ -175,7 +178,7 @@ def test_every_mixed_grid_layout_matches_whole_image(z, grid, precision, checkpo
     grids = tuple(options[min(s, len(options) - 1)] for s in range(len(checkpoints))) + ((1, 1),)
     plan = _Section(net, z, grid).plan(checkpoints, grids)
     assert plan.checkpoints == checkpoints and plan.grids == grids and plan.grid == grid
-    assert [len(tiles) for _, _, tiles in plan.segments] == [r * c for r, c in grids]
+    assert [len(s.tiles) for s in plan.segments] == [r * c for r, c in grids]
     assert_layout_matches_whole_image(net, z, plan, precision)
 
 
@@ -189,11 +192,11 @@ CHOOSER_CASES = {
 }
 
 
-def every_layout(section):
+def every_plan(section):
     """The exhaustive product: every set of checkpoints, every grid per segment."""
     for cps in section.checkpoint_sets:
         for grids in itertools.product(coarsenings(section.grid), repeat=len(cps) + 1):
-            yield section.layout(cps, grids)
+            yield section.plan(cps, grids)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
@@ -208,33 +211,31 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
     net = make()
     section = _Section(net, z, grid)
     for precision, item in (("single", 4), ("double", 8)):
-        chosen, layouts = choose_layout(net, z, grid, precision)
+        chosen, candidates = section.choose(item)
         plan = build_tile_plan(net, z, grid, precision)
-        assert plan.layout == chosen and plan.grid == grid
+        assert plan == chosen and plan.grid == grid
         sizes = [h for h, _ in plan.map_sizes]
         pools = [m + 1 for m, layer in enumerate(net.stream_layers) if isinstance(layer, MaxPool)
                  and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
         sets = sorted(cps for r in range(len(pools) + 1)
                       for cps in itertools.combinations(pools, r))
-        assert sorted(c.checkpoints for c in layouts) == sets
+        assert sorted(c.checkpoints for c in candidates) == sets
         uniform = {}
         for cps in sets:
             forced = section.plan(cps)
             assert validate_tile_plan(forced, net).ok
             uniform[cps] = estimate_streaming(net, forced, 1, precision).peak_bytes
-            assert uniform[cps] == forced.layout.peak_bytes[item]
+            assert uniform[cps] == forced.peak_bytes[item]
         budget = min(uniform.values())
         assert estimate_streaming(net, plan, 1, precision).peak_bytes == budget <= uniform[()]
-        assert chosen in layouts
-        for layout in layouts:
-            forced = section.plan(layout.checkpoints, layout.grids)
-            assert validate_tile_plan(forced, net).ok and forced.layout == layout
-            assert forced.recompute_ratio == layout.recompute
-            assert estimate_streaming(net, forced, 1, precision).peak_bytes == \
-                layout.peak_bytes[item]
-        for layout in every_layout(section):
-            if layout.peak_bytes[item] <= budget:
-                assert layout.seconds >= chosen.seconds, (layout.checkpoints, layout.grids)
+        assert any(c is chosen for c in candidates)
+        for candidate in candidates:
+            assert validate_tile_plan(candidate, net).ok
+            assert estimate_streaming(net, candidate, 1, precision).peak_bytes == \
+                candidate.peak_bytes[item]
+        for other in every_plan(section):
+            if other.peak_bytes[item] <= budget:
+                assert other.seconds >= chosen.seconds, (other.checkpoints, other.grids)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
@@ -247,12 +248,12 @@ def test_separable_search_equals_the_exhaustive_product(name):
     assert sorted(section.coarsenings, reverse=True) == coarsenings(grid)
     for item in (4, 8):
         best = {}
-        for layout in every_layout(section):
-            if layout.peak_bytes[item] <= section.budget(item):
-                key = (layout.seconds, layout.peak_bytes[item])
-                cps = layout.checkpoints
+        for plan in every_plan(section):
+            if plan.peak_bytes[item] <= section.budget(item):
+                key = (plan.seconds, plan.peak_bytes[item])
+                cps = plan.checkpoints
                 if cps not in best or key < (best[cps].seconds, best[cps].peak_bytes[item]):
-                    best[cps] = layout
+                    best[cps] = plan
         for cps in section.checkpoint_sets:
             assert section.fastest(cps, item) == best.get(cps), cps
         chosen, _ = section.choose(item)
@@ -288,32 +289,62 @@ def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
         assert len(plan.tiles) == sum(r * c for r, c in grids)
 
 
-def test_a_segment_off_its_grid_fails_validation():
-    """Each segment's tiles are checked against that segment's own grid."""
-    net = net_vgg13(base=2, hidden=4)
-    plan = _Section(net, 64, (4, 4)).plan((10, 24), ((4, 4), (2, 2), (1, 1)))
-    assert validate_tile_plan(plan, net).ok
-    for grids in (((4, 4), (4, 4), (1, 1)), ((4, 4), (2, 2))):
-        plan.layout = dataclasses.replace(plan.layout, grids=grids)
-        report = validate_tile_plan(plan, net)
-        assert not report.ok and report.first_failure.startswith("grid"), report.failures
+def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
+    """Planning and validating vgg13@8192 in 64x64 tiles (4,096 of them)
+    constructs no TileEntry: the chooser, the memory model and validation
+    read each segment's row and column parts."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+
+    monkeypatch.setattr(tilestream.planner, "TileEntry", counting)
+    net = net_vgg13()
+    plan = build_tile_plan(net, 8192, (64, 64))
+    assert plan.grids == ((64, 64),) and validate_tile_plan(plan, net).ok
+    assert estimate_streaming(net, plan, 1, "single").peak_bytes == plan.peak_bytes[4]
+    assert built == []
+
+
+@pytest.mark.parametrize("case", SAMPLED)
+def test_plan_tiles_are_the_row_major_product_of_parts(case):
+    """Each segment's tiles are built once: reading plan.tiles twice gives
+    the same objects, and they are its row parts crossed with its column
+    parts, row-major, segment by segment."""
+    _, _, _, plan = sampled(case)
+    first, second = plan.tiles, plan.tiles
+    assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+    assert first == [
+        TileEntry(i, j, s.start, s.stop, Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
+                  Region(y.owned[0], x.owned[0], y.owned[1], x.owned[1]),
+                  [yp + xp for yp, xp in zip(y.pads, x.pads)])
+        for s in plan.segments for i, y in enumerate(s.rows) for j, x in enumerate(s.cols)]
+
+
+def damage_part(plan, s, axis, i, **changes):
+    """Replace part i of segment s's rows or cols by a copy with changes."""
+    segment = plan.segments[s]
+    parts = list(getattr(segment, axis))
+    parts[i] = dataclasses.replace(parts[i], **changes)
+    plan.segments[s] = dataclasses.replace(segment, **{axis: tuple(parts)})
 
 
 @pytest.mark.parametrize("damage, tag", [("segments-reversed", "segments"),
                                          ("checkpoint-map-overlap", "partition"),
-                                         ("tile-missing", "grid")])
+                                         ("tile-missing", "partition")])
 def test_broken_segments_fail_validation(damage, tag):
     net = net_vgg13(base=2, hidden=4)
     plan = _Section(net, 64, (2, 2)).plan((10, 24))
     assert validate_tile_plan(plan, net).ok
     if damage == "segments-reversed":
-        plan.tiles.reverse()
+        plan.segments.reverse()
     elif damage == "checkpoint-map-overlap":
-        tile = plan.tiles[1]  # segment [0, 10): owns a rectangle of checkpoint map 10
-        r = tile.owned_split
-        tile.owned_split = Region(r.y0, r.x0 - 1, r.y1, r.x1)
-    else:
-        del plan.tiles[5]
+        # segment [0, 10): column 1 owns columns of checkpoint map 10
+        lo, hi = plan.segments[0].cols[1].owned
+        damage_part(plan, 0, "cols", 1, owned=(lo - 1, hi))
+    else:  # segment [10, 24) loses its second row
+        segment = plan.segments[1]
+        plan.segments[1] = dataclasses.replace(segment, rows=segment.rows[:1])
     report = validate_tile_plan(plan, net)
     assert not report.ok
     assert report.first_failure.startswith(tag), report.failures
@@ -597,6 +628,36 @@ def test_a_pass_takes_one_image():
         streaming_loss_and_grads(net, params, batch, 1, whole_image_plan(net, 64))
 
 
+GUARDS = {
+    "image-of-another-size": (PlanError, "does not match plan image_size"),
+    "plan-of-another-split": (PlanError, "split_index does not match"),
+    "negative-learning-rate": (ShapeError, "negative learning rate"),
+    "train-step-empty-batch": (ShapeError, "empty mini-batch"),
+    "accumulate-empty-batch": (ShapeError, "empty mini-batch"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_guards_raise_their_documented_errors(guard):
+    """Each engine guard refuses its bad input with its documented error."""
+    net = net_vgg13(base=2, hidden=4)
+    params = init_params(net, 32, 0)
+    plan = whole_image_plan(net, 32)
+    calls = {
+        "image-of-another-size": lambda: streaming_forward(
+            net, params, synth_dataset(0, 64, 2)[0].image, plan),
+        "plan-of-another-split": lambda: streaming_forward(
+            net, params, synth_dataset(0, 32, 2)[0].image,
+            whole_image_plan(build_network(parse_config(CONFIG)), 32)),
+        "negative-learning-rate": lambda: sgd_step(params, ParamGrads.zeros_like(params), -0.1),
+        "train-step-empty-batch": lambda: train_step(net, params, [], 0.1, plan),
+        "accumulate-empty-batch": lambda: accumulate_minibatch([]),
+    }
+    error, match = GUARDS[guard]
+    with pytest.raises(error, match=match):
+        calls[guard]()
+
+
 def test_gradients_match_finite_differences():
     """The whole-image and a 2x2 plan against central differences on the
     CLI tests' ReLU-free net.
@@ -705,8 +766,8 @@ def test_forward_peak_never_exceeds_backward_peak(case):
     section = _Section(net, z, grid)
     for item in (4, 8):
         params, head = section.params * item, section.head[item]
-        for layout in section.choose(item)[1]:
-            cuts, tiles = [c * item for c in layout.cut_scalars], layout.tile_bytes[item]
+        for candidate in section.choose(item)[1]:
+            cuts, tiles = [c * item for c in candidate.cut_scalars], candidate.tile_bytes[item]
             assert stream_forward_peak(params, head, cuts, tiles) <= \
                 stream_backward_peak(params, params, head, cuts, tiles)
 
@@ -768,20 +829,21 @@ def test_broken_forward_chain_fails_validation(damage, tag, what):
     """A damaged chain is reported as a failure; validation never raises."""
     net = net_vgg13(base=2, hidden=4)
     plan = build_tile_plan(net, 64, (4, 4) if damage.startswith("crop") else (2, 2))
-    tile = plan.tiles[0]
+    pads = plan.segments[0].rows[0].pads
     if damage == "bad-pads":
-        tile.fwd_pads[0] = (0, 0, 0, 0)
+        damage_part(plan, 0, "rows", 0, pads=((0, 0),) + pads[1:])
     elif damage == "pads-exceed":
-        tile.fwd_pads[0] = (2, 0, 2, 0)
+        damage_part(plan, 0, "rows", 0, pads=((2, 0),) + pads[1:])
     elif damage.startswith("crop"):
-        # row 1, col 1: an interior tile of segment [0, 10), whose layers
-        # pool by 4; a 4-row shift stays on the lattice and lands one row off
-        tile = plan.tiles[5]
-        assert tile.stop == 10 and all(p == (0, 0, 0, 0) for p in tile.fwd_pads)
-        r, dy = tile.input_forward, 1 if damage == "crop-shifted" else 4
-        tile.input_forward = Region(r.y0 + dy, r.x0, r.y1 + dy, r.x1)
+        # row 1: an interior row of segment [0, 10), whose layers pool by
+        # 4; a 4-row shift stays on the lattice and lands one row off
+        part = plan.segments[0].rows[1]
+        assert plan.segments[0].stop == 10 and all(p == (0, 0) for p in part.pads)
+        lo, hi = part.crop
+        dy = 1 if damage == "crop-shifted" else 4
+        damage_part(plan, 0, "rows", 1, crop=(lo + dy, hi + dy))
     else:
-        del tile.fwd_pads[3:]
+        damage_part(plan, 0, "rows", 0, pads=pads[:3])
     report = validate_tile_plan(plan, net)
     assert not report.ok
     assert report.first_failure.startswith(tag) and what in report.first_failure, \
