@@ -1,7 +1,8 @@
 """Command-line entry point: plan | verify | train | bench.
 
-Exit codes: 0 success, 1 usage or config error, 2 infeasible plan, 3
-equivalence failure (or detected nondeterminism during verify), 4
+Exit codes: 0 success, 1 usage or config error (a learning rate above
+the largest finite value of the run's precision is one), 2 infeasible
+plan, 3 equivalence failure (or detected nondeterminism during verify), 4
 divergence (non-finite loss). The output directory (--out or config
 'out') is created once, before the command runs; a path that cannot be a
 directory, such as an existing file, is a config error (exit 1). All runs
@@ -28,7 +29,6 @@ from .engine import streaming_loss_and_grads, train_step
 from .equivalence import (FD_EPS, FD_TOL, compare_runs, default_tolerances,
                           finite_difference_check, lockstep_train)
 from .errors import ConfigError, NondeterminismError, NonFiniteError, PlanError, TilestreamError
-from .layers import ConvParams
 from .memory import estimate_streaming, estimate_whole_image, format_table, reduction_report
 from .network import cast_params, init_params, param_bytes
 from .planner import _Section, build_tile_plan, validate_tile_plan, whole_image_plan
@@ -51,11 +51,10 @@ def save_checkpoint(dirpath, net, params, precision):
     for i, p in enumerate(params):
         if p is None:
             continue
-        kind = "conv" if isinstance(p, ConvParams) else "dense"
         for name, arr in (("w", p.w), ("b", p.b)):
             fname = f"layer{i:02d}.{name}.st4"
             write_st4(os.path.join(dirpath, fname), arr)
-            manifest["tensors"].append({"layer": i, "kind": kind, "name": name,
+            manifest["tensors"].append({"layer": i, "kind": p.kind, "name": name,
                                         "file": fname, "shape": list(arr.shape)})
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -91,7 +90,7 @@ def cmd_plan(cfg: ExperimentConfig):
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
-    print(plan.to_json())
+    print(plan.to_json(net))
     print()
     print(format_table(net, whole))
     print()
@@ -111,7 +110,7 @@ def cmd_plan(cfg: ExperimentConfig):
               f"{candidate.peak_bytes[item]:,} bytes, conv work {candidate.recompute_ratio:.2f}x, "
               f"{candidate.calls} tile-layer calls, {candidate.seconds:.3f} s modelled{mark}")
     g = 1
-    while g <= min(plan.split_hw):
+    while g <= min(net.split_shape(cfg.image_size)[1:]):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid
                  else build_tile_plan(net, cfg.image_size, (g, g), cfg.precision).recompute_ratio)
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
@@ -119,7 +118,7 @@ def cmd_plan(cfg: ExperimentConfig):
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
     if cfg.out:
         with open(os.path.join(cfg.out, "plan.json"), "w") as fh:
-            fh.write(plan.to_json())
+            fh.write(plan.to_json(net))
         with open(os.path.join(cfg.out, "memory.json"), "w") as fh:
             json.dump({"whole_image": dataclasses.asdict(whole),
                        "streaming": dataclasses.asdict(stream),
@@ -296,6 +295,9 @@ def main(argv=None):
             cfg.precision = args.precision
         if args.out is not None:
             cfg.out = args.out
+        if cfg.learning_rate > float(np.finfo(resolve_dtype(cfg.precision)).max):
+            raise ConfigError(f"learning_rate {cfg.learning_rate!r} overflows {cfg.precision} "
+                              "precision")
         if cfg.out:
             try:
                 os.makedirs(cfg.out, exist_ok=True)

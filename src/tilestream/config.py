@@ -25,7 +25,8 @@ preset takes the keyword arguments of its function in
 tilestream.network) and any value of the wrong type or range: counts
 are ints (never booleans), noise a non-negative number. verify's gates
 (tilestream.equivalence's tolerances and finite-difference step and
-tolerance) are constants that no config can widen.
+tolerance) are constants that no config can widen, and fd_coords is at
+least 1, so the finite-difference gate always probes.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _FIELDS = {
     "precision": (str, lambda v: v in ("single", "double")),
     "mode": (str, lambda v: v in ("sgd", "ssgd")),
     "dataset": {"n_train": (int, lambda v: v >= 2 and v % 2 == 0), "noise": _NONNEG},
-    "verify": {"fd_coords": _NONNEG_INT},
+    "verify": {"fd_coords": _POS_INT},
     "bench": {"steps": _POS_INT},
     "out": (str, lambda v: True),
 }

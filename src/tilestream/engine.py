@@ -42,11 +42,8 @@ floating-point summation order; in a mini-batch the second image's tiles
 add onto the first image's sum, so at batch > 1 a tiled plan's step
 gradient may differ in the last bits from summing per-image sets.
 
-Memory accounting: byte counters measure the arrays each pass retains,
-under the accounting policy stated in tilestream.memory: a tile's and the
-head's term is the running maximum of run_stack's live bytes, and the
-engine calls that module's phase-peak formulas (stream_forward_peak,
-stream_backward_peak) with what it measured.
+Memory accounting: the engine counts bytes under tilestream.memory's
+policy and calls its phase-peak formulas with what it counted.
 """
 
 from __future__ import annotations
@@ -143,7 +140,15 @@ def _check_image(image, plan):
         raise PlanError(f"image {h}x{w} does not match plan image_size {plan.image_size}")
 
 
-def _tile_pass(net, params, below, tile, want_cache):
+def _check_state(net, plan, state):
+    """Refuse a forward state of another plan, or one already backpropagated."""
+    shapes = net.activation_shapes(plan.image_size)
+    if ([m.shape[1:] for m in state.cut_maps] != [shapes[s.stop] for s in plan.segments]
+            or state.kept is None or state.kept[0] is not plan.segments[-1].tiles[-1]):
+        raise PlanError("forward state does not match this plan, or was backpropagated")
+
+
+def _tile_pass(net, params, below, segment, tile, want_cache):
     """Run one tile's crop of its segment's input map through the segment.
 
     The crop is a view: run_stack never writes its input, and the conv
@@ -153,12 +158,12 @@ def _tile_pass(net, params, below, tile, want_cache):
     """
     r = tile.input_forward
     sink = []
-    out, caches = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, tile.start,
-                            tile.stop, pads_seq=tile.fwd_pads, want_cache=want_cache,
+    out, caches = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, segment.start,
+                            segment.stop, pads_seq=tile.fwd_pads, want_cache=want_cache,
                             byte_sink=sink)
     o = tile.owned_split
     if out.shape[2:] != o.shape():
-        raise PlanError(f"tile ({tile.row},{tile.col}) of [{tile.start}, {tile.stop}) "
+        raise PlanError(f"tile ({tile.row},{tile.col}) of [{segment.start}, {segment.stop}) "
                         f"produced {out.shape[2:]}, owned region is {o.shape()}")
     return out, caches, max(live for _, _, live in sink)
 
@@ -171,7 +176,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     bit-identical to the whole-image map.
     """
     _check_image(image, plan)
-    if plan.split_index != net.split_index:
+    if plan.cuts[-1] != net.split_index:
         raise PlanError("plan split_index does not match the network")
     n = image.shape[0]
     shapes = net.activation_shapes(plan.image_size)
@@ -181,11 +186,11 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     last = plan.segments[-1].tiles[-1]
     for segment in plan.segments:
         stop, tiles = segment.stop, segment.tiles
-        out = None if len(tiles) == 1 else np.empty(
-            (n, shapes[stop][1]) + tuple(plan.map_sizes[stop]), dtype=image.dtype)
+        out = None if len(tiles) == 1 else np.empty((n,) + shapes[stop], dtype=image.dtype)
         peak_tile = 0
         for tile in tiles:
-            y, caches, nbytes = _tile_pass(net, params, below, tile, want_cache=tile is last)
+            y, caches, nbytes = _tile_pass(net, params, below, segment, tile,
+                                           want_cache=tile is last)
             o = tile.owned_split
             if out is None:  # a lone tile owns the whole map: its output is the cut map
                 out = y
@@ -217,10 +222,8 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     """streaming_backward, adding the pass's parameter gradients into grads
     (a fresh ParamGrads if None); returns grads."""
     _check_image(image, plan)
+    _check_state(net, plan, state)
     segments = plan.segments
-    if ([m.shape[2:] for m in state.cut_maps] != [tuple(plan.map_sizes[s.stop]) for s in segments]
-            or state.kept is None or state.kept[0] is not segments[-1].tiles[-1]):
-        raise PlanError("forward state does not match this plan, or was backpropagated")
     kept, state.kept = state.kept, None
     if grads is None:
         grads = ParamGrads.zeros_like(params)
@@ -238,7 +241,7 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
             if kept:
                 (_, caches), kept = kept, None
             else:
-                _, caches, _ = _tile_pass(net, params, below, tile, want_cache=True)
+                _, caches, _ = _tile_pass(net, params, below, segment, tile, want_cache=True)
             o = tile.owned_split
             g_in = stack_backward(grad_above[:, :, o.y0:o.y1, o.x0:o.x1], net, params,
                                   caches, segment.start, segment.stop, grads)

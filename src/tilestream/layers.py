@@ -112,26 +112,16 @@ class Conv:
 
 
 @dataclass
-class ConvParams:
-    """weights (c_out, c_in, k, k) and bias (c_out,)."""
+class Params:
+    """A layer's weights and bias: conv (c_out, c_in, k, k) and (c_out,),
+    dense (out, in) and (out,). kind reads which from the weight's rank."""
 
     w: np.ndarray
     b: np.ndarray
 
-    def check(self, spec: Conv):
-        if self.w.shape != (spec.c_out, spec.c_in, spec.kernel, spec.kernel):
-            raise ShapeError(f"weights {self.w.shape} inconsistent with {spec}")
-        if self.b.shape != (spec.c_out,):
-            raise ShapeError(f"bias {self.b.shape} inconsistent with {spec}")
-        return self
-
-
-@dataclass
-class DenseParams:
-    """weights (out, in) and bias (out,)."""
-
-    w: np.ndarray
-    b: np.ndarray
+    @property
+    def kind(self):
+        return "conv" if self.w.ndim == 4 else "dense"
 
 
 def out_size(z, k, s, p=0):
@@ -249,7 +239,7 @@ def _correlate(src, wmat, k, s, d, pads, oh, ow):
     return out.reshape(n, r, oh, ow)
 
 
-def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
+def conv2d_forward(x, spec: Conv, params: Params, pads=None):
     """Valid convolution over a (possibly asymmetrically) padded input.
 
     pads overrides the symmetric spec.pad; streaming tile passes use it to
@@ -258,7 +248,9 @@ def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
     c_in * k * k, whatever the map size (see the module docstring).
     """
     check_tensor4(x, "conv input")
-    params.check(spec)
+    if params.w.shape != (spec.c_out, spec.c_in, spec.kernel, spec.kernel) \
+            or params.b.shape != (spec.c_out,):
+        raise ShapeError(f"parameters {params.w.shape}, {params.b.shape} inconsistent with {spec}")
     check_same_dtype(x, params.w, params.b)
     n, c, h, w = x.shape
     if c != spec.c_in:
@@ -273,7 +265,7 @@ def conv2d_forward(x, spec: Conv, params: ConvParams, pads=None):
     return check_finite(out, "conv output")
 
 
-def conv2d_input_grad(grad_out, spec: Conv, params: ConvParams, in_hw, pads=None):
+def conv2d_input_grad(grad_out, spec: Conv, params: Params, in_hw, pads=None):
     """Gradient w.r.t. the conv input: the stride-1 correlation of grad_out,
     zero-stuffed at stride s and zero-padded by (k-1-pt, h+pt-1-s(oh-1),
     k-1-pl, w+pl-1-s(ow-1)), with the flipped, transposed weights (see the
@@ -325,7 +317,7 @@ def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     return gw, gb
 
 
-def conv2d_backward(x, spec: Conv, params: ConvParams, grad_out, pads=None):
+def conv2d_backward(x, spec: Conv, params: Params, grad_out, pads=None):
     """Full conv backward: (grad_in, grad_w, grad_b)."""
     gw, gb = conv2d_param_grad(x, spec, grad_out, pads)
     gx = conv2d_input_grad(grad_out, spec, params, x.shape[2:], pads)
@@ -463,7 +455,7 @@ def flatten_backward(grad_out, shape):
     return grad_out.reshape(shape)
 
 
-def dense_forward(x, params: DenseParams):
+def dense_forward(x, params: Params):
     """y = x @ W.T + b via einsum (no BLAS, deterministic per shape)."""
     if x.ndim != 2 or x.shape[1] != params.w.shape[1]:
         raise ShapeError(f"dense input {x.shape} vs weights {params.w.shape}")
@@ -472,7 +464,7 @@ def dense_forward(x, params: DenseParams):
     return check_finite(y, "dense output")
 
 
-def dense_backward(x, params: DenseParams, grad_out, acc: DenseParams):
+def dense_backward(x, params: Params, grad_out, acc: Params):
     """Returns grad_x; adds the weight and bias gradients into acc in place.
 
     The weight gradient is added one output row at a time, so besides

@@ -5,8 +5,9 @@ engine's instrumentation counts under the same policy, so on desk-scale
 runs the predicted bytes equal the measured counters exactly (both count
 the same abstraction: retained scalars times bytes, plus route bytes):
 
-* each conv/maxpool/dense output is one retained array (n * elems *
-  itemsize); relu runs in place and flatten is a view: zero additional
+* each conv/maxpool/dense output is one retained array: n times the
+  elements of its shape in NetworkSpec.activation_shapes, times the
+  itemsize; relu runs in place and flatten is a view: zero additional
   bytes (tilestream.network.retains_output);
 * a maxpool keeps a uint8 route, one byte per output element in either
   precision, and not its input: the map below a pool counts only until
@@ -59,8 +60,9 @@ the largest tile term of segment [cut j-1, cut j):
 
 With one segment these are params + split_map + tile + head and params +
 grads + 2*split_map + head + tile. stream_f <= stream_b (its last term is
-in stream_b's j = k one). estimate_streaming reads the terms the planner
-stores on the TilePlan, in the run's precision.
+in stream_b's j = k one). estimate_streaming reads the tile terms the
+planner stores on the TilePlan, in the run's precision, and the cut maps'
+sizes from the network's shapes.
 """
 
 from __future__ import annotations
@@ -95,14 +97,9 @@ def count_param_scalars(net: NetworkSpec, image_size):
                for w, b in filter(None, net.param_shapes(image_size)))
 
 
-def _elements(shape):
-    """Elements of one image's activation shape, ('map', c, h, w) or ('vec', f)."""
-    return shape[1] if shape[0] == "vec" else shape[1] * shape[2] * shape[3]
-
-
 def _layer_bytes(layer, out_shape, n, itemsize):
     """Retained bytes for one layer output under the shared policy (no route)."""
-    return n * _elements(out_shape) * itemsize if retains_output(layer) else 0
+    return n * math.prod(out_shape) * itemsize if retains_output(layer) else 0
 
 
 def live_maps(net: NetworkSpec, start, stop):
@@ -133,7 +130,7 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
     per_layer = []
     for i, layer in enumerate(net.layers):
         per_layer.append((i, _layer_bytes(layer, shapes[i + 1], batch, item)))
-    input_bytes = batch * net.in_channels * image_size * image_size * item
+    input_bytes = batch * math.prod(shapes[0]) * item
     params = count_param_scalars(net, image_size) * item
     peak = input_bytes + sum(b for _, b in per_layer) + 2 * params
     return MemoryEstimate(mode="whole_image", batch=batch, precision=str(precision),
@@ -146,13 +143,13 @@ def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
     layer for one image."""
     shapes = net.activation_shapes(image_size)
     return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize)
-             + (_elements(shapes[i + 1]) if isinstance(net.layers[i], MaxPool) else 0))
+             + (math.prod(shapes[i + 1]) if isinstance(net.layers[i], MaxPool) else 0))
             for i in range(net.split_index, len(net.layers))]
 
 
 def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
     """The head term for one image: the running maximum of the head's live bytes."""
-    elements = [_elements(shape) for shape in net.activation_shapes(image_size)[net.split_index:]]
+    elements = [math.prod(shape) for shape in net.activation_shapes(image_size)[net.split_index:]]
     return max(sum((a * itemsize + r) * e for a, r, e in zip(arrays, routes, elements))
                for arrays, routes in live_maps(net, net.split_index, len(net.layers)))
 
@@ -187,7 +184,8 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     item = resolve_dtype(precision).itemsize
     head_per_layer = head_layer_bytes(net, plan.image_size, item)
     head_bytes = head_peak_bytes(net, plan.image_size, item)
-    cut_bytes = [c * item for c in plan.cut_scalars]
+    shapes = net.activation_shapes(plan.image_size)
+    cut_bytes = [0] + [math.prod(shapes[c]) * item for c in plan.cuts[1:]]
     tile_bytes = list(plan.tile_bytes[item])
     params = count_param_scalars(net, plan.image_size) * item
     peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)

@@ -8,13 +8,14 @@ binary logit. Conv is the one in tilestream.layers: NetworkSpec stores
 each conv with the c_in of the map below filled in, and run_stack hands
 that layer to the conv kernels as their geometry.
 
-Parameters are a list aligned with the layers (None for parameter-free
-layers), shaped by NetworkSpec.param_shapes. Initialisation draws
-uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, fan_in being the
-product of the weight shape after its first axis, from a pinned,
-portable generator (numpy PCG64 seeded with the run seed), always in
-double precision and then cast to the run dtype, so single and double
-runs share the same initial point up to rounding.
+Parameters are a list aligned with the layers: a tilestream.layers.Params
+(w, b) per conv or dense layer, None for the others, shaped by
+NetworkSpec.param_shapes. Initialisation draws uniform(-1/sqrt(fan_in),
+1/sqrt(fan_in)) weights, fan_in being the product of the weight shape
+after its first axis, from a pinned, portable generator (numpy PCG64
+seeded with the run seed), always in double precision and then cast to
+the run dtype, so single and double runs share the same initial point
+up to rounding.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 from .errors import ShapeError
 from .layers import (
     Conv,
-    ConvParams,
-    DenseParams,
+    Params,
     conv2d_forward,
     conv2d_input_grad,
     conv2d_param_grad,
@@ -134,34 +134,29 @@ class NetworkSpec:
         return geoms
 
     def activation_shapes(self, image_size):
-        """Shapes of map 0 (input) .. map L for a square image.
-
-        Spatial maps are ('map', c, h, w); post-flatten entries are ('vec', f).
-        """
-        shapes = [("map", self.in_channels, image_size, image_size)]
-        cur = shapes[0]
+        """One image's array shape of map 0 (input) .. the last layer's
+        output for a square image: (c, h, w) up to flatten, (f,) after it."""
+        shapes = [(self.in_channels, image_size, image_size)]
         for layer in self.layers:
+            cur = shapes[-1]
             if isinstance(layer, Conv):
-                _, c, h, w = cur
-                cur = ("map", layer.c_out, out_size(h, layer.kernel, layer.stride, layer.pad),
+                _, h, w = cur
+                cur = (layer.c_out, out_size(h, layer.kernel, layer.stride, layer.pad),
                        out_size(w, layer.kernel, layer.stride, layer.pad))
             elif isinstance(layer, MaxPool):
-                _, c, h, w = cur
-                cur = ("map", c, out_size(h, layer.kernel, layer.stride),
+                c, h, w = cur
+                cur = (c, out_size(h, layer.kernel, layer.stride),
                        out_size(w, layer.kernel, layer.stride))
             elif isinstance(layer, Flatten):
-                _, c, h, w = cur
-                cur = ("vec", c * h * w)
+                cur = (math.prod(cur),)
             elif isinstance(layer, Dense):
-                cur = ("vec", layer.width)
+                cur = (layer.width,)
             shapes.append(cur)
         return shapes
 
     def split_shape(self, image_size):
-        shape = self.activation_shapes(image_size)[self.split_index]
-        if shape[0] != "map":
-            raise ShapeError("split map is not spatial")
-        return shape[1:]
+        """(c, h, w) of the split map; the streaming section keeps every map spatial."""
+        return self.activation_shapes(image_size)[self.split_index]
 
     def param_shapes(self, image_size):
         """(weight shape, bias shape) per layer; None for layers without parameters."""
@@ -170,7 +165,7 @@ class NetworkSpec:
             if isinstance(layer, Conv):
                 out.append(((layer.c_out, layer.c_in, layer.kernel, layer.kernel), (layer.c_out,)))
             elif isinstance(layer, Dense):
-                out.append(((layer.width, below[1]), (layer.width,)))
+                out.append(((layer.width, below[0]), (layer.width,)))
             else:
                 out.append(None)
         return out
@@ -181,21 +176,20 @@ def init_params(net: NetworkSpec, image_size, seed, precision="double"):
     dtype = resolve_dtype(precision)
     rng = np.random.Generator(np.random.PCG64(seed))
     params = []
-    for layer, shapes in zip(net.layers, net.param_shapes(image_size)):
+    for shapes in net.param_shapes(image_size):
         if shapes is None:
             params.append(None)
             continue
         w_shape, b_shape = shapes
         bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))
         w = rng.uniform(-bound, bound, w_shape)
-        kind = ConvParams if isinstance(layer, Conv) else DenseParams
-        params.append(kind(w.astype(dtype), np.zeros(b_shape, dtype=dtype)))
+        params.append(Params(w.astype(dtype), np.zeros(b_shape, dtype=dtype)))
     return params
 
 
 def _map_params(params, fn):
-    """Apply fn to every weight and bias, keeping each entry's kind; None stays None."""
-    return [None if p is None else type(p)(fn(p.w), fn(p.b)) for p in params]
+    """Apply fn to every weight and bias; None stays None."""
+    return [None if p is None else Params(fn(p.w), fn(p.b)) for p in params]
 
 
 def clone_params(params):
@@ -246,9 +240,8 @@ class ParamGrads:
         for i, g in enumerate(self.per_layer):
             if g is None:
                 continue
-            kind = "conv" if isinstance(g, ConvParams) else "dense"
-            yield f"{kind}{i}.w", g.w
-            yield f"{kind}{i}.b", g.b
+            yield f"{g.kind}{i}.w", g.w
+            yield f"{g.kind}{i}.b", g.b
 
 
 def layer_forward(x, layer, lparams, pads=None, inplace_ok=False, want_cache=True):
@@ -353,12 +346,9 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     fused_relu), and a pool caches its uint8 route, so the map below a
     pool is freed once the pool has run (pool_frees).
 
-    byte_sink, if given, is a list that receives per layer (layer_index,
-    retained bytes, live bytes) under tilestream.memory's policy, for the
-    cached pass whatever want_cache is: its output's bytes under
-    retains_output plus a pool's route, one byte per output element; and
-    the stack's retained bytes once the layer has run, before a pool frees
-    the map below it.
+    byte_sink, if given, is a list that receives (layer_index, retained
+    bytes, live bytes) per layer of the cached pass, whatever want_cache
+    is, counted under tilestream.memory's policy.
     """
     layers = net.layers
     caches = [] if want_cache else None

@@ -31,15 +31,22 @@ checkpoint map, and the split map, is rebuilt bit for bit from the
 (bit-exact) map below it. The engine retains the checkpoint maps, so a
 tile above a checkpoint back-projects only to it, not to the image.
 
-A segment's tiles, the TileEntry records the engine runs (the input
-crop, the owned rectangle and the pads per layer), are the row-major
-product of its parts, built once, on first read. Planning, the memory
-model and validation read only the parts: validate_tile_plan checks
-that each axis's owned intervals partition the segment's output map,
-and walks each part's crop up through its pads, checking that every pad
-sits at the map border within the layer pad and every padded window
-lies on the layer's sampling lattice, and that the walk lands on the
-owned interval.
+A TilePlan stores the image size, the configured grid, its segments and
+what the planner models for them; its cuts, checkpoints and grids are
+read from its segments. Map sizes and layer geometry belong to the
+network: the engine, the memory model, validation and to_json read them
+from NetworkSpec.activation_shapes and NetworkSpec.stream_geoms. A
+segment's tiles, the TileEntry records the engine runs with their
+segment (the input crop, the owned rectangle and the pads per layer),
+are the row-major product of its parts, built once, on first read.
+Planning, the memory model and validation read only the parts:
+validate_tile_plan checks that the cuts rise from 0 to the network's
+split index and that each axis's owned intervals partition the
+segment's output map, and walks each part's crop up through its pads
+and the network's layers, checking that every pad sits at the map
+border within the layer pad and every padded window lies on the layer's
+sampling lattice, and that the walk lands on the owned interval. A plan
+built for another network fails the cut check or the walk.
 
 Choosing the plan
 -----------------
@@ -85,12 +92,13 @@ each layer's largest tile output and the conv work factor into row and
 column terms. A segment's tile term is the running maximum of a tile's
 live bytes (tilestream.memory.live_maps) over its layers, taken over the
 distinct row and column extents. This per-axis model is the plan's only
-model; the TilePlan carries every streaming term estimate_streaming
-prints, none of which scale with the batch. A route costs one byte per
-pool output element in either precision, so the peak and the tile terms
-are held per itemsize, and the chooser weighs the run's precision
-(build_tile_plan's precision, double by default, as in the config);
-every preset chooses the same plan in both. Planning builds no tiles.
+model; the TilePlan carries the tile terms and layer outputs
+estimate_streaming prints, none of which scale with the batch. A route
+costs one byte per pool output element in either precision, so the peak
+and the tile terms are held per itemsize, and the chooser weighs the
+run's precision (build_tile_plan's precision, double by default, as in
+the config); every preset chooses the same plan in both. Planning builds
+no tiles.
 
 Backward
 --------
@@ -102,11 +110,13 @@ ownership is planned.
 
 Plan files
 ----------
-TilePlan.to_json writes the plan (plan.json of the plan command, schema
-5) for people and tools that read it: each segment's grid, and each
-tile's segment, owned rectangle, input crop and pads, so writing it
-builds the tiles. Nothing in the package loads a plan file, so plans
-are always rebuilt from (network, image size, grid).
+TilePlan.to_json(net) writes the plan (plan.json of the plan command,
+schema 5) for people and tools that read it: its top cut as the split
+index; from net, the layers' geometry and the maps' sizes up to the
+split map; each segment's grid; and each tile's segment, owned
+rectangle, input crop and pads, so writing it builds the tiles. Nothing
+in the package loads a plan file, so plans are always rebuilt from
+(network, image size, grid).
 """
 
 from __future__ import annotations
@@ -204,7 +214,7 @@ def _chain_down(geoms, sizes, top_iv):
 
 @dataclass
 class TileEntry:
-    """One tile of segment [start, stop): what the engine runs.
+    """One tile of a segment [start, stop): what the engine runs.
 
     The input crop of map start, run through the segment's layers with
     fwd_pads, yields exactly the owned rectangle of map stop (the split
@@ -213,8 +223,6 @@ class TileEntry:
 
     row: int
     col: int
-    start: int
-    stop: int
     input_forward: Region              # crop of map start
     owned_split: Region                # owned rectangle of map stop
     fwd_pads: list                     # (t, b, l, r) per layer start..stop-1
@@ -252,8 +260,7 @@ class Segment:
     @cached_property
     def tiles(self):
         """The TileEntry of each (row, column) pair, row-major, built on first read."""
-        return [TileEntry(i, j, self.start, self.stop,
-                          Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
+        return [TileEntry(i, j, Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
                           Region(y.owned[0], x.owned[0], y.owned[1], x.owned[1]),
                           [yp + xp for yp, xp in zip(y.pads, x.pads)])
                 for i, y in enumerate(self.rows) for j, x in enumerate(self.cols)]
@@ -261,33 +268,31 @@ class Segment:
 
 @dataclass
 class TilePlan:
-    """A set of checkpoint maps with each segment's parts, and what the
-    planner models for it. The peak and the tile terms are bytes per
-    itemsize (ITEMSIZES), since a route's byte does not scale with it;
-    cut maps and layer outputs are scalars, times the itemsize
-    tilestream.memory's streaming terms."""
+    """Each segment's parts, and what the planner models for them. The
+    network holds the maps' shapes and the layers' geometry; a plan holds
+    none of it. The peak and the tile terms are bytes per itemsize
+    (ITEMSIZES), since a route's byte does not scale with it; layer
+    outputs are scalars, times the itemsize tilestream.memory's streaming
+    terms."""
 
     image_size: int
-    split_index: int
     grid: tuple                        # the configured grid; each segment's is in grids
-    geoms: list
-    map_sizes: list                    # (h, w) per map 0..L
     segments: list                     # Segment per segment, bottom-up
     peak_bytes: dict                   # itemsize -> modelled streaming peak
     recompute_ratio: float             # conv multiply-adds of all tiles per whole-image pass
     calls: int                         # tile-layer calls: each segment's tiles times its layers
     seconds: float                     # modelled step time
-    cut_scalars: tuple                 # 0 for the image, then each checkpoint map and the split map
     tile_bytes: dict                   # itemsize -> largest tile term per segment
     layer_scalars: tuple               # largest tile output per streaming layer
 
     @property
-    def split_hw(self):
-        return self.map_sizes[-1]
+    def cuts(self):
+        """The image, the checkpoint maps and the split map: 0, then each segment's stop."""
+        return (0,) + tuple(s.stop for s in self.segments)
 
     @property
     def checkpoints(self):
-        return tuple(s.start for s in self.segments[1:])
+        return self.cuts[1:-1]
 
     @property
     def grids(self):
@@ -295,45 +300,44 @@ class TilePlan:
         return tuple(s.grid for s in self.segments)
 
     @property
-    def cuts(self):
-        """The image, the checkpoint maps and the split map: the segments' bounds."""
-        return (0,) + self.checkpoints + (self.split_index,)
-
-    @property
     def tiles(self):
         """Every segment's tiles, bottom-up; the same objects on every read."""
         return [t for s in self.segments for t in s.tiles]
 
-    def to_json_dict(self):
-        """Schema version 5, written for readers. grids holds each segment's
-        grid, bottom-up. Each tile names its segment, its owned rectangle of
-        the segment's top map (the split map only for the top segment), its
-        input crop and its pads per layer; back-projecting the owned
-        rectangle (backproject_span) gives the regions between."""
+    def to_json_dict(self, net: NetworkSpec):
+        """Schema version 5, written for readers: the maps' sizes and the
+        layers' geometry (read from net) up to the split map, and grids,
+        each segment's grid, bottom-up. Each tile names its segment, its
+        owned rectangle of the segment's top map (the split map only for
+        the top segment), its input crop and its pads per layer;
+        back-projecting the owned rectangle (backproject_span) gives the
+        regions between."""
+        split = self.cuts[-1]
         return {
             "version": PLAN_SCHEMA_VERSION,
             "image_size": self.image_size,
-            "split_index": self.split_index,
+            "split_index": split,
             "grid": list(self.grid),
-            "geoms": [list(g) for g in self.geoms],
-            "map_sizes": [list(sz) for sz in self.map_sizes],
+            "geoms": [list(g) for g in net.stream_geoms()],
+            "map_sizes": [list(shape[1:]) for shape in
+                          net.activation_shapes(self.image_size)[: split + 1]],
             "checkpoints": list(self.checkpoints),
             "grids": [list(g) for g in self.grids],
             "tiles": [
                 {
                     "row": t.row,
                     "col": t.col,
-                    "segment": [t.start, t.stop],
+                    "segment": [s.start, s.stop],
                     "owned_split_region": t.owned_split.as_list(),
                     "input_region_forward": t.input_forward.as_list(),
                     "pads": [list(p) for p in t.fwd_pads],
                 }
-                for t in self.tiles
+                for s in self.segments for t in s.tiles
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+    def to_json(self, net: NetworkSpec):
+        return json.dumps(self.to_json_dict(net), indent=2)
 
 
 class _Section:
@@ -348,8 +352,8 @@ class _Section:
             shapes = net.activation_shapes(image_size)[: L + 1]
         except ShapeError as exc:
             raise PlanError(f"image too small for the network: {exc}") from exc
-        self.sizes = [shape[2] for shape in shapes]
-        self.channels = [shape[1] for shape in shapes]
+        self.channels = [c for c, _, _ in shapes]
+        self.sizes = [h for _, h, _ in shapes]
         if max(grid) > self.sizes[-1]:
             raise PlanError(f"grid {grid} exceeds split map {self.sizes[-1]}x{self.sizes[-1]}")
         self.net, self.image_size, self.grid = net, image_size, tuple(grid)
@@ -446,10 +450,9 @@ class _Section:
             *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
         tile_bytes = {item: tuple(t[item] for t in tiles) for item in ITEMSIZES}
         peaks = {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES}
-        return TilePlan(self.image_size, self.net.split_index, self.grid, self.geoms,
-                        [(z, z) for z in self.sizes], list(segments), peaks,
+        return TilePlan(self.image_size, self.grid, list(segments), peaks,
                         sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                        sum(calls), sum(seconds), cut_scalars, tile_bytes,
+                        sum(calls), sum(seconds), tile_bytes,
                         tuple(chain.from_iterable(outputs)))
 
     def budget(self, item):
@@ -535,11 +538,13 @@ def _walk_up(iv, pads, geoms, sizes):
 
 
 def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
-    """Integer consistency checks; returns a ValidationReport (never raises).
+    """Integer consistency checks of plan against net; returns a
+    ValidationReport (never raises).
 
-    Each segment's row and column owned intervals must partition its top
-    map, and each part's crop, walked up through its pads, must land on
-    its owned interval; no intermediate region is stored or read.
+    The cuts must rise from 0 to net's split index, each segment's row and
+    column owned intervals must partition its top map, and each part's
+    crop, walked up through its pads and net's layers, must land on its
+    owned interval; no intermediate region is stored or read.
     """
     failures = []
 
@@ -549,13 +554,11 @@ def validate_tile_plan(plan: TilePlan, net: NetworkSpec):
     geoms = net.stream_geoms()
     L = len(geoms)
     try:
-        sizes = [shape[2] for shape in net.activation_shapes(plan.image_size)[: L + 1]]
+        sizes = [h for _, h, _ in net.activation_shapes(plan.image_size)[: L + 1]]
     except ShapeError as exc:
         return ValidationReport(False, [f"geometry: {exc}"])
-    if geoms != list(plan.geoms) or [(z, z) for z in sizes] != list(plan.map_sizes):
-        fail("geometry", "plan geometry does not match the network/image")
     cuts = plan.cuts
-    if plan.split_index != L or any(a >= b for a, b in zip(cuts, cuts[1:])):
+    if cuts[-1] != L or any(a >= b for a, b in zip(cuts, cuts[1:])):
         fail("segments", f"cuts {list(cuts)} do not increase from 0 to the split {L}")
         return ValidationReport(False, failures)
     if [(s.start, s.stop) for s in plan.segments] != list(zip(cuts, cuts[1:])):

@@ -8,7 +8,8 @@ import pytest
 from tilestream import cli, equivalence, planner
 from tilestream.cli import main
 from tilestream.errors import NondeterminismError
-from tilestream.network import net_vgg13
+from tilestream.network import Conv, net_vgg13
+from tilestream.tensors import read_st4
 
 # conv3/p1 -> maxpool -> conv3/s2 on a 32x32 image; no relu, so finite
 # differences never straddle a kink.
@@ -106,6 +107,7 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
     pytest.param(dict(CONFIG, tolerances={"lossx": 1e-3}), [], id="tolerance-lossx"),
     pytest.param(dict(CONFIG, tolerances={"loss": "tight"}), [], id="tolerance-string"),
     pytest.param(dict(CONFIG, verify={"fd_coords": "many"}), [], id="fd-coords-string"),
+    pytest.param(dict(CONFIG, verify={"fd_coords": 0}), [], id="fd-coords-zero"),
     pytest.param(dict(CONFIG, bench={"steps": "three"}), [], id="bench-steps-string"),
     pytest.param(dict(CONFIG, dataset={"n_train": 4, "noise": "low"}), [], id="noise-string"),
     pytest.param(dict(CONFIG, network=dict(CONFIG["network"], layers=5)), [],
@@ -154,6 +156,47 @@ def test_divergence_exits_4(tmp_path, capsys, precision):
     assert main(["train", "--config", write_config(tmp_path, doc), "--precision", precision,
                  "--out", str(tmp_path / "out")]) == 4
     assert "divergence: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "bench"])
+def test_learning_rate_beyond_the_precision_exits_1(tmp_path, capsys, command):
+    """A rate above float32's largest value would turn every weight inf at
+    the first single-precision step; with --precision single it is a
+    config error before any step, naming the key and the precision."""
+    doc = dict(CONFIG, learning_rate=1e100)
+    assert main([command, "--config", write_config(tmp_path, doc), "--precision", "single",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: learning_rate 1e+100" in err and "single precision" in err
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_train_checkpoint_reads_back(tmp_path, monkeypatch, precision):
+    """Every tensor manifest.json lists, read with read_st4 and reshaped to
+    its shape, is bit for bit the final parameter train saved; each conv
+    layer's tensors are kind conv and each dense layer's kind dense."""
+    saved, save = [], cli.save_checkpoint
+
+    def capturing(dirpath, net, params, precision):
+        saved.append((net, params))
+        save(dirpath, net, params, precision)
+
+    monkeypatch.setattr(cli, "save_checkpoint", capturing)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, CONFIG), "--precision", precision,
+                 "--out", str(out)]) == 0
+    [(net, params)] = saved
+    manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+    assert manifest["precision"] == precision
+    tensors = manifest["tensors"]
+    assert [(t["layer"], t["name"]) for t in tensors] == [
+        (i, name) for i, p in enumerate(params) if p is not None for name in ("w", "b")]
+    for t in tensors:
+        want = getattr(params[t["layer"]], t["name"])
+        got = read_st4(str(out / "checkpoint" / t["file"])).reshape(t["shape"])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), t["file"]
+        assert t["kind"] == ("conv" if isinstance(net.layers[t["layer"]], Conv) else "dense")
 
 
 def test_nondeterminism_exits_3(tmp_path, capsys, monkeypatch):

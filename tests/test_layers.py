@@ -12,7 +12,6 @@ from tilestream.layers import (
     _BAND_MIN,
     _BLOCK,
     Conv,
-    ConvParams,
     bce_with_logits,
     conv2d_backward,
     conv2d_forward,
@@ -20,10 +19,10 @@ from tilestream.layers import (
     conv2d_param_grad,
     dense_backward,
     dense_forward,
-    DenseParams,
     maxpool2d_backward,
     maxpool2d_forward,
     out_size,
+    Params,
     relu_backward,
     relu_forward,
 )
@@ -64,7 +63,7 @@ def fd_scalar(fn, arr, idx, eps=1e-5):
 
 def test_conv_all_ones_3x3():
     x = np.ones((1, 1, 3, 3))
-    p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+    p = Params(np.ones((1, 1, 3, 3)), np.zeros(1))
     y = conv2d_forward(x, Conv(1, 3, 1, 0, c_in=1), p)
     assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 9.0
 
@@ -74,13 +73,13 @@ def test_conv_identity_kernel_exact(rng):
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    y = conv2d_forward(x, Conv(3, 1, 1, 0, c_in=3), ConvParams(w, np.zeros(3)))
+    y = conv2d_forward(x, Conv(3, 1, 1, 0, c_in=3), Params(w, np.zeros(3)))
     assert np.array_equal(y, x)
 
 
 def test_conv_2x2_stride2_blocks():
     x = np.arange(1, 17, dtype=np.float64).reshape(1, 1, 4, 4)
-    p = ConvParams(np.ones((1, 1, 2, 2)), np.zeros(1))
+    p = Params(np.ones((1, 1, 2, 2)), np.zeros(1))
     y = conv2d_forward(x, Conv(1, 2, 2, 0, c_in=1), p)
     assert np.array_equal(y[0, 0], [[14.0, 22.0], [46.0, 54.0]])
     assert np.array_equal(y, brute_conv(x, p.w, p.b, 2, 0))
@@ -92,23 +91,23 @@ def test_conv_matches_bruteforce(rng):
         w = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
         spec = Conv(3, k, s, pad, c_in=2)
-        got = conv2d_forward(x, spec, ConvParams(w, b))
+        got = conv2d_forward(x, spec, Params(w, b))
         want = brute_conv(x, w, b, s, pad)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_errors(rng):
     x = rng.standard_normal((1, 2, 4, 4))
-    p = ConvParams(np.zeros((1, 3, 3, 3)), np.zeros(1))
+    p = Params(np.zeros((1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):
         conv2d_forward(x, Conv(1, 3, 1, 0, c_in=3), p)  # channel mismatch
     with pytest.raises(ShapeError):
         conv2d_forward(x[:, :1], Conv(1, 5, 1, 0, c_in=1),
-                       ConvParams(np.zeros((1, 1, 5, 5)), np.zeros(1)))  # kernel > input
+                       Params(np.zeros((1, 1, 5, 5)), np.zeros(1)))  # kernel > input
     with pytest.raises(ShapeError):
         Conv(1, 3, 1, 3, c_in=1)  # pad >= kernel
     one = Conv(1, 3, 1, 0, c_in=1)
-    p1 = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+    p1 = Params(np.ones((1, 1, 3, 3)), np.zeros(1))
     for pads in [(0, 3, 0, 0), (0, 0, -1, 0)]:  # a pad outside [0, kernel)
         with pytest.raises(ShapeError):
             conv2d_forward(x[:, :1], one, p1, pads)
@@ -120,12 +119,12 @@ def test_conv_errors(rng):
         bad = x[:, :1].copy()
         bad[0, 0, 0, 0] = np.nan
         conv2d_forward(bad, Conv(1, 3, 1, 0, c_in=1),
-                       ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1)))
+                       Params(np.ones((1, 1, 3, 3)), np.zeros(1)))
 
 
 def test_conv_mixed_dtype_rejected(rng):
     x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
-    p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+    p = Params(np.ones((1, 1, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):
         conv2d_forward(x, Conv(1, 3, 1, 0, c_in=1), p)
 
@@ -135,7 +134,7 @@ def test_conv_mixed_dtype_rejected(rng):
 def test_conv_backward_identity_kernel(rng):
     x = rng.standard_normal((1, 1, 5, 5))
     spec = Conv(1, 1, 1, 0, c_in=1)
-    p = ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
+    p = Params(np.ones((1, 1, 1, 1)), np.zeros(1))
     gy = rng.standard_normal((1, 1, 5, 5))
     gx, gw, gb = conv2d_backward(x, spec, p, gy)
     assert np.array_equal(gx, gy)
@@ -144,7 +143,7 @@ def test_conv_backward_identity_kernel(rng):
 def test_conv_backward_unit_example():
     x = np.ones((1, 1, 3, 3))
     spec = Conv(1, 3, 1, 0, c_in=1)
-    p = ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+    p = Params(np.ones((1, 1, 3, 3)), np.zeros(1))
     gy = np.ones((1, 1, 1, 1))
     _, gw, gb = conv2d_backward(x, spec, p, gy)
     assert np.array_equal(gw, np.ones((1, 1, 3, 3)))
@@ -160,12 +159,12 @@ def test_conv_backward_finite_differences(rng, k, s, pad):
     proj = None
 
     def loss():
-        out = conv2d_forward(x, spec, ConvParams(w, b))
+        out = conv2d_forward(x, spec, Params(w, b))
         return float((out * proj).sum())
 
-    out0 = conv2d_forward(x, spec, ConvParams(w, b))
+    out0 = conv2d_forward(x, spec, Params(w, b))
     proj = np.random.default_rng(0).standard_normal(out0.shape)
-    gx, gw, gb = conv2d_backward(x, spec, ConvParams(w, b), proj.astype(x.dtype))
+    gx, gw, gb = conv2d_backward(x, spec, Params(w, b), proj.astype(x.dtype))
     worst = 0.0
     for arr, grad in ((x, gx), (w, gw), (b, gb)):
         for idx in range(0, arr.size, max(1, arr.size // 40)):
@@ -180,8 +179,8 @@ def test_conv_linearity(rng):
     w = rng.standard_normal((2, 2, 3, 3))
     spec = Conv(2, 3, 1, 1, c_in=2)
     a = 3.7
-    y1 = conv2d_forward(a * x, spec, ConvParams(w, np.zeros(2)))
-    y2 = a * conv2d_forward(x, spec, ConvParams(w, np.zeros(2)))
+    y1 = conv2d_forward(a * x, spec, Params(w, np.zeros(2)))
+    y2 = a * conv2d_forward(x, spec, Params(w, np.zeros(2)))
     assert np.allclose(y1, y2, rtol=1e-14, atol=1e-14)
 
 
@@ -471,7 +470,7 @@ def test_relu_backward_matches_where_bit_for_bit(rng, dtype):
 
 def test_dense_zero_weights_is_bias(rng):
     x = rng.standard_normal((1, 7))
-    p = DenseParams(np.zeros((1, 7)), np.array([0.37]))
+    p = Params(np.zeros((1, 7)), np.array([0.37]))
     assert dense_forward(x, p)[0, 0] == 0.37
 
 
@@ -479,7 +478,7 @@ def test_dense_one_hot_selects_feature(rng):
     x = rng.standard_normal((1, 5))
     w = np.zeros((1, 5))
     w[0, 3] = 1.0
-    assert dense_forward(x, DenseParams(w, np.zeros(1)))[0, 0] == x[0, 3]
+    assert dense_forward(x, Params(w, np.zeros(1)))[0, 0] == x[0, 3]
 
 
 def test_dense_backward_fd(rng):
@@ -489,10 +488,10 @@ def test_dense_backward_fd(rng):
     proj = rng.standard_normal((2, 3))
 
     def loss():
-        return float((dense_forward(x, DenseParams(w, b)) * proj).sum())
+        return float((dense_forward(x, Params(w, b)) * proj).sum())
 
-    acc = DenseParams(np.zeros_like(w), np.zeros_like(b))
-    gx = dense_backward(x, DenseParams(w, b), proj, acc)
+    acc = Params(np.zeros_like(w), np.zeros_like(b))
+    gx = dense_backward(x, Params(w, b), proj, acc)
     gw, gb = acc.w, acc.b
     for arr, grad in ((x, gx), (w, gw), (b, gb)):
         for idx in range(arr.size):
@@ -505,9 +504,9 @@ def test_dense_backward_adds_into_acc_one_row_at_a_time(rng):
     a small constant), never an (out, in) weight gradient, and it adds onto
     what acc already holds."""
     x = rng.standard_normal((1, 16384)).astype(np.float32)
-    p = DenseParams(rng.standard_normal((16, 16384)).astype(np.float32), np.zeros(16, np.float32))
+    p = Params(rng.standard_normal((16, 16384)).astype(np.float32), np.zeros(16, np.float32))
     proj = rng.standard_normal((1, 16)).astype(np.float32)
-    acc = DenseParams(rng.standard_normal(p.w.shape).astype(np.float32), np.ones(16, np.float32))
+    acc = Params(rng.standard_normal(p.w.shape).astype(np.float32), np.ones(16, np.float32))
     want_w = acc.w + np.einsum("no,nf->of", proj, x)
     want_b = acc.b + proj[0]
     peak, gx = _traced_peak(lambda: [dense_backward(x, p, proj, acc)])
@@ -552,7 +551,7 @@ def test_shape_law(z, k, s, p):
         return
     x = np.zeros((1, 1, z, z))
     spec = Conv(1, k, s, p, c_in=1)
-    y = conv2d_forward(x, spec, ConvParams(np.zeros((1, 1, k, k)), np.zeros(1)))
+    y = conv2d_forward(x, spec, Params(np.zeros((1, 1, k, k)), np.zeros(1)))
     expect = (z + 2 * p - k) // s + 1
     assert y.shape == (1, 1, expect, expect)
 
@@ -568,11 +567,11 @@ def test_per_pixel_determinism(seed, k, s):
     w = r.standard_normal((3, 2, k, k))
     b = r.standard_normal(3)
     spec = Conv(3, k, s, 0, c_in=2)
-    full = conv2d_forward(x, spec, ConvParams(w, b))
+    full = conv2d_forward(x, spec, Params(w, b))
     oh = full.shape[2]
     oy, ox = int(r.integers(0, oh)), int(r.integers(0, oh))
     crop = x[:, :, oy * s: oy * s + k, ox * s: ox * s + k]
-    one = conv2d_forward(crop, spec, ConvParams(w, b))
+    one = conv2d_forward(crop, spec, Params(w, b))
     assert one[0, :, 0, 0].tobytes() == full[0, :, oy, ox].tobytes()
 
 
@@ -603,7 +602,7 @@ def test_conv_forward_crop_bit_exact(n, c_in, c_out, k, s, pads, h, w, crop, dty
     h, w = max(h, k - pt - pb), max(w, k - pl - pr)
     r = np.random.default_rng(seed)
     x = r.standard_normal((n, c_in, h, w)).astype(dtype)
-    params = ConvParams(r.standard_normal((c_out, c_in, k, k)).astype(dtype),
+    params = Params(r.standard_normal((c_out, c_in, k, k)).astype(dtype),
                         r.standard_normal(c_out).astype(dtype))
     spec = Conv(c_out, k, s, 0, c_in=c_in)
     whole = conv2d_forward(x, spec, params, (pt, pb, pl, pr))
@@ -653,7 +652,7 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads):
     k, item = 3, 4
     pt, pb, pl, pr = pads
     x = rng.standard_normal(shape).astype(np.float32)
-    params = ConvParams(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
+    params = Params(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
                         np.zeros(c_out, np.float32))
     spec = Conv(c_out, k, 1, 1, c_in=c)
     oh, ow = h + pt + pb - k + 1, w + pl + pr - k + 1
@@ -704,13 +703,13 @@ def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
     wt = rng.standard_normal((co, ci, k, k))
     spec = Conv(co, k, s, 0, c_in=ci)
     pt, pb, pl, pr = pads
-    g = rng.standard_normal(conv2d_forward(x, spec, ConvParams(wt, np.zeros(co)), pads).shape)
+    g = rng.standard_normal(conv2d_forward(x, spec, Params(wt, np.zeros(co)), pads).shape)
     want_x, want_w = _loop_conv_grads(x, wt, g, s, pads)
     # the oracle is brute_conv's adjoint: <brute_conv(x), g> == <want_w, wt>
     y = brute_conv(np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))), wt, np.zeros(co), s, 0)
     assert abs((y * g).sum() - (want_w * wt).sum()) <= 1e-9 * np.abs(y * g).sum()
     f32 = np.float32
-    got_x = conv2d_input_grad(g.astype(f32), spec, ConvParams(wt.astype(f32), np.zeros(co, f32)),
+    got_x = conv2d_input_grad(g.astype(f32), spec, Params(wt.astype(f32), np.zeros(co, f32)),
                               (h, w), pads)
     got_w, got_b = conv2d_param_grad(x.astype(f32), spec, g.astype(f32), pads)
     for got, want in ((got_x, want_x), (got_w, want_w), (got_b, g.sum(axis=(0, 2, 3)))):
@@ -741,7 +740,7 @@ def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, d
     want, _ = _loop_conv_grads(np.zeros((n, c_in, h, w)), wt, g, s, (pt, pb, pl, pr))
     spec = Conv(c_out, k, s, 0, c_in=c_in)
     got = conv2d_input_grad(g.astype(dtype), spec,
-                            ConvParams(wt.astype(dtype), np.zeros(c_out, dtype)),
+                            Params(wt.astype(dtype), np.zeros(c_out, dtype)),
                             (h, w), (pt, pb, pl, pr))
     assert got.dtype == dtype and got.shape == want.shape
     tol = 1e-5 if dtype == np.float32 else 1e-12

@@ -8,7 +8,7 @@ import tilestream
 import tilestream.layers
 from tilestream.engine import streaming_loss_and_grads
 from tilestream.errors import ShapeError
-from tilestream.layers import bce_with_logits, conv2d_forward, DenseParams
+from tilestream.layers import bce_with_logits, conv2d_forward
 from tilestream.memory import count_param_scalars
 from tilestream.network import (
     Conv,
@@ -54,11 +54,11 @@ def test_validation_rules():
 def test_activation_shapes():
     net = small_net()
     shapes = net.activation_shapes(8)
-    assert shapes[0] == ("map", 1, 8, 8)
-    assert shapes[1] == ("map", 2, 8, 8)
-    assert shapes[3] == ("map", 2, 4, 4)
-    assert shapes[4] == ("vec", 32)
-    assert shapes[-1] == ("vec", 1)
+    assert shapes[0] == (1, 8, 8)
+    assert shapes[1] == (2, 8, 8)
+    assert shapes[3] == (2, 4, 4)
+    assert shapes[4] == (32,)
+    assert shapes[-1] == (1,)
     assert net.split_shape(8) == (2, 4, 4)
 
 
@@ -236,7 +236,7 @@ def test_every_conv_carries_the_channels_below(make):
     net = make()
     shapes = net.activation_shapes(8130)
     convs = [i for i, layer in enumerate(net.layers) if isinstance(layer, Conv)]
-    assert convs and all(net.layers[i].c_in == shapes[i][1] for i in convs)
+    assert convs and all(net.layers[i].c_in == shapes[i][0] for i in convs)
     if make is net_giga64mp:
         assert any(i > net.split_index for i in convs)
 

@@ -15,7 +15,7 @@ import pytest
 
 import tilestream
 import tilestream.network
-from tilestream.layers import Conv, ConvParams
+from tilestream.layers import Conv, Params
 from tilestream.planner import Region, TileEntry
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,7 +41,7 @@ def test_conv_cost_hooks_bind_to_the_kernels(spans, rng):
     spec = Conv(3, 3, 1, 1, c_in=2)
     x = rng.standard_normal((1, 2, 6, 6))
     pool = {"x": x, "spec": spec, "pads": None, "in_hw": (6, 6),
-            "params": ConvParams(rng.standard_normal((3, 2, 3, 3)), np.zeros(3)),
+            "params": Params(rng.standard_normal((3, 2, 3, 3)), np.zeros(3)),
             "grad_out": rng.standard_normal((1, 3, 6, 6))}
     for name, cost in spans.CONV_COSTS.items():
         module, fname = name.split(".")

@@ -214,7 +214,7 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
         chosen, candidates = section.choose(item)
         plan = build_tile_plan(net, z, grid, precision)
         assert plan == chosen and plan.grid == grid
-        sizes = [h for h, _ in plan.map_sizes]
+        sizes = [h for _, h, _ in net.activation_shapes(z)[:net.split_index + 1]]
         pools = [m + 1 for m, layer in enumerate(net.stream_layers) if isinstance(layer, MaxPool)
                  and m + 1 < net.split_index and sizes[m + 1] >= max(grid)]
         sets = sorted(cps for r in range(len(pools) + 1)
@@ -315,7 +315,7 @@ def test_plan_tiles_are_the_row_major_product_of_parts(case):
     first, second = plan.tiles, plan.tiles
     assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
     assert first == [
-        TileEntry(i, j, s.start, s.stop, Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
+        TileEntry(i, j, Region(y.crop[0], x.crop[0], y.crop[1], x.crop[1]),
                   Region(y.owned[0], x.owned[0], y.owned[1], x.owned[1]),
                   [yp + xp for yp, xp in zip(y.pads, x.pads)])
         for s in plan.segments for i, y in enumerate(s.rows) for j, x in enumerate(s.cols)]
@@ -330,6 +330,7 @@ def damage_part(plan, s, axis, i, **changes):
 
 
 @pytest.mark.parametrize("damage, tag", [("segments-reversed", "segments"),
+                                         ("segments-empty", "segments"),
                                          ("checkpoint-map-overlap", "partition"),
                                          ("tile-missing", "partition")])
 def test_broken_segments_fail_validation(damage, tag):
@@ -338,6 +339,8 @@ def test_broken_segments_fail_validation(damage, tag):
     assert validate_tile_plan(plan, net).ok
     if damage == "segments-reversed":
         plan.segments.reverse()
+    elif damage == "segments-empty":
+        plan.segments.clear()
     elif damage == "checkpoint-map-overlap":
         # segment [0, 10): column 1 owns columns of checkpoint map 10
         lo, hi = plan.segments[0].cols[1].owned
@@ -348,6 +351,25 @@ def test_broken_segments_fail_validation(damage, tag):
     report = validate_tile_plan(plan, net)
     assert not report.ok
     assert report.first_failure.startswith(tag), report.failures
+
+
+@pytest.mark.parametrize("other, tag", [("5x5-convs", "padding"), ("split-at-10", "segments")])
+def test_a_plan_of_another_network_fails_validation(other, tag):
+    """A plan stores no map size or geometry; validated against another
+    network, the walk up its parts' pads or the cut check refuses it: the
+    same maps made by 5x5, pad-2 convs, or the same layers split at map 10."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = build_tile_plan(net, 64, (2, 2))
+    if other == "5x5-convs":
+        layers = tuple(dataclasses.replace(layer, kernel=5, pad=2) if isinstance(layer, Conv)
+                       else layer for layer in net.layers)
+        other_net = NetworkSpec(net.in_channels, layers, net.split_index)
+        assert other_net.activation_shapes(64) == net.activation_shapes(64)
+    else:
+        other_net = NetworkSpec(net.in_channels, net.layers, 10)
+    report = validate_tile_plan(plan, other_net)
+    assert not report.ok
+    assert any(f.startswith(f"{tag}: ") for f in report.failures), report.failures
 
 
 # Streaming sections the sampled configs never draw: overlapping pool
@@ -708,14 +730,15 @@ def measured_layer_peaks(net, params, image, plan):
     """(layer, bytes) of each streaming layer's largest output, and a pool's
     route, over every tile, as run_stack's byte sink measures the arrays it
     makes."""
-    inputs = {a: run_stack(image, net, params, 0, a, want_cache=False)[0] for a in plan.cuts[:-1]}
     peaks = [0] * net.split_index
-    for tile in plan.tiles:
-        r, sink = tile.input_forward, []
-        run_stack(inputs[tile.start][:, :, r.y0:r.y1, r.x0:r.x1], net, params, tile.start,
-                  tile.stop, pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
-        for m, b, _ in sink:
-            peaks[m] = max(peaks[m], b)
+    for s in plan.segments:
+        below = run_stack(image, net, params, 0, s.start, want_cache=False)[0]
+        for tile in s.tiles:
+            r, sink = tile.input_forward, []
+            run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, s.start, s.stop,
+                      pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
+            for m, b, _ in sink:
+                peaks[m] = max(peaks[m], b)
     return list(enumerate(peaks))
 
 
@@ -764,12 +787,10 @@ def test_forward_peak_never_exceeds_backward_peak(case):
     every checkpoint layout the chooser weighs, stream_f <= stream_b."""
     net, z, grid, _ = sampled(case)
     section = _Section(net, z, grid)
-    for item in (4, 8):
-        params, head = section.params * item, section.head[item]
+    for precision, item in (("single", 4), ("double", 8)):
         for candidate in section.choose(item)[1]:
-            cuts, tiles = [c * item for c in candidate.cut_scalars], candidate.tile_bytes[item]
-            assert stream_forward_peak(params, head, cuts, tiles) <= \
-                stream_backward_peak(params, params, head, cuts, tiles)
+            est = estimate_streaming(net, candidate, 1, precision)
+            assert est.peak_forward_bytes <= est.peak_backward_bytes
 
 
 @pytest.mark.parametrize("case", SAMPLED)
@@ -778,13 +799,14 @@ def test_plan_json_round_trips(case):
     rebuilds the plan's geometry, its segments and every tile's chain,
     each chain by back-projecting the tile's owned rectangle through its
     segment's layers down to its input crop and pads."""
-    _, _, _, plan = sampled(case)
-    doc = json.loads(plan.to_json())
+    net, z, _, plan = sampled(case)
+    doc = json.loads(plan.to_json(net))
     assert doc["version"] == 5
     assert (doc["image_size"], doc["split_index"], tuple(doc["grid"])) == (
-        plan.image_size, plan.split_index, plan.grid)
-    assert [tuple(g) for g in doc["geoms"]] == plan.geoms
-    assert [tuple(sz) for sz in doc["map_sizes"]] == plan.map_sizes
+        z, net.split_index, plan.grid)
+    assert [tuple(g) for g in doc["geoms"]] == net.stream_geoms()
+    assert [tuple(sz) for sz in doc["map_sizes"]] == [
+        (h, w) for _, h, w in net.activation_shapes(z)[:net.split_index + 1]]
     assert tuple(doc["checkpoints"]) == plan.checkpoints
     assert tuple(map(tuple, doc["grids"])) == plan.grids
     cuts = [0] + doc["checkpoints"] + [doc["split_index"]]
@@ -792,9 +814,9 @@ def test_plan_json_round_trips(case):
     assert [(td["segment"], td["row"], td["col"]) for td in doc["tiles"]] == [
         ([a, b], i, j) for a, b, (rows, cols) in zip(cuts, cuts[1:], doc["grids"])
         for i in range(rows) for j in range(cols)]
-    for td, tile in zip(doc["tiles"], plan.tiles):
+    for td, (s, tile) in zip(doc["tiles"], [(s, t) for s in plan.segments for t in s.tiles]):
         a, b = td["segment"]
-        assert (a, b) == (tile.start, tile.stop)
+        assert (a, b) == (s.start, s.stop)
         region = Region(*td["owned_split_region"])
         pads = []
         for m in range(b - 1, a - 1, -1):
@@ -810,8 +832,9 @@ def test_plan_json_round_trips(case):
 def test_plan_json_names_the_chain_ends():
     """Each tile's owned rectangle and input crop are written under their
     schema-2 names."""
-    plan = build_tile_plan(net_vgg13(base=2, hidden=4), 64, (2, 3))
-    for tile, doc in zip(plan.tiles, plan.to_json_dict()["tiles"]):
+    net = net_vgg13(base=2, hidden=4)
+    plan = build_tile_plan(net, 64, (2, 3))
+    for tile, doc in zip(plan.tiles, plan.to_json_dict(net)["tiles"]):
         assert doc["owned_split_region"] == tile.owned_split.as_list()
         assert doc["input_region_forward"] == tile.input_forward.as_list() == \
             tile.input_backward.as_list()
