@@ -6,7 +6,7 @@ and "grid" optional with the defaults below:
 {
   "version": 1,
   "network": {"preset": "vgg13", "in_channels": 1, "base": 4, "hidden": 32}
-           | {"in_channels": 1, "split_index": 6, "layers": [
+           | {"in_channels": 1, "layers": [
                 {"kind": "conv", "c_out": 8, "kernel": 3, "stride": 1, "pad": 1},
                 {"kind": "relu"}, {"kind": "maxpool", "kernel": 2, "stride": 2},
                 {"kind": "flatten"}, {"kind": "dense", "width": 1}]},
@@ -22,7 +22,8 @@ and "grid" optional with the defaults below:
 
 parse_config rejects, with ConfigError, any key not listed here (a
 preset takes the keyword arguments of its function in
-tilestream.network) and any value of the wrong type or range: counts
+tilestream.network; a "layers" network has no "split_index", since its
+split is its one flatten) and any value of the wrong type or range: counts
 are ints (never booleans), noise a non-negative number. verify's gates
 (tilestream.equivalence's tolerances and finite-difference step and
 tolerance) are constants that no config can widen, and fd_coords is at
@@ -133,9 +134,10 @@ def _check_network(net):
         kwargs = inspect.signature(PRESETS[preset]).parameters
         _check_fields("network", net, {"preset": _ANY, **dict.fromkeys(kwargs, _POS_INT)})
         return
-    _check_fields("network", net, {"in_channels": _POS_INT, "split_index": _POS_INT,
-                                   "layers": (list, lambda v: len(v) > 0)},
-                  required=("split_index",))
+    _require("split_index" not in net,
+             "unknown key 'split_index' in network: the split is the network's flatten")
+    _check_fields("network", net, {"in_channels": _POS_INT,
+                                   "layers": (list, lambda v: len(v) > 0)})
     for i, entry in enumerate(net["layers"]):
         kind = entry.get("kind") if isinstance(entry, dict) else None
         _require(isinstance(kind, str) and kind in _LAYER_KINDS, f"bad layer entry {entry!r}")
@@ -173,6 +175,6 @@ def build_network(cfg: ExperimentConfig) -> NetworkSpec:
             return PRESETS[net["preset"]](**kwargs)
         layers = tuple(_LAYER_KINDS[d["kind"]][0](**{k: v for k, v in d.items() if k != "kind"})
                        for d in net["layers"])
-        return NetworkSpec(net.get("in_channels", 1), layers, net["split_index"])
+        return NetworkSpec(net.get("in_channels", 1), layers)
     except ShapeError as exc:
         raise ConfigError(f"bad network spec: {exc}") from exc

@@ -13,9 +13,10 @@ segment's output map and is pasted there (a segment's lone tile owns the
 whole map, and its output becomes the map without a copy); tile
 activations are then dropped, so only the cut maps (checkpoints and
 split map, plus head activations) persist, and the caches of the plan's
-last tile. Within a pass a pool keeps a uint8 route and a relu directly
-below it keeps nothing (tilestream.network.run_stack), so the map below
-a pool is freed once the pool has run. The head runs once on the split
+last tile. Within a pass a pool keeps a uint8 route, and a relu directly
+below it runs on the pool's output and keeps nothing
+(tilestream.network.run_stack), so the map below a pool is freed once
+the pool has run. The head, the flatten onward, runs once on the split
 map. Because every forward value depends only on
 its receptive field (fixed-shape conv products, exact max pooling; see
 tilestream.layers), each cut map is bit-identical to a whole-image pass,

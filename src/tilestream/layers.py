@@ -30,8 +30,9 @@ conv's geometry is written down once, in the network.
   reused buffer while the taps run. The pool's input is not needed again.
 * maxpool2d_backward scatters from the route into a zero map of the input
   shape. Given the pool's output as relu_out, it also applies the mask of
-  a relu run directly below the pool (the routed input is > 0 exactly
-  where the output is), so that relu keeps no map. With disjoint windows
+  a relu directly below the pool (the routed input is > 0 exactly where
+  the output is), so that relu keeps no map; tilestream.network runs such
+  a relu on the pool's output (fused_relu). With disjoint windows
   (k <= s, every preset pool) it writes each tap's routed values straight
   into that tap's view of the gradient; with k > s it adds them tap by
   tap in reverse row-major order, which for every input pixel is output
@@ -380,7 +381,7 @@ def maxpool2d_backward(route, grad_out, k, s, in_shape, relu_out=None):
     """Scatter each window's gradient to its routed tap, into a zero map of in_shape.
 
     route is maxpool2d_forward's. relu_out, the pool's output when a relu
-    directly below the pool ran on its input, applies that relu's mask:
+    sits directly below the pool, applies that relu's mask:
     the routed tap's input is > 0 exactly where the window's max is, so a
     window whose output is <= 0 routes +0.0. The gradient is grad_out + 0
     (a routed -0.0 reads +0.0), masked by multiplying its bit patterns, as

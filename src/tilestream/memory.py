@@ -33,7 +33,9 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   map), so its crop costs nothing. The plan cuts the streaming section at
   checkpoint maps into segments (see tilestream.planner); the engine
   keeps every checkpoint map and the split map (the "cut maps") from the
-  moment its segment's forward starts until the pass ends. One tile's
+  moment its segment's forward starts until the pass ends. The split map
+  is the flatten's input: every conv and pool streams, so only that map
+  is ever whole besides the checkpoints a plan keeps. One tile's
   activations are resident at a time, plus the head activations and the
   plan's last tile, which backward runs first. A segment's backward holds
   the gradient of the cut map above it and the checkpoint gradient it

@@ -1,12 +1,13 @@
 """Network description, parameters and whole-stack execution.
 
-A network is an ordered list of layer nodes plus a split index. Layers
-before the split form the streaming section (conv / maxpool / relu only,
-every map stays spatial); layers from the split onward form the head,
-which flattens once and ends in a width-1 dense layer producing the
-binary logit. Conv is the one in tilestream.layers: NetworkSpec stores
-each conv with the c_in of the map below filled in, and run_stack hands
-that layer to the conv kernels as their geometry.
+A network is an ordered list of layer nodes with one Flatten. The layers
+below the flatten form the streaming section (conv / maxpool / relu
+only, every map stays spatial), and its split index is the flatten's
+index, derived, never given: the split map is the flatten's input. The
+head is the flatten onward: it ends in a width-1 dense layer producing
+the binary logit. Conv is the one in tilestream.layers: NetworkSpec
+stores each conv with the c_in of the map below filled in, and run_stack
+hands that layer to the conv kernels as their geometry.
 
 Parameters are a list aligned with the layers: a tilestream.layers.Params
 (w, b) per conv or dense layer, None for the others, shaped by
@@ -21,7 +22,7 @@ up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +72,9 @@ STREAMING_KINDS = (Conv, MaxPool, Relu)
 
 @dataclass
 class NetworkSpec:
-    """Ordered layers plus the split separating streaming section from head.
+    """Ordered layers: a streaming section of spatial layers, then the
+    head, from the one Flatten on. split_index, the flatten's index, is
+    derived from the layers.
 
     The stored layers are resolved: each Conv carries the c_in of the map
     below it, so kernels, planner, initialiser and memory model all read
@@ -80,37 +83,29 @@ class NetworkSpec:
 
     in_channels: int
     layers: tuple
-    split_index: int
+    split_index: int = field(init=False)
 
     def __post_init__(self):
         self.layers = tuple(self.layers)
-        if not 1 <= self.split_index < len(self.layers):
-            raise ShapeError(f"split_index {self.split_index} out of range")
+        flattens = [i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)]
+        if len(flattens) != 1:
+            raise ShapeError(f"a network has one flatten, not {len(flattens)}")
+        self.split_index = flattens[0]
+        if self.split_index == 0:
+            raise ShapeError("no spatial layer below the flatten")
         resolved = []
         c = self.in_channels
-        seen_flatten = False
         for i, layer in enumerate(self.layers):
-            streaming = i < self.split_index
-            if streaming and not isinstance(layer, STREAMING_KINDS):
-                raise ShapeError(f"layer {i} ({layer}) not allowed in the streaming section")
+            if i < self.split_index and not isinstance(layer, STREAMING_KINDS):
+                raise ShapeError(f"layer {i} ({layer}) below the flatten is not spatial")
+            if i > self.split_index and isinstance(layer, (Conv, MaxPool)):
+                raise ShapeError(f"layer {i} ({layer}) above the flatten is spatial")
             if isinstance(layer, Conv):
-                if seen_flatten:
-                    raise ShapeError(f"conv layer {i} after flatten")
                 if layer.c_in not in (None, c):
                     raise ShapeError(f"conv layer {i} takes c_in={layer.c_in}, "
                                      f"the map below has {c} channels")
                 layer = replace(layer, c_in=c)
                 c = layer.c_out
-            elif isinstance(layer, MaxPool):
-                if seen_flatten:
-                    raise ShapeError(f"maxpool layer {i} after flatten")
-            elif isinstance(layer, Flatten):
-                if seen_flatten:
-                    raise ShapeError("second flatten")
-                seen_flatten = True
-            elif isinstance(layer, Dense):
-                if not seen_flatten:
-                    raise ShapeError(f"dense layer {i} before flatten")
             resolved.append(layer)
         self.layers = tuple(resolved)
         last = self.layers[-1]
@@ -155,7 +150,7 @@ class NetworkSpec:
         return shapes
 
     def split_shape(self, image_size):
-        """(c, h, w) of the split map; the streaming section keeps every map spatial."""
+        """(c, h, w) of the split map, the flatten's input."""
         return self.activation_shapes(image_size)[self.split_index]
 
     def param_shapes(self, image_size):
@@ -249,7 +244,7 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False, want_cache=Tru
 
     A pool's cache is (route, input shape, None), and a route is computed
     only when want_cache is set; run_stack puts the pool's output in the
-    last slot when a relu directly below the pool ran in the same stack.
+    last slot when it fuses a relu directly below the pool (fused_relu).
     """
     if isinstance(layer, Conv):
         out = conv2d_forward(x, layer, lparams, pads)
@@ -314,10 +309,15 @@ def retains_output(layer):
 
 def fused_relu(layers, start, i):
     """Whether layer i of a stack starting at start is a pool with a relu
-    directly below it in the stack: that relu caches nothing, and the pool
-    keeps a reference to its output to apply the relu's mask. A relu above
-    the pool may run in place on that output; the output is >= +0.0, so
-    the relu leaves it as it was."""
+    directly below it in the stack. run_stack runs that pair as one: the
+    pool takes the max of the relu's input and the relu then runs in place
+    on the pool's output, so the relu never touches the full map. Max
+    commutes with relu, and a pool's zero max reads +0.0, so the output is
+    relu-then-pool's bit for bit. The relu caches nothing, and the pool
+    keeps a reference to its output to apply the relu's mask: a route can
+    differ from relu-then-pool's only in a window whose output is +0.0,
+    which the mask zeroes. A relu above the pool may run in place on that
+    output; the output is >= +0.0, so the relu leaves it as it was."""
     return isinstance(layers[i], MaxPool) and i > start and isinstance(layers[i - 1], Relu)
 
 
@@ -325,10 +325,10 @@ def pool_frees(layers, start, i):
     """The map whose array run_stack's cached pass stops holding once pool i
     has run, or None (map m is layer m's input, so the pool reads map i).
 
-    The pool's cache holds its route, not its input. That array is made by
-    the layer below the pool, or below its fused relu, which runs in place;
-    it stays held if it is the stack's input, if another relu caches it,
-    or if it is the output of a pool with a fused relu.
+    The pool's cache holds its route, not its input. A pool with a fused
+    relu reads that relu's input, map i - 1. The map a pool reads is made
+    by the layer below it; it stays held if it is the stack's input, if a
+    relu caches it, or if it is the output of a pool with a fused relu.
     """
     m = i - 1 if fused_relu(layers, start, i) else i
     if m == start or isinstance(layers[m - 1], Relu) or fused_relu(layers, start, m - 1):
@@ -342,9 +342,10 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     Returns (out, caches); caches is None when want_cache is False. The
     incoming array is never mutated (it may be a view of the caller's
     image or split map): relu runs in place only on buffers the stack
-    itself made. A relu directly followed by a pool caches nothing (see
-    fused_relu), and a pool caches its uint8 route, so the map below a
-    pool is freed once the pool has run (pool_frees).
+    itself made. A relu directly below a pool runs on the pool's output
+    and caches nothing (see fused_relu), and a pool caches its uint8
+    route, so the map below a pool is freed once the pool has run
+    (pool_frees).
 
     byte_sink, if given, is a list that receives (layer_index, retained
     bytes, live bytes) per layer of the cached pass, whatever want_cache
@@ -354,12 +355,21 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     caches = [] if want_cache else None
     owns = False  # x is a buffer this call made; flatten returns a view of its input
     live, made = 0, {}
+    fused = [fused_relu(layers, start, i) for i in range(start, stop)] + [False]
     for i in range(start, stop):
         layer = layers[i]
-        pads = pads_seq[i - start] if pads_seq is not None else None
-        out, cache = layer_forward(x, layer, params[i], pads,
-                                   inplace_ok=owns and isinstance(layer, Relu),
-                                   want_cache=want_cache)
+        if fused[i + 1 - start]:
+            out, cache = x, None  # the pool above runs this relu on its output
+        else:
+            pads = pads_seq[i - start] if pads_seq is not None else None
+            out, cache = layer_forward(x, layer, params[i], pads,
+                                       inplace_ok=owns and isinstance(layer, Relu),
+                                       want_cache=want_cache)
+            owns = owns or not isinstance(layer, Flatten)
+        if fused[i - start]:
+            np.maximum(out, 0, out=out)  # the fused relu; the pool checked out finite
+            if want_cache:
+                cache = cache[:2] + (out,)
         if byte_sink is not None:
             made[i + 1] = out.nbytes if retains_output(layer) else 0
             kept = made[i + 1] + (out.size if isinstance(layer, MaxPool) else 0)
@@ -368,13 +378,8 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
             freed = pool_frees(layers, start, i) if isinstance(layer, MaxPool) else None
             live -= made.get(freed, 0)
         if want_cache:
-            if i + 1 < stop and fused_relu(layers, start, i + 1):
-                cache = None
-            elif fused_relu(layers, start, i):
-                cache = cache[:2] + (out,)
             caches.append(cache)
         x = out
-        owns = owns or not isinstance(layer, Flatten)
     return x, caches
 
 
@@ -427,44 +432,40 @@ def head_backward(dlogit, net, params, caches, split_shape, grads):
 
 def net_vgg13(in_channels=1, base=4, hidden=32):
     """13-conv VGG-pattern streaming section (2-2-3-3-3 blocks, 3x3 'same'
-    convs, 2x2 pools between blocks) split after the thirteenth conv's relu,
-    with a small pool/flatten/dense head."""
+    convs, 2x2 pools after every block but the last, and one after it),
+    with a small flatten/dense head."""
     widths = [base, base, None, 2 * base, 2 * base, None,
               4 * base, 4 * base, 4 * base, None,
               8 * base, 8 * base, 8 * base, None,
-              8 * base, 8 * base, 8 * base]
+              8 * base, 8 * base, 8 * base, None]
     layers = []
     for wd in widths:
         if wd is None:
             layers.append(MaxPool(2, 2))
         else:
             layers += [Conv(wd, 3, 1, 1), Relu()]
-    split = len(layers)
-    layers += [MaxPool(2, 2), Flatten(), Dense(hidden), Relu(), Dense(1)]
-    return NetworkSpec(in_channels, tuple(layers), split)
+    layers += [Flatten(), Dense(hidden), Relu(), Dense(1)]
+    return NetworkSpec(in_channels, tuple(layers))
 
 
 def net_tiny2(in_channels=1, base=8, hidden=16):
     """Two-conv streaming section for the synthetic-task experiment."""
     layers = [Conv(base, 3, 1, 1), Relu(), MaxPool(2, 2),
-              Conv(2 * base, 3, 1, 1), Relu(), MaxPool(2, 2)]
-    split = len(layers)
-    layers += [MaxPool(2, 2), Flatten(), Dense(hidden), Relu(), Dense(1)]
-    return NetworkSpec(in_channels, tuple(layers), split)
+              Conv(2 * base, 3, 1, 1), Relu(), MaxPool(2, 2), MaxPool(2, 2),
+              Flatten(), Dense(hidden), Relu(), Dense(1)]
+    return NetworkSpec(in_channels, tuple(layers))
 
 
 def net_giga64mp(in_channels=3):
     """Documented 64-megapixel reference: VGG-pattern streaming section sized
     so whole-image batch-1 activations land in the tens of gigabytes."""
     net = net_vgg13(in_channels=in_channels, base=16, hidden=64)
-    # replace the stock head with extra pool/conv stages so the flatten
-    # stays moderate at 8130x8130 inputs
-    split = net.split_index
-    layers = list(net.layers[:split])
-    layers += [MaxPool(2, 2), Conv(192, 3, 1, 1), Relu(),
-               MaxPool(2, 2), Conv(192, 3, 1, 1), Relu(),
-               MaxPool(2, 2), MaxPool(2, 2), Flatten(), Dense(64), Relu(), Dense(1)]
-    return NetworkSpec(in_channels, tuple(layers), split)
+    # vgg13's streaming section, then more streamed pool/conv stages so the
+    # flatten stays moderate at 8130x8130 inputs
+    layers = net.layers[: net.split_index] + (
+        Conv(192, 3, 1, 1), Relu(), MaxPool(2, 2), Conv(192, 3, 1, 1), Relu(),
+        MaxPool(2, 2), MaxPool(2, 2), Flatten(), Dense(64), Relu(), Dense(1))
+    return NetworkSpec(in_channels, layers)
 
 
 PRESETS = {

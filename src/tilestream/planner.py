@@ -3,7 +3,8 @@
 Geometry conventions
 --------------------
 Maps are indexed 0..L through the streaming section: map 0 is the input
-image, map m is the output of streaming layer m-1, map L the split map.
+image, map m is the output of streaming layer m-1, map L the split map,
+the flatten's input (NetworkSpec.split_index is the flatten's index).
 All arithmetic is per axis (square kernels), with rows and columns
 planned independently.
 
@@ -54,7 +55,9 @@ A candidate plan is a set of checkpoint maps and one grid per segment.
 The candidate checkpoints are the streaming section's pool outputs below
 the split map that hold the configured grid; a segment's grid is a
 coarsening of the configured (r, c), (max(1, r >> j), max(1, c >> j))
-for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole.
+for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole, so the
+layers the split map no longer needs tiling for run whole by the plan's
+choice, not by a hand-placed split.
 
 The budget is the smallest modelled peak (tilestream.memory's streaming
 formula) in the run's precision over every set of checkpoints, the empty

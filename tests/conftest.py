@@ -42,7 +42,7 @@ def sample_streaming_config(rng, min_size=16, max_size=64):
         z = int(rng.integers(min_size, max_size + 1))
         grid = GRIDS[int(rng.integers(0, len(GRIDS)))]
         try:
-            net = NetworkSpec(1, tuple(layers) + (Flatten(), Dense(1)), len(layers))
+            net = NetworkSpec(1, tuple(layers) + (Flatten(), Dense(1)))
             plan = build_tile_plan(net, z, grid)
         except (PlanError, ShapeError):
             continue

@@ -15,7 +15,7 @@ from tilestream.tensors import read_st4
 # differences never straddle a kink.
 CONFIG = {
     "version": 1,
-    "network": {"in_channels": 1, "split_index": 3, "layers": [
+    "network": {"in_channels": 1, "layers": [
         {"kind": "conv", "c_out": 2, "kernel": 3, "stride": 1, "pad": 1},
         {"kind": "maxpool", "kernel": 2, "stride": 2},
         {"kind": "conv", "c_out": 2, "kernel": 3, "stride": 2, "pad": 0},
@@ -112,6 +112,8 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
     pytest.param(dict(CONFIG, dataset={"n_train": 4, "noise": "low"}), [], id="noise-string"),
     pytest.param(dict(CONFIG, network=dict(CONFIG["network"], layers=5)), [],
                  id="layers-not-list"),
+    pytest.param(dict(CONFIG, network=dict(CONFIG["network"], split_index=3)), [],
+                 id="split-index"),
     pytest.param(dict(CONFIG, grid=[True, True]), [], id="grid-bools"),
     pytest.param(dict(CONFIG, seed=-1), [], id="negative-seed"),
     pytest.param(CONFIG, ["--seed", "-1"], id="negative-seed-flag"),
@@ -120,6 +122,14 @@ def test_malformed_config_exits_1(tmp_path, doc, extra):
     """Config errors and command-line usage errors both exit 1 (2 means infeasible plan)."""
     argv = ["plan"] if doc is None else ["plan", "--config", write_config(tmp_path, doc)]
     assert main(argv + extra) == 1
+
+
+def test_split_index_key_names_the_flatten(tmp_path, capsys):
+    """A network of layers has no split_index: the split is its flatten."""
+    doc = dict(CONFIG, network=dict(CONFIG["network"], split_index=3))
+    assert main(["plan", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "'split_index'" in err and "the split is the network's flatten" in err
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -281,9 +291,10 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
                             rf"conv work {number}x, (\d+) tile-layer calls, {number} s modelled"
                             r"(  \(chosen\)|  \(over budget\))?$", text, re.M)
     assert len(candidates) == 16 and [c[0] for c in candidates if "over" not in c[4]] == ["17"]
-    assert ("17", "4x4,2x2", "8,549,496", "324", "  (chosen)") in candidates
+    # 16 tiles through layers 0-16 and 4 through layers 17-30
+    assert ("17", "4x4,2x2", "8,279,160", f"{16 * 17 + 4 * 14}", "  (chosen)") in candidates
     ratios = re.findall(r"^grid (\d+)x\1: recompute (\S+)x$", text, re.M)
-    assert [int(g) for g, _ in ratios] == [1, 2, 4, 8, 16, 32]
+    assert [int(g) for g, _ in ratios] == [1, 2, 4, 8, 16]  # the split map is 16x16
     for g, ratio in ratios:
         plan = planner.build_tile_plan(net_vgg13(), 512, (int(g), int(g)))
         assert ratio == f"{plan.recompute_ratio:.2f}"
@@ -291,20 +302,35 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
 
 def test_plan_reproduces_the_headline_memory_figure(tmp_path, capsys):
     """Planning only, no arrays: a 64-megapixel image (8130x8130) in 16x16
-    tiles models 97.21% less peak activation memory than whole-image, in
-    double precision."""
+    tiles, cut at map 31 with the 31x31 split map above it run whole,
+    models 98.26% less peak activation memory than whole-image, in double
+    precision."""
     doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}
     out = tmp_path / "out"
     assert main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-    assert "tiles: 256  grid: 16x16" in capsys.readouterr().out
+    assert "tiles: 257  grid: 16x16  segment grids: 16x16,1x1" in capsys.readouterr().out
     memory = json.loads((out / "memory.json").read_text())
-    assert round(memory["reduction_percent"], 2) == 97.21
+    item = 8
+    params = 13_283_025 * item
+    checkpoint = 128 * 254 ** 2 * item   # map 31
+    split = 192 * 31 ** 2 * item
+    head = (64 + 1) * item               # the two dense outputs
+    tile = 379_252_336                   # the largest 16x16 tile's term
+    assert memory["streaming"]["peak_tile_forward_bytes"] == tile
+    # the backward peak of the lower segment: parameters and their
+    # gradients, both cut maps, the head, map 31's gradient and a tile
+    stream = 2 * params + checkpoint + split + head + checkpoint + tile
+    assert memory["streaming"]["peak_bytes"] == stream == 725_386_120
+    whole = memory["whole_image"]["peak_bytes"]
+    assert whole == 41_673_293_304
+    assert memory["reduction_percent"] == 100 * (1 - stream / whole)
+    assert round(memory["reduction_percent"], 2) == 98.26
 
 
 def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):
     """plan models each grid once: the configured one for the plan and its
     candidate lines, and one per other grid line (giga64mp@8130 prints
-    grids 1x1 to 256x256, nine in all)."""
+    grids 1x1 to 16x16 on its 31x31 split map, five in all)."""
     grids = []
     section_init = planner._Section.__init__
 
@@ -315,8 +341,8 @@ def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(planner._Section, "__init__", counting)
     doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
-    assert "grid 256x256: recompute" in capsys.readouterr().out
-    assert sorted(grids) == [(g, g) for g in (1, 2, 4, 8, 16, 32, 64, 128, 256)]
+    assert "grid 16x16: recompute" in capsys.readouterr().out
+    assert sorted(grids) == [(g, g) for g in (1, 2, 4, 8, 16)]
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])

@@ -100,10 +100,32 @@ def test_sampled_config_matches_whole_image(case):
     assert record.tiles_forward == record.tiles_backward == len(plan.tiles)
 
 
-@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_deep_vgg13_matches_whole_image(z, grid, seed):
+def small_vgg13(last_pool=True):
+    """vgg13(base=2, hidden=4), or without last_pool the same net less its
+    last pool: its streaming section then ends on the thirteenth conv's
+    relu, and its split map has twice the side."""
     net = net_vgg13(base=2, hidden=4)
+    if last_pool:
+        return net
+    return NetworkSpec(1, net.layers[:net.split_index - 1] + net.layers[net.split_index:])
+
+
+# (image size, grid, last_pool) of the small vgg13's layout tests. Without
+# its last pool the top segment ends on a relu; with it, the top segment
+# runs the fused relu and pool, at the smallest image whose split map
+# holds the grid.
+SMALL_VGG13_CASES = [
+    pytest.param(64, (4, 4), False, id="64-grid0"),
+    pytest.param(96, (3, 5), False, id="96-grid1"),
+    pytest.param(128, (4, 4), True, id="128-4x4-last-pool"),
+    pytest.param(160, (3, 5), True, id="160-3x5-last-pool"),
+]
+
+
+@pytest.mark.parametrize("z, grid, last_pool", SMALL_VGG13_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deep_vgg13_matches_whole_image(z, grid, last_pool, seed):
+    net = small_vgg13(last_pool)
     plan = build_tile_plan(net, z, grid)
     assert validate_tile_plan(plan, net).ok
     sample = synth_dataset(seed, z, 2)[seed]
@@ -151,10 +173,10 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
 @pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
-def test_every_layout_matches_whole_image(z, grid, precision, checkpoints):
+@pytest.mark.parametrize("z, grid, last_pool", SMALL_VGG13_CASES)
+def test_every_layout_matches_whole_image(z, grid, last_pool, precision, checkpoints):
     """Every segment at the configured grid."""
-    net = net_vgg13(base=2, hidden=4)
+    net = small_vgg13(last_pool)
     plan = _Section(net, z, grid).plan(checkpoints)
     assert plan.checkpoints == checkpoints and plan.grids == (grid,) * (len(checkpoints) + 1)
     assert_layout_matches_whole_image(net, z, plan, precision)
@@ -169,11 +191,11 @@ def coarsenings(grid):
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
 @pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("z, grid", [(64, (4, 4)), (96, (3, 5))])
-def test_every_mixed_grid_layout_matches_whole_image(z, grid, precision, checkpoints):
+@pytest.mark.parametrize("z, grid, last_pool", SMALL_VGG13_CASES)
+def test_every_mixed_grid_layout_matches_whole_image(z, grid, last_pool, precision, checkpoints):
     """Mixed grids: segment s takes the configured grid coarsened s times
     (down to 1x1), and the top segment runs whole at 1x1."""
-    net = net_vgg13(base=2, hidden=4)
+    net = small_vgg13(last_pool)
     options = coarsenings(grid)
     grids = tuple(options[min(s, len(options) - 1)] for s in range(len(checkpoints))) + ((1, 1),)
     plan = _Section(net, z, grid).plan(checkpoints, grids)
@@ -183,8 +205,10 @@ def test_every_mixed_grid_layout_matches_whole_image(z, grid, precision, checkpo
 
 
 CHOOSER_CASES = {
-    "vgg13-small-64-4x4": (lambda: net_vgg13(base=2, hidden=4), 64, (4, 4)),
-    "vgg13-small-96-3x5": (lambda: net_vgg13(base=2, hidden=4), 96, (3, 5)),
+    "vgg13-small-64-4x4": (lambda: small_vgg13(last_pool=False), 64, (4, 4)),
+    "vgg13-small-96-3x5": (lambda: small_vgg13(last_pool=False), 96, (3, 5)),
+    "vgg13-small-128-4x4-last-pool": (small_vgg13, 128, (4, 4)),
+    "vgg13-small-160-3x5-last-pool": (small_vgg13, 160, (3, 5)),
     "vgg13-512-4x4": (net_vgg13, 512, (4, 4)),
     "tiny2-512-8x8": (net_tiny2, 512, (8, 8)),
     "cli-32-2x2": (lambda: build_network(parse_config(CONFIG)), 32, (2, 2)),
@@ -265,7 +289,9 @@ def test_separable_search_equals_the_exhaustive_product(name):
     (net_vgg13, 512, (4, 4), (17,)),     # the vgg13-g4 benchmark workload
     (net_tiny2, 512, (8, 8), ()),        # tiny2-g8: a map-3 checkpoint models more
     (net_vgg13, 8192, (16, 16), ()),     # paper scale: the split map is small
-    (net_giga64mp, 8130, (16, 16), ()),
+    # map 31 = 13 conv-relu pairs + 5 pools: the 254x254 output of the pool
+    # after vgg13's last block; above it the 31x31 split map runs whole
+    (net_giga64mp, 8130, (16, 16), (31,)),
 ])
 def test_chosen_checkpoints(make, z, grid, want):
     """Planning only, no arrays: where the chooser cuts the presets."""
@@ -278,7 +304,7 @@ def test_chosen_checkpoints(make, z, grid, want):
     (net_vgg13, 512, (2, 2), (10,), ((2, 2), (2, 2))),
     (net_tiny2, 512, (8, 8), (), ((8, 8),)),
     (net_vgg13, 8192, (16, 16), (), ((16, 16),)),
-    (net_giga64mp, 8130, (16, 16), (), ((16, 16),)),
+    (net_giga64mp, 8130, (16, 16), (31,), ((16, 16), (1, 1))),
 ])
 def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
     """Planning only: each segment's grid the chooser picks for the presets,
@@ -357,16 +383,18 @@ def test_broken_segments_fail_validation(damage, tag):
 def test_a_plan_of_another_network_fails_validation(other, tag):
     """A plan stores no map size or geometry; validated against another
     network, the walk up its parts' pads or the cut check refuses it: the
-    same maps made by 5x5, pad-2 convs, or the same layers split at map 10."""
+    same maps made by 5x5, pad-2 convs, or the same lower layers with the
+    head on map 10, so the split moves with the flatten."""
     net = net_vgg13(base=2, hidden=4)
     plan = build_tile_plan(net, 64, (2, 2))
     if other == "5x5-convs":
         layers = tuple(dataclasses.replace(layer, kernel=5, pad=2) if isinstance(layer, Conv)
                        else layer for layer in net.layers)
-        other_net = NetworkSpec(net.in_channels, layers, net.split_index)
+        other_net = NetworkSpec(net.in_channels, layers)
         assert other_net.activation_shapes(64) == net.activation_shapes(64)
     else:
-        other_net = NetworkSpec(net.in_channels, net.layers, 10)
+        other_net = NetworkSpec(net.in_channels, net.layers[:10] + net.layers[net.split_index:])
+        assert other_net.split_index == 10
     report = validate_tile_plan(plan, other_net)
     assert not report.ok
     assert any(f.startswith(f"{tag}: ") for f in report.failures), report.failures
@@ -387,7 +415,7 @@ OVERLAPPING_POOL_NETS = {
 @pytest.mark.parametrize("name", sorted(OVERLAPPING_POOL_NETS))
 def test_overlapping_pools_and_relu_after_pool_match_whole_image(name, precision):
     layers, z, grid = OVERLAPPING_POOL_NETS[name]
-    net = NetworkSpec(1, layers + (Flatten(), Dense(1)), len(layers))
+    net = NetworkSpec(1, layers + (Flatten(), Dense(1)))
     plan = build_tile_plan(net, z, grid)
     assert validate_tile_plan(plan, net).ok
     params = init_params(net, z, 5, precision)
@@ -423,7 +451,7 @@ def test_overlapping_pools_and_relu_after_pool_match_whole_image(name, precision
 # positions instead of 40x40 (48x48), and agree only within tolerance.
 WHOLE_IMAGE_NETS = dict(
     {"vgg13-small": (net_vgg13(base=2, hidden=4), 64, ())},
-    **{name: (NetworkSpec(1, layers + (Flatten(), Dense(1)), len(layers)), z, ("conv0",))
+    **{name: (NetworkSpec(1, layers + (Flatten(), Dense(1))), z, ("conv0",))
        for name, (layers, z, _) in OVERLAPPING_POOL_NETS.items()})
 
 
@@ -469,9 +497,9 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
     """Forward runs every tile once and keeps the caches of the last only;
     backward backpropagates every tile and recomputes all but that one."""
     net = net_vgg13(base=2, hidden=4)
-    plan = _Section(net, 96, grid).plan(checkpoints)
-    params = init_params(net, 96, 0)
-    image = synth_dataset(0, 96, 2)[0].image
+    plan = _Section(net, 160, grid).plan(checkpoints)  # a 5x5 split map holds every grid
+    params = init_params(net, 160, 0)
+    image = synth_dataset(0, 160, 2)[0].image
     calls = counted_tile_passes(monkeypatch)
     state = streaming_forward(net, params, image, plan)
     assert calls == [False] * (len(plan.tiles) - 1) + [True]
@@ -485,8 +513,8 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
 
 def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     """On a whole-image (1x1) pass, after the cached forward no cache holds
-    a map a pool read (a pool keeps its route), but for the split map the
-    engine keeps anyway; when layer j's backward starts, every array that
+    a map a pool read (a pool keeps its route): every pool streams, the
+    last one below the flatten included; when layer j's backward starts, every array that
     only the caches of layers above j referenced is already freed;
     afterwards the stream's and the head's cache lists are empty."""
     net = net_vgg13(base=2, hidden=4)
@@ -503,9 +531,8 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     state = streaming_forward(net, params, image, plan)
     monkeypatch.undo()
     pools = [i for i, layer in enumerate(net.layers) if isinstance(layer, MaxPool)]
-    assert len(pool_inputs) == len(pools) == 5 and pools[-1] == net.split_index
-    assert [ref() is None for ref in pool_inputs[:-1]] == [True] * 4
-    assert pool_inputs[-1]() is state.split_map
+    assert len(pool_inputs) == len(pools) == 5 and pools[-1] == net.split_index - 1
+    assert [ref() is None for ref in pool_inputs] == [True] * 5
     stream_caches, head_caches = state.kept[1], state.head_caches
     held = {id(m) for m in state.cut_maps}  # the engine keeps these until the pass ends
     lowest = {}  # array id -> (lowest layer whose cache holds it, weakref)
@@ -629,9 +656,9 @@ def test_forward_state_of_another_plan_raises():
     already backpropagated are both refused; a refusal leaves the state
     usable with its own plan."""
     net = net_vgg13(base=2, hidden=4)
-    coarse, fine = (_Section(net, 64, grid).plan((10,)) for grid in ((2, 2), (4, 4)))
-    params = init_params(net, 64, 0)
-    image = synth_dataset(0, 64, 2)[0].image
+    coarse, fine = (_Section(net, 128, grid).plan((10,)) for grid in ((2, 2), (4, 4)))
+    params = init_params(net, 128, 0)
+    image = synth_dataset(0, 128, 2)[0].image
     state = streaming_forward(net, params, image, coarse)
     with pytest.raises(PlanError, match="does not match this plan"):
         streaming_backward(net, params, image, fine, state, np.asarray([1.0]))
@@ -757,9 +784,9 @@ def test_streaming_layer_table_matches_measured_arrays(case):
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_streaming_layer_table_of_every_layout(precision, checkpoints):
     net = net_vgg13(base=2, hidden=4)
-    plan = _Section(net, 64, (4, 4)).plan(checkpoints)
-    params = init_params(net, 64, 3, precision)
-    image = synth_dataset(3, 64, 2)[1].image.astype(params[0].w.dtype)
+    plan = _Section(net, 128, (4, 4)).plan(checkpoints)
+    params = init_params(net, 128, 3, precision)
+    image = synth_dataset(3, 128, 2)[1].image.astype(params[0].w.dtype)
     est = estimate_streaming(net, plan, 1, precision)
     assert est.per_layer_bytes[:net.split_index] == measured_layer_peaks(net, params, image, plan)
 
@@ -833,7 +860,7 @@ def test_plan_json_names_the_chain_ends():
     """Each tile's owned rectangle and input crop are written under their
     schema-2 names."""
     net = net_vgg13(base=2, hidden=4)
-    plan = build_tile_plan(net, 64, (2, 3))
+    plan = build_tile_plan(net, 96, (2, 3))
     for tile, doc in zip(plan.tiles, plan.to_json_dict(net)["tiles"]):
         assert doc["owned_split_region"] == tile.owned_split.as_list()
         assert doc["input_region_forward"] == tile.input_forward.as_list() == \
@@ -851,7 +878,8 @@ def test_plan_json_names_the_chain_ends():
 def test_broken_forward_chain_fails_validation(damage, tag, what):
     """A damaged chain is reported as a failure; validation never raises."""
     net = net_vgg13(base=2, hidden=4)
-    plan = build_tile_plan(net, 64, (4, 4) if damage.startswith("crop") else (2, 2))
+    plan = build_tile_plan(net, 128 if damage.startswith("crop") else 64,
+                           (4, 4) if damage.startswith("crop") else (2, 2))
     pads = plan.segments[0].rows[0].pads
     if damage == "bad-pads":
         damage_part(plan, 0, "rows", 0, pads=((0, 0),) + pads[1:])
