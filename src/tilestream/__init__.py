@@ -4,10 +4,10 @@ Train convolutional networks on images far larger than activation memory
 allows: every layer below the network's flatten runs tile-by-tile with
 planner-computed overlaps. The planner cuts that section at checkpoint
 maps (pool outputs) into segments, each tiled with its own grid from the
-retained map below it, and keeps the plan with the least modelled step
-time within the least modelled peak of its configured grid; every checkpoint
-map and the split map, the flatten's input, are reconstructed
-bit-exactly, and the head runs once on the split map. The backward pass walks the segments top-down and
+retained map below it (tilestream.planner's module doc, "Choosing the
+plan", gives the rule); every checkpoint map and the split map, the
+flatten's input, are reconstructed bit-exactly, and the head runs once
+on the split map. The backward pass walks the segments top-down and
 recomputes each tile's forward crop instead of retaining its
 activations (but the last tile's), summing the tiles' parameter gradients
 into the whole-image gradient and their input gradients into the

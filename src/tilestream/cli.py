@@ -108,7 +108,7 @@ def cmd_plan(cfg: ExperimentConfig):
                 else "  (over budget)" if candidate.peak_bytes[item] > budget else "")
         print(f"checkpoints {maps} grids {_grids(candidate.grids)}: modelled peak "
               f"{candidate.peak_bytes[item]:,} bytes, conv work {candidate.recompute_ratio:.2f}x, "
-              f"{candidate.calls} tile-layer calls, {candidate.seconds:.3f} s modelled{mark}")
+              f"{candidate.calls} tile-layer calls{mark}")
     g = 1
     while g <= min(net.split_shape(cfg.image_size)[1:]):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid

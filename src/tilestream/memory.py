@@ -177,7 +177,7 @@ def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
 
 
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
-    """Streaming estimate for a TilePlan: its modelled terms in the run's precision.
+    """Streaming estimate for a TilePlan: the modelled terms in the run's precision.
 
     per_layer_bytes holds each streaming layer's largest tile output (and a
     pool's route), then the head terms; the phase peaks take each

@@ -51,6 +51,13 @@ class MaxPool:
     kernel: int = 2
     stride: int = 2
 
+    def __post_init__(self):
+        if self.kernel < 1 or self.stride < 1:
+            raise ShapeError(f"bad pool geometry {self}")
+        if self.kernel ** 2 > 256:
+            raise ShapeError(f"a {self.kernel}x{self.kernel} pool has more taps than a uint8 "
+                             "route holds")
+
 
 @dataclass(frozen=True)
 class Relu:

@@ -21,7 +21,7 @@ A plan cuts the streaming section at checkpoint maps 0 < c_1 < .. < c_k
 < L into segments [0, c_1), [c_1, c_2), .., [c_k, L); with no checkpoint
 it is the one segment [0, L). Each segment is tiled with its own grid
 over its output map, and a plan stores it per axis: each axis of that
-map is partitioned near-equally (remainder to the last part), and each
+map is partitioned into parts that differ by at most one, and each
 part's chain back-projects its owned interval down to the segment's
 input map. A Segment holds its row parts and its column parts, so its
 grid is their counts; an AxisPart is a crop interval of the input map,
@@ -61,31 +61,23 @@ choice, not by a hand-placed split.
 
 The budget is the smallest modelled peak (tilestream.memory's streaming
 formula) in the run's precision over every set of checkpoints, the empty
-set included, with every segment at the configured grid. Within the
-budget _Section.choose keeps the plan with the least modelled step time
+set included, with every segment at the configured grid. The rule: each
+segment takes its coarsest grid that fits the budget, and among the
+plans that fit _Section.choose keeps the fewest tile-layer calls (a
+tile-layer call is one tile through one layer), then the least conv
+work, then the fewest checkpoints. No step time enters the rule: as in
+the paper, the configured grid is the knob, and no segment is tiled
+finer than the budget needs.
 
-    SEC_PER_MAC * conv multiply-adds + SEC_PER_CALL * tile-layer calls
-
-(a tile-layer call is one tile through one layer), breaking ties by the
-smaller peak, then by fewer checkpoints. The search is separable: for a
-fixed set of checkpoints each phase peak is a maximum of terms that hold
-at most one segment's tile term T_j, so a plan fits the budget exactly
-when each segment fits with every other tile term at zero, and the time
-is a sum over segments. Each segment therefore takes its fastest grid
-that fits on its own (ties to the smaller T_j), which equals the best of
+The search is separable: for a fixed set of checkpoints each phase peak
+is a maximum of terms that hold at most one segment's tile term T_j, so
+a plan fits the budget exactly when each segment fits with every other
+tile term at zero, and the calls are a sum over segments, each falling
+strictly as its grid coarsens. So each segment taking its coarsest grid
+that fits on its own (_Section.coarsest scans from 1x1 towards the
+configured grid and stops at the first fit) gives, per set of
+checkpoints, the one plan within the budget with the fewest calls of
 the exhaustive product of grids.
-
-The constants are fitted on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS,
-two BLAS threads), single precision. One vgg13@512 image ran forward and
-backward (streaming_loss_and_grads) through 9 plans, interleaved in one
-process: no checkpoints at 1x1 and 2x2; checkpoint 17 at 4x4,4x4,
-4x4,2x2 and 8x8,4x4; checkpoints 10,17 at 4x4,2x2,1x1; checkpoints
-10,17,24 at 8x8,4x4,2x2,1x1, 4x4,4x4,2x2,1x1 and 4x4,2x2,2x2,1x1. The
-medians of their step seconds were fitted by least squares on conv
-multiply-adds, tile-layer calls and a constant (about 0.05 s, the same
-for every plan, so it is left out). Two fits, of 5 and 7 runs per plan,
-gave 2.97e-10 and 3.14e-10 s per multiply-add and 2.86e-4 and 2.97e-4 s
-per call. Refit them the same way on another host.
 
 Each distinct (segment, grid) is evaluated once, on per-axis intervals,
 and _Section.segment caches its Segment with its terms, so a candidate
@@ -143,10 +135,6 @@ PLAN_SCHEMA_VERSION = 5
 # Bytes per scalar of the two precisions; the memory terms are modelled in both.
 ITEMSIZES = (4, 8)
 
-# The modelled step time's constants (module doc, "Choosing the plan").
-SEC_PER_MAC = 3.0e-10     # seconds per conv multiply-add of a tile pass
-SEC_PER_CALL = 2.9e-4     # seconds per tile-layer call
-
 
 def backproject_span(a, b, k, s, p, in_size):
     """Minimal input interval producing output [a, b); returns (lo, hi, pad_lo, pad_hi)."""
@@ -197,8 +185,7 @@ class Region:
 def _near_equal_bounds(total, parts):
     if parts < 1 or parts > total:
         raise PlanError(f"cannot split extent {total} into {parts} nonempty parts")
-    base = total // parts
-    return [i * base for i in range(parts)] + [total]
+    return [i * total // parts for i in range(parts + 1)]
 
 
 def _chain_down(geoms, sizes, top_iv):
@@ -271,12 +258,13 @@ class Segment:
 
 @dataclass
 class TilePlan:
-    """Each segment's parts, and what the planner models for them. The
-    network holds the maps' shapes and the layers' geometry; a plan holds
-    none of it. The peak and the tile terms are bytes per itemsize
-    (ITEMSIZES), since a route's byte does not scale with it; layer
-    outputs are scalars, times the itemsize tilestream.memory's streaming
-    terms."""
+    """Each segment's parts, and what the planner counts for them: the
+    modelled peak, the conv work and the tile-layer calls the chooser
+    weighs, and the terms tilestream.memory's estimate prints. The network
+    holds the maps' shapes and the layers' geometry; a plan holds none of
+    it. The peak and the tile terms are bytes per itemsize (ITEMSIZES),
+    since a route's byte does not scale with it; layer outputs are
+    scalars, times the itemsize tilestream.memory's streaming terms."""
 
     image_size: int
     grid: tuple                        # the configured grid; each segment's is in grids
@@ -284,7 +272,6 @@ class TilePlan:
     peak_bytes: dict                   # itemsize -> modelled streaming peak
     recompute_ratio: float             # conv multiply-adds of all tiles per whole-image pass
     calls: int                         # tile-layer calls: each segment's tiles times its layers
-    seconds: float                     # modelled step time
     tile_bytes: dict                   # itemsize -> largest tile term per segment
     layer_scalars: tuple               # largest tile output per streaming layer
 
@@ -377,8 +364,9 @@ class _Section:
         self.checkpoint_sets = list(chain.from_iterable(
             combinations(candidates, r) for r in range(len(candidates) + 1)))
         r, c = self.grid
+        # a segment's grids, from 1x1 to the configured grid
         self.coarsenings = [(max(1, r >> j), max(1, c >> j))
-                            for j in range(max(r, c).bit_length())]
+                            for j in reversed(range(max(r, c).bit_length()))]
         self._axes = {}
         self._segments = {}
         self._lives = {}
@@ -410,8 +398,8 @@ class _Section:
 
     def segment(self, a, b, grid):
         """(Segment, largest tile term per itemsize, conv multiply-adds of
-        all tiles, largest tile output per layer, tile-layer calls, modelled
-        seconds) of segment [a, b) cut by grid; outputs and work in scalars."""
+        all tiles, largest tile output per layer, tile-layer calls) of
+        segment [a, b) cut by grid; outputs and work in scalars."""
         if (a, b, grid) not in self._segments:
             (ychains, hy, ys), (xchains, wx, xs) = (self._axis(b, parts) for parts in grid)
             # a tile's live bytes after each layer, over the distinct tile
@@ -430,8 +418,7 @@ class _Section:
             segment = Segment(a, b, *(tuple(AxisPart(ivs[a], ivs[b], tuple(pads[a:]))
                                             for ivs, pads in chains)
                                       for chains in (ychains, xchains)))
-            self._segments[(a, b, grid)] = (segment, tile, conv_macs, outputs, calls,
-                                            SEC_PER_MAC * conv_macs + SEC_PER_CALL * calls)
+            self._segments[(a, b, grid)] = segment, tile, conv_macs, outputs, calls
         return self._segments[(a, b, grid)]
 
     def _cuts(self, checkpoints):
@@ -449,13 +436,13 @@ class _Section:
         grids (default: every segment at the configured grid)."""
         cuts, cut_scalars = self._cuts(checkpoints)
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
-        segments, tiles, macs, outputs, calls, seconds = zip(
+        segments, tiles, macs, outputs, calls = zip(
             *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
         tile_bytes = {item: tuple(t[item] for t in tiles) for item in ITEMSIZES}
         peaks = {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES}
         return TilePlan(self.image_size, self.grid, list(segments), peaks,
                         sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                        sum(calls), sum(seconds), tile_bytes,
+                        sum(calls), tile_bytes,
                         tuple(chain.from_iterable(outputs)))
 
     def budget(self, item):
@@ -466,37 +453,35 @@ class _Section:
                                       for cps in self.checkpoint_sets)
         return self._budgets[item]
 
-    def fastest(self, checkpoints, item):
-        """The TilePlan of these checkpoints with the least modelled seconds
-        within the budget at itemsize item, each segment's grid chosen on
-        its own (module doc, "Choosing the plan"); None if some segment
-        fits no grid."""
+    def coarsest(self, checkpoints, item):
+        """The TilePlan of these checkpoints with each segment at its
+        coarsest grid that fits the budget at itemsize item on its own
+        (module doc, "Choosing the plan"); None if some segment fits no
+        grid."""
         cuts, cut_scalars = self._cuts(checkpoints)
         grids = []
         for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            fits = []
+            alone = [0] * (len(cuts) - 1)
             for grid in self.coarsenings:
-                _, tile, _, _, _, seconds = self.segment(a, b, grid)
-                alone = [0] * (len(cuts) - 1)
-                alone[j] = tile[item]
+                alone[j] = self.segment(a, b, grid)[1][item]
                 if self._peak(cut_scalars, alone, item) <= self.budget(item):
-                    fits.append((seconds, tile[item], grid))
-            if not fits:
+                    grids.append(grid)
+                    break
+            else:
                 return None
-            grids.append(min(fits)[2])
         return self.plan(checkpoints, grids)
 
     def choose(self, item):
         """(chosen TilePlan, every TilePlan weighed) at itemsize item.
 
-        Weighs every set of checkpoint maps, each with its fastest
+        Weighs every set of checkpoint maps, each with its coarsest
         per-segment grids within the budget (or, if none fit, every segment
-        at the configured grid), and keeps the least modelled step time,
-        then the smallest peak, then fewest checkpoints (module doc,
+        at the configured grid), and keeps the fewest tile-layer calls,
+        then the least conv work, then the fewest checkpoints (module doc,
         "Choosing the plan")."""
-        plans = [self.fastest(cps, item) or self.plan(cps) for cps in self.checkpoint_sets]
+        plans = [self.coarsest(cps, item) or self.plan(cps) for cps in self.checkpoint_sets]
         fits = [p for p in plans if p.peak_bytes[item] <= self.budget(item)]
-        return min(fits, key=lambda p: (p.seconds, p.peak_bytes[item], len(p.checkpoints))), plans
+        return min(fits, key=lambda p: (p.calls, p.recompute_ratio, len(p.checkpoints))), plans
 
 
 def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double"):

@@ -59,13 +59,10 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         assert (none, cut) == ((10730, 16744) if precision == "double" else (5446, 8436))
         assert f"budget: modelled peak {none:,} bytes, the least with every segment " \
                "at 2x2\n" in text
-        seconds = r"\d\.\d{3} s modelled"
         assert re.search(rf"^checkpoints none grids 2x2: modelled peak {none:,} bytes, "
-                         rf"conv work 1\.00x, 12 tile-layer calls, {seconds}  \(chosen\)$",
-                         text, re.M)
+                         r"conv work 1\.00x, 12 tile-layer calls  \(chosen\)$", text, re.M)
         assert re.search(rf"^checkpoints 2 grids 2x2,2x2: modelled peak {cut:,} bytes, "
-                         rf"conv work 1\.00x, 12 tile-layer calls, {seconds}  \(over budget\)$",
-                         text, re.M)
+                         r"conv work 1\.00x, 12 tile-layer calls  \(over budget\)$", text, re.M)
     if command == "bench":
         # the modelled and the traced peak, side by side, on stdout and in bench.json
         printed = json.loads(capsys.readouterr().out)
@@ -117,11 +114,18 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
     pytest.param(dict(CONFIG, grid=[True, True]), [], id="grid-bools"),
     pytest.param(dict(CONFIG, seed=-1), [], id="negative-seed"),
     pytest.param(CONFIG, ["--seed", "-1"], id="negative-seed-flag"),
+    pytest.param(dict(CONFIG, image_size=68, network=dict(CONFIG["network"], layers=[
+        CONFIG["network"]["layers"][0], {"kind": "maxpool", "kernel": 17, "stride": 17},
+        {"kind": "flatten"}, {"kind": "dense", "width": 1}])), [], id="pool-17x17"),
 ])
-def test_malformed_config_exits_1(tmp_path, doc, extra):
-    """Config errors and command-line usage errors both exit 1 (2 means infeasible plan)."""
-    argv = ["plan"] if doc is None else ["plan", "--config", write_config(tmp_path, doc)]
-    assert main(argv + extra) == 1
+def test_malformed_config_exits_1(tmp_path, capsys, doc, extra):
+    """Config errors and command-line usage errors both exit 1 (2 means
+    infeasible plan), in every command, before it plans or runs."""
+    config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
+    for command in cli.COMMANDS:
+        assert main([command, "--out", str(tmp_path / "out")] + config + extra) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(("usage:", "config error:")), err
 
 
 def test_split_index_key_names_the_flatten(tmp_path, capsys):
@@ -288,7 +292,7 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
     assert "tiles: 20  grid: 4x4  segment grids: 4x4,2x2" in text and len(built) == 20
     number = r"\d[\d,.]*"
     candidates = re.findall(rf"^checkpoints (\S+) grids (\S+): modelled peak ({number}) bytes, "
-                            rf"conv work {number}x, (\d+) tile-layer calls, {number} s modelled"
+                            rf"conv work {number}x, (\d+) tile-layer calls"
                             r"(  \(chosen\)|  \(over budget\))?$", text, re.M)
     assert len(candidates) == 16 and [c[0] for c in candidates if "over" not in c[4]] == ["17"]
     # 16 tiles through layers 0-16 and 4 through layers 17-30
@@ -302,9 +306,9 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
 
 def test_plan_reproduces_the_headline_memory_figure(tmp_path, capsys):
     """Planning only, no arrays: a 64-megapixel image (8130x8130) in 16x16
-    tiles, cut at map 31 with the 31x31 split map above it run whole,
-    models 98.26% less peak activation memory than whole-image, in double
-    precision."""
+    tiles, cut at map 34 (127x127) with the layers above it, up to the
+    31x31 split map, run whole, models 98.88% less peak activation memory
+    than whole-image, in double precision."""
     doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}
     out = tmp_path / "out"
     assert main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
@@ -312,19 +316,19 @@ def test_plan_reproduces_the_headline_memory_figure(tmp_path, capsys):
     memory = json.loads((out / "memory.json").read_text())
     item = 8
     params = 13_283_025 * item
-    checkpoint = 128 * 254 ** 2 * item   # map 31
+    checkpoint = 192 * 127 ** 2 * item   # map 34
     split = 192 * 31 ** 2 * item
     head = (64 + 1) * item               # the two dense outputs
-    tile = 379_252_336                   # the largest 16x16 tile's term
+    tile = 202_620_288                   # the largest 16x16 tile's term
     assert memory["streaming"]["peak_tile_forward_bytes"] == tile
     # the backward peak of the lower segment: parameters and their
-    # gradients, both cut maps, the head, map 31's gradient and a tile
+    # gradients, both cut maps, the head, map 34's gradient and a tile
     stream = 2 * params + checkpoint + split + head + checkpoint + tile
-    assert memory["streaming"]["peak_bytes"] == stream == 725_386_120
+    assert memory["streaming"]["peak_bytes"] == stream == 466_173_592
     whole = memory["whole_image"]["peak_bytes"]
     assert whole == 41_673_293_304
     assert memory["reduction_percent"] == 100 * (1 - stream / whole)
-    assert round(memory["reduction_percent"], 2) == 98.26
+    assert round(memory["reduction_percent"], 2) == 98.88
 
 
 def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):

@@ -57,6 +57,12 @@ def test_validation_rules():
         NetworkSpec(1, (Conv(2), Flatten(), MaxPool(2, 2), Dense(1)))
     with pytest.raises(ShapeError, match="no spatial layer"):  # nothing to stream
         NetworkSpec(1, (Flatten(), Dense(1)))
+    for kernel, stride in ((0, 2), (2, 0)):
+        with pytest.raises(ShapeError, match="bad pool geometry"):
+            MaxPool(kernel, stride)
+    MaxPool(16, 16)  # 256 taps, the most a uint8 route holds
+    with pytest.raises(ShapeError, match="more taps"):
+        MaxPool(17, 17)
 
 
 def test_activation_shapes():

@@ -7,8 +7,10 @@ import json
 import tracemalloc
 import weakref
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
 
 import tilestream.engine
 import tilestream.network
@@ -59,6 +61,7 @@ from tilestream.network import (
 from tilestream.planner import (
     Region,
     TileEntry,
+    _near_equal_bounds,
     _Section,
     backproject_span,
     build_tile_plan,
@@ -223,14 +226,20 @@ def every_plan(section):
             yield section.plan(cps, grids)
 
 
+def rule(plan):
+    """The chooser's key: tile-layer calls, then conv work, then checkpoints."""
+    return plan.calls, plan.recompute_ratio, len(plan.checkpoints)
+
+
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
 def test_chooser_keeps_the_smallest_modelled_peak(name):
     """The planner weighs every set of pool outputs the grid fits. The
     chosen modelled peak is the least over those sets with every segment
     at the configured grid (the budget), as the memory model computes it
     on the built plans, and no layout within it, of any set and any grid
-    per segment, has less modelled time; in each precision, whose bytes
-    the chooser weighs."""
+    per segment, makes fewer tile-layer calls, or as few with less conv
+    work or fewer checkpoints; in each precision, whose bytes the chooser
+    weighs."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
     section = _Section(net, z, grid)
@@ -259,39 +268,54 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
                 candidate.peak_bytes[item]
         for other in every_plan(section):
             if other.peak_bytes[item] <= budget:
-                assert other.seconds >= chosen.seconds, (other.checkpoints, other.grids)
+                assert rule(other) >= rule(chosen), (other.checkpoints, other.grids)
+
+
+def assert_separable(section, item):
+    """Each segment at its coarsest grid that fits on its own gives, per
+    set of checkpoints and overall, the layout the exhaustive product of
+    per-segment grids keeps within the budget at itemsize item."""
+    best = {}
+    for plan in every_plan(section):
+        if plan.peak_bytes[item] <= section.budget(item):
+            cps = plan.checkpoints
+            if cps not in best or rule(plan) < rule(best[cps]):
+                best[cps] = plan
+    for cps in section.checkpoint_sets:
+        assert section.coarsest(cps, item) == best.get(cps), cps
+    assert section.choose(item)[0] == min(best.values(), key=rule)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
 def test_separable_search_equals_the_exhaustive_product(name):
-    """Each segment taking its fastest grid that fits on its own gives,
-    per set of checkpoints and overall, the layout the exhaustive product
-    of per-segment grids keeps within the budget, in each precision."""
+    """The fixed cases, in each precision; section.coarsenings runs from
+    1x1 to the configured grid."""
     make, z, grid = CHOOSER_CASES[name]
     section = _Section(make(), z, grid)
-    assert sorted(section.coarsenings, reverse=True) == coarsenings(grid)
+    assert section.coarsenings == coarsenings(grid)[::-1]
     for item in (4, 8):
-        best = {}
-        for plan in every_plan(section):
-            if plan.peak_bytes[item] <= section.budget(item):
-                key = (plan.seconds, plan.peak_bytes[item])
-                cps = plan.checkpoints
-                if cps not in best or key < (best[cps].seconds, best[cps].peak_bytes[item]):
-                    best[cps] = plan
-        for cps in section.checkpoint_sets:
-            assert section.fastest(cps, item) == best.get(cps), cps
-        chosen, _ = section.choose(item)
-        assert chosen == min(best.values(),
-                             key=lambda c: (c.seconds, c.peak_bytes[item], len(c.checkpoints)))
+        assert_separable(section, item)
+
+
+def test_separable_search_on_sampled_nets():
+    """The sampled nets, strided and pool-free ones among them, in each
+    precision."""
+    rng = np.random.default_rng(21)
+    for _ in range(120):
+        net, z, grid, _ = sample_streaming_config(rng)
+        section = _Section(net, z, grid)
+        for item in (4, 8):
+            assert_separable(section, item)
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
     (net_vgg13, 512, (4, 4), (17,)),     # the vgg13-g4 benchmark workload
     (net_tiny2, 512, (8, 8), ()),        # tiny2-g8: a map-3 checkpoint models more
     (net_vgg13, 8192, (16, 16), ()),     # paper scale: the split map is small
-    # map 31 = 13 conv-relu pairs + 5 pools: the 254x254 output of the pool
-    # after vgg13's last block; above it the 31x31 split map runs whole
-    (net_giga64mp, 8130, (16, 16), (31,)),
+    # map 34 = 14 conv-relu pairs + 6 pools: the 127x127 output of the pool
+    # after the first extra conv; the layers above it, up to the 31x31
+    # split map, run whole
+    (net_giga64mp, 8130, (16, 16), (34,)),
 ])
 def test_chosen_checkpoints(make, z, grid, want):
     """Planning only, no arrays: where the chooser cuts the presets."""
@@ -304,7 +328,7 @@ def test_chosen_checkpoints(make, z, grid, want):
     (net_vgg13, 512, (2, 2), (10,), ((2, 2), (2, 2))),
     (net_tiny2, 512, (8, 8), (), ((8, 8),)),
     (net_vgg13, 8192, (16, 16), (), ((16, 16),)),
-    (net_giga64mp, 8130, (16, 16), (31,), ((16, 16), (1, 1))),
+    (net_giga64mp, 8130, (16, 16), (34,), ((16, 16), (1, 1))),
 ])
 def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
     """Planning only: each segment's grid the chooser picks for the presets,
@@ -345,6 +369,19 @@ def test_plan_tiles_are_the_row_major_product_of_parts(case):
                   Region(y.owned[0], x.owned[0], y.owned[1], x.owned[1]),
                   [yp + xp for yp, xp in zip(y.pads, x.pads)])
         for s in plan.segments for i, y in enumerate(s.rows) for j, x in enumerate(s.cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(1, 10_000), parts=st.integers(1, 256))
+@example(total=254, parts=16)   # giga64mp@8130's map 31
+def test_near_equal_bounds_balance_the_parts(total, parts):
+    """An axis's bounds run from 0 to its extent, and its parts are
+    nonempty and differ by at most one."""
+    assume(parts <= total)
+    bounds = _near_equal_bounds(total, parts)
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    assert bounds[0] == 0 and bounds[-1] == total and len(sizes) == parts
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 def damage_part(plan, s, axis, i, **changes):
@@ -558,7 +595,7 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
 
 def test_whole_image_pass_traced_peak_within_model():
     """The tracemalloc peak of one whole-image (1x1 plan) pass of vgg13@256
-    in single precision is at most estimate_streaming's modelled peak for
+    in single precision is at most the modelled peak of estimate_streaming for
     that plan. The scope is the whole-image case only; no bound on the
     traced peak of tiled plans is claimed here."""
     net = net_vgg13()
