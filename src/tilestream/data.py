@@ -36,9 +36,11 @@ class SyntheticSample:
 
 
 def _blob(z, cy, cx, sigma):
-    yy = np.arange(z)[:, None]
-    xx = np.arange(z)[None, :]
-    return np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
+    """A unit Gaussian centred at (cy, cx): the outer product of its two 1-D
+    factors, so a z x z image costs 2z exps, not z^2."""
+    axis = np.arange(z)
+    return np.outer(np.exp(-((axis - cy) ** 2) / (2.0 * sigma * sigma)),
+                    np.exp(-((axis - cx) ** 2) / (2.0 * sigma * sigma)))
 
 
 def synth_dataset(seed, image_size, n, in_channels=1, noise=0.02):
@@ -70,10 +72,10 @@ def synth_dataset(seed, image_size, n, in_channels=1, noise=0.02):
         bx = half_x(bottom_half)
         img = AMPLITUDE * (_blob(z, ty, tx, sigma) + _blob(z, by, bx, sigma))
         if noise:
-            img = img + noise * rng.standard_normal((z, z))
+            img += noise * rng.standard_normal((z, z))
         chans = [img * (1.0 - 0.1 * c) for c in range(in_channels)]
         samples.append(SyntheticSample(
-            image=np.stack(chans)[None, :, :, :].astype(np.float64), label=label))
+            image=np.stack(chans)[None, :, :, :], label=label))
     return samples
 
 

@@ -45,8 +45,15 @@ zero-padded, with the flipped, transposed weights (Dumoulin & Visin,
 arXiv:1603.07285), through the forward's (c_in, K) @ (K, _BLOCK)
 products with K = c_out * k * k. For a stride-s conv the stuffed zeros
 make that s^2 times the products of a direct scatter; no preset has a
-strided conv. conv2d_param_grad multiplies grad_out by the forward's
-im2col columns, transposed, summed over bands. Gradients are
+strided conv. The weight gradient correlates x with the same stuffed,
+padded grad_out, so conv2d_backward reads it from those columns in the
+same band pass: grad_w[co, ci, k-1-ky, k-1-kx] = sum over input
+positions y of x[ci, y] * column (co, ky, kx) at y, one (K, p) @ (p, c_in)
+product per band of p positions into a (K, c_in) accumulator, flipped
+and transposed once at the end. Its input gradient is conv2d_input_grad's
+bit for bit. conv2d_param_grad, for a conv whose input needs no gradient
+(map 0), multiplies the forward's im2col columns by grad_out, transposed,
+as (K, p) @ (p, c_out) products summed over bands. Gradients are
 tolerance-only: the parameter gradient's products have shapes that
 follow the map, and a tile adds only its own outputs' share to each
 input pixel's gradient, so tile and whole-image passes agree within the
@@ -54,19 +61,23 @@ documented equivalence tolerances, not bitwise. Dense layers use einsum;
 dense_backward adds its weight gradient into the caller's accumulator one
 output row at a time, so no (out, in) temporary exists.
 
-Workspace. All three conv kernels get their im2col columns from one
-banded column builder (_bands), band by band of whole output rows. A
-band has as many rows as keep its columns (K x band positions) within
-1/_BAND_DIV of one image's output, but covers at least _BAND_MIN
-positions (whole rows, at most the map), because one-row bands made the
-input gradient 2-3x slower on small maps. Besides its result a conv
-kernel allocates the band's columns (forward and input gradient: rounded
-up to whole _BLOCKs, plus a result buffer of the same width once a
-band's last block runs past the map) and, when its source is padded or
-zero-stuffed, one staging buffer of a band's padded source rows,
-(c, s * (rows - 1) + k, padded width); no kernel copies or pads a whole
-map. The input gradient also holds its flipped
-weights, and the parameter gradient one (c_out, K) product per call.
+Workspace. Every conv kernel gets its im2col columns from one banded
+column builder (_bands), band by band of whole output rows, and a conv's
+backward builds them once. A band has as many rows as keep its columns
+(K x band positions) within 1/_BAND_DIV of one image's output, but
+covers at least _BAND_MIN positions (whole rows, at most the map),
+because one-row bands made the input gradient 2-3x slower on small maps.
+Besides its result a conv kernel allocates the band's columns (forward
+and input gradient: rounded up to whole _BLOCKs, plus a result buffer of
+the same width once a band's last block runs past the map) and, when its
+source is padded or zero-stuffed, one staging buffer of a band's padded
+source rows, (c, s * (rows - 1) + k, padded width); no kernel copies or
+pads a whole map. The input gradient also holds its flipped weights.
+conv2d_backward's weight product and accumulator, 2 * K * c_in scalars,
+and, for an input whose rows are not contiguous (a crop view), one
+reused copy of a band of its rows come out of that band's column
+budget, so its bands have fewer rows than conv2d_input_grad's (at least
+one). conv2d_param_grad holds a (K, c_out) product and accumulator.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
@@ -211,17 +222,31 @@ def _bands(src, k, s, d, pads, oh, ow, rows, cols):
             yield i, r0, r1, (r1 - r0) * ow
 
 
-def _correlate(src, wmat, k, s, d, pads, oh, ow):
+def _correlate(src, wmat, k, s, d, pads, oh, ow, x=None):
     """(n, r, oh, ow): wmat (r, K) times _bands' columns, one batched run of
     (r, K) @ (K, _BLOCK) products per band, written straight into the
     output. A band's partial last block reads stale columns of an earlier
     band (zeros before the first) and spills into the next band's
     positions, which that band overwrites; only a band whose blocks run
     past the image's map goes through a result buffer. Every output column
-    comes from a product of that one shape (see the module docstring)."""
+    comes from a product of that one shape (see the module docstring).
+
+    With x (n, r, oh, ow), the input of the conv whose input gradient this
+    is, each band also adds its (K, p) columns @ (p, r) rows of x into a
+    (K, r) accumulator, returned second (else None): the conv's weight
+    gradient, flipped and transposed. That product, the accumulator and,
+    when x's rows are not contiguous (a crop view), one reused copy of
+    x's band take their scalars out of the band's columns."""
     n = len(src)
     r, kk = wmat.shape
     rows = _band_rows(kk, r, oh, ow)
+    acc = xbuf = None
+    if x is not None:
+        copied = x.strides[2:] != (ow * x.itemsize, x.itemsize)
+        rows = max(1, kk * (rows * ow - 2 * r) // ((kk + r * copied) * ow))
+        acc = np.zeros((kk, r), dtype=src.dtype)
+        prod = np.empty_like(acc)
+        xbuf = np.empty((r, rows, ow), dtype=src.dtype) if copied else None
     width = -(-rows * ow // _BLOCK) * _BLOCK
     cols = np.zeros((kk, width), dtype=src.dtype)
     out = np.empty((n, r, oh * ow), dtype=src.dtype)
@@ -237,7 +262,13 @@ def _correlate(src, wmat, k, s, d, pads, oh, ow):
                   out=dst.reshape(r, -1, _BLOCK).transpose(1, 0, 2))
         if past_map:
             out[i, :, a : a + p] = res[:, :p]
-    return out.reshape(n, r, oh, ow)
+        if x is not None:
+            band = x[i, :, r0:r1]
+            if xbuf is not None:
+                band = xbuf[:, : r1 - r0]
+                band[...] = x[i, :, r0:r1]
+            acc += np.matmul(cols[:, :p], band.reshape(r, p).T, out=prod)
+    return out.reshape(n, r, oh, ow), acc
 
 
 def conv2d_forward(x, spec: Conv, params: Params, pads=None):
@@ -261,68 +292,98 @@ def conv2d_forward(x, spec: Conv, params: Params, pads=None):
     pt, pb, pl, pr = pads
     oh = out_size(h + pt + pb, k, s, 0)
     ow = out_size(w + pl + pr, k, s, 0)
-    out = _correlate(x, params.w.reshape(co, c * k * k), k, s, 1, pads, oh, ow)
+    out, _ = _correlate(x, params.w.reshape(co, c * k * k), k, s, 1, pads, oh, ow)
     out += params.b[None, :, None, None]
     return check_finite(out, "conv output")
 
 
-def conv2d_input_grad(grad_out, spec: Conv, params: Params, in_hw, pads=None):
-    """Gradient w.r.t. the conv input: the stride-1 correlation of grad_out,
-    zero-stuffed at stride s and zero-padded by (k-1-pt, h+pt-1-s(oh-1),
-    k-1-pl, w+pl-1-s(ow-1)), with the flipped, transposed weights (see the
-    module docstring; s^2 times a direct scatter's products for s > 1)."""
+def _grad_geometry(grad_out, spec: Conv, in_hw, pads):
+    """The checks both gradient kernels share; returns the normalised pads."""
     check_tensor4(grad_out, "conv grad_out")
-    check_same_dtype(grad_out, params.w)
-    n, co, oh, ow = grad_out.shape
+    _, co, oh, ow = grad_out.shape
     if co != spec.c_out:
         raise ShapeError(f"grad_out channels {co} != spec c_out {spec.c_out}")
     h, w = in_hw
-    k, s, c = spec.kernel, spec.stride, spec.c_in
-    pt, pb, pl, pr = _norm_pads(spec.pad if pads is None else pads, k)
-    if out_size(h + pt + pb, k, s, 0) != oh or out_size(w + pl + pr, k, s, 0) != ow:
-        raise ShapeError(f"grad_out {grad_out.shape} inconsistent with input {in_hw}, {spec}")
-    wflip = params.w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, co * k * k)
-    gpads = (k - 1 - pt, h + pt - 1 - s * (oh - 1), k - 1 - pl, w + pl - 1 - s * (ow - 1))
-    gx = _correlate(grad_out, wflip, k, 1, s, gpads, h, w)
-    return check_finite(gx, "conv grad_in")
-
-
-def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
-    """Gradients w.r.t. conv weights and bias: per row band of the output,
-    grad_out columns @ the forward's im2col columns.T, accumulated over
-    bands and images."""
-    check_tensor4(x, "conv input")
-    check_tensor4(grad_out, "conv grad_out")
-    check_same_dtype(x, grad_out)
-    if grad_out.shape[0] != x.shape[0]:
-        raise ShapeError("batch mismatch between input and grad_out")
-    n, c, h, w = x.shape
-    _, co, oh, ow = grad_out.shape
     k, s = spec.kernel, spec.stride
     pads = _norm_pads(spec.pad if pads is None else pads, k)
     pt, pb, pl, pr = pads
     if out_size(h + pt + pb, k, s, 0) != oh or out_size(w + pl + pr, k, s, 0) != ow:
-        raise ShapeError(f"grad_out {grad_out.shape} inconsistent with input {x.shape}, {spec}")
-    kk = c * k * k
-    g = grad_out.reshape(n, co, oh * ow)
-    rows = _band_rows(kk, co, oh, ow)
-    cols = np.empty((kk, rows * ow), dtype=x.dtype)
-    gw = np.zeros((co, kk), dtype=x.dtype)
-    prod = np.empty_like(gw)
-    for i, r0, r1, p in _bands(x, k, s, 1, pads, oh, ow, rows, cols):
-        gw += np.matmul(g[i, :, r0 * ow : r1 * ow], cols[:, :p].T, out=prod)
-    gw = gw.reshape(co, c, k, k)
-    gb = grad_out.sum(axis=(0, 2, 3))
+        raise ShapeError(f"grad_out {grad_out.shape} inconsistent with input {in_hw}, {spec}")
+    return pads
+
+
+def _grad_in(grad_out, spec: Conv, params: Params, in_hw, pads, x=None):
+    """(grad_in, the flipped, transposed weight gradient or None): the
+    stride-1 correlation of grad_out, zero-stuffed at stride s and
+    zero-padded by (k-1-pt, h+pt-1-s(oh-1), k-1-pl, w+pl-1-s(ow-1)), with
+    the flipped, transposed weights, whose columns also give the weight
+    gradient when x is given (see _correlate)."""
+    check_same_dtype(grad_out, params.w)
+    pt, pb, pl, pr = _grad_geometry(grad_out, spec, in_hw, pads)
+    _, co, oh, ow = grad_out.shape
+    h, w = in_hw
+    k, s, c = spec.kernel, spec.stride, spec.c_in
+    wflip = params.w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, co * k * k)
+    gpads = (k - 1 - pt, h + pt - 1 - s * (oh - 1), k - 1 - pl, w + pl - 1 - s * (ow - 1))
+    gx, acc = _correlate(grad_out, wflip, k, 1, s, gpads, h, w, x)
+    return check_finite(gx, "conv grad_in"), acc
+
+
+def conv2d_input_grad(grad_out, spec: Conv, params: Params, in_hw, pads=None):
+    """Gradient w.r.t. the conv input: the stride-1 correlation of the
+    zero-stuffed, padded grad_out with the flipped, transposed weights (see
+    the module docstring; s^2 times a direct scatter's products for s > 1).
+    conv2d_backward's input gradient equals it bit for bit."""
+    return _grad_in(grad_out, spec, params, in_hw, pads)[0]
+
+
+def _check_param_grads(gw, gb):
     check_finite(gw, "conv grad_w")
     check_finite(gb.reshape(1, 1, 1, -1), "conv grad_b")
     return gw, gb
 
 
+def _check_input(x, spec: Conv, grad_out):
+    check_tensor4(x, "conv input")
+    check_same_dtype(x, grad_out)
+    if grad_out.shape[0] != x.shape[0]:
+        raise ShapeError("batch mismatch between input and grad_out")
+    if x.shape[1] != spec.c_in:
+        raise ShapeError(f"conv input channels {x.shape[1]} != spec c_in {spec.c_in}")
+
+
+def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
+    """Gradients w.r.t. conv weights and bias alone, for a conv whose input
+    needs no gradient: per row band of the output, the forward's im2col
+    columns @ grad_out's band, transposed, a (K, c_out) sum over bands and
+    images."""
+    _check_input(x, spec, grad_out)
+    pads = _grad_geometry(grad_out, spec, x.shape[2:], pads)
+    n, c = x.shape[:2]
+    _, co, oh, ow = grad_out.shape
+    k, s = spec.kernel, spec.stride
+    kk = c * k * k
+    g = grad_out.reshape(n, co, oh * ow)
+    rows = _band_rows(kk, co, oh, ow)
+    cols = np.empty((kk, rows * ow), dtype=x.dtype)
+    acc = np.zeros((kk, co), dtype=x.dtype)
+    prod = np.empty_like(acc)
+    for i, r0, r1, p in _bands(x, k, s, 1, pads, oh, ow, rows, cols):
+        acc += np.matmul(cols[:, :p], g[i, :, r0 * ow : r1 * ow].T, out=prod)
+    gw = np.ascontiguousarray(acc.T).reshape(co, c, k, k)
+    return _check_param_grads(gw, grad_out.sum(axis=(0, 2, 3)))
+
+
 def conv2d_backward(x, spec: Conv, params: Params, grad_out, pads=None):
-    """Full conv backward: (grad_in, grad_w, grad_b)."""
-    gw, gb = conv2d_param_grad(x, spec, grad_out, pads)
-    gx = conv2d_input_grad(grad_out, spec, params, x.shape[2:], pads)
-    return gx, gw, gb
+    """Full conv backward, (grad_in, grad_w, grad_b), from one band pass over
+    the input gradient's columns: grad_in as conv2d_input_grad computes it,
+    bit for bit, and grad_w[co, ci, k-1-ky, k-1-kx] the sum over input
+    positions y of x[ci, y] times column (co, ky, kx) at y (see _correlate)."""
+    _check_input(x, spec, grad_out)
+    gx, acc = _grad_in(grad_out, spec, params, x.shape[2:], pads, x)
+    k = spec.kernel
+    gw = acc.reshape(spec.c_out, k, k, spec.c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2).copy()
+    return (gx,) + _check_param_grads(gw, grad_out.sum(axis=(0, 2, 3)))
 
 
 def _tap(a, ky, kx, s, oh, ow):

@@ -24,7 +24,9 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   the grads term equals the params term at any batch size. Left out as
   workspace: a conv's kernel-sized and a dense layer's one-row gradient
   temporaries, and the conv kernels' band workspace (im2col columns,
-  staging and result buffers; see tilestream.layers);
+  staging and result buffers, and the conv backward's (c_out * k^2,
+  c_in) weight product and accumulator, which its band's column budget
+  covers; see tilestream.layers);
 * whole-image mode (estimate_whole_image) is the naive-retention
   reference the big-memory figures imply: it retains the input and every
   layer output until its backward completes, and no routes;

@@ -30,8 +30,8 @@ from .errors import ShapeError
 from .layers import (
     Conv,
     Params,
+    conv2d_backward,
     conv2d_forward,
-    conv2d_input_grad,
     conv2d_param_grad,
     dense_backward,
     dense_forward,
@@ -273,8 +273,7 @@ def layer_forward(x, layer, lparams, pads=None, inplace_ok=False, want_cache=Tru
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def _add_conv_param_grads(acc, x, layer, grad_out, pads):
-    gw, gb = conv2d_param_grad(x, layer, grad_out, pads)
+def _add_param_grads(acc, gw, gb):
     acc.w += gw
     acc.b += gb
 
@@ -283,17 +282,19 @@ def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
     """Run one layer backward; returns grad_in.
 
     A conv or dense layer adds its parameter gradients into acc, its entry
-    of the pass's ParamGrads (None for parameter-free layers); a conv adds
-    them before its input gradient's products run, so its weight-gradient
-    temporary and their workspace are never live together. With
-    inplace_ok a relu masks grad_out in place and returns it; a relu
-    without a cache, fused into the pool above it, returns grad_out as it
-    is, since that pool's backward applied its mask.
+    of the pass's ParamGrads (None for parameter-free layers). A conv takes
+    both gradients from one band pass (conv2d_backward), whose weight
+    product and accumulator come out of its band's column budget; its
+    kernel-sized weight gradient is added into acc as soon as the call
+    returns. With inplace_ok a relu masks grad_out in place and returns
+    it; a relu without a cache, fused into the pool above it, returns
+    grad_out as it is, since that pool's backward applied its mask.
     """
     if isinstance(layer, Conv):
         x, pads = cache
-        _add_conv_param_grads(acc, x, layer, grad_out, pads)
-        return conv2d_input_grad(grad_out, layer, lparams, x.shape[2:], pads)
+        gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
+        _add_param_grads(acc, gw, gb)
+        return gx
     if isinstance(layer, MaxPool):
         route, in_shape, relu_out = cache
         return maxpool2d_backward(route, grad_out, layer.kernel, layer.stride, in_shape, relu_out)
@@ -413,7 +414,7 @@ def stack_backward(grad_out, net, params, caches, start, stop, grads):
         cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
         if isinstance(net.layers[0], Conv):
             x, pads = cache
-            _add_conv_param_grads(grads.per_layer[0], x, net.layers[0], g, pads)
+            _add_param_grads(grads.per_layer[0], *conv2d_param_grad(x, net.layers[0], g, pads))
         g = None
     return g
 

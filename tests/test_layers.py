@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from tilestream.equivalence import default_tolerances
 from tilestream.errors import NonFiniteError, ShapeError
 from tilestream.layers import (
     _BAND_DIV,
@@ -640,18 +641,24 @@ def _band_workspace(c, c_out, k, h, w, pads, item):
     return staging * item, (kk + c_out) * band * item
 
 
-@pytest.mark.parametrize("shape,c_out,pads", [
-    pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), id="shape0-4"),
-    pytest.param((1, 32, 32, 32), 32, (1, 1, 1, 1), id="shape1-32"),
-    pytest.param((1, 4, 256, 256), 4, (1, 0, 0, 1), id="shape0-4-border-pads")])
-def test_conv_workspace_within_band_policy(rng, shape, c_out, pads):
+@pytest.mark.parametrize("shape,c_out,pads,view", [
+    pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), False, id="shape0-4"),
+    pytest.param((1, 32, 32, 32), 32, (1, 1, 1, 1), False, id="shape1-32"),
+    pytest.param((1, 4, 256, 256), 4, (1, 0, 0, 1), False, id="shape0-4-border-pads"),
+    pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), True, id="shape0-4-crop-view"),
+    pytest.param((1, 32, 32, 32), 32, (1, 0, 0, 1), True, id="shape1-32-crop-view")])
+def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
     """Beyond their results the kernels allocate at most the documented
     workspace, one correlation's bands at a time (see _band_workspace); the
-    input gradient's source is grad_out padded by k - 1 - pad."""
+    input gradient's source is grad_out padded by k - 1 - pad. A crop view
+    of a larger map, whose bands of rows are not contiguous, keeps the
+    same bounds."""
     n, c, h, w = shape
     k, item = 3, 4
     pt, pb, pl, pr = pads
     x = rng.standard_normal(shape).astype(np.float32)
+    if view:
+        x = np.pad(x, ((0, 0), (0, 0), (2, 1), (3, 2)))[:, :, 2 : 2 + h, 3 : 3 + w]
     params = Params(rng.standard_normal((c_out, c, k, k)).astype(np.float32),
                         np.zeros(c_out, np.float32))
     spec = Conv(c_out, k, 1, 1, c_in=c)
@@ -661,9 +668,9 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads):
     staging, rest = _band_workspace(c, c_out, k, oh, ow, pads, item)
     fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params, pads)])
     assert fwd_peak - fwd_out <= staging + rest + slack
-    # the parameter gradient's bands take at most the forward's; either
-    # gradient holds one (c_out, K) matrix: the product buffer the bands
-    # share or the flipped weights
+    # the backward runs the input gradient's bands, which also hold the
+    # flipped weights, one (c_out, K) matrix; its weight product and
+    # accumulator, and a crop view's copied rows, come out of the band
     gpads = (k - 1 - pt, h + pt - oh, k - 1 - pl, w + pl - ow)
     bwd = max(staging + rest, sum(_band_workspace(c_out, c, k, h, w, gpads, item)))
     bwd += c * c_out * k * k * item
@@ -712,7 +719,11 @@ def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
     got_x = conv2d_input_grad(g.astype(f32), spec, Params(wt.astype(f32), np.zeros(co, f32)),
                               (h, w), pads)
     got_w, got_b = conv2d_param_grad(x.astype(f32), spec, g.astype(f32), pads)
-    for got, want in ((got_x, want_x), (got_w, want_w), (got_b, g.sum(axis=(0, 2, 3)))):
+    fused = conv2d_backward(x.astype(f32), spec, Params(wt.astype(f32), np.zeros(co, f32)),
+                            g.astype(f32), pads)
+    want_b = g.sum(axis=(0, 2, 3))
+    for got, want in ((got_x, want_x), (got_w, want_w), (got_b, want_b),
+                      *zip(fused, (want_x, want_w, want_b))):
         assert got.dtype == f32 and got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
@@ -745,6 +756,39 @@ def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, d
     assert got.dtype == dtype and got.shape == want.shape
     tol = 1e-5 if dtype == np.float32 else 1e-12
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2), c_in=st.integers(1, 12), c_out=st.integers(1, 24),
+       k=st.integers(1, 5), s=st.integers(1, 3), pads=st.tuples(*[st.integers(0, 4)] * 4),
+       h=st.integers(1, 40), w=st.integers(1, 24), view=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(n=2, c_in=6, c_out=5, k=3, s=1, pads=(1, 1, 1, 1), h=40, w=13, view=True,
+         dtype=np.float32, seed=0)  # a crop view's bands, copied, across images
+@example(n=1, c_in=4, c_out=3, k=5, s=3, pads=(4, 0, 2, 3), h=39, w=23, view=False,
+         dtype=np.float64, seed=1)  # stuffed at stride 3, unread bottom rows
+def test_fused_conv_backward_matches_the_separate_kernels(n, c_in, c_out, k, s, pads, h, w,
+                                                          view, dtype, seed):
+    """conv2d_backward's one band pass gives conv2d_input_grad's input
+    gradient bit for bit, and conv2d_param_grad's weight and bias gradients
+    within the package's gradient tolerance of their sup-norm, for
+    contiguous inputs and crop views."""
+    pt, pb, pl, pr = (p % k for p in pads)
+    h, w = max(h, k - pt - pb), max(w, k - pl - pr)
+    r = np.random.default_rng(seed)
+    big = r.standard_normal((n, c_in, h + 3, w + 2)).astype(dtype)
+    x = big[:, :, 1 : 1 + h, 2 : 2 + w] if view else np.ascontiguousarray(big[:, :, :h, :w])
+    params = Params(r.standard_normal((c_out, c_in, k, k)).astype(dtype), np.zeros(c_out, dtype))
+    spec = Conv(c_out, k, s, 0, c_in=c_in)
+    pads = (pt, pb, pl, pr)
+    g = r.standard_normal((n, c_out, out_size(h + pt + pb, k, s),
+                           out_size(w + pl + pr, k, s))).astype(dtype)
+    gx, gw, gb = conv2d_backward(x, spec, params, g, pads)
+    assert gx.tobytes() == conv2d_input_grad(g, spec, params, (h, w), pads).tobytes()
+    tol = default_tolerances("single" if dtype == np.float32 else "double")["grad"]
+    for got, want in zip((gw, gb), conv2d_param_grad(x, spec, g, pads)):
+        assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_maxpool_backward_matches_per_map_scatter():

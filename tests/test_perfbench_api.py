@@ -98,3 +98,35 @@ def test_accumulate_minibatch_sums_into_the_first_set(rng):
     assert mean is sets[0]
     for a, (_, b), (_, m) in zip(first, sets[1].named_tensors(), mean.named_tensors()):
         assert np.array_equal(m, (a + b) / np.float32(2))
+
+
+def test_a_traced_step_runs_both_backward_kernels(spans):
+    """perfbench's Tracer around one small tiny2 step: every traced name
+    exists, each conv's backward runs as conv2d_backward (one band pass for
+    both gradients) but map 0's, which runs conv2d_param_grad, and both
+    kernels' cost hooks bind to their arguments."""
+    net = tilestream.network.net_tiny2()
+    plan = tilestream.build_tile_plan(net, 64, (2, 2))
+    params = tilestream.init_params(net, 64, 0, "single")
+    sample = tilestream.data.synth_dataset(0, 64, 2)[0]
+    image = sample.image.astype(np.float32)
+
+    def step():
+        state = tilestream.streaming_forward(net, params, image, plan)
+        _, dlogit = tilestream.layers.bce_with_logits(state.logit[0], sample.label)
+        grads = tilestream.streaming_backward(net, params, image, plan, state,
+                                              np.asarray([dlogit]))
+        tilestream.sgd_step(params, tilestream.accumulate_minibatch([grads]), 0.05)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run("step", step)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    metrics = spans.span_metrics(tracer.spans)
+    for name in ("layers.conv2d_backward", "layers.conv2d_param_grad"):
+        assert metrics[f"{name}.calls"][0] > 0, name
+        assert metrics[f"{name}.gflop"][0] > 0 and metrics[f"{name}.mb_moved"][0] > 0, name
+    assert metrics["layers.conv2d_input_grad.calls"][0] == 0

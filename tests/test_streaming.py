@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import tilestream.engine
+import tilestream.layers
 import tilestream.network
 import tilestream.planner
 from conftest import plain_backprop, sample_streaming_config
@@ -546,6 +547,47 @@ def test_backward_recomputes_every_tile_but_the_kept_one(monkeypatch, grid, chec
     assert calls == [True] * (len(plan.tiles) - 1)
     assert state.record.tiles_forward == state.record.tiles_backward == len(plan.tiles)
     assert state.kept is None
+
+
+@pytest.mark.parametrize("grid, checkpoints", [((1, 1), ()), ((2, 2), (10,)), ((4, 4), (10, 24))])
+def test_each_conv_backward_builds_its_columns_once(monkeypatch, grid, checkpoints):
+    """In one streaming_backward every conv of every tile builds its im2col
+    columns once (one layers._bands call): through conv2d_backward above
+    map 0 and through conv2d_param_grad at map 0. The forward recompute's
+    column builds are left out of the count."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 160, grid).plan(checkpoints)
+    params = init_params(net, 160, 0)
+    image = synth_dataset(0, 160, 2)[0].image
+    state = streaming_forward(net, params, image, plan)
+    calls, bands = [], tilestream.layers._bands  # calls: [kernel, layer index, _bands calls]
+    inside = []
+
+    def counting_bands(*args):
+        if inside:
+            calls[-1][2] += 1
+        return bands(*args)
+
+    def counted(name, kernel):
+        def run(x, spec, *args):
+            calls.append([name, next(i for i, layer in enumerate(net.layers) if layer is spec), 0])
+            inside.append(name)
+            try:
+                return kernel(x, spec, *args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(tilestream.layers, "_bands", counting_bands)
+    for name in ("conv2d_backward", "conv2d_param_grad"):
+        monkeypatch.setattr(tilestream.network, name,
+                            counted(name, getattr(tilestream.network, name)))
+    streaming_backward(net, params, image, plan, state, np.asarray([1.0]))
+    convs = [i for i, layer in enumerate(net.layers) if isinstance(layer, Conv)]
+    want = sorted((("conv2d_param_grad" if i == 0 else "conv2d_backward"), i, 1)
+                  for seg in plan.segments for _ in seg.tiles
+                  for i in convs if seg.start <= i < seg.stop)
+    assert sorted(map(tuple, calls)) == want
 
 
 def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
