@@ -74,7 +74,7 @@ class StreamingRunRecord:
     """Instrumentation counters for one image pass through a plan."""
 
     tiles_forward: int = 0
-    tiles_backward: int = 0            # backward recomputes all but the kept one
+    tiles_backward: int = 0            # every tile, the kept one (not recomputed) included
     segment_tile_bytes: list = field(default_factory=list)  # largest tile per segment
     head_activation_bytes: int = 0
     params_bytes: int = 0

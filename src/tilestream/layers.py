@@ -52,32 +52,37 @@ positions y of x[ci, y] * column (co, ky, kx) at y, one (K, p) @ (p, c_in)
 product per band of p positions into a (K, c_in) accumulator, flipped
 and transposed once at the end. Its input gradient is conv2d_input_grad's
 bit for bit. conv2d_param_grad, for a conv whose input needs no gradient
-(map 0), multiplies the forward's im2col columns by grad_out, transposed,
-as (K, p) @ (p, c_out) products summed over bands. Gradients are
-tolerance-only: the parameter gradient's products have shapes that
-follow the map, and a tile adds only its own outputs' share to each
-input pixel's gradient, so tile and whole-image passes agree within the
-documented equivalence tolerances, not bitwise. Dense layers use einsum;
-dense_backward adds its weight gradient into the caller's accumulator one
-output row at a time, so no (out, in) temporary exists.
+(map 0), runs only the reduction: (K, p) @ (p, c_out) products of the
+forward's im2col columns of x and grad_out's rows into a (K, c_out)
+accumulator. Gradients are tolerance-only: the parameter gradient's
+products have shapes that follow the map, and a tile adds only its own
+outputs' share to each input pixel's gradient, so tile and whole-image
+passes agree within the documented equivalence tolerances, not bitwise.
+Dense layers use einsum; dense_backward adds its weight gradient into
+the caller's accumulator one output row at a time, so no (out, in)
+temporary exists.
 
-Workspace. Every conv kernel gets its im2col columns from one banded
-column builder (_bands), band by band of whole output rows, and a conv's
-backward builds them once. A band has as many rows as keep its columns
-(K x band positions) within 1/_BAND_DIV of one image's output, but
-covers at least _BAND_MIN positions (whole rows, at most the map),
-because one-row bands made the input gradient 2-3x slower on small maps.
-Besides its result a conv kernel allocates the band's columns (forward
-and input gradient: rounded up to whole _BLOCKs, plus a result buffer of
-the same width once a band's last block runs past the map) and, when its
-source is padded or zero-stuffed, one staging buffer of a band's padded
-source rows, (c, s * (rows - 1) + k, padded width); no kernel copies or
-pads a whole map. The input gradient also holds its flipped weights.
-conv2d_backward's weight product and accumulator, 2 * K * c_in scalars,
-and, for an input whose rows are not contiguous (a crop view), one
-reused copy of a band of its rows come out of that band's column
-budget, so its bands have fewer rows than conv2d_input_grad's (at least
-one). conv2d_param_grad holds a (K, c_out) product and accumulator.
+Workspace. The four conv kernels are four entries to one band pass,
+_correlate, over the one banded column builder, _bands: band by band of
+whole output rows, each band runs the forward-shaped products (forward,
+input gradient), the weight-gradient reduction (conv2d_param_grad) or
+both (conv2d_backward), so a conv's backward builds its columns once.
+The entries differ only in the source (x, or the stuffed, padded
+grad_out), the stride or stuffing, and the products they ask for. One
+rule sizes every band (_band_rows): as many rows as keep its columns
+(K x band positions) within 1/_BAND_DIV of one image's output, but at
+least _BAND_MIN positions (whole rows, at most the map), because one-row
+bands made the input gradient 2-3x slower on small maps. A pass that
+reduces into a (K, c) accumulator gives up rows so that its product and
+accumulator, 2 * K * c scalars, and, when the reduction's operand has
+rows that are not contiguous (a crop view), one reused copy of a band of
+them come out of that band's columns (at least one row is kept).
+Besides its result a pass allocates the band's columns, rounded up to
+whole _BLOCKs, a result buffer of the same width once a band's last
+block runs past the map, and, when its source is padded or zero-stuffed,
+one staging buffer of a band's padded source rows, (c, s * (rows - 1) +
+k, padded width); no kernel copies or pads a whole map. The input
+gradient also holds its flipped weights.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
@@ -222,53 +227,59 @@ def _bands(src, k, s, d, pads, oh, ow, rows, cols):
             yield i, r0, r1, (r1 - r0) * ow
 
 
-def _correlate(src, wmat, k, s, d, pads, oh, ow, x=None):
-    """(n, r, oh, ow): wmat (r, K) times _bands' columns, one batched run of
-    (r, K) @ (K, _BLOCK) products per band, written straight into the
-    output. A band's partial last block reads stale columns of an earlier
-    band (zeros before the first) and spills into the next band's
+def _correlate(src, k, s, d, pads, oh, ow, wmat=None, rhs=None):
+    """The one band pass of every conv kernel: over _bands' columns of src,
+    (K, band positions) with K = src channels * k * k, each band runs the
+    products the caller asks for, and returns (out, acc), None for a
+    product not asked for.
+
+    With wmat (r, K): out (n, r, oh, ow), wmat times the columns, one
+    batched run of (r, K) @ (K, _BLOCK) products per band, written straight
+    into the output. A band's partial last block reads stale columns of an
+    earlier band (zeros before the first) and spills into the next band's
     positions, which that band overwrites; only a band whose blocks run
     past the image's map goes through a result buffer. Every output column
     comes from a product of that one shape (see the module docstring).
 
-    With x (n, r, oh, ow), the input of the conv whose input gradient this
-    is, each band also adds its (K, p) columns @ (p, r) rows of x into a
-    (K, r) accumulator, returned second (else None): the conv's weight
-    gradient, flipped and transposed. That product, the accumulator and,
-    when x's rows are not contiguous (a crop view), one reused copy of
-    x's band take their scalars out of the band's columns."""
+    With rhs (n, c, oh, ow): acc (K, c), the sum over bands of the (K, p)
+    columns @ (p, c) rows of rhs at the band's p positions. That product,
+    the accumulator and, when rhs's rows are not contiguous (a crop view),
+    one reused copy of rhs's band take their scalars out of the band's
+    columns, so such a pass has fewer rows per band (at least one)."""
     n = len(src)
-    r, kk = wmat.shape
+    kk = src.shape[1] * k * k
+    r = len(wmat) if rhs is None else rhs.shape[1]
     rows = _band_rows(kk, r, oh, ow)
-    acc = xbuf = None
-    if x is not None:
-        copied = x.strides[2:] != (ow * x.itemsize, x.itemsize)
+    acc = rbuf = None
+    if rhs is not None:
+        copied = rhs.strides[2:] != (ow * rhs.itemsize, rhs.itemsize)
         rows = max(1, kk * (rows * ow - 2 * r) // ((kk + r * copied) * ow))
         acc = np.zeros((kk, r), dtype=src.dtype)
         prod = np.empty_like(acc)
-        xbuf = np.empty((r, rows, ow), dtype=src.dtype) if copied else None
+        rbuf = np.empty((r, rows, ow), dtype=src.dtype) if copied else None
     width = -(-rows * ow // _BLOCK) * _BLOCK
     cols = np.zeros((kk, width), dtype=src.dtype)
-    out = np.empty((n, r, oh * ow), dtype=src.dtype)
+    out = None if wmat is None else np.empty((n, r, oh * ow), dtype=src.dtype)
     res = None
     for i, r0, r1, p in _bands(src, k, s, d, pads, oh, ow, rows, cols):
-        m = -(-p // _BLOCK) * _BLOCK
-        a = r0 * ow
-        past_map = a + m > oh * ow
-        if past_map and res is None:
-            res = np.empty((r, width), dtype=src.dtype)
-        dst = res[:, :m] if past_map else out[i, :, a : a + m]
-        np.matmul(wmat, cols[:, :m].reshape(kk, -1, _BLOCK).transpose(1, 0, 2),
-                  out=dst.reshape(r, -1, _BLOCK).transpose(1, 0, 2))
-        if past_map:
-            out[i, :, a : a + p] = res[:, :p]
-        if x is not None:
-            band = x[i, :, r0:r1]
-            if xbuf is not None:
-                band = xbuf[:, : r1 - r0]
-                band[...] = x[i, :, r0:r1]
+        if wmat is not None:
+            m = -(-p // _BLOCK) * _BLOCK
+            a = r0 * ow
+            past_map = a + m > oh * ow
+            if past_map and res is None:
+                res = np.empty((r, width), dtype=src.dtype)
+            dst = res[:, :m] if past_map else out[i, :, a : a + m]
+            np.matmul(wmat, cols[:, :m].reshape(kk, -1, _BLOCK).transpose(1, 0, 2),
+                      out=dst.reshape(r, -1, _BLOCK).transpose(1, 0, 2))
+            if past_map:
+                out[i, :, a : a + p] = res[:, :p]
+        if rhs is not None:
+            band = rhs[i, :, r0:r1]
+            if rbuf is not None:
+                band = rbuf[:, : r1 - r0]
+                band[...] = rhs[i, :, r0:r1]
             acc += np.matmul(cols[:, :p], band.reshape(r, p).T, out=prod)
-    return out.reshape(n, r, oh, ow), acc
+    return (None if out is None else out.reshape(n, r, oh, ow)), acc
 
 
 def conv2d_forward(x, spec: Conv, params: Params, pads=None):
@@ -292,7 +303,7 @@ def conv2d_forward(x, spec: Conv, params: Params, pads=None):
     pt, pb, pl, pr = pads
     oh = out_size(h + pt + pb, k, s, 0)
     ow = out_size(w + pl + pr, k, s, 0)
-    out, _ = _correlate(x, params.w.reshape(co, c * k * k), k, s, 1, pads, oh, ow)
+    out, _ = _correlate(x, k, s, 1, pads, oh, ow, wmat=params.w.reshape(co, c * k * k))
     out += params.b[None, :, None, None]
     return check_finite(out, "conv output")
 
@@ -325,7 +336,7 @@ def _grad_in(grad_out, spec: Conv, params: Params, in_hw, pads, x=None):
     k, s, c = spec.kernel, spec.stride, spec.c_in
     wflip = params.w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, co * k * k)
     gpads = (k - 1 - pt, h + pt - 1 - s * (oh - 1), k - 1 - pl, w + pl - 1 - s * (ow - 1))
-    gx, acc = _correlate(grad_out, wflip, k, 1, s, gpads, h, w, x)
+    gx, acc = _correlate(grad_out, k, 1, s, gpads, h, w, wmat=wflip, rhs=x)
     return check_finite(gx, "conv grad_in"), acc
 
 
@@ -354,23 +365,15 @@ def _check_input(x, spec: Conv, grad_out):
 
 def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     """Gradients w.r.t. conv weights and bias alone, for a conv whose input
-    needs no gradient: per row band of the output, the forward's im2col
-    columns @ grad_out's band, transposed, a (K, c_out) sum over bands and
-    images."""
+    needs no gradient: one band pass over the forward's im2col columns of x
+    that asks only for their (K, p) @ (p, c_out) products with grad_out's
+    rows (see _correlate), a (K, c_out) sum over bands and images."""
     _check_input(x, spec, grad_out)
     pads = _grad_geometry(grad_out, spec, x.shape[2:], pads)
-    n, c = x.shape[:2]
     _, co, oh, ow = grad_out.shape
-    k, s = spec.kernel, spec.stride
-    kk = c * k * k
-    g = grad_out.reshape(n, co, oh * ow)
-    rows = _band_rows(kk, co, oh, ow)
-    cols = np.empty((kk, rows * ow), dtype=x.dtype)
-    acc = np.zeros((kk, co), dtype=x.dtype)
-    prod = np.empty_like(acc)
-    for i, r0, r1, p in _bands(x, k, s, 1, pads, oh, ow, rows, cols):
-        acc += np.matmul(cols[:, :p], g[i, :, r0 * ow : r1 * ow].T, out=prod)
-    gw = np.ascontiguousarray(acc.T).reshape(co, c, k, k)
+    k = spec.kernel
+    _, acc = _correlate(x, k, spec.stride, 1, pads, oh, ow, rhs=grad_out)
+    gw = np.ascontiguousarray(acc.T).reshape(co, spec.c_in, k, k)
     return _check_param_grads(gw, grad_out.sum(axis=(0, 2, 3)))
 
 

@@ -23,10 +23,8 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   engine.train_step passes every image of its mini-batch the same set, so
   the grads term equals the params term at any batch size. Left out as
   workspace: a conv's kernel-sized and a dense layer's one-row gradient
-  temporaries, and the conv kernels' band workspace (im2col columns,
-  staging and result buffers, and the conv backward's (c_out * k^2,
-  c_in) weight product and accumulator, which its band's column budget
-  covers; see tilestream.layers);
+  temporaries, and the conv kernels' band workspace, bounded by one rule
+  (tilestream.layers, "Workspace");
 * whole-image mode (estimate_whole_image) is the naive-retention
   reference the big-memory figures imply: it retains the input and every
   layer output until its backward completes, and no routes;
@@ -53,7 +51,8 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   whole-image terms do).
 
 Phase peaks (stream_forward_peak and stream_backward_peak, which the
-planner calls with modelled bytes and the engine with its counters). With
+engine calls with its counters and estimate_streaming with modelled
+bytes; the planner weighs stream_backward_peak alone). With
 cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, and T_j
 the largest tile term of segment [cut j-1, cut j):
 
@@ -63,10 +62,12 @@ the largest tile term of segment [cut j-1, cut j):
               + max_j (C_j + C_(j-1) + T_j)
 
 With one segment these are params + split_map + tile + head and params +
-grads + 2*split_map + head + tile. stream_f <= stream_b (its last term is
-in stream_b's j = k one). estimate_streaming reads the tile terms the
-planner stores on the TilePlan, in the run's precision, and the cut maps'
-sizes from the network's shapes.
+grads + 2*split_map + head + tile. With non-negative terms stream_f <=
+stream_b: each C_1 + .. + C_j + T_j is at most C_1 + .. + C_k + T_j,
+which stream_b's j term holds, and the last term is in stream_b's j = k
+one. estimate_streaming reads the tile terms the planner stores on the
+TilePlan, in the run's precision, and the cut maps' sizes from the
+network's shapes.
 """
 
 from __future__ import annotations
@@ -143,11 +144,10 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
 
 
 def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
-    """(layer index, retained bytes: its output and a pool's route) per head
-    layer for one image."""
+    """(layer index, retained bytes) per head layer for one image; the head
+    has no pool (NetworkSpec), so it holds no route."""
     shapes = net.activation_shapes(image_size)
-    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize)
-             + (math.prod(shapes[i + 1]) if isinstance(net.layers[i], MaxPool) else 0))
+    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize))
             for i in range(net.split_index, len(net.layers))]
 
 

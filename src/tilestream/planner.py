@@ -59,8 +59,10 @@ for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole, so the
 layers the split map no longer needs tiling for run whole by the plan's
 choice, not by a hand-placed split.
 
-The budget is the smallest modelled peak (tilestream.memory's streaming
-formula) in the run's precision over every set of checkpoints, the empty
+A plan's modelled peak is the backward-phase formula,
+tilestream.memory.stream_backward_peak, which bounds the forward phase's
+(the proof is in that module's doc). The budget is the smallest modelled
+peak in the run's precision over every set of checkpoints, the empty
 set included, with every segment at the configured grid. The rule: each
 segment takes its coarsest grid that fits the budget, and among the
 plans that fit _Section.choose keeps the fewest tile-layer calls (a
@@ -69,8 +71,8 @@ work, then the fewest checkpoints. No step time enters the rule: as in
 the paper, the configured grid is the knob, and no segment is tiled
 finer than the budget needs.
 
-The search is separable: for a fixed set of checkpoints each phase peak
-is a maximum of terms that hold at most one segment's tile term T_j, so
+The search is separable: for a fixed set of checkpoints the peak is a
+maximum of terms that hold at most one segment's tile term T_j, so
 a plan fits the budget exactly when each segment fits with every other
 tile term at zero, and the calls are a sum over segments, each falling
 strictly as its grid coarsens. So each segment taking its coarsest grid
@@ -125,8 +127,7 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import Conv
-from .memory import (count_param_scalars, head_peak_bytes, live_maps, stream_backward_peak,
-                     stream_forward_peak)
+from .memory import count_param_scalars, head_peak_bytes, live_maps, stream_backward_peak
 from .network import MaxPool, NetworkSpec, retains_output
 from .tensors import resolve_dtype
 
@@ -426,10 +427,11 @@ class _Section:
         return cuts, (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
 
     def _peak(self, cut_scalars, tiles, item):
-        """The modelled peak in bytes at itemsize item, tiles being the tile terms in bytes."""
+        """The modelled peak in bytes at itemsize item, tiles being the tile
+        terms in bytes: the backward phase's, which bounds the forward's
+        (tilestream.memory's module doc)."""
         params, cuts = self.params * item, [c * item for c in cut_scalars]
-        return max(stream_forward_peak(params, self.head[item], cuts, tiles),
-                   stream_backward_peak(params, params, self.head[item], cuts, tiles))
+        return stream_backward_peak(params, params, self.head[item], cuts, tiles)
 
     def plan(self, checkpoints, grids=None):
         """The TilePlan cut at these checkpoints, each segment at its grid in

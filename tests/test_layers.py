@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from tilestream import layers
 from tilestream.equivalence import default_tolerances
 from tilestream.errors import NonFiniteError, ShapeError
 from tilestream.layers import (
@@ -648,10 +650,10 @@ def _band_workspace(c, c_out, k, h, w, pads, item):
     pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), True, id="shape0-4-crop-view"),
     pytest.param((1, 32, 32, 32), 32, (1, 0, 0, 1), True, id="shape1-32-crop-view")])
 def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
-    """Beyond their results the kernels allocate at most the documented
-    workspace, one correlation's bands at a time (see _band_workspace); the
-    input gradient's source is grad_out padded by k - 1 - pad. A crop view
-    of a larger map, whose bands of rows are not contiguous, keeps the
+    """Beyond their results the four conv kernels allocate at most the
+    documented workspace, one band pass at a time (see _band_workspace);
+    the input gradient's source is grad_out padded by k - 1 - pad. A crop
+    view of a larger map, whose bands of rows are not contiguous, keeps the
     same bounds."""
     n, c, h, w = shape
     k, item = 3, 4
@@ -668,12 +670,20 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
     staging, rest = _band_workspace(c, c_out, k, oh, ow, pads, item)
     fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params, pads)])
     assert fwd_peak - fwd_out <= staging + rest + slack
-    # the backward runs the input gradient's bands, which also hold the
-    # flipped weights, one (c_out, K) matrix; its weight product and
-    # accumulator, and a crop view's copied rows, come out of the band
+    # the weight gradient alone runs the forward's bands; its product and
+    # accumulator come out of the band
+    pg_peak, pg_out = _traced_peak(lambda: conv2d_param_grad(x, spec, grad, pads))
+    assert pg_peak - pg_out <= staging + rest + slack
+    # the input gradient runs its own bands and also holds the flipped
+    # weights, one (c_out, K) matrix
     gpads = (k - 1 - pt, h + pt - oh, k - 1 - pl, w + pl - ow)
-    bwd = max(staging + rest, sum(_band_workspace(c_out, c, k, h, w, gpads, item)))
-    bwd += c * c_out * k * k * item
+    gx_bands = sum(_band_workspace(c_out, c, k, h, w, gpads, item))
+    flipped = c * c_out * k * k * item
+    gx_peak, gx_out = _traced_peak(lambda: [conv2d_input_grad(grad, spec, params, (h, w), pads)])
+    assert gx_peak - gx_out <= gx_bands + flipped + slack
+    # the backward runs the input gradient's bands; its weight product and
+    # accumulator, and a crop view's copied rows, come out of the band
+    bwd = max(staging + rest, gx_bands) + flipped
     bwd_peak, bwd_out = _traced_peak(lambda: conv2d_backward(x, spec, params, grad, pads))
     assert bwd_peak - bwd_out <= bwd + slack
     # a whole-map padded copy in place of the staging buffer, or the
@@ -758,6 +768,41 @@ def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, d
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2), c_in=st.integers(1, 8), c_out=st.integers(1, 8),
+       k=st.integers(1, 5), s=st.integers(1, 3), pads=st.tuples(*[st.integers(0, 4)] * 4),
+       h=st.integers(1, 40), w=st.integers(1, 24), view=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(n=2, c_in=1, c_out=4, k=3, s=1, pads=(1, 0, 1, 0), h=40, w=24, view=True,
+         dtype=np.float32, seed=0)  # map 0 of a corner tile: a crop view, several bands
+@example(n=1, c_in=8, c_out=8, k=3, s=1, pads=(1, 1, 1, 1), h=7, w=5, view=False,
+         dtype=np.float64, seed=1)  # a map smaller than one band
+@example(n=1, c_in=3, c_out=2, k=5, s=3, pads=(4, 0, 2, 3), h=39, w=23, view=True,
+         dtype=np.float32, seed=2)  # stride 3 with unread bottom rows
+def test_conv_param_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, view, dtype,
+                                             seed):
+    """The weight and bias gradients, the reduction-only band pass over x's
+    columns against grad_out's rows, match the float64 adjoint loops of
+    brute_conv in both precisions, for contiguous inputs and for crop views
+    of both (a view's rows of grad_out are copied band by band)."""
+    pt, pb, pl, pr = (p % k for p in pads)
+    h, w = max(h, k - pt - pb), max(w, k - pl - pr)
+    r = np.random.default_rng(seed)
+    big = r.standard_normal((n, c_in, h + 3, w + 2)).astype(dtype)
+    x = big[:, :, 1 : 1 + h, 2 : 2 + w] if view else np.ascontiguousarray(big[:, :, :h, :w])
+    oh, ow = out_size(h + pt + pb, k, s), out_size(w + pl + pr, k, s)
+    gbig = r.standard_normal((n, c_out, oh + 2, ow + 1)).astype(dtype)
+    g = gbig[:, :, 2:, 1:] if view else np.ascontiguousarray(gbig[:, :, :oh, :ow])
+    _, want_w = _loop_conv_grads(x.astype(np.float64), np.zeros((c_out, c_in, k, k)),
+                                 g.astype(np.float64), s, (pt, pb, pl, pr))
+    want_b = g.astype(np.float64).sum(axis=(0, 2, 3))
+    got_w, got_b = conv2d_param_grad(x, Conv(c_out, k, s, 0, c_in=c_in), g, (pt, pb, pl, pr))
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in ((got_w, want_w), (got_b, want_b)):
+        assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 2), c_in=st.integers(1, 12), c_out=st.integers(1, 24),
        k=st.integers(1, 5), s=st.integers(1, 3), pads=st.tuples(*[st.integers(0, 4)] * 4),
@@ -789,6 +834,33 @@ def test_fused_conv_backward_matches_the_separate_kernels(n, c_in, c_out, k, s, 
     for got, want in zip((gw, gb), conv2d_param_grad(x, spec, g, pads)):
         assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("s,pads,view", [(1, (1, 1, 1, 1), False), (2, (1, 0, 0, 2), True),
+                                          (1, (0, 0, 0, 0), True)])
+def test_every_conv_kernel_is_one_band_pass(rng, monkeypatch, s, pads, view):
+    """_correlate is the only caller of the column builder _bands, and each
+    of the four conv kernels builds its columns in exactly one band pass."""
+    callers = []
+    bands = layers._bands
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return bands(*args)
+
+    monkeypatch.setattr(layers, "_bands", counted)
+    big = rng.standard_normal((2, 3, 23, 21))
+    x = big[:, :, 1:20, 2:19] if view else np.ascontiguousarray(big[:, :, :19, :17])
+    spec = Conv(4, 3, s, 0, c_in=3)
+    params = Params(rng.standard_normal((4, 3, 3, 3)), np.zeros(4))
+    g = rng.standard_normal(conv2d_forward(x, spec, params, pads).shape)
+    for name, call in (("forward", lambda: conv2d_forward(x, spec, params, pads)),
+                       ("input_grad", lambda: conv2d_input_grad(g, spec, params, (19, 17), pads)),
+                       ("param_grad", lambda: conv2d_param_grad(x, spec, g, pads)),
+                       ("backward", lambda: conv2d_backward(x, spec, params, g, pads))):
+        callers.clear()
+        call()
+        assert callers == ["_correlate"], name
 
 
 def test_maxpool_backward_matches_per_map_scatter():

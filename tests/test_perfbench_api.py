@@ -7,6 +7,7 @@ package from breaking it unnoticed.
 import importlib
 import importlib.util
 import inspect
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from tilestream.layers import Conv, Params
 from tilestream.planner import Region, TileEntry
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+RUN_PATH = SPANS_PATH.with_name("run.py")
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +132,21 @@ def test_a_traced_step_runs_both_backward_kernels(spans):
         assert metrics[f"{name}.calls"][0] > 0, name
         assert metrics[f"{name}.gflop"][0] > 0 and metrics[f"{name}.mb_moved"][0] > 0, name
     assert metrics["layers.conv2d_input_grad.calls"][0] == 0
+
+
+@pytest.mark.parametrize("grid", [(2, 2), None], ids=["tiny2-64-2x2", "tiny2-64-whole"])
+def test_the_benchmark_check_passes_on_small_workloads(spans, monkeypatch, grid):
+    """perfbench/run.py's own run, as it is, on tiny2@64 for about 0.2 s:
+    no operation fails, and its check against the other executor finds the
+    split map and loss bit-identical and every gradient within GRAD_TOL of
+    its sup-norm."""
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PATH)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    record = run.run(run.Workload("tiny2", grid, 64), 3, 0.2, 0, ts=tilestream)
+    check = record["check"]
+    assert record["failed"] == 0, record["errors"]
+    assert check["split_map_identical"] and check["loss_identical"]
+    assert check["grad_err"] and max(check["grad_err"].values()) <= run.GRAD_TOL

@@ -887,6 +887,20 @@ def test_segment_peak_formulas():
     assert stream_backward_peak(3, 3, 2, [0, 10], [50]) == 3 + 3 + 2 * 10 + 2 + 50
 
 
+@settings(max_examples=200, deadline=None)
+@given(segments=st.integers(1, 4), data=st.data())
+def test_forward_formula_never_exceeds_backward_formula(segments, data):
+    """stream_f <= stream_b for any non-negative terms over 1-4 segments (the
+    proof in tilestream.memory's module doc), so the planner weighs the
+    backward formula alone."""
+    term = st.integers(0, 10**12)
+    params, grads, head = (data.draw(term) for _ in range(3))
+    cuts = [0] + data.draw(st.lists(term, min_size=segments, max_size=segments))
+    tiles = data.draw(st.lists(term, min_size=segments, max_size=segments))
+    assert (stream_forward_peak(params, head, cuts, tiles)
+            <= stream_backward_peak(params, grads, head, cuts, tiles))
+
+
 @pytest.mark.parametrize("case", SAMPLED)
 def test_forward_peak_never_exceeds_backward_peak(case):
     """The kept tile in the forward's head term moves no modelled peak: for
