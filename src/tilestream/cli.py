@@ -100,8 +100,8 @@ def cmd_plan(cfg: ExperimentConfig):
           f"segment grids: {_grids(plan.grids)}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     item = resolve_dtype(cfg.precision).itemsize
-    print(f"budget: modelled peak {budget:,} bytes, the least with every segment "
-          f"at {plan.grid[0]}x{plan.grid[1]}")
+    print(f"budget: modelled peak {budget:,} bytes at any batch size, the least with "
+          f"every segment at {plan.grid[0]}x{plan.grid[1]}")
     for candidate in candidates:
         maps = ",".join(map(str, candidate.checkpoints)) or "none"
         mark = ("  (chosen)" if candidate is plan
@@ -248,8 +248,8 @@ def cmd_bench(cfg: ExperimentConfig):
         report[mode] = {"median_step_seconds": float(np.median(times)),
                         "peak_bytes": peak, "traced_peak_bytes": traced,
                         "param_bytes": param_bytes(params),
-                        "modelled_peak_bytes": estimate_streaming(net, use_plan, 1,
-                                                                  cfg.precision).peak_bytes}
+                        "modelled_peak_bytes": estimate_streaming(
+                            net, use_plan, cfg.batch_size, cfg.precision).peak_bytes}
     ratio = report["ssgd"]["median_step_seconds"] / report["sgd"]["median_step_seconds"]
     report["recompute_time_ratio"] = ratio
     print(json.dumps(report, indent=2, sort_keys=True))

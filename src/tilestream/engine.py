@@ -22,19 +22,27 @@ its receptive field (fixed-shape conv products, exact max pooling; see
 tilestream.layers), each cut map is bit-identical to a whole-image pass,
 by induction from the image up.
 
-Streaming backward: the head gradient is computed once on the whole split
-map. Segment by segment, top-down, each tile backpropagates its owned
-slice of the gradient of the map above through stack_backward: first the
-kept tile, from forward's caches, then every other tile, recomputing its
-forward crop from the segment's retained input map. Below the top
-segment that gradient is the checkpoint's gradient map, which the
-segment above filled by adding each tile's input gradient over its crop.
-stack_backward (and head_backward) pops each layer's cache as that
+Streaming backward runs in two phases, in this one order for every plan
+and batch size. First head_backward takes the head's activation
+gradients, once, down to the whole split map, deferring each dense
+layer's parameter gradients: it keeps the layer's grad_out and the input
+its cache holds. Then, segment by segment, top-down, each tile
+backpropagates its owned slice of the gradient of the map above through
+stack_backward: first the kept tile, from forward's caches, then every
+other tile, recomputing its forward crop from the segment's retained
+input map. Below the top segment that gradient is the checkpoint's
+gradient map, which the segment above filled by adding each tile's input
+gradient over its crop. stack_backward pops each layer's cache as that
 layer's backward starts and hands the layer its entry of the pass's one
 ParamGrads, which the layer adds its parameter gradients into; so a
-tile's activations are freed as its backward descends, and no
-parameter-sized gradient exists besides that set (train_step passes
-every image of its mini-batch the same set). Each tile computes its
+tile's activations are freed as its backward descends. After the last
+tile, head_param_grads forms the head's weight and bias gradients, the
+second phase: a pass allocates the head's entries of the set only then,
+unless the set already holds them (train_step passes every image of its
+mini-batch the same set), so no tile runs beside an array as large as
+the head's weights that nothing reads until sgd_step, and no
+parameter-sized gradient exists besides that set. Each head entry gets
+the same products in the same order either way. Each tile computes its
 owned values exactly, so by linearity the per-tile parameter and input
 gradients sum to the whole-image gradients; only the order of summation
 differs. Input-image gradients are not produced. Tiles accumulate
@@ -44,7 +52,8 @@ add onto the first image's sum, so at batch > 1 a tiled plan's step
 gradient may differ in the last bits from summing per-image sets.
 
 Memory accounting: the engine counts bytes under tilestream.memory's
-policy and calls its phase-peak formulas with what it counted.
+policy, the gradient set's in each backward phase, and calls its
+phase-peak formulas with what it counted.
 """
 
 from __future__ import annotations
@@ -55,12 +64,13 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import bce_with_logits
-from .memory import stream_backward_peak, stream_forward_peak
+from .memory import stream_backward_peaks, stream_forward_peak
 from .network import (
     NetworkSpec,
     ParamGrads,
     head_backward,
     head_forward,
+    head_param_grads,
     param_bytes,
     run_stack,
     stack_backward,
@@ -78,9 +88,15 @@ class StreamingRunRecord:
     segment_tile_bytes: list = field(default_factory=list)  # largest tile per segment
     head_activation_bytes: int = 0
     params_bytes: int = 0
-    grads_bytes: int = 0
+    tile_grads_bytes: int = 0          # the gradient set while the tiles run
+    grads_bytes: int = 0               # the whole set, once the head's gradients exist
     peak_bytes_forward: int = 0
-    peak_bytes_backward: int = 0
+    peak_bytes_tiles: int = 0          # the backward's tile phase
+    peak_bytes_head_grads: int = 0     # the backward's head-gradient phase
+
+    @property
+    def peak_bytes_backward(self):
+        return max(self.peak_bytes_tiles, self.peak_bytes_head_grads)
 
     @property
     def peak_bytes(self):
@@ -227,11 +243,11 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     segments = plan.segments
     kept, state.kept = state.kept, None
     if grads is None:
-        grads = ParamGrads.zeros_like(params)
-    grad_above = head_backward(dloss_dlogit, net, params, state.head_caches,
-                               state.split_map.shape, grads)
+        grads = ParamGrads.zeros_like(params, net.split_index)
+    grad_above, deferred = head_backward(dloss_dlogit, net, params, state.head_caches,
+                                         state.split_map.shape)
     record = state.record
-    record.grads_bytes = param_bytes(grads.per_layer)
+    record.tile_grads_bytes = param_bytes(grads.per_layer)
     inputs = [image] + state.cut_maps[:-1]
     for segment, below in zip(segments[::-1], inputs[::-1]):
         grad_below = np.zeros_like(below) if segment.start > 0 else None
@@ -251,9 +267,11 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
                 grad_below[:, :, r.y0:r.y1, r.x0:r.x1] += g_in
             record.tiles_backward += 1
         grad_above = grad_below
-    record.peak_bytes_backward = stream_backward_peak(
-        record.params_bytes, record.grads_bytes, record.head_activation_bytes,
-        state.cut_bytes(), record.segment_tile_bytes)
+    head_param_grads(params, deferred, grads)
+    record.grads_bytes = param_bytes(grads.per_layer)
+    record.peak_bytes_tiles, record.peak_bytes_head_grads = stream_backward_peaks(
+        record.params_bytes, record.tile_grads_bytes, record.grads_bytes,
+        record.head_activation_bytes, state.cut_bytes(), record.segment_tile_bytes)
     return grads
 
 

@@ -58,9 +58,10 @@ accumulator. Gradients are tolerance-only: the parameter gradient's
 products have shapes that follow the map, and a tile adds only its own
 outputs' share to each input pixel's gradient, so tile and whole-image
 passes agree within the documented equivalence tolerances, not bitwise.
-Dense layers use einsum; dense_backward adds its weight gradient into
-the caller's accumulator one output row at a time, so no (out, in)
-temporary exists.
+Dense layers use einsum. A dense layer's backward is two calls:
+dense_input_grad returns its input gradient, and dense_backward adds its
+weight gradient into the caller's accumulator one output row at a time,
+so no (out, in) temporary exists.
 
 Workspace. The four conv kernels are four entries to one band pass,
 _correlate, over the one banded column builder, _bands: band by band of
@@ -529,19 +530,23 @@ def dense_forward(x, params: Params):
     return check_finite(y, "dense output")
 
 
-def dense_backward(x, params: Params, grad_out, acc: Params):
-    """Returns grad_x; adds the weight and bias gradients into acc in place.
+def dense_input_grad(params: Params, grad_out):
+    """grad_x of y = x @ W.T + b; dense_backward forms the parameter gradients."""
+    check_same_dtype(grad_out, params.w)
+    gx = np.einsum("no,of->nf", grad_out, params.w, optimize=False)
+    return check_finite(gx, "dense grad_in")
 
-    The weight gradient is added one output row at a time, so besides
-    grad_x the call allocates one (in,) row, never an (out, in) array.
+
+def dense_backward(x, grad_out, acc: Params):
+    """Adds the weight and bias gradients of y = x @ W.T + b into acc in place.
+
+    The weight gradient is added one output row at a time, so the call
+    allocates one (in,) row, never an (out, in) array.
     """
     check_same_dtype(x, grad_out, acc.w)
-    gx = np.einsum("no,of->nf", grad_out, params.w, optimize=False)
     for o, row in enumerate(acc.w):
         row += np.einsum("n,nf->f", grad_out[:, o], x, optimize=False)
     acc.b += grad_out.sum(axis=0)
-    check_finite(gx, "dense grad_in")
-    return gx
 
 
 def sigmoid(x):

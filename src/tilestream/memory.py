@@ -17,14 +17,19 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   counted after each layer has run and before its pool frees anything;
 * gradient maps inside a tile or the head are workspace and uncounted;
   parameter and parameter-gradient bytes are separate terms;
-* one parameter-gradient set per training step, as in gradient
-  checkpointing's accounting (Chen et al., arXiv:1604.06174): every
-  layer's backward adds into the pass's one accumulator, and
-  engine.train_step passes every image of its mini-batch the same set, so
-  the grads term equals the params term at any batch size. Left out as
+* one parameter-gradient set per training step, counted by liveness as
+  in gradient checkpointing's accounting (Chen et al., arXiv:1604.06174):
+  every layer's backward adds into the pass's one accumulator, and
+  engine.train_step passes every image of its mini-batch the same set.
+  The head's entries, as large as its weights, are allocated only after
+  the pass's last tile (tilestream.engine), so a streaming backward has
+  two phases: while the tiles run it holds the streaming layers'
+  gradients, and the head's too from a mini-batch's second image on;
+  then the head-gradient phase holds the whole set. Left out as
   workspace: a conv's kernel-sized and a dense layer's one-row gradient
-  temporaries, and the conv kernels' band workspace, bounded by one rule
-  (tilestream.layers, "Workspace");
+  temporaries, the head's few deferred (n, width) gradients, and the
+  conv kernels' band workspace, bounded by one rule (tilestream.layers,
+  "Workspace");
 * whole-image mode (estimate_whole_image) is the naive-retention
   reference the big-memory figures imply: it retains the input and every
   layer output until its backward completes, and no routes;
@@ -50,24 +55,32 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   activation terms do not scale with batch size in streaming mode (the
   whole-image terms do).
 
-Phase peaks (stream_forward_peak and stream_backward_peak, which the
+Phase peaks (stream_forward_peak and stream_backward_peaks, which the
 engine calls with its counters and estimate_streaming with modelled
-bytes; the planner weighs stream_backward_peak alone). With
-cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, and T_j
-the largest tile term of segment [cut j-1, cut j):
+bytes; the planner weighs the backward alone). With cut maps C_1..C_k
+(C_k the split map), C_0 = 0 for the image, T_j the largest tile term
+of segment [cut j-1, cut j), G the whole gradient set and G_t the part
+of it held while the tiles run:
 
     whole:    input + sum(all layer outputs) + params [+ grads backward]
     stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head + T_k)
-    stream_b: params + grads + C_1 + .. + C_k + head
-              + max_j (C_j + C_(j-1) + T_j)
+    tiles:    params + G_t + C_1 + .. + C_k + head + max_j (C_j + C_(j-1) + T_j)
+    head grads: params + G + C_1 + .. + C_k + head
+    stream_b: max(tiles, head grads)
 
-With one segment these are params + split_map + tile + head and params +
-grads + 2*split_map + head + tile. With non-negative terms stream_f <=
-stream_b: each C_1 + .. + C_j + T_j is at most C_1 + .. + C_k + T_j,
-which stream_b's j term holds, and the last term is in stream_b's j = k
-one. estimate_streaming reads the tile terms the planner stores on the
-TilePlan, in the run's precision, and the cut maps' sizes from the
-network's shapes.
+The head-gradient phase holds every cut map, the split map because
+dense 0's input is a view of it, and the head term, which holds the
+other dense layers' inputs. With one segment the phases are params +
+G_t + 2*split_map + head + tile and params + G + split_map + head.
+estimate_streaming takes G_t as the streaming layers' gradients at batch
+1 and as G at batch >= 2, where the second image's tiles run beside the
+head gradients the first image formed; the planner takes G_t = G, a
+bound at any batch size, under which the tile phase is the larger. With
+non-negative terms stream_f <= the tile phase: each C_1 + .. + C_j + T_j
+is at most C_1 + .. + C_k + T_j, which the tile phase's j term holds,
+and the last term is in its j = k one. estimate_streaming reads the tile
+terms the planner stores on the TilePlan, in the run's precision, and
+the cut maps' sizes from the network's shapes.
 """
 
 from __future__ import annotations
@@ -94,12 +107,15 @@ class MemoryEstimate:
     head_bytes: int = 0
     peak_tile_forward_bytes: int = 0
     peak_forward_bytes: int = 0
+    peak_tiles_bytes: int = 0        # the backward's tile phase
+    peak_head_grads_bytes: int = 0   # the backward's head-gradient phase
     peak_backward_bytes: int = 0
 
 
-def count_param_scalars(net: NetworkSpec, image_size):
+def count_param_scalars(net: NetworkSpec, image_size, stop=None):
+    """Parameter scalars of the layers below stop (every layer by default)."""
     return sum(math.prod(w) + math.prod(b)
-               for w, b in filter(None, net.param_shapes(image_size)))
+               for w, b in filter(None, net.param_shapes(image_size)[:stop]))
 
 
 def _layer_bytes(layer, out_shape, n, itemsize):
@@ -171,11 +187,15 @@ def stream_forward_peak(params, head, cut_bytes, tile_bytes):
     return params + max(peak, held + head + tile_bytes[-1])
 
 
-def stream_backward_peak(params, grads, head, cut_bytes, tile_bytes):
-    """Backward peak of a segmented streaming pass (arguments as stream_forward_peak)."""
+def stream_backward_peaks(params, tile_grads, grads, head, cut_bytes, tile_bytes):
+    """(tile phase, head-gradient phase) peaks of a segmented streaming
+    pass's backward (formula in the module doc): tile_grads are the
+    gradient bytes held while the tiles run, grads the whole set; the
+    other arguments as stream_forward_peak's."""
     live = max(below + above + tile
                for below, above, tile in zip(cut_bytes, cut_bytes[1:], tile_bytes))
-    return params + grads + sum(cut_bytes[1:]) + head + live
+    held = params + sum(cut_bytes[1:]) + head
+    return held + tile_grads + live, held + grads
 
 
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
@@ -192,8 +212,12 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     cut_bytes = [0] + [math.prod(shapes[c]) * item for c in plan.cuts[1:]]
     tile_bytes = list(plan.tile_bytes[item])
     params = count_param_scalars(net, plan.image_size) * item
+    tile_grads = (params if batch > 1
+                  else count_param_scalars(net, plan.image_size, net.split_index) * item)
     peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
-    peak_backward = stream_backward_peak(params, params, head_bytes, cut_bytes, tile_bytes)
+    peak_tiles, peak_head_grads = stream_backward_peaks(params, tile_grads, params, head_bytes,
+                                                        cut_bytes, tile_bytes)
+    peak_backward = max(peak_tiles, peak_head_grads)
     per_layer = [(m, s * item + (s if isinstance(net.layers[m], MaxPool) else 0))
                  for m, s in enumerate(plan.layer_scalars)] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
@@ -202,7 +226,9 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
                           peak_bytes=max(peak_forward, peak_backward),
                           split_map_bytes=cut_bytes[-1], head_bytes=head_bytes,
                           peak_tile_forward_bytes=max(tile_bytes),
-                          peak_forward_bytes=peak_forward, peak_backward_bytes=peak_backward)
+                          peak_forward_bytes=peak_forward, peak_tiles_bytes=peak_tiles,
+                          peak_head_grads_bytes=peak_head_grads,
+                          peak_backward_bytes=peak_backward)
 
 
 def reduction_report(whole: MemoryEstimate, stream: MemoryEstimate):
@@ -222,5 +248,8 @@ def format_table(net: NetworkSpec, estimate: MemoryEstimate):
         kind = type(net.layers[i]).__name__.lower()
         lines.append(f"{i:>6}  {kind:<8} {b:>16,}")
     lines.append(f"params: {estimate.params_bytes:,}  grads: {estimate.grads_bytes:,}")
+    if estimate.mode == "streaming":
+        lines.append(f"backward peak: tiles {estimate.peak_tiles_bytes:,}  "
+                     f"head gradients {estimate.peak_head_grads_bytes:,}")
     lines.append(f"peak: {estimate.peak_bytes:,} bytes ({estimate.peak_bytes / 2**30:.2f} GiB)")
     return "\n".join(lines)

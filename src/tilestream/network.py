@@ -35,6 +35,7 @@ from .layers import (
     conv2d_param_grad,
     dense_backward,
     dense_forward,
+    dense_input_grad,
     flatten_backward,
     flatten_forward,
     maxpool2d_backward,
@@ -214,8 +215,10 @@ class ParamGrads:
         self.per_layer = per_layer
 
     @classmethod
-    def zeros_like(cls, params):
-        return cls(_map_params(params, np.zeros_like))
+    def zeros_like(cls, params, stop=None):
+        """Zero gradients for the layers below stop (every layer by default), None above."""
+        stop = len(params) if stop is None else stop
+        return cls(_map_params(params[:stop], np.zeros_like) + [None] * len(params[stop:]))
 
     def add_(self, other):
         for mine, theirs in zip(self.per_layer, other.per_layer):
@@ -281,14 +284,16 @@ def _add_param_grads(acc, gw, gb):
 def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
     """Run one layer backward; returns grad_in.
 
-    A conv or dense layer adds its parameter gradients into acc, its entry
-    of the pass's ParamGrads (None for parameter-free layers). A conv takes
-    both gradients from one band pass (conv2d_backward), whose weight
-    product and accumulator come out of its band's column budget; its
-    kernel-sized weight gradient is added into acc as soon as the call
-    returns. With inplace_ok a relu masks grad_out in place and returns
-    it; a relu without a cache, fused into the pool above it, returns
-    grad_out as it is, since that pool's backward applied its mask.
+    A conv adds its parameter gradients into acc, its entry of the pass's
+    ParamGrads. It takes both gradients from one band pass
+    (conv2d_backward), whose weight product and accumulator come out of
+    its band's column budget; its kernel-sized weight gradient is added
+    into acc as soon as the call returns. A dense layer returns its input
+    gradient only and ignores acc: head_param_grads forms its parameter
+    gradients once the pass's tiles are done. With inplace_ok a relu
+    masks grad_out in place and returns it; a relu without a cache, fused
+    into the pool above it, returns grad_out as it is, since that pool's
+    backward applied its mask.
     """
     if isinstance(layer, Conv):
         x, pads = cache
@@ -305,7 +310,7 @@ def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
     if isinstance(layer, Flatten):
         return flatten_backward(grad_out, cache)
     if isinstance(layer, Dense):
-        return dense_backward(cache, lparams, grad_out, acc)
+        return dense_input_grad(lparams, grad_out)
     raise ShapeError(f"unknown layer {layer!r}")
 
 
@@ -392,7 +397,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
 
 
 def stack_backward(grad_out, net, params, caches, start, stop, grads):
-    """Backward through layers [start, stop); returns the gradient wrt their input.
+    """Backward through streaming layers [start, stop); returns the gradient wrt their input.
 
     Pops each layer's cache from caches (run_stack's list) as its backward
     starts and adds its parameter gradients into grads, the pass's
@@ -401,15 +406,13 @@ def stack_backward(grad_out, net, params, caches, start, stop, grads):
     layer 0 yields only its parameter gradients (nothing consumes an image
     gradient) and None is returned. grad_out is never written (it may be a
     view of the caller's gradient map): relu masks in place only gradient
-    buffers the stack itself made.
+    buffers the stack itself made, which every layer's backward does.
     """
     g = grad_out
-    owns = False  # g is a buffer this call made; flatten's backward is a reshape view
     for i in range(stop - 1, max(start, 1) - 1, -1):
         layer = net.layers[i]
         g = layer_backward(g, layer, params[i], caches.pop(), grads.per_layer[i],
-                           inplace_ok=owns and isinstance(layer, Relu))
-        owns = owns or not isinstance(layer, Flatten)
+                           inplace_ok=i < stop - 1 and isinstance(layer, Relu))
     if start == 0:
         cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
         if isinstance(net.layers[0], Conv):
@@ -428,14 +431,38 @@ def head_forward(split_map, net, params, byte_sink=None):
     return out[:, 0], caches
 
 
-def head_backward(dlogit, net, params, caches, split_shape, grads):
-    """Head backward into grads, as stack_backward; returns the split-map gradient."""
-    n = split_shape[0]
-    g = np.asarray(dlogit).reshape(n, 1)
-    grad_map = stack_backward(g, net, params, caches, net.split_index, len(net.layers), grads)
-    if grad_map.shape != split_shape:
+def head_backward(dlogit, net, params, caches, split_shape):
+    """The head's first backward pass: activation gradients only, top-down
+    to the split map. Returns (split-map gradient, deferred).
+
+    Pops each layer's cache as its backward starts, as stack_backward
+    does, but a dense layer's parameter gradients wait for
+    head_param_grads: deferred holds (layer index, input, grad_out) per
+    dense layer, its input being what its cache held (dense 0's, a view of
+    the split map). The head ends in a dense layer, so every relu below it
+    masks in place a gradient buffer this pass made.
+    """
+    g = np.asarray(dlogit).reshape(split_shape[0], 1)
+    deferred = []
+    for i in range(len(net.layers) - 1, net.split_index - 1, -1):
+        layer, cache = net.layers[i], caches.pop()
+        if isinstance(layer, Dense):
+            deferred.append((i, cache, g))
+        g = layer_backward(g, layer, params[i], cache, None, inplace_ok=True)
+    if g.shape != split_shape:
         raise ShapeError("head backward produced wrong split-map gradient shape")
-    return grad_map
+    return g, deferred
+
+
+def head_param_grads(params, deferred, grads):
+    """The head's second backward pass: each dense layer's weight and bias
+    gradients from what head_backward deferred, added into grads. A
+    layer's entry is allocated here unless grads holds it already (from a
+    mini-batch's earlier image)."""
+    for i, x, g in deferred:
+        if grads.per_layer[i] is None:
+            grads.per_layer[i] = Params(np.zeros_like(params[i].w), np.zeros_like(params[i].b))
+        dense_backward(x, g, grads.per_layer[i])
 
 
 def net_vgg13(in_channels=1, base=4, hidden=32):

@@ -60,10 +60,12 @@ layers the split map no longer needs tiling for run whole by the plan's
 choice, not by a hand-placed split.
 
 A plan's modelled peak is the backward-phase formula,
-tilestream.memory.stream_backward_peak, which bounds the forward phase's
-(the proof is in that module's doc). The budget is the smallest modelled
-peak in the run's precision over every set of checkpoints, the empty
-set included, with every segment at the configured grid. The rule: each
+tilestream.memory.stream_backward_peaks, which bounds the forward phase's
+(the proof is in that module's doc), taken with the whole gradient set
+beside the tiles, so a plan's peak bounds a step's at any batch size.
+The budget is the smallest modelled peak in the run's precision over
+every set of checkpoints, the empty set included, with every segment at
+the configured grid. The rule: each
 segment takes its coarsest grid that fits the budget, and among the
 plans that fit _Section.choose keeps the fewest tile-layer calls (a
 tile-layer call is one tile through one layer), then the least conv
@@ -127,7 +129,7 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import Conv
-from .memory import count_param_scalars, head_peak_bytes, live_maps, stream_backward_peak
+from .memory import count_param_scalars, head_peak_bytes, live_maps, stream_backward_peaks
 from .network import MaxPool, NetworkSpec, retains_output
 from .tensors import resolve_dtype
 
@@ -429,9 +431,11 @@ class _Section:
     def _peak(self, cut_scalars, tiles, item):
         """The modelled peak in bytes at itemsize item, tiles being the tile
         terms in bytes: the backward phase's, which bounds the forward's
-        (tilestream.memory's module doc)."""
+        (tilestream.memory's module doc), with the whole gradient set
+        beside the tiles, as from a mini-batch's second image on, so the
+        budget holds at any batch size."""
         params, cuts = self.params * item, [c * item for c in cut_scalars]
-        return stream_backward_peak(params, params, self.head[item], cuts, tiles)
+        return max(stream_backward_peaks(params, params, params, self.head[item], cuts, tiles))
 
     def plan(self, checkpoints, grids=None):
         """The TilePlan cut at these checkpoints, each segment at its grid in

@@ -14,6 +14,7 @@ from tilestream.network import (
     Relu,
     head_backward,
     head_forward,
+    head_param_grads,
     run_stack,
     stack_backward,
 )
@@ -56,8 +57,10 @@ def plain_backprop(net, params, image, label):
     logit, head_caches = head_forward(split, net, params)
     loss, dlogit = bce_with_logits(logit[0], label)
     grads = ParamGrads.zeros_like(params)
-    grad_split = head_backward(np.asarray([dlogit]), net, params, head_caches, split.shape, grads)
+    grad_split, deferred = head_backward(np.asarray([dlogit]), net, params, head_caches,
+                                         split.shape)
     stack_backward(grad_split, net, params, caches, 0, net.split_index, grads)
+    head_param_grads(params, deferred, grads)
     return PassResult(float(loss), float(logit[0]), split, grads, None)
 
 

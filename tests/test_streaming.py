@@ -40,7 +40,7 @@ from tilestream.errors import PlanError, ShapeError
 from tilestream.layers import bce_with_logits
 from tilestream.memory import (
     estimate_streaming,
-    stream_backward_peak,
+    stream_backward_peaks,
     stream_forward_peak,
 )
 from tilestream.network import (
@@ -56,6 +56,7 @@ from tilestream.network import (
     net_giga64mp,
     net_tiny2,
     net_vgg13,
+    param_bytes,
     run_stack,
     stack_backward,
 )
@@ -171,8 +172,12 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     assert record.tiles_forward == record.tiles_backward == len(plan.tiles)
     est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_forward_bytes == record.peak_bytes_forward
+    assert est.peak_tiles_bytes == record.peak_bytes_tiles
+    assert est.peak_head_grads_bytes == record.peak_bytes_head_grads
     assert est.peak_backward_bytes == record.peak_bytes_backward
-    assert est.peak_bytes == plan.peak_bytes[image.itemsize]
+    # the plan's peak bounds a step at any batch size: batch 2's
+    assert est.peak_bytes <= plan.peak_bytes[image.itemsize] == \
+        estimate_streaming(net, plan, 2, precision).peak_bytes
 
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
@@ -237,10 +242,10 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
     """The planner weighs every set of pool outputs the grid fits. The
     chosen modelled peak is the least over those sets with every segment
     at the configured grid (the budget), as the memory model computes it
-    on the built plans, and no layout within it, of any set and any grid
-    per segment, makes fewer tile-layer calls, or as few with less conv
-    work or fewer checkpoints; in each precision, whose bytes the chooser
-    weighs."""
+    on the built plans at batch 2 (a bound at any batch size), and no
+    layout within it, of any set and any grid per segment, makes fewer
+    tile-layer calls, or as few with less conv work or fewer checkpoints;
+    in each precision, whose bytes the chooser weighs."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
     section = _Section(net, z, grid)
@@ -258,14 +263,14 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
         for cps in sets:
             forced = section.plan(cps)
             assert validate_tile_plan(forced, net).ok
-            uniform[cps] = estimate_streaming(net, forced, 1, precision).peak_bytes
+            uniform[cps] = estimate_streaming(net, forced, 2, precision).peak_bytes
             assert uniform[cps] == forced.peak_bytes[item]
         budget = min(uniform.values())
-        assert estimate_streaming(net, plan, 1, precision).peak_bytes == budget <= uniform[()]
+        assert estimate_streaming(net, plan, 2, precision).peak_bytes == budget <= uniform[()]
         assert any(c is chosen for c in candidates)
         for candidate in candidates:
             assert validate_tile_plan(candidate, net).ok
-            assert estimate_streaming(net, candidate, 1, precision).peak_bytes == \
+            assert estimate_streaming(net, candidate, 2, precision).peak_bytes == \
                 candidate.peak_bytes[item]
         for other in every_plan(section):
             if other.peak_bytes[item] <= budget:
@@ -353,7 +358,7 @@ def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
     net = net_vgg13()
     plan = build_tile_plan(net, 8192, (64, 64))
     assert plan.grids == ((64, 64),) and validate_tile_plan(plan, net).ok
-    assert estimate_streaming(net, plan, 1, "single").peak_bytes == plan.peak_bytes[4]
+    assert estimate_streaming(net, plan, 2, "single").peak_bytes == plan.peak_bytes[4]
     assert built == []
 
 
@@ -594,8 +599,10 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     """On a whole-image (1x1) pass, after the cached forward no cache holds
     a map a pool read (a pool keeps its route): every pool streams, the
     last one below the flatten included; when layer j's backward starts, every array that
-    only the caches of layers above j referenced is already freed;
-    afterwards the stream's and the head's cache lists are empty."""
+    only the caches of layers above j referenced is already freed, but the
+    dense layers' inputs, which the head's parameter gradients read after
+    the last tile; afterwards the stream's and the head's cache lists are
+    empty."""
     net = net_vgg13(base=2, hidden=4)
     plan = whole_image_plan(net, 64)
     params = init_params(net, 64, 0)
@@ -614,6 +621,8 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     assert [ref() is None for ref in pool_inputs] == [True] * 5
     stream_caches, head_caches = state.kept[1], state.head_caches
     held = {id(m) for m in state.cut_maps}  # the engine keeps these until the pass ends
+    held |= {id(cache) for layer, cache in zip(net.layers[net.split_index:], head_caches)
+             if isinstance(layer, Dense)}
     lowest = {}  # array id -> (lowest layer whose cache holds it, weakref)
     for i, cache in enumerate(stream_caches + head_caches):
         parts = cache if isinstance(cache, tuple) else (cache,)  # conv caches (x, pads)
@@ -668,11 +677,12 @@ def _single_precision_tiny2(size, grid):
 
 def test_a_step_holds_one_gradient_set():
     """tiny2@256 4x4, single precision, batch 2: the step's traced peak
-    exceeds one pass's by at most one dense-weight row (sgd_step's
-    temporary) plus a 16 KiB slack for the step's Python objects. Each pass
-    adds into the step's one gradient set; a per-image set or a mean copy
-    would add 1 MiB (the head weight) each, and an image cast or a split
-    map kept from the previous image 256 KiB."""
+    exceeds that of one pass into a gradient set that already holds every
+    entry, as the batch's second image sees it, by at most one dense-weight
+    row (sgd_step's temporary) plus a 16 KiB slack for the step's Python
+    objects. Each pass adds into the step's one gradient set; a per-image
+    set or a mean copy would add 1 MiB (the head weight) each, and an image
+    cast or a split map kept from the previous image 256 KiB."""
     net, plan, params, samples = _single_precision_tiny2(256, (4, 4))
 
     def traced_peak(fn):
@@ -686,11 +696,62 @@ def test_a_step_holds_one_gradient_set():
             tracemalloc.stop()
 
     image, label = samples[0].image, samples[0].label
-    one_pass = traced_peak(lambda: streaming_loss_and_grads(net, params, image, label, plan))
+    one_pass = traced_peak(lambda: streaming_loss_and_grads(net, params, image, label, plan,
+                                                            ParamGrads.zeros_like(params)))
     step = traced_peak(lambda: train_step(net, params, samples, 0.0, plan))
     row = max(p.w[0].nbytes for p in params if p is not None)
     assert row == 16384 * 4
     assert step <= one_pass + row + 16 * 1024
+
+
+@pytest.mark.parametrize("make_plan", [
+    pytest.param(lambda net: whole_image_plan(net, 128), id="1x1"),
+    pytest.param(lambda net: build_tile_plan(net, 128, (4, 4)), id="4x4")])
+def test_no_head_gradient_exists_beside_the_tiles(monkeypatch, make_plan):
+    """At batch 1 a pass allocates the head's gradient entries after its
+    last tile: none exists while any tile's stack_backward runs, and each
+    exists once the pass returns."""
+    net = net_tiny2()
+    plan = make_plan(net)
+    params = init_params(net, 128, 0)
+    sample = synth_dataset(0, 128, 2)[0]
+    head = [i for i, layer in enumerate(net.layers) if isinstance(layer, Dense)]
+    seen, stack = [], tilestream.engine.stack_backward
+
+    def checking(grad_out, net, params, caches, start, stop, grads):
+        seen.append([grads.per_layer[i] for i in head])
+        return stack(grad_out, net, params, caches, start, stop, grads)
+
+    monkeypatch.setattr(tilestream.engine, "stack_backward", checking)
+    grads = streaming_loss_and_grads(net, params, sample.image, sample.label, plan).grads
+    assert seen == [[None] * len(head)] * len(plan.tiles)
+    assert all(grads.per_layer[i].w.shape == params[i].w.shape for i in head)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("make, size, grid", [(net_vgg13, 256, (2, 2)), (net_tiny2, 256, (4, 4))],
+                         ids=["vgg13-256-2x2", "tiny2-256-4x4"])
+def test_counted_backward_phases_equal_the_model_at_batch_one_and_two(make, size, grid,
+                                                                      precision):
+    """The engine counts the gradient set in each backward phase as
+    estimate_streaming models it: at batch 1 a pass's tiles run beside the
+    streaming layers' gradients only; at batch 2 the second image's tiles
+    run beside the head's too, which the first image formed, and that is
+    the step's peak."""
+    net = make()
+    plan = build_tile_plan(net, size, grid, precision)
+    params = init_params(net, size, 0, precision)
+    dtype = resolve_dtype(precision)
+    samples = [dataclasses.replace(s, image=s.image.astype(dtype))
+               for s in synth_dataset(0, size, 2)]
+    record = streaming_loss_and_grads(net, params, samples[0].image, samples[0].label,
+                                      plan).record
+    one, two = (estimate_streaming(net, plan, batch, precision) for batch in (1, 2))
+    assert (record.peak_bytes_tiles, record.peak_bytes_head_grads, record.peak_bytes_backward) \
+        == (one.peak_tiles_bytes, one.peak_head_grads_bytes, one.peak_backward_bytes)
+    assert two.peak_tiles_bytes == one.peak_tiles_bytes + param_bytes(params[net.split_index:])
+    step = train_step(net, params, samples, 0.0, plan)
+    assert step.peak_bytes == two.peak_bytes == two.peak_backward_bytes
 
 
 def test_a_batch_one_step_applies_the_pass_gradient():
@@ -872,33 +933,37 @@ def test_streaming_layer_table_of_every_layout(precision, checkpoints):
 
 def test_segment_peak_formulas():
     """The shared phase peaks, by hand: cut maps of 100 and 10 bytes above
-    the image, largest tiles of 5 and 45, params and grads of 3, head 2."""
+    the image, largest tiles of 5 and 45, params of 3, a gradient set of 3
+    of which the tiles run beside 1, head 2."""
     cuts, tiles = [0, 100, 10], [5, 45]
     # forward: a segment holds the cut maps up to its output; the head holds
     # them all and the top segment's kept tile
     assert stream_forward_peak(3, 2, cuts, tiles) == 3 + max(100 + 5, 110 + 45, 110 + 2 + 45)
     assert stream_forward_peak(3, 2, cuts, [50, 7]) == 3 + max(100 + 50, 110 + 2 + 7)
-    # backward: every cut map and the head, plus the gradients of the cut
-    # maps bounding the segment (none for the image) and its tile
-    assert stream_backward_peak(3, 3, 2, cuts, tiles) == 3 + 3 + 110 + 2 + max(
-        0 + 100 + 5, 100 + 10 + 45)
-    # one segment: params + split + tile + head, params + grads + 2 split + head + tile
+    # backward, tile phase: every cut map and the head, plus the gradients of
+    # the cut maps bounding the segment (none for the image) and its tile;
+    # head-gradient phase: every cut map, the head and the whole set
+    assert stream_backward_peaks(3, 1, 3, 2, cuts, tiles) == (
+        3 + 1 + 110 + 2 + max(0 + 100 + 5, 100 + 10 + 45), 3 + 3 + 110 + 2)
+    # one segment: params + split + tile + head, then params + tile grads +
+    # 2 split + head + tile and params + grads + split + head
     assert stream_forward_peak(3, 2, [0, 10], [50]) == 3 + 10 + 50 + 2
-    assert stream_backward_peak(3, 3, 2, [0, 10], [50]) == 3 + 3 + 2 * 10 + 2 + 50
+    assert stream_backward_peaks(3, 1, 3, 2, [0, 10], [50]) == (
+        3 + 1 + 2 * 10 + 2 + 50, 3 + 3 + 10 + 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(segments=st.integers(1, 4), data=st.data())
 def test_forward_formula_never_exceeds_backward_formula(segments, data):
-    """stream_f <= stream_b for any non-negative terms over 1-4 segments (the
-    proof in tilestream.memory's module doc), so the planner weighs the
-    backward formula alone."""
+    """stream_f <= the backward's tile phase for any non-negative terms over
+    1-4 segments (the proof in tilestream.memory's module doc), so the
+    planner weighs the backward formula alone."""
     term = st.integers(0, 10**12)
-    params, grads, head = (data.draw(term) for _ in range(3))
+    params, tile_grads, grads, head = (data.draw(term) for _ in range(4))
     cuts = [0] + data.draw(st.lists(term, min_size=segments, max_size=segments))
     tiles = data.draw(st.lists(term, min_size=segments, max_size=segments))
     assert (stream_forward_peak(params, head, cuts, tiles)
-            <= stream_backward_peak(params, grads, head, cuts, tiles))
+            <= stream_backward_peaks(params, tile_grads, grads, head, cuts, tiles)[0])
 
 
 @pytest.mark.parametrize("case", SAMPLED)
