@@ -225,7 +225,9 @@ def cmd_bench(cfg: ExperimentConfig):
     data = _dataset(cfg, net, max(cfg.batch_size * 2, 2))
     steps = int(cfg.bench.get("steps", 3))
     # the traced peak leaves out the parameters, made before tracing starts;
-    # train_step runs a batch one image at a time, so the models take batch 1
+    # the model takes the batch size: train_step runs a batch one image at a
+    # time, and from its second image on the tiles run beside the head's
+    # gradients
     plans = {"sgd": whole_image_plan(net, cfg.image_size), "ssgd": plan}
     report = {}
     for mode, use_plan in plans.items():

@@ -51,9 +51,12 @@ floating-point summation order; in a mini-batch the second image's tiles
 add onto the first image's sum, so at batch > 1 a tiled plan's step
 gradient may differ in the last bits from summing per-image sets.
 
-Memory accounting: the engine counts bytes under tilestream.memory's
-policy, the gradient set's in each backward phase, and calls its
-phase-peak formulas with what it counted.
+Memory accounting: the engine counts the element count of every layer
+output a pass makes and turns them into live bytes with
+tilestream.memory.live_peak, once per segment over all of its tiles in
+forward and once for the head; backward's recompute counts nothing.
+With the gradient set's bytes in each backward phase, it calls
+tilestream.memory.stream_backward_peaks with what it counted.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import bce_with_logits
-from .memory import stream_backward_peaks, stream_forward_peak
+from .memory import live_peak, stream_backward_peaks
 from .network import (
     NetworkSpec,
     ParamGrads,
@@ -90,17 +93,12 @@ class StreamingRunRecord:
     params_bytes: int = 0
     tile_grads_bytes: int = 0          # the gradient set while the tiles run
     grads_bytes: int = 0               # the whole set, once the head's gradients exist
-    peak_bytes_forward: int = 0
     peak_bytes_tiles: int = 0          # the backward's tile phase
     peak_bytes_head_grads: int = 0     # the backward's head-gradient phase
 
     @property
-    def peak_bytes_backward(self):
-        return max(self.peak_bytes_tiles, self.peak_bytes_head_grads)
-
-    @property
     def peak_bytes(self):
-        return max(self.peak_bytes_forward, self.peak_bytes_backward)
+        return max(self.peak_bytes_tiles, self.peak_bytes_head_grads)
 
 
 @dataclass
@@ -146,7 +144,7 @@ class StreamingForwardState:
         return self.cut_maps[-1]
 
     def cut_bytes(self):
-        """Bytes per plan cut, 0 for the image, as tilestream.memory's formulas take them."""
+        """Bytes per plan cut, 0 for the image, as tilestream.memory's formula takes them."""
         return [0] + [m.nbytes for m in self.cut_maps]
 
 
@@ -169,20 +167,20 @@ def _tile_pass(net, params, below, segment, tile, want_cache):
     """Run one tile's crop of its segment's input map through the segment.
 
     The crop is a view: run_stack never writes its input, and the conv
-    kernels read strided windows. Returns (out, caches, activation bytes),
-    the bytes being the running maximum of the tile's live bytes (see
-    run_stack); out is checked to cover the tile's owned region exactly.
+    kernels read strided windows. Returns (out, caches, sizes), sizes
+    being each layer's output element count (run_stack's byte_sink); out
+    is checked to cover the tile's owned region exactly.
     """
     r = tile.input_forward
-    sink = []
+    sizes = []
     out, caches = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, segment.start,
                             segment.stop, pads_seq=tile.fwd_pads, want_cache=want_cache,
-                            byte_sink=sink)
+                            byte_sink=sizes)
     o = tile.owned_split
     if out.shape[2:] != o.shape():
         raise PlanError(f"tile ({tile.row},{tile.col}) of [{segment.start}, {segment.stop}) "
                         f"produced {out.shape[2:]}, owned region is {o.shape()}")
-    return out, caches, max(live for _, _, live in sink)
+    return out, caches, sizes
 
 
 def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
@@ -195,7 +193,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     _check_image(image, plan)
     if plan.cuts[-1] != net.split_index:
         raise PlanError("plan split_index does not match the network")
-    n = image.shape[0]
+    n, item = image.shape[0], image.itemsize
     shapes = net.activation_shapes(plan.image_size)
     record = StreamingRunRecord(params_bytes=param_bytes(params))
     maps = []
@@ -204,29 +202,26 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     for segment in plan.segments:
         stop, tiles = segment.stop, segment.tiles
         out = None if len(tiles) == 1 else np.empty((n,) + shapes[stop], dtype=image.dtype)
-        peak_tile = 0
+        sizes = set()  # each tile shape's output sizes once: the walk takes their maximum
         for tile in tiles:
-            y, caches, nbytes = _tile_pass(net, params, below, segment, tile,
-                                           want_cache=tile is last)
+            y, caches, tile_sizes = _tile_pass(net, params, below, segment, tile,
+                                               want_cache=tile is last)
+            sizes.add(tuple(tile_sizes))
             o = tile.owned_split
             if out is None:  # a lone tile owns the whole map: its output is the cut map
                 out = y
             else:
                 out[:, :, o.y0:o.y1, o.x0:o.x1] = y
-            peak_tile = max(peak_tile, nbytes)
             record.tiles_forward += 1
-        record.segment_tile_bytes.append(peak_tile)
+        record.segment_tile_bytes.append(live_peak(net, segment.start, stop, list(sizes), item))
         maps.append(out)
         below = out
     head_sink = []
     logit, head_caches = head_forward(below, net, params, byte_sink=head_sink)
-    record.head_activation_bytes = max(live for _, _, live in head_sink)
-    state = StreamingForwardState(cut_maps=maps, head_caches=head_caches,
-                                  logit=logit, record=record, kept=(last, caches))
-    record.peak_bytes_forward = stream_forward_peak(
-        record.params_bytes, record.head_activation_bytes, state.cut_bytes(),
-        record.segment_tile_bytes)
-    return state
+    record.head_activation_bytes = live_peak(net, net.split_index, len(net.layers), head_sink,
+                                             item)
+    return StreamingForwardState(cut_maps=maps, head_caches=head_caches,
+                                 logit=logit, record=record, kept=(last, caches))
 
 
 def streaming_backward(net: NetworkSpec, params, image, plan: TilePlan,

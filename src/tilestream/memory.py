@@ -1,20 +1,23 @@
 """Analytical activation-memory accounting for whole-image vs streaming runs.
 
-Holds the accounting policy, the phase-peak formulas and the tables. The
-engine's instrumentation counts under the same policy, so on desk-scale
-runs the predicted bytes equal the measured counters exactly (both count
-the same abstraction: retained scalars times bytes, plus route bytes):
+Holds the accounting policy, the liveness walk, the phase-peak formula
+and the tables. The engine's instrumentation counts under the same
+policy, through the same walk, so on desk-scale runs the predicted bytes
+equal the measured counters exactly (both count the same abstraction:
+retained scalars times bytes, plus route bytes):
 
 * each conv/maxpool/dense output is one retained array: n times the
   elements of its shape in NetworkSpec.activation_shapes, times the
   itemsize; relu runs in place and flatten is a view: zero additional
-  bytes (tilestream.network.retains_output);
+  bytes (retains_output);
 * a maxpool keeps a uint8 route, one byte per output element in either
   precision, and not its input: the map below a pool counts only until
-  the pool has run (tilestream.network.pool_frees: unless it is the
-  stack's input, or a relu or a fused pool's cache holds it). So a
-  stack's term is the running maximum of its live bytes (live_maps),
-  counted after each layer has run and before its pool frees anything;
+  the pool has run (pool_frees: unless it is the stack's input, or a
+  relu or a fused pool's cache holds it). So a stack's term is the
+  running maximum of its live bytes, counted after each layer has run
+  and before its pool frees anything. live_peak is that one walk: the
+  planner's tile terms, the head term and the engine's counters all
+  call it, on modelled or on counted element counts;
 * gradient maps inside a tile or the head are workspace and uncounted;
   parameter and parameter-gradient bytes are separate terms;
 * one parameter-gradient set per training step, counted by liveness as
@@ -55,18 +58,17 @@ the same abstraction: retained scalars times bytes, plus route bytes):
   activation terms do not scale with batch size in streaming mode (the
   whole-image terms do).
 
-Phase peaks (stream_forward_peak and stream_backward_peaks, which the
-engine calls with its counters and estimate_streaming with modelled
-bytes; the planner weighs the backward alone). With cut maps C_1..C_k
-(C_k the split map), C_0 = 0 for the image, T_j the largest tile term
-of segment [cut j-1, cut j), G the whole gradient set and G_t the part
-of it held while the tiles run:
+Phase peaks (stream_backward_peaks: the engine calls it with its
+counters, estimate_streaming with modelled bytes and the planner with
+the whole gradient set). With cut maps C_1..C_k (C_k the split map),
+C_0 = 0 for the image, T_j the largest tile term of segment
+[cut j-1, cut j), G the whole gradient set and G_t the part of it held
+while the tiles run:
 
-    whole:    input + sum(all layer outputs) + params [+ grads backward]
-    stream_f: params + max(max_j (C_1 + .. + C_j + T_j), C_1 + .. + C_k + head + T_k)
-    tiles:    params + G_t + C_1 + .. + C_k + head + max_j (C_j + C_(j-1) + T_j)
+    whole:      input + sum(all layer outputs) + params [+ grads backward]
+    tiles:      params + G_t + C_1 + .. + C_k + head + max_j (C_j + C_(j-1) + T_j)
     head grads: params + G + C_1 + .. + C_k + head
-    stream_b: max(tiles, head grads)
+    stream:     max(tiles, head grads)
 
 The head-gradient phase holds every cut map, the split map because
 dense 0's input is a view of it, and the head term, which holds the
@@ -75,21 +77,24 @@ G_t + 2*split_map + head + tile and params + G + split_map + head.
 estimate_streaming takes G_t as the streaming layers' gradients at batch
 1 and as G at batch >= 2, where the second image's tiles run beside the
 head gradients the first image formed; the planner takes G_t = G, a
-bound at any batch size, under which the tile phase is the larger. With
-non-negative terms stream_f <= the tile phase: each C_1 + .. + C_j + T_j
-is at most C_1 + .. + C_k + T_j, which the tile phase's j term holds,
-and the last term is in its j = k one. estimate_streaming reads the tile
-terms the planner stores on the TilePlan, in the run's precision, and
-the cut maps' sizes from the network's shapes.
+bound at any batch size, under which the tile phase is the larger. The
+forward needs no formula of its own: it holds a subset of the tile
+phase's terms (the cut maps up to a segment's, its tile, and the head
+beside the top segment's tile). estimate_streaming reads the tile terms
+the planner stores on the TilePlan, in the run's precision, and the cut
+maps' sizes from the network's shapes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .errors import ShapeError
-from .network import MaxPool, NetworkSpec, pool_frees, retains_output
+from .network import Flatten, MaxPool, NetworkSpec, Relu, fused_relu
 from .tensors import resolve_dtype
 
 
@@ -106,10 +111,8 @@ class MemoryEstimate:
     split_map_bytes: int = 0
     head_bytes: int = 0
     peak_tile_forward_bytes: int = 0
-    peak_forward_bytes: int = 0
     peak_tiles_bytes: int = 0        # the backward's tile phase
     peak_head_grads_bytes: int = 0   # the backward's head-gradient phase
-    peak_backward_bytes: int = 0
 
 
 def count_param_scalars(net: NetworkSpec, image_size, stop=None):
@@ -118,29 +121,62 @@ def count_param_scalars(net: NetworkSpec, image_size, stop=None):
                for w, b in filter(None, net.param_shapes(image_size)[:stop]))
 
 
+def retains_output(layer):
+    """Whether a layer's output costs activation bytes: run_stack and
+    stack_backward run relu in place, and flatten is a view."""
+    return not isinstance(layer, (Relu, Flatten))
+
+
+def pool_frees(layers, start, i):
+    """The map whose array run_stack's cached pass stops holding once pool i
+    has run, or None (map m is layer m's input, so the pool reads map i).
+
+    The pool's cache holds its route, not its input. A pool with a fused
+    relu (tilestream.network.fused_relu) reads that relu's input, map
+    i - 1. The map a pool reads is made by the layer below it; it stays
+    held if it is the stack's input, if a relu caches it, or if it is the
+    output of a pool with a fused relu.
+    """
+    m = i - 1 if fused_relu(layers, start, i) else i
+    if m == start or isinstance(layers[m - 1], Relu) or fused_relu(layers, start, m - 1):
+        return None
+    return m
+
+
+@cache
+def _live_weights(layers, start, itemsize):
+    """Bytes per element that a cached pass from map start to the last
+    layer holds: row i, column j is what layer start + j's output costs
+    once layer start + i has run, before its pool frees anything, the
+    itemsize while its array is held (retains_output, not yet freed by
+    pool_frees) plus a pool's route byte. A pass over [start, stop) holds
+    the first stop - start rows and columns, since neither rule reads a
+    layer above i."""
+    n = len(layers) - start
+    held, routes = np.zeros((2, n), dtype=np.int64)
+    weights = np.zeros((n, n), dtype=np.int64)
+    for i, layer in enumerate(layers[start:]):
+        held[i] = itemsize * retains_output(layer)
+        routes[i] = isinstance(layer, MaxPool)
+        weights[i] = held + routes
+        if routes[i] and (freed := pool_frees(layers, start, start + i)) is not None:
+            held[freed - start - 1] = 0
+    weights.flags.writeable = False
+    return weights
+
+
+def live_peak(net: NetworkSpec, start, stop, elements, itemsize):
+    """The running maximum of the live bytes of run_stack's cached pass over
+    layers [start, stop) (the module doc's policy): elements[..., j] is the
+    element count of layer start + j's output, and any leading axes (tiles,
+    or row by column extents) are maxed over too."""
+    weights = _live_weights(net.layers, start, itemsize)[:stop - start, :stop - start]
+    return int((np.asarray(elements, dtype=np.int64) @ weights.T).max())
+
+
 def _layer_bytes(layer, out_shape, n, itemsize):
     """Retained bytes for one layer output under the shared policy (no route)."""
     return n * math.prod(out_shape) * itemsize if retains_output(layer) else 0
-
-
-def live_maps(net: NetworkSpec, start, stop):
-    """What run_stack's cached pass over layers [start, stop) holds once each
-    layer has run, before a pool frees the map below it: per layer, two 0/1
-    tuples over maps start..stop, the maps whose arrays are held
-    (retains_output, not yet freed by pool_frees) and the pool outputs
-    whose routes are. run_stack's byte sink counts the same per array."""
-    layers = net.layers
-    arrays = [0] * (stop - start + 1)
-    routes = list(arrays)
-    steps = []
-    for i in range(start, stop):
-        arrays[i + 1 - start] = int(retains_output(layers[i]))
-        routes[i + 1 - start] = int(isinstance(layers[i], MaxPool))
-        steps.append((tuple(arrays), tuple(routes)))
-        freed = pool_frees(layers, start, i) if routes[i + 1 - start] else None
-        if freed is not None:
-            arrays[freed - start] = 0
-    return steps
 
 
 def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
@@ -168,30 +204,18 @@ def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
 
 
 def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
-    """The head term for one image: the running maximum of the head's live bytes."""
-    elements = [math.prod(shape) for shape in net.activation_shapes(image_size)[net.split_index:]]
-    return max(sum((a * itemsize + r) * e for a, r, e in zip(arrays, routes, elements))
-               for arrays, routes in live_maps(net, net.split_index, len(net.layers)))
-
-
-def stream_forward_peak(params, head, cut_bytes, tile_bytes):
-    """Forward peak of a segmented streaming pass (formula in the module doc).
-
-    cut_bytes: bytes of each cut map, 0 for the image, then the checkpoint
-    maps and the split map; tile_bytes: the largest tile of each segment.
-    """
-    held = peak = 0
-    for out, tile in zip(cut_bytes[1:], tile_bytes):
-        held += out
-        peak = max(peak, held + tile)
-    return params + max(peak, held + head + tile_bytes[-1])
+    """The head term for one image: live_peak over the head's outputs."""
+    shapes = net.activation_shapes(image_size)[net.split_index + 1:]
+    return live_peak(net, net.split_index, len(net.layers),
+                     [math.prod(shape) for shape in shapes], itemsize)
 
 
 def stream_backward_peaks(params, tile_grads, grads, head, cut_bytes, tile_bytes):
     """(tile phase, head-gradient phase) peaks of a segmented streaming
-    pass's backward (formula in the module doc): tile_grads are the
-    gradient bytes held while the tiles run, grads the whole set; the
-    other arguments as stream_forward_peak's."""
+    pass (formula in the module doc): tile_grads are the gradient bytes
+    held while the tiles run, grads the whole set; cut_bytes the bytes of
+    each cut map, 0 for the image, then the checkpoint maps and the split
+    map; tile_bytes the largest tile term of each segment."""
     live = max(below + above + tile
                for below, above, tile in zip(cut_bytes, cut_bytes[1:], tile_bytes))
     held = params + sum(cut_bytes[1:]) + head
@@ -214,21 +238,17 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     params = count_param_scalars(net, plan.image_size) * item
     tile_grads = (params if batch > 1
                   else count_param_scalars(net, plan.image_size, net.split_index) * item)
-    peak_forward = stream_forward_peak(params, head_bytes, cut_bytes, tile_bytes)
     peak_tiles, peak_head_grads = stream_backward_peaks(params, tile_grads, params, head_bytes,
                                                         cut_bytes, tile_bytes)
-    peak_backward = max(peak_tiles, peak_head_grads)
     per_layer = [(m, s * item + (s if isinstance(net.layers[m], MaxPool) else 0))
                  for m, s in enumerate(plan.layer_scalars)] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,
-                          peak_bytes=max(peak_forward, peak_backward),
+                          peak_bytes=max(peak_tiles, peak_head_grads),
                           split_map_bytes=cut_bytes[-1], head_bytes=head_bytes,
                           peak_tile_forward_bytes=max(tile_bytes),
-                          peak_forward_bytes=peak_forward, peak_tiles_bytes=peak_tiles,
-                          peak_head_grads_bytes=peak_head_grads,
-                          peak_backward_bytes=peak_backward)
+                          peak_tiles_bytes=peak_tiles, peak_head_grads_bytes=peak_head_grads)
 
 
 def reduction_report(whole: MemoryEstimate, stream: MemoryEstimate):

@@ -314,12 +314,6 @@ def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
     raise ShapeError(f"unknown layer {layer!r}")
 
 
-def retains_output(layer):
-    """Whether a layer's output costs activation bytes (tilestream.memory):
-    run_stack and stack_backward run relu in place, and flatten is a view."""
-    return not isinstance(layer, (Relu, Flatten))
-
-
 def fused_relu(layers, start, i):
     """Whether layer i of a stack starting at start is a pool with a relu
     directly below it in the stack. run_stack runs that pair as one: the
@@ -334,21 +328,6 @@ def fused_relu(layers, start, i):
     return isinstance(layers[i], MaxPool) and i > start and isinstance(layers[i - 1], Relu)
 
 
-def pool_frees(layers, start, i):
-    """The map whose array run_stack's cached pass stops holding once pool i
-    has run, or None (map m is layer m's input, so the pool reads map i).
-
-    The pool's cache holds its route, not its input. A pool with a fused
-    relu reads that relu's input, map i - 1. The map a pool reads is made
-    by the layer below it; it stays held if it is the stack's input, if a
-    relu caches it, or if it is the output of a pool with a fused relu.
-    """
-    m = i - 1 if fused_relu(layers, start, i) else i
-    if m == start or isinstance(layers[m - 1], Relu) or fused_relu(layers, start, m - 1):
-        return None
-    return m
-
-
 def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_sink=None):
     """Run layers [start, stop) forward.
 
@@ -358,16 +337,15 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     itself made. A relu directly below a pool runs on the pool's output
     and caches nothing (see fused_relu), and a pool caches its uint8
     route, so the map below a pool is freed once the pool has run
-    (pool_frees).
+    (tilestream.memory.pool_frees).
 
-    byte_sink, if given, is a list that receives (layer_index, retained
-    bytes, live bytes) per layer of the cached pass, whatever want_cache
-    is, counted under tilestream.memory's policy.
+    byte_sink, if given, is a list that receives each layer's output
+    element count, whatever want_cache is; tilestream.memory.live_peak
+    turns them into the cached pass's live bytes.
     """
     layers = net.layers
     caches = [] if want_cache else None
     owns = False  # x is a buffer this call made; flatten returns a view of its input
-    live, made = 0, {}
     fused = [fused_relu(layers, start, i) for i in range(start, stop)] + [False]
     for i in range(start, stop):
         layer = layers[i]
@@ -384,12 +362,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
             if want_cache:
                 cache = cache[:2] + (out,)
         if byte_sink is not None:
-            made[i + 1] = out.nbytes if retains_output(layer) else 0
-            kept = made[i + 1] + (out.size if isinstance(layer, MaxPool) else 0)
-            live += kept
-            byte_sink.append((i, kept, live))
-            freed = pool_frees(layers, start, i) if isinstance(layer, MaxPool) else None
-            live -= made.get(freed, 0)
+            byte_sink.append(out.size)
         if want_cache:
             caches.append(cache)
         x = out

@@ -59,13 +59,12 @@ for j = 0, 1, .. down to 1x1. A top segment at 1x1 runs whole, so the
 layers the split map no longer needs tiling for run whole by the plan's
 choice, not by a hand-placed split.
 
-A plan's modelled peak is the backward-phase formula,
-tilestream.memory.stream_backward_peaks, which bounds the forward phase's
-(the proof is in that module's doc), taken with the whole gradient set
-beside the tiles, so a plan's peak bounds a step's at any batch size.
-The budget is the smallest modelled peak in the run's precision over
-every set of checkpoints, the empty set included, with every segment at
-the configured grid. The rule: each
+A plan's modelled peak is tilestream.memory.stream_backward_peaks, the
+one phase-peak formula (that module's doc), taken with the whole
+gradient set beside the tiles, so a plan's peak bounds a step's at any
+batch size. The budget is the smallest modelled peak in the run's
+precision over every set of checkpoints, the empty set included, with
+every segment at the configured grid. The rule: each
 segment takes its coarsest grid that fits the budget, and among the
 plans that fit _Section.choose keeps the fewest tile-layer calls (a
 tile-layer call is one tile through one layer), then the least conv
@@ -88,10 +87,9 @@ and _Section.segment caches its Segment with its terms, so a candidate
 plan costs only the sums of its segments' terms. A segment's tiles are
 the product of its row and column parts, so each map's tile extent,
 each layer's largest tile output and the conv work factor into row and
-column terms. A segment's tile term is the running maximum of a tile's
-live bytes (tilestream.memory.live_maps) over its layers, taken over the
-distinct row and column extents. This per-axis model is the plan's only
-model; the TilePlan carries the tile terms and layer outputs
+column terms. A segment's tile term is tilestream.memory.live_peak over
+the distinct row and column extents. This per-axis model is the plan's
+only model; the TilePlan carries the tile terms and layer outputs
 estimate_streaming prints, none of which scale with the batch. A route
 costs one byte per pool output element in either precision, so the peak
 and the tile terms are held per itemsize, and the chooser weighs the
@@ -129,8 +127,9 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import Conv
-from .memory import count_param_scalars, head_peak_bytes, live_maps, stream_backward_peaks
-from .network import MaxPool, NetworkSpec, retains_output
+from .memory import (count_param_scalars, head_peak_bytes, live_peak, retains_output,
+                     stream_backward_peaks)
+from .network import MaxPool, NetworkSpec
 from .tensors import resolve_dtype
 
 PLAN_SCHEMA_VERSION = 5
@@ -372,7 +371,6 @@ class _Section:
                             for j in reversed(range(max(r, c).bit_length()))]
         self._axes = {}
         self._segments = {}
-        self._lives = {}
         self._budgets = {}
 
     def _axis(self, b, parts):
@@ -388,30 +386,17 @@ class _Section:
             self._axes[(b, parts)] = chains, extents, distinct
         return self._axes[(b, parts)]
 
-    def _live(self, a, b):
-        """Per layer of segment [a, b), the scalars and route bytes per pixel
-        of each map a..b that a tile holds once the layer has run
-        (tilestream.memory.live_maps). A segment's steps are the first ones
-        of the walk from map a to the split map."""
-        if a not in self._lives:
-            ch = np.array(self.channels[a:])
-            self._lives[a] = [np.array(flags) * ch
-                              for flags in zip(*live_maps(self.net, a, self.net.split_index))]
-        return [terms[:b - a, :b - a + 1] for terms in self._lives[a]]
-
     def segment(self, a, b, grid):
         """(Segment, largest tile term per itemsize, conv multiply-adds of
         all tiles, largest tile output per layer, tile-layer calls) of
         segment [a, b) cut by grid; outputs and work in scalars."""
         if (a, b, grid) not in self._segments:
             (ychains, hy, ys), (xchains, wx, xs) = (self._axis(b, parts) for parts in grid)
-            # a tile's live bytes after each layer, over the distinct tile
-            # extents per axis of maps a..b
-            arrays, routes = self._live(a, b)
-            per_item = np.multiply.outer(ITEMSIZES, arrays) + routes
-            peaks = np.einsum("ism,ym,xm->isyx", per_item, ys[:, a:],
-                              xs[:, a:]).max(axis=(1, 2, 3))
-            tile = dict(zip(ITEMSIZES, peaks.tolist()))
+            # each layer output's elements over the distinct tile extents
+            # per axis of maps a + 1..b
+            elements = (np.array(self.channels[a + 1:b + 1])
+                        * ys[:, None, a + 1:] * xs[None, :, a + 1:])
+            tile = {item: live_peak(self.net, a, b, elements, item) for item in ITEMSIZES}
             rows, cols = hy[:, a + 1:], wx[:, a + 1:]
             conv_macs = sum(m * h * w for m, h, w in zip(
                 self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
@@ -430,10 +415,9 @@ class _Section:
 
     def _peak(self, cut_scalars, tiles, item):
         """The modelled peak in bytes at itemsize item, tiles being the tile
-        terms in bytes: the backward phase's, which bounds the forward's
-        (tilestream.memory's module doc), with the whole gradient set
-        beside the tiles, as from a mini-batch's second image on, so the
-        budget holds at any batch size."""
+        terms in bytes (tilestream.memory's module doc), with the whole
+        gradient set beside the tiles, as from a mini-batch's second image
+        on, so the budget holds at any batch size."""
         params, cuts = self.params * item, [c * item for c in cut_scalars]
         return max(stream_backward_peaks(params, params, params, self.head[item], cuts, tiles))
 

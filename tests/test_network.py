@@ -31,10 +31,10 @@ from tilestream.network import (
     net_tiny2,
     net_vgg13,
     PRESETS,
-    pool_frees,
     run_stack,
     stack_backward,
 )
+from tilestream.memory import pool_frees
 from tilestream.planner import build_tile_plan
 from conftest import sample_streaming_config
 
@@ -169,8 +169,8 @@ POOL_STACKS = {
 @pytest.mark.parametrize("name", sorted(POOL_STACKS))
 def test_pool_frees_names_the_maps_the_caches_release(monkeypatch, rng, name, start):
     """After a cached run_stack, with its output and caches held, the map
-    each pool read is freed exactly when pool_frees names it, so the
-    memory model and the byte sink free what the caches really release. A
+    each pool read is freed exactly when pool_frees names it, so
+    tilestream.memory.live_peak frees what the caches really release. A
     relu at the stack's start allocates nothing: its fused pool reads the
     stack's input."""
     layers = POOL_STACKS[name]

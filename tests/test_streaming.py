@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -11,6 +12,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis.extra.numpy import arrays
 
 import tilestream.engine
 import tilestream.layers
@@ -40,8 +42,10 @@ from tilestream.errors import PlanError, ShapeError
 from tilestream.layers import bce_with_logits
 from tilestream.memory import (
     estimate_streaming,
+    live_peak,
+    pool_frees,
+    retains_output,
     stream_backward_peaks,
-    stream_forward_peak,
 )
 from tilestream.network import (
     Conv,
@@ -171,10 +175,8 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     record = state.record
     assert record.tiles_forward == record.tiles_backward == len(plan.tiles)
     est = estimate_streaming(net, plan, 1, precision)
-    assert est.peak_forward_bytes == record.peak_bytes_forward
     assert est.peak_tiles_bytes == record.peak_bytes_tiles
     assert est.peak_head_grads_bytes == record.peak_bytes_head_grads
-    assert est.peak_backward_bytes == record.peak_bytes_backward
     # the plan's peak bounds a step at any batch size: batch 2's
     assert est.peak_bytes <= plan.peak_bytes[image.itemsize] == \
         estimate_streaming(net, plan, 2, precision).peak_bytes
@@ -483,8 +485,8 @@ def test_overlapping_pools_and_relu_after_pool_match_whole_image(name, precision
                       (whole, streaming_loss_and_grads(net, params, image, sample.label,
                                                        whole).record)):
         est = estimate_streaming(net, p, 1, precision)
-        assert est.peak_forward_bytes == record.peak_bytes_forward
-        assert est.peak_backward_bytes == record.peak_bytes_backward
+        assert (est.peak_tiles_bytes, est.peak_head_grads_bytes) == (
+            record.peak_bytes_tiles, record.peak_bytes_head_grads)
 
 
 # name: (net, image size, layers whose last output row and column no layer
@@ -747,11 +749,11 @@ def test_counted_backward_phases_equal_the_model_at_batch_one_and_two(make, size
     record = streaming_loss_and_grads(net, params, samples[0].image, samples[0].label,
                                       plan).record
     one, two = (estimate_streaming(net, plan, batch, precision) for batch in (1, 2))
-    assert (record.peak_bytes_tiles, record.peak_bytes_head_grads, record.peak_bytes_backward) \
-        == (one.peak_tiles_bytes, one.peak_head_grads_bytes, one.peak_backward_bytes)
+    assert (record.peak_bytes_tiles, record.peak_bytes_head_grads, record.peak_bytes) \
+        == (one.peak_tiles_bytes, one.peak_head_grads_bytes, one.peak_bytes)
     assert two.peak_tiles_bytes == one.peak_tiles_bytes + param_bytes(params[net.split_index:])
     step = train_step(net, params, samples, 0.0, plan)
-    assert step.peak_bytes == two.peak_bytes == two.peak_backward_bytes
+    assert step.peak_bytes == two.peak_bytes
 
 
 def test_a_batch_one_step_applies_the_pass_gradient():
@@ -889,23 +891,27 @@ def test_memory_model_equals_engine_counters(case, precision):
     image = image.astype(resolve_dtype(precision))
     record = streaming_loss_and_grads(net, params, image, case % 2, plan).record
     est = estimate_streaming(net, plan, 1, precision)
-    assert est.peak_forward_bytes == record.peak_bytes_forward
-    assert est.peak_backward_bytes == record.peak_bytes_backward
+    assert (est.peak_tiles_bytes, est.peak_head_grads_bytes) == (
+        record.peak_bytes_tiles, record.peak_bytes_head_grads)
 
 
 def measured_layer_peaks(net, params, image, plan):
     """(layer, bytes) of each streaming layer's largest output, and a pool's
-    route, over every tile, as run_stack's byte sink measures the arrays it
-    makes."""
+    route, over every tile: the element counts run_stack's byte sink takes
+    from the arrays it makes, times their itemsize if the output is
+    retained, plus a route's byte per element."""
     peaks = [0] * net.split_index
     for s in plan.segments:
         below = run_stack(image, net, params, 0, s.start, want_cache=False)[0]
         for tile in s.tiles:
             r, sink = tile.input_forward, []
-            run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, s.start, s.stop,
-                      pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
-            for m, b, _ in sink:
-                peaks[m] = max(peaks[m], b)
+            out, _ = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, s.start, s.stop,
+                               pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
+            for m, size in zip(range(s.start, s.stop), sink, strict=True):
+                layer = net.layers[m]
+                kept = (size * out.itemsize if retains_output(layer) else 0) + (
+                    size if isinstance(layer, MaxPool) else 0)
+                peaks[m] = max(peaks[m], kept)
     return list(enumerate(peaks))
 
 
@@ -936,46 +942,123 @@ def test_segment_peak_formulas():
     the image, largest tiles of 5 and 45, params of 3, a gradient set of 3
     of which the tiles run beside 1, head 2."""
     cuts, tiles = [0, 100, 10], [5, 45]
-    # forward: a segment holds the cut maps up to its output; the head holds
-    # them all and the top segment's kept tile
-    assert stream_forward_peak(3, 2, cuts, tiles) == 3 + max(100 + 5, 110 + 45, 110 + 2 + 45)
-    assert stream_forward_peak(3, 2, cuts, [50, 7]) == 3 + max(100 + 50, 110 + 2 + 7)
-    # backward, tile phase: every cut map and the head, plus the gradients of
+    # tile phase: every cut map and the head, plus the gradients of
     # the cut maps bounding the segment (none for the image) and its tile;
     # head-gradient phase: every cut map, the head and the whole set
     assert stream_backward_peaks(3, 1, 3, 2, cuts, tiles) == (
         3 + 1 + 110 + 2 + max(0 + 100 + 5, 100 + 10 + 45), 3 + 3 + 110 + 2)
-    # one segment: params + split + tile + head, then params + tile grads +
-    # 2 split + head + tile and params + grads + split + head
-    assert stream_forward_peak(3, 2, [0, 10], [50]) == 3 + 10 + 50 + 2
+    # one segment: params + tile grads + 2 split + head + tile and params +
+    # grads + split + head
     assert stream_backward_peaks(3, 1, 3, 2, [0, 10], [50]) == (
         3 + 1 + 2 * 10 + 2 + 50, 3 + 3 + 10 + 2)
+
+
+def forward_phase_peak(params, head, cut_bytes, tile_bytes):
+    """The reference for the forward's peak, which tilestream.memory leaves
+    unmodelled: a segment holds the cut maps up to its output and its
+    tile; the head holds them all and the top segment's kept tile."""
+    held = peak = 0
+    for out, tile in zip(cut_bytes[1:], tile_bytes, strict=True):
+        held += out
+        peak = max(peak, held + tile)
+    return params + max(peak, held + head + tile_bytes[-1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(segments=st.integers(1, 4), data=st.data())
 def test_forward_formula_never_exceeds_backward_formula(segments, data):
-    """stream_f <= the backward's tile phase for any non-negative terms over
-    1-4 segments (the proof in tilestream.memory's module doc), so the
-    planner weighs the backward formula alone."""
+    """The forward's peak <= the backward's tile phase for any non-negative
+    terms over 1-4 segments (it holds a subset of the tile phase's terms,
+    tilestream.memory's module doc), so the model needs no forward
+    formula."""
     term = st.integers(0, 10**12)
     params, tile_grads, grads, head = (data.draw(term) for _ in range(4))
     cuts = [0] + data.draw(st.lists(term, min_size=segments, max_size=segments))
     tiles = data.draw(st.lists(term, min_size=segments, max_size=segments))
-    assert (stream_forward_peak(params, head, cuts, tiles)
+    assert (forward_phase_peak(params, head, cuts, tiles)
             <= stream_backward_peaks(params, tile_grads, grads, head, cuts, tiles)[0])
 
 
 @pytest.mark.parametrize("case", SAMPLED)
 def test_forward_peak_never_exceeds_backward_peak(case):
     """The kept tile in the forward's head term moves no modelled peak: for
-    every checkpoint layout the chooser weighs, stream_f <= stream_b."""
+    every checkpoint layout the chooser weighs, in both precisions, the
+    forward's peak is within the batch-1 tile phase."""
     net, z, grid, _ = sampled(case)
     section = _Section(net, z, grid)
+    shapes = net.activation_shapes(z)
     for precision, item in (("single", 4), ("double", 8)):
         for candidate in section.choose(item)[1]:
             est = estimate_streaming(net, candidate, 1, precision)
-            assert est.peak_forward_bytes <= est.peak_backward_bytes
+            cuts = [0] + [math.prod(shapes[c]) * item for c in candidate.cuts[1:]]
+            forward = forward_phase_peak(est.params_bytes, est.head_bytes, cuts,
+                                         list(candidate.tile_bytes[item]))
+            assert forward <= est.peak_tiles_bytes
+
+
+def running_sum_peak(net, start, stop, elements, itemsize):
+    """The reference for live_peak: a running sum over one pass's output
+    element counts, adding each layer's array (if retained) and route as
+    it is made and taking away the map a pool frees."""
+    layers, live, peak, made = net.layers, 0, 0, {}
+    for i, size in zip(range(start, stop), elements, strict=True):
+        pool = isinstance(layers[i], MaxPool)
+        made[i + 1] = size * itemsize if retains_output(layers[i]) else 0
+        live += made[i + 1] + (size if pool else 0)
+        peak = max(peak, live)
+        if pool:
+            live -= made.get(pool_frees(layers, start, i), 0)
+    return peak
+
+
+def preset_passes():
+    """(net, start, stop) of every segment a plan of a preset can cut, and
+    of its head."""
+    passes = []
+    for net in (net_vgg13(), net_tiny2(), net_giga64mp()):
+        split = net.split_index
+        cuts = [0] + [m + 1 for m, layer in enumerate(net.stream_layers)
+                      if isinstance(layer, MaxPool) and m + 1 < split] + [split]
+        passes += [(net, a, b) for a, b in itertools.combinations(cuts, 2)]
+        passes.append((net, split, len(net.layers)))
+    return passes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(preset_passes()), lead=st.lists(st.integers(1, 3), max_size=2),
+       itemsize=st.sampled_from((4, 8)), data=st.data())
+def test_live_peak_is_the_running_sum_maxed_over_leading_axes(case, lead, itemsize, data):
+    """On every preset segment and head, with random element counts over 0-2
+    leading axes, the walk equals the maximum of its calls per leading
+    index, and each call equals the running-sum reference."""
+    net, start, stop = case
+    elements = data.draw(arrays(np.int64, tuple(lead) + (stop - start,),
+                                elements=st.integers(0, 10**9)))
+    rows = elements.reshape(-1, stop - start)
+    got = live_peak(net, start, stop, elements, itemsize)
+    assert got == max(live_peak(net, start, stop, row, itemsize) for row in rows)
+    assert got == max(running_sum_peak(net, start, stop, row.tolist(), itemsize) for row in rows)
+
+
+@pytest.mark.parametrize("grid, checkpoints", [((1, 1), ()), ((4, 4), ()), ((4, 4), (10, 24))],
+                         ids=["1x1", "4x4", "4x4-10-24"])
+def test_a_pass_walks_once_per_segment_and_once_for_the_head(monkeypatch, grid, checkpoints):
+    """A walk costs tens of microseconds a call, so a pass counts each
+    segment's tiles in one call, the head in one more, and backward's
+    recompute in none."""
+    net = net_vgg13(base=2, hidden=4)
+    plan = _Section(net, 128, grid).plan(checkpoints)
+    walks, walk = [], tilestream.engine.live_peak
+
+    def counting(net, start, stop, elements, itemsize):
+        walks.append((start, stop))
+        return walk(net, start, stop, elements, itemsize)
+
+    monkeypatch.setattr(tilestream.engine, "live_peak", counting)
+    sample = synth_dataset(0, 128, 2)[0]
+    streaming_loss_and_grads(net, init_params(net, 128, 0), sample.image, sample.label, plan)
+    assert walks == [(s.start, s.stop) for s in plan.segments] + [
+        (net.split_index, len(net.layers))]
 
 
 @pytest.mark.parametrize("case", SAMPLED)
