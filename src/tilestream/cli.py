@@ -61,16 +61,15 @@ def save_checkpoint(dirpath, net, params, precision):
 
 
 def _prepare(cfg: ExperimentConfig):
-    """(network, validated plan, every plan weighed, budget), chosen and
-    budgeted in the run's precision."""
+    """(network, validated plan, every plan weighed, the _Section that
+    chose and priced them in the run's precision)."""
     net = build_network(cfg)
-    section = _Section(net, cfg.image_size, cfg.grid)
-    item = resolve_dtype(cfg.precision).itemsize
-    plan, candidates = section.choose(item)
+    section = _Section(net, cfg.image_size, cfg.grid, cfg.precision)
+    plan, candidates = section.choose()
     report = validate_tile_plan(plan, net)
     if not report.ok:
         raise PlanError("; ".join(report.failures[:3]))
-    return net, plan, candidates, section.budget(item)
+    return net, plan, candidates, section
 
 
 def _dataset(cfg: ExperimentConfig, net, n):
@@ -86,7 +85,7 @@ def _grids(grids):
 
 
 def cmd_plan(cfg: ExperimentConfig):
-    net, plan, candidates, budget = _prepare(cfg)
+    net, plan, candidates, section = _prepare(cfg)
     whole = estimate_whole_image(net, cfg.image_size, cfg.batch_size, cfg.precision)
     stream = estimate_streaming(net, plan, cfg.batch_size, cfg.precision)
     reduction = reduction_report(whole, stream)
@@ -99,15 +98,15 @@ def cmd_plan(cfg: ExperimentConfig):
     print(f"tiles: {len(plan.tiles)}  grid: {plan.grid[0]}x{plan.grid[1]}  "
           f"segment grids: {_grids(plan.grids)}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
-    item = resolve_dtype(cfg.precision).itemsize
+    budget = section.budget
     print(f"budget: modelled peak {budget:,} bytes at any batch size, the least with "
           f"every segment at {plan.grid[0]}x{plan.grid[1]}")
     for candidate in candidates:
         maps = ",".join(map(str, candidate.checkpoints)) or "none"
-        mark = ("  (chosen)" if candidate is plan
-                else "  (over budget)" if candidate.peak_bytes[item] > budget else "")
+        peak = section.peak(candidate)
+        mark = "  (chosen)" if candidate is plan else "  (over budget)" if peak > budget else ""
         print(f"checkpoints {maps} grids {_grids(candidate.grids)}: modelled peak "
-              f"{candidate.peak_bytes[item]:,} bytes, conv work {candidate.recompute_ratio:.2f}x, "
+              f"{peak:,} bytes, conv work {candidate.recompute_ratio:.2f}x, "
               f"{candidate.calls} tile-layer calls{mark}")
     g = 1
     while g <= min(net.split_shape(cfg.image_size)[1:]):

@@ -23,8 +23,9 @@ tilestream.layers), each cut map is bit-identical to a whole-image pass,
 by induction from the image up.
 
 Streaming backward runs in two phases, in this one order for every plan
-and batch size. First head_backward takes the head's activation
-gradients, once, down to the whole split map, deferring each dense
+and batch size, and every layer's backward runs in one loop,
+tilestream.network.stack_backward. First head_backward runs that loop
+over the head, once, down to the whole split map, deferring each dense
 layer's parameter gradients: it keeps the layer's grad_out and the input
 its cache holds. Then, segment by segment, top-down, each tile
 backpropagates its owned slice of the gradient of the map above through
@@ -32,7 +33,8 @@ stack_backward: first the kept tile, from forward's caches, then every
 other tile, recomputing its forward crop from the segment's retained
 input map. Below the top segment that gradient is the checkpoint's
 gradient map, which the segment above filled by adding each tile's input
-gradient over its crop. stack_backward pops each layer's cache as that
+gradient over its crop; at the image, layer 0 forms only its parameter
+gradients. stack_backward pops each layer's cache as that
 layer's backward starts and hands the layer its entry of the pass's one
 ParamGrads, which the layer adds its parameter gradients into; so a
 tile's activations are freed as its backward descends. After the last

@@ -80,9 +80,10 @@ head gradients the first image formed; the planner takes G_t = G, a
 bound at any batch size, under which the tile phase is the larger. The
 forward needs no formula of its own: it holds a subset of the tile
 phase's terms (the cut maps up to a segment's, its tile, and the head
-beside the top segment's tile). estimate_streaming reads the tile terms
-the planner stores on the TilePlan, in the run's precision, and the cut
-maps' sizes from the network's shapes.
+beside the top segment's tile). A plan holds no bytes: estimate_streaming
+prices it in the precision it is given, each segment's tile term one
+live_peak over the element counts the planner stores on the Segment, and
+the cut maps' sizes from the network's shapes.
 """
 
 from __future__ import annotations
@@ -223,25 +224,28 @@ def stream_backward_peaks(params, tile_grads, grads, head, cut_bytes, tile_bytes
 
 
 def estimate_streaming(net: NetworkSpec, plan, batch, precision):
-    """Streaming estimate for a TilePlan: the modelled terms in the run's precision.
+    """Streaming estimate for a TilePlan, priced in this precision from the
+    element counts its segments store.
 
     per_layer_bytes holds each streaming layer's largest tile output (and a
     pool's route), then the head terms; the phase peaks take each
-    segment's tile term.
+    segment's tile term, one live_peak over its counts.
     """
     item = resolve_dtype(precision).itemsize
     head_per_layer = head_layer_bytes(net, plan.image_size, item)
     head_bytes = head_peak_bytes(net, plan.image_size, item)
     shapes = net.activation_shapes(plan.image_size)
     cut_bytes = [0] + [math.prod(shapes[c]) * item for c in plan.cuts[1:]]
-    tile_bytes = list(plan.tile_bytes[item])
+    tile_bytes = [live_peak(net, s.start, s.stop, s.elements, item) for s in plan.segments]
+    largest = np.concatenate([s.elements.reshape(-1, s.stop - s.start).max(axis=0)
+                              for s in plan.segments]).tolist()
     params = count_param_scalars(net, plan.image_size) * item
     tile_grads = (params if batch > 1
                   else count_param_scalars(net, plan.image_size, net.split_index) * item)
     peak_tiles, peak_head_grads = stream_backward_peaks(params, tile_grads, params, head_bytes,
                                                         cut_bytes, tile_bytes)
-    per_layer = [(m, s * item + (s if isinstance(net.layers[m], MaxPool) else 0))
-                 for m, s in enumerate(plan.layer_scalars)] + head_per_layer
+    per_layer = [(m, e * (item * retains_output(layer) + isinstance(layer, MaxPool)))
+                 for m, (layer, e) in enumerate(zip(net.layers, largest))] + head_per_layer
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,

@@ -281,25 +281,32 @@ def _add_param_grads(acc, gw, gb):
     acc.b += gb
 
 
-def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False):
-    """Run one layer backward; returns grad_in.
+def layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok=False, input_grad=True):
+    """Run one layer backward; returns grad_in, or None without input_grad.
 
     A conv adds its parameter gradients into acc, its entry of the pass's
     ParamGrads. It takes both gradients from one band pass
     (conv2d_backward), whose weight product and accumulator come out of
     its band's column budget; its kernel-sized weight gradient is added
-    into acc as soon as the call returns. A dense layer returns its input
-    gradient only and ignores acc: head_param_grads forms its parameter
-    gradients once the pass's tiles are done. With inplace_ok a relu
-    masks grad_out in place and returns it; a relu without a cache, fused
-    into the pool above it, returns grad_out as it is, since that pool's
-    backward applied its mask.
+    into acc as soon as the call returns. Without input_grad (layer 0,
+    whose input gradient nothing reads) a conv runs the parameter-only
+    pass conv2d_param_grad, and any other layer does nothing. A dense
+    layer returns its input gradient only and ignores acc:
+    head_param_grads forms its parameter gradients once the pass's tiles
+    are done. With inplace_ok a relu masks grad_out in place and returns
+    it; a relu without a cache, fused into the pool above it, returns
+    grad_out as it is, since that pool's backward applied its mask.
     """
     if isinstance(layer, Conv):
         x, pads = cache
+        if not input_grad:
+            _add_param_grads(acc, *conv2d_param_grad(x, layer, grad_out, pads))
+            return None
         gx, gw, gb = conv2d_backward(x, layer, lparams, grad_out, pads)
         _add_param_grads(acc, gw, gb)
         return gx
+    if not input_grad:
+        return None
     if isinstance(layer, MaxPool):
         route, in_shape, relu_out = cache
         return maxpool2d_backward(route, grad_out, layer.kernel, layer.stride, in_shape, relu_out)
@@ -369,29 +376,30 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
     return x, caches
 
 
-def stack_backward(grad_out, net, params, caches, start, stop, grads):
-    """Backward through streaming layers [start, stop); returns the gradient wrt their input.
+def stack_backward(grad_out, net, params, caches, start, stop, grads, deferred=None):
+    """Backward through layers [start, stop); returns the gradient wrt their input.
 
-    Pops each layer's cache from caches (run_stack's list) as its backward
-    starts and adds its parameter gradients into grads, the pass's
-    ParamGrads. A pool scatters from its route, with its fused relu's mask
-    if it has one, and that relu passes the gradient on. With start 0
-    layer 0 yields only its parameter gradients (nothing consumes an image
-    gradient) and None is returned. grad_out is never written (it may be a
-    view of the caller's gradient map): relu masks in place only gradient
-    buffers the stack itself made, which every layer's backward does.
+    The one backward loop: it runs a segment's tile and, for head_backward,
+    the head. Pops each layer's cache from caches (run_stack's list) as
+    its backward starts and adds its parameter gradients into grads, the
+    pass's ParamGrads; a dense layer's wait for head_param_grads, so the
+    loop appends (layer index, input, grad_out) to deferred for each, its
+    input being what its cache held (dense 0's, a view of the split map).
+    A pool scatters from its route, with its fused relu's mask if it has
+    one, and that relu passes the gradient on. With start 0 layer 0
+    yields only its parameter gradients (nothing consumes an image
+    gradient) and None is returned. grad_out is never written (it may be
+    a view of the caller's gradient map): relu masks in place only
+    gradient buffers the stack itself made, which every layer's backward
+    does.
     """
     g = grad_out
-    for i in range(stop - 1, max(start, 1) - 1, -1):
-        layer = net.layers[i]
-        g = layer_backward(g, layer, params[i], caches.pop(), grads.per_layer[i],
-                           inplace_ok=i < stop - 1 and isinstance(layer, Relu))
-    if start == 0:
-        cache = caches.pop()  # layer 0 may be a relu or pool: pop before unpacking
-        if isinstance(net.layers[0], Conv):
-            x, pads = cache
-            _add_param_grads(grads.per_layer[0], *conv2d_param_grad(x, net.layers[0], g, pads))
-        g = None
+    for i in range(stop - 1, start - 1, -1):
+        layer, cache = net.layers[i], caches.pop()
+        if isinstance(layer, Dense):
+            deferred.append((i, cache, g))
+        g = layer_backward(g, layer, params[i], cache, grads.per_layer[i],
+                           inplace_ok=i < stop - 1 and isinstance(layer, Relu), input_grad=i > 0)
     return g
 
 
@@ -405,23 +413,15 @@ def head_forward(split_map, net, params, byte_sink=None):
 
 
 def head_backward(dlogit, net, params, caches, split_shape):
-    """The head's first backward pass: activation gradients only, top-down
-    to the split map. Returns (split-map gradient, deferred).
-
-    Pops each layer's cache as its backward starts, as stack_backward
-    does, but a dense layer's parameter gradients wait for
-    head_param_grads: deferred holds (layer index, input, grad_out) per
-    dense layer, its input being what its cache held (dense 0's, a view of
-    the split map). The head ends in a dense layer, so every relu below it
-    masks in place a gradient buffer this pass made.
-    """
-    g = np.asarray(dlogit).reshape(split_shape[0], 1)
+    """The head's first backward pass: stack_backward's activation
+    gradients, top-down to the split map. Returns (split-map gradient,
+    deferred), deferred holding what each dense layer's parameter
+    gradients need (head_param_grads). The head holds no conv, so no
+    entry of its gradient set is read."""
     deferred = []
-    for i in range(len(net.layers) - 1, net.split_index - 1, -1):
-        layer, cache = net.layers[i], caches.pop()
-        if isinstance(layer, Dense):
-            deferred.append((i, cache, g))
-        g = layer_backward(g, layer, params[i], cache, None, inplace_ok=True)
+    g = stack_backward(np.asarray(dlogit).reshape(split_shape[0], 1), net, params, caches,
+                       net.split_index, len(net.layers), ParamGrads.zeros_like(params, 0),
+                       deferred)
     if g.shape != split_shape:
         raise ShapeError("head backward produced wrong split-map gradient shape")
     return g, deferred

@@ -32,14 +32,15 @@ checkpoint map, and the split map, is rebuilt bit for bit from the
 (bit-exact) map below it. The engine retains the checkpoint maps, so a
 tile above a checkpoint back-projects only to it, not to the image.
 
-A TilePlan stores the image size, the configured grid, its segments and
-what the planner models for them; its cuts, checkpoints and grids are
-read from its segments. Map sizes and layer geometry belong to the
-network: the engine, the memory model, validation and to_json read them
-from NetworkSpec.activation_shapes and NetworkSpec.stream_geoms. A
-segment's tiles, the TileEntry records the engine runs with their
-segment (the input crop, the owned rectangle and the pads per layer),
-are the row-major product of its parts, built once, on first read.
+A TilePlan stores the image size, the configured grid, its segments, and
+the conv work and tile-layer calls the chooser weighs; its cuts,
+checkpoints and grids are read from its segments. Map sizes and layer
+geometry belong to the network: the engine, the memory model, validation
+and to_json read them from NetworkSpec.activation_shapes and
+NetworkSpec.stream_geoms. A segment's tiles, the TileEntry records the
+engine runs with their segment (the input crop, the owned rectangle and
+the pads per layer), are the row-major product of its parts, built
+once, on first read.
 Planning, the memory model and validation read only the parts:
 validate_tile_plan checks that the cuts rise from 0 to the network's
 split index and that each axis's owned intervals partition the
@@ -85,17 +86,16 @@ the exhaustive product of grids.
 Each distinct (segment, grid) is evaluated once, on per-axis intervals,
 and _Section.segment caches its Segment with its terms, so a candidate
 plan costs only the sums of its segments' terms. A segment's tiles are
-the product of its row and column parts, so each map's tile extent,
-each layer's largest tile output and the conv work factor into row and
-column terms. A segment's tile term is tilestream.memory.live_peak over
-the distinct row and column extents. This per-axis model is the plan's
-only model; the TilePlan carries the tile terms and layer outputs
-estimate_streaming prints, none of which scale with the batch. A route
-costs one byte per pool output element in either precision, so the peak
-and the tile terms are held per itemsize, and the chooser weighs the
-run's precision (build_tile_plan's precision, double by default, as in
-the config); every preset chooses the same plan in both. Planning builds
-no tiles.
+the product of its row and column parts, so each map's tile extent and
+the conv work factor into row and column terms. A Segment stores the
+element counts of each layer's output over the distinct row and column
+extents, which do not depend on the precision; its tile term is
+tilestream.memory.live_peak over them. A _Section prices in one
+precision, the run's (build_tile_plan's precision, double by default, as
+in the config), and every preset chooses the same plan in both;
+estimate_streaming prices any plan in any precision from the same
+counts, and equals _Section.peak at batch >= 2. Planning builds no
+tiles.
 
 Backward
 --------
@@ -119,7 +119,7 @@ in the package loads a plan file, so plans are always rebuilt from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -127,15 +127,11 @@ import numpy as np
 
 from .errors import PlanError, ShapeError
 from .layers import Conv
-from .memory import (count_param_scalars, head_peak_bytes, live_peak, retains_output,
-                     stream_backward_peaks)
+from .memory import count_param_scalars, head_peak_bytes, live_peak, stream_backward_peaks
 from .network import MaxPool, NetworkSpec
 from .tensors import resolve_dtype
 
 PLAN_SCHEMA_VERSION = 5
-
-# Bytes per scalar of the two precisions; the memory terms are modelled in both.
-ITEMSIZES = (4, 8)
 
 
 def backproject_span(a, b, k, s, p, in_size):
@@ -238,12 +234,18 @@ class AxisPart:
 @dataclass(frozen=True)
 class Segment:
     """Segment [start, stop) cut into row and column parts: its grid is
-    (len(rows), len(cols)), and its tiles are the parts' row-major product."""
+    (len(rows), len(cols)), and its tiles are the parts' row-major product.
+
+    elements[y, x, j] is the element count of layer start + j's output in
+    a tile of the y-th distinct row extent and the x-th distinct column
+    extent: the counts tilestream.memory prices the segment's tile term
+    and per-layer table from, in any precision."""
 
     start: int
     stop: int
     rows: tuple                        # AxisPart per row band, top-down
     cols: tuple                        # AxisPart per column band, left to right
+    elements: np.ndarray = field(compare=False, repr=False)
 
     @property
     def grid(self):
@@ -260,22 +262,17 @@ class Segment:
 
 @dataclass
 class TilePlan:
-    """Each segment's parts, and what the planner counts for them: the
-    modelled peak, the conv work and the tile-layer calls the chooser
-    weighs, and the terms tilestream.memory's estimate prints. The network
-    holds the maps' shapes and the layers' geometry; a plan holds none of
-    it. The peak and the tile terms are bytes per itemsize (ITEMSIZES),
-    since a route's byte does not scale with it; layer outputs are
-    scalars, times the itemsize tilestream.memory's streaming terms."""
+    """Each segment's parts and element counts, and the conv work and
+    tile-layer calls the chooser weighs. The network holds the maps'
+    shapes and the layers' geometry; a plan holds none of it, and no
+    bytes: tilestream.memory.estimate_streaming prices a plan in any
+    precision."""
 
     image_size: int
     grid: tuple                        # the configured grid; each segment's is in grids
     segments: list                     # Segment per segment, bottom-up
-    peak_bytes: dict                   # itemsize -> modelled streaming peak
     recompute_ratio: float             # conv multiply-adds of all tiles per whole-image pass
     calls: int                         # tile-layer calls: each segment's tiles times its layers
-    tile_bytes: dict                   # itemsize -> largest tile term per segment
-    layer_scalars: tuple               # largest tile output per streaming layer
 
     @property
     def cuts(self):
@@ -334,9 +331,10 @@ class TilePlan:
 
 class _Section:
     """The streaming section of one (network, image size, grid), with each
-    (segment, grid) evaluated once, on per-axis intervals."""
+    (segment, grid) evaluated once, on per-axis intervals, and its tile
+    term priced in the run's precision."""
 
-    def __init__(self, net: NetworkSpec, image_size, grid):
+    def __init__(self, net: NetworkSpec, image_size, grid, precision="double"):
         if min(grid) < 1:
             raise PlanError(f"bad grid {grid}")
         L = net.split_index
@@ -349,17 +347,15 @@ class _Section:
         if max(grid) > self.sizes[-1]:
             raise PlanError(f"grid {grid} exceeds split map {self.sizes[-1]}x{self.sizes[-1]}")
         self.net, self.image_size, self.grid = net, image_size, tuple(grid)
+        self.item = resolve_dtype(precision).itemsize
         self.geoms = net.stream_geoms()
         layers = net.stream_layers
-        # scalars per output pixel a layer's output retains (relu runs in
-        # place) and multiply-adds per output pixel, per streaming layer
-        self.kept = [self.channels[m + 1] if retains_output(layer) else 0
-                     for m, layer in enumerate(layers)]
+        # multiply-adds per output pixel, per streaming layer
         self.macs = [layer.c_out * layer.c_in * layer.kernel ** 2 if isinstance(layer, Conv)
                      else 0 for layer in layers]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
-        self.params = count_param_scalars(net, image_size)
-        self.head = {item: head_peak_bytes(net, image_size, item) for item in ITEMSIZES}
+        self.params = count_param_scalars(net, image_size) * self.item
+        self.head = head_peak_bytes(net, image_size, self.item)
         candidates = [m + 1 for m, layer in enumerate(layers)
                       if isinstance(layer, MaxPool) and m + 1 < L
                       and self.sizes[m + 1] >= max(grid)]
@@ -371,7 +367,6 @@ class _Section:
                             for j in reversed(range(max(r, c).bit_length()))]
         self._axes = {}
         self._segments = {}
-        self._budgets = {}
 
     def _axis(self, b, parts):
         """Per-part chains from map b down to the image, their extents per
@@ -387,97 +382,94 @@ class _Section:
         return self._axes[(b, parts)]
 
     def segment(self, a, b, grid):
-        """(Segment, largest tile term per itemsize, conv multiply-adds of
-        all tiles, largest tile output per layer, tile-layer calls) of
-        segment [a, b) cut by grid; outputs and work in scalars."""
+        """(Segment, largest tile term in bytes, conv multiply-adds of all
+        tiles, tile-layer calls) of segment [a, b) cut by grid."""
         if (a, b, grid) not in self._segments:
             (ychains, hy, ys), (xchains, wx, xs) = (self._axis(b, parts) for parts in grid)
             # each layer output's elements over the distinct tile extents
             # per axis of maps a + 1..b
             elements = (np.array(self.channels[a + 1:b + 1])
                         * ys[:, None, a + 1:] * xs[None, :, a + 1:])
-            tile = {item: live_peak(self.net, a, b, elements, item) for item in ITEMSIZES}
+            elements.flags.writeable = False
+            tile = live_peak(self.net, a, b, elements, self.item)
             rows, cols = hy[:, a + 1:], wx[:, a + 1:]
             conv_macs = sum(m * h * w for m, h, w in zip(
                 self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
-            outputs = tuple(k * h * w for k, h, w in zip(
-                self.kept[a:b], rows.max(axis=0).tolist(), cols.max(axis=0).tolist()))
             calls = grid[0] * grid[1] * (b - a)
             segment = Segment(a, b, *(tuple(AxisPart(ivs[a], ivs[b], tuple(pads[a:]))
                                             for ivs, pads in chains)
-                                      for chains in (ychains, xchains)))
-            self._segments[(a, b, grid)] = segment, tile, conv_macs, outputs, calls
+                                      for chains in (ychains, xchains)), elements)
+            self._segments[(a, b, grid)] = segment, tile, conv_macs, calls
         return self._segments[(a, b, grid)]
 
     def _cuts(self, checkpoints):
         cuts = (0,) + tuple(checkpoints) + (self.net.split_index,)
-        return cuts, (0,) + tuple(self.channels[c] * self.sizes[c] ** 2 for c in cuts[1:])
+        return cuts, [0] + [self.channels[c] * self.sizes[c] ** 2 * self.item for c in cuts[1:]]
 
-    def _peak(self, cut_scalars, tiles, item):
-        """The modelled peak in bytes at itemsize item, tiles being the tile
-        terms in bytes (tilestream.memory's module doc), with the whole
-        gradient set beside the tiles, as from a mini-batch's second image
-        on, so the budget holds at any batch size."""
-        params, cuts = self.params * item, [c * item for c in cut_scalars]
-        return max(stream_backward_peaks(params, params, params, self.head[item], cuts, tiles))
+    def _peak(self, cut_bytes, tiles):
+        """The modelled peak in bytes, tiles being the segments' tile terms
+        (tilestream.memory's module doc), with the whole gradient set
+        beside the tiles, as from a mini-batch's second image on, so the
+        budget holds at any batch size."""
+        params = self.params
+        return max(stream_backward_peaks(params, params, params, self.head, cut_bytes, tiles))
+
+    def peak(self, plan):
+        """plan's modelled peak in the section's precision: estimate_streaming's
+        at batch >= 2."""
+        return self._peak(self._cuts(plan.checkpoints)[1],
+                          [self.segment(s.start, s.stop, s.grid)[1] for s in plan.segments])
 
     def plan(self, checkpoints, grids=None):
         """The TilePlan cut at these checkpoints, each segment at its grid in
         grids (default: every segment at the configured grid)."""
-        cuts, cut_scalars = self._cuts(checkpoints)
+        cuts = self._cuts(checkpoints)[0]
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
-        segments, tiles, macs, outputs, calls = zip(
+        segments, _, macs, calls = zip(
             *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
-        tile_bytes = {item: tuple(t[item] for t in tiles) for item in ITEMSIZES}
-        peaks = {item: self._peak(cut_scalars, tile_bytes[item], item) for item in ITEMSIZES}
-        return TilePlan(self.image_size, self.grid, list(segments), peaks,
-                        sum(macs) / self.whole_macs if self.whole_macs else 1.0,
-                        sum(calls), tile_bytes,
-                        tuple(chain.from_iterable(outputs)))
+        return TilePlan(self.image_size, self.grid, list(segments),
+                        sum(macs) / self.whole_macs if self.whole_macs else 1.0, sum(calls))
 
-    def budget(self, item):
-        """The smallest modelled peak, in bytes at itemsize item, over every
-        set of checkpoints with every segment at the configured grid."""
-        if item not in self._budgets:
-            self._budgets[item] = min(self.plan(cps).peak_bytes[item]
-                                      for cps in self.checkpoint_sets)
-        return self._budgets[item]
+    @cached_property
+    def budget(self):
+        """The smallest modelled peak over every set of checkpoints with
+        every segment at the configured grid."""
+        return min(self.peak(self.plan(cps)) for cps in self.checkpoint_sets)
 
-    def coarsest(self, checkpoints, item):
+    def coarsest(self, checkpoints):
         """The TilePlan of these checkpoints with each segment at its
-        coarsest grid that fits the budget at itemsize item on its own
-        (module doc, "Choosing the plan"); None if some segment fits no
-        grid."""
-        cuts, cut_scalars = self._cuts(checkpoints)
+        coarsest grid that fits the budget on its own (module doc,
+        "Choosing the plan"); None if some segment fits no grid."""
+        cuts, cut_bytes = self._cuts(checkpoints)
         grids = []
         for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
             alone = [0] * (len(cuts) - 1)
             for grid in self.coarsenings:
-                alone[j] = self.segment(a, b, grid)[1][item]
-                if self._peak(cut_scalars, alone, item) <= self.budget(item):
+                alone[j] = self.segment(a, b, grid)[1]
+                if self._peak(cut_bytes, alone) <= self.budget:
                     grids.append(grid)
                     break
             else:
                 return None
         return self.plan(checkpoints, grids)
 
-    def choose(self, item):
-        """(chosen TilePlan, every TilePlan weighed) at itemsize item.
+    def choose(self):
+        """(chosen TilePlan, every TilePlan weighed).
 
         Weighs every set of checkpoint maps, each with its coarsest
         per-segment grids within the budget (or, if none fit, every segment
         at the configured grid), and keeps the fewest tile-layer calls,
         then the least conv work, then the fewest checkpoints (module doc,
         "Choosing the plan")."""
-        plans = [self.coarsest(cps, item) or self.plan(cps) for cps in self.checkpoint_sets]
-        fits = [p for p in plans if p.peak_bytes[item] <= self.budget(item)]
+        plans = [self.coarsest(cps) or self.plan(cps) for cps in self.checkpoint_sets]
+        fits = [p for p in plans if self.peak(p) <= self.budget]
         return min(fits, key=lambda p: (p.calls, p.recompute_ratio, len(p.checkpoints))), plans
 
 
 def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double"):
     """The TilePlan for (network, image size, grid) that the chooser keeps
     in this precision (_Section.choose). Builds no tiles."""
-    return _Section(net, image_size, grid).choose(resolve_dtype(precision).itemsize)[0]
+    return _Section(net, image_size, grid, precision).choose()[0]
 
 
 def whole_image_plan(net: NetworkSpec, image_size):

@@ -12,7 +12,6 @@ from tilestream.network import (
     NetworkSpec,
     ParamGrads,
     Relu,
-    head_backward,
     head_forward,
     head_param_grads,
     run_stack,
@@ -52,14 +51,15 @@ def sample_streaming_config(rng, min_size=16, max_size=64):
 
 def plain_backprop(net, params, image, label):
     """Whole-image reference with no plan or tile: run_stack, then the head,
-    then stack_backward. A PassResult without a run record."""
+    then one stack_backward from the logit down to layer 0 and the dense
+    layers' deferred parameter gradients. A PassResult without a run
+    record."""
     split, caches = run_stack(image, net, params, 0, net.split_index)
     logit, head_caches = head_forward(split, net, params)
     loss, dlogit = bce_with_logits(logit[0], label)
-    grads = ParamGrads.zeros_like(params)
-    grad_split, deferred = head_backward(np.asarray([dlogit]), net, params, head_caches,
-                                         split.shape)
-    stack_backward(grad_split, net, params, caches, 0, net.split_index, grads)
+    grads, deferred = ParamGrads.zeros_like(params), []
+    assert stack_backward(np.asarray([[dlogit]]), net, params, caches + head_caches, 0,
+                          len(net.layers), grads, deferred) is None
     head_param_grads(params, deferred, grads)
     return PassResult(float(loss), float(logit[0]), split, grads, None)
 

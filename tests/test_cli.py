@@ -343,9 +343,9 @@ def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):
     grids = []
     section_init = planner._Section.__init__
 
-    def counting(self, net, image_size, grid):
+    def counting(self, net, image_size, grid, precision="double"):
         grids.append(tuple(grid))
-        section_init(self, net, image_size, grid)
+        section_init(self, net, image_size, grid, precision)
 
     monkeypatch.setattr(planner._Section, "__init__", counting)
     doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}

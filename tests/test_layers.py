@@ -714,6 +714,15 @@ def _loop_conv_grads(x, w, g, stride, pads):
     return gxp[:, :, pt:pt + h, pl:pl + ww], gw
 
 
+def _abs_terms(x, w, g, stride, pads):
+    """Per element of each gradient, the sum of its terms' magnitudes:
+    _loop_conv_grads run on |x|, |w| and |g|. A gradient's rounding error
+    is bounded by a multiple of it, while a sum of cancelling terms can be
+    far smaller than its sup-norm, so the oracle tests gate each element
+    against tol times this sum."""
+    return _loop_conv_grads(np.abs(x), np.abs(w), np.abs(g), stride, pads)
+
+
 @pytest.mark.parametrize("n,k,s,pads", [(2, 3, 2, (1, 0, 2, 1)), (2, 2, 1, (0, 1, 1, 0)),
                                         (1, 5, 2, (2, 1, 0, 3)), (2, 3, 1, (1, 1, 1, 1))])
 def test_conv_single_precision_backward_matches_oracle(rng, n, k, s, pads):
@@ -760,14 +769,16 @@ def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, d
     wt = r.standard_normal((c_out, c_in, k, k))
     oh, ow = out_size(h + pt + pb, k, s), out_size(w + pl + pr, k, s)
     g = r.standard_normal((n, c_out, oh, ow))
-    want, _ = _loop_conv_grads(np.zeros((n, c_in, h, w)), wt, g, s, (pt, pb, pl, pr))
+    zeros = np.zeros((n, c_in, h, w))
+    want, _ = _loop_conv_grads(zeros, wt, g, s, (pt, pb, pl, pr))
+    terms, _ = _abs_terms(zeros, wt, g, s, (pt, pb, pl, pr))
     spec = Conv(c_out, k, s, 0, c_in=c_in)
     got = conv2d_input_grad(g.astype(dtype), spec,
                             Params(wt.astype(dtype), np.zeros(c_out, dtype)),
                             (h, w), (pt, pb, pl, pr))
     assert got.dtype == dtype and got.shape == want.shape
     tol = 1e-5 if dtype == np.float32 else 1e-12
-    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    assert np.all(np.abs(got - want) <= tol * terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -781,12 +792,15 @@ def test_conv_input_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, d
          dtype=np.float64, seed=1)  # a map smaller than one band
 @example(n=1, c_in=3, c_out=2, k=5, s=3, pads=(4, 0, 2, 3), h=39, w=23, view=True,
          dtype=np.float32, seed=2)  # stride 3 with unread bottom rows
+@example(n=2, c_in=6, c_out=1, k=5, s=1, pads=(0, 4, 0, 2), h=4, w=14, view=False,
+         dtype=np.float32, seed=5)  # a bias whose 96 terms cancel to 1e-4 of their sum
 def test_conv_param_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, view, dtype,
                                              seed):
     """The weight and bias gradients, the reduction-only band pass over x's
     columns against grad_out's rows, match the float64 adjoint loops of
     brute_conv in both precisions, for contiguous inputs and for crop views
-    of both (a view's rows of grad_out are copied band by band)."""
+    of both (a view's rows of grad_out are copied band by band): each
+    element within tol of the sum of its terms' magnitudes (_abs_terms)."""
     pt, pb, pl, pr = (p % k for p in pads)
     h, w = max(h, k - pt - pb), max(w, k - pl - pr)
     r = np.random.default_rng(seed)
@@ -795,14 +809,15 @@ def test_conv_param_grad_matches_loop_oracle(n, c_in, c_out, k, s, pads, h, w, v
     oh, ow = out_size(h + pt + pb, k, s), out_size(w + pl + pr, k, s)
     gbig = r.standard_normal((n, c_out, oh + 2, ow + 1)).astype(dtype)
     g = gbig[:, :, 2:, 1:] if view else np.ascontiguousarray(gbig[:, :, :oh, :ow])
-    _, want_w = _loop_conv_grads(x.astype(np.float64), np.zeros((c_out, c_in, k, k)),
-                                 g.astype(np.float64), s, (pt, pb, pl, pr))
-    want_b = g.astype(np.float64).sum(axis=(0, 2, 3))
+    x64, g64, zeros = x.astype(np.float64), g.astype(np.float64), np.zeros((c_out, c_in, k, k))
+    _, want_w = _loop_conv_grads(x64, zeros, g64, s, (pt, pb, pl, pr))
+    _, terms_w = _abs_terms(x64, zeros, g64, s, (pt, pb, pl, pr))
+    want_b, terms_b = g64.sum(axis=(0, 2, 3)), np.abs(g64).sum(axis=(0, 2, 3))
     got_w, got_b = conv2d_param_grad(x, Conv(c_out, k, s, 0, c_in=c_in), g, (pt, pb, pl, pr))
     tol = 1e-5 if dtype == np.float32 else 1e-12
-    for got, want in ((got_w, want_w), (got_b, want_b)):
+    for got, want, terms in ((got_w, want_w, terms_w), (got_b, want_b, terms_b)):
         assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
-        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= tol * terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -818,8 +833,8 @@ def test_fused_conv_backward_matches_the_separate_kernels(n, c_in, c_out, k, s, 
                                                           view, dtype, seed):
     """conv2d_backward's one band pass gives conv2d_input_grad's input
     gradient bit for bit, and conv2d_param_grad's weight and bias gradients
-    within the package's gradient tolerance of their sup-norm, for
-    contiguous inputs and crop views."""
+    within the package's gradient tolerance of the sum of each element's
+    terms' magnitudes (_abs_terms), for contiguous inputs and crop views."""
     pt, pb, pl, pr = (p % k for p in pads)
     h, w = max(h, k - pt - pb), max(w, k - pl - pr)
     r = np.random.default_rng(seed)
@@ -833,9 +848,12 @@ def test_fused_conv_backward_matches_the_separate_kernels(n, c_in, c_out, k, s, 
     gx, gw, gb = conv2d_backward(x, spec, params, g, pads)
     assert gx.tobytes() == conv2d_input_grad(g, spec, params, (h, w), pads).tobytes()
     tol = default_tolerances("single" if dtype == np.float32 else "double")["grad"]
-    for got, want in zip((gw, gb), conv2d_param_grad(x, spec, g, pads)):
+    g64 = g.astype(np.float64)
+    _, terms_w = _abs_terms(x.astype(np.float64), np.zeros(params.w.shape), g64, s, pads)
+    terms = (terms_w, np.abs(g64).sum(axis=(0, 2, 3)))
+    for got, want, term in zip((gw, gb), conv2d_param_grad(x, spec, g, pads), terms):
         assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
-        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= tol * term)
 
 
 @pytest.mark.parametrize("s,pads,view", [(1, (1, 1, 1, 1), False), (2, (1, 0, 0, 2), True),

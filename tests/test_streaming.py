@@ -177,8 +177,8 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_tiles_bytes == record.peak_bytes_tiles
     assert est.peak_head_grads_bytes == record.peak_bytes_head_grads
-    # the plan's peak bounds a step at any batch size: batch 2's
-    assert est.peak_bytes <= plan.peak_bytes[image.itemsize] == \
+    # the section's peak bounds a step at any batch size: batch 2's
+    assert est.peak_bytes <= _Section(net, z, plan.grid, precision).peak(plan) == \
         estimate_streaming(net, plan, 2, precision).peak_bytes
 
 
@@ -250,9 +250,9 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
     in each precision, whose bytes the chooser weighs."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
-    section = _Section(net, z, grid)
-    for precision, item in (("single", 4), ("double", 8)):
-        chosen, candidates = section.choose(item)
+    for precision in ("single", "double"):
+        section = _Section(net, z, grid, precision)
+        chosen, candidates = section.choose()
         plan = build_tile_plan(net, z, grid, precision)
         assert plan == chosen and plan.grid == grid
         sizes = [h for _, h, _ in net.activation_shapes(z)[:net.split_index + 1]]
@@ -266,32 +266,33 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
             forced = section.plan(cps)
             assert validate_tile_plan(forced, net).ok
             uniform[cps] = estimate_streaming(net, forced, 2, precision).peak_bytes
-            assert uniform[cps] == forced.peak_bytes[item]
+            assert uniform[cps] == section.peak(forced)
         budget = min(uniform.values())
         assert estimate_streaming(net, plan, 2, precision).peak_bytes == budget <= uniform[()]
         assert any(c is chosen for c in candidates)
         for candidate in candidates:
             assert validate_tile_plan(candidate, net).ok
             assert estimate_streaming(net, candidate, 2, precision).peak_bytes == \
-                candidate.peak_bytes[item]
+                section.peak(candidate)
+        assert section.budget == budget
         for other in every_plan(section):
-            if other.peak_bytes[item] <= budget:
+            if section.peak(other) <= budget:
                 assert rule(other) >= rule(chosen), (other.checkpoints, other.grids)
 
 
-def assert_separable(section, item):
+def assert_separable(section):
     """Each segment at its coarsest grid that fits on its own gives, per
     set of checkpoints and overall, the layout the exhaustive product of
-    per-segment grids keeps within the budget at itemsize item."""
+    per-segment grids keeps within the budget in the section's precision."""
     best = {}
     for plan in every_plan(section):
-        if plan.peak_bytes[item] <= section.budget(item):
+        if section.peak(plan) <= section.budget:
             cps = plan.checkpoints
             if cps not in best or rule(plan) < rule(best[cps]):
                 best[cps] = plan
     for cps in section.checkpoint_sets:
-        assert section.coarsest(cps, item) == best.get(cps), cps
-    assert section.choose(item)[0] == min(best.values(), key=rule)
+        assert section.coarsest(cps) == best.get(cps), cps
+    assert section.choose()[0] == min(best.values(), key=rule)
 
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
@@ -299,10 +300,10 @@ def test_separable_search_equals_the_exhaustive_product(name):
     """The fixed cases, in each precision; section.coarsenings runs from
     1x1 to the configured grid."""
     make, z, grid = CHOOSER_CASES[name]
-    section = _Section(make(), z, grid)
-    assert section.coarsenings == coarsenings(grid)[::-1]
-    for item in (4, 8):
-        assert_separable(section, item)
+    for precision in ("single", "double"):
+        section = _Section(make(), z, grid, precision)
+        assert section.coarsenings == coarsenings(grid)[::-1]
+        assert_separable(section)
 
 
 def test_separable_search_on_sampled_nets():
@@ -311,9 +312,29 @@ def test_separable_search_on_sampled_nets():
     rng = np.random.default_rng(21)
     for _ in range(120):
         net, z, grid, _ = sample_streaming_config(rng)
-        section = _Section(net, z, grid)
-        for item in (4, 8):
-            assert_separable(section, item)
+        for precision in ("single", "double"):
+            assert_separable(_Section(net, z, grid, precision))
+
+
+@pytest.mark.parametrize("make, z, grid", [(net_vgg13, 512, (4, 4)), (net_tiny2, 512, (8, 8)),
+                                           (net_giga64mp, 8130, (16, 16))])
+def test_a_plan_prices_the_same_whichever_precision_chose_it(make, z, grid):
+    """A plan stores element counts, not bytes: chosen in either precision
+    and priced by estimate_streaming in either, at batch 1 and 2, it gives
+    the estimate of the plan chosen in the pricing precision (perfbench's
+    traced run plans in double and estimates in single). The section that
+    chose a plan prices it as estimate_streaming does at batch 2."""
+    net = make()
+    plans = {precision: build_tile_plan(net, z, grid, precision)
+             for precision in ("single", "double")}
+    for chosen, priced in itertools.product(plans, repeat=2):
+        for batch in (1, 2):
+            assert estimate_streaming(net, plans[chosen], batch, priced) == \
+                estimate_streaming(net, plans[priced], batch, priced)
+    for precision, plan in plans.items():
+        section = _Section(net, z, grid, precision)
+        assert section.choose()[0] == plan
+        assert section.peak(plan) == estimate_streaming(net, plan, 2, precision).peak_bytes
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
@@ -360,7 +381,8 @@ def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
     net = net_vgg13()
     plan = build_tile_plan(net, 8192, (64, 64))
     assert plan.grids == ((64, 64),) and validate_tile_plan(plan, net).ok
-    assert estimate_streaming(net, plan, 2, "single").peak_bytes == plan.peak_bytes[4]
+    assert estimate_streaming(net, plan, 2, "single").peak_bytes == \
+        _Section(net, 8192, (64, 64), "single").peak(plan)
     assert built == []
 
 
@@ -634,15 +656,15 @@ def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
     del cache, parts, a
     alive, layer_backward = [], tilestream.network.layer_backward
 
-    def checking(grad_out, layer, lparams, cache, acc, inplace_ok=False):
-        j = len(net.layers) - 1 - len(alive)  # layers run top-down; layer 0 never calls
-        assert layer is net.layers[j]
+    def checking(grad_out, layer, lparams, cache, acc, inplace_ok=False, input_grad=True):
+        j = len(net.layers) - 1 - len(alive)  # layers run top-down, layer 0 last
+        assert layer is net.layers[j] and input_grad == (j > 0)
         alive.append([i for i, ref in lowest.values() if i > j and ref() is not None])
-        return layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok)
+        return layer_backward(grad_out, layer, lparams, cache, acc, inplace_ok, input_grad)
 
     monkeypatch.setattr(tilestream.network, "layer_backward", checking)
     streaming_backward(net, params, image, plan, state, np.asarray([1.0]))
-    assert alive == [[]] * (len(net.layers) - 1)
+    assert alive == [[]] * len(net.layers)
     assert stream_caches == [] and head_caches == []
 
 
@@ -985,14 +1007,14 @@ def test_forward_peak_never_exceeds_backward_peak(case):
     every checkpoint layout the chooser weighs, in both precisions, the
     forward's peak is within the batch-1 tile phase."""
     net, z, grid, _ = sampled(case)
-    section = _Section(net, z, grid)
     shapes = net.activation_shapes(z)
     for precision, item in (("single", 4), ("double", 8)):
-        for candidate in section.choose(item)[1]:
+        for candidate in _Section(net, z, grid, precision).choose()[1]:
             est = estimate_streaming(net, candidate, 1, precision)
             cuts = [0] + [math.prod(shapes[c]) * item for c in candidate.cuts[1:]]
-            forward = forward_phase_peak(est.params_bytes, est.head_bytes, cuts,
-                                         list(candidate.tile_bytes[item]))
+            tiles = [live_peak(net, s.start, s.stop, s.elements, item)
+                     for s in candidate.segments]
+            forward = forward_phase_peak(est.params_bytes, est.head_bytes, cuts, tiles)
             assert forward <= est.peak_tiles_bytes
 
 
@@ -1150,14 +1172,20 @@ def test_recompute_ratio_and_backward_input_region():
 
 
 def test_stack_backward_gives_layer0_param_grads_only(rng):
+    """One loop runs the whole network top-down: it defers each dense
+    layer's (index, input, grad_out), empties the caches, and layer 0
+    yields only its parameter gradients, so None is returned."""
     net = net_vgg13(base=2, hidden=4)
     params = init_params(net, 32, 0)
     x = rng.standard_normal((1, 1, 32, 32))
-    out, caches = run_stack(x, net, params, 0, net.split_index)
-    grads = ParamGrads.zeros_like(params)
-    assert stack_backward(np.ones_like(out), net, params, caches, 0, net.split_index,
-                          grads) is None
-    assert np.any(grads.per_layer[0].w)
+    out, caches = run_stack(x, net, params, 0, len(net.layers))
+    grads, deferred = ParamGrads.zeros_like(params, net.split_index), []
+    assert stack_backward(np.ones_like(out), net, params, caches, 0, len(net.layers), grads,
+                          deferred) is None
+    assert caches == [] and np.any(grads.per_layer[0].w)
+    assert [i for i, _, _ in deferred] == [i for i in reversed(range(len(net.layers)))
+                                           if isinstance(net.layers[i], Dense)]
+    assert grads.per_layer[net.split_index:] == [None] * (len(net.layers) - net.split_index)
     out0, caches = run_stack(x, net, params, 0, 1)  # fresh caches: the call above emptied them
     with pytest.raises(ShapeError, match="batch mismatch"):
         stack_backward(np.ones((2,) + out0.shape[1:]), net, params, caches, 0, 1, grads)
