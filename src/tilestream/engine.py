@@ -1,8 +1,12 @@
 """Execution: one per-image executor over a tile plan, and the one SGD training step.
 
-train, bench and verify's lockstep all step through train_step and
-differ only in the plan. Whole-image training is planner.whole_image_plan
-(one tile, no checkpoints): standard backprop through the same kernels.
+The executor runs one image per pass, as the memory model and the
+engine's counters price it: streaming_forward, streaming_backward and
+streaming_loss_and_grads each refuse a batch (ShapeError), and
+train_step runs its mini-batch one image at a time. train, bench and
+verify's lockstep all step through train_step and differ only in the
+plan. Whole-image training is planner.whole_image_plan (one tile, no
+checkpoints): standard backprop through the same kernels.
 
 Streaming forward: the plan cuts the streaming section at checkpoint
 maps into segments (tilestream.planner). Segment by segment, bottom-up,
@@ -145,14 +149,12 @@ class StreamingForwardState:
     def split_map(self):
         return self.cut_maps[-1]
 
-    def cut_bytes(self):
-        """Bytes per plan cut, 0 for the image, as tilestream.memory's formula takes them."""
-        return [0] + [m.nbytes for m in self.cut_maps]
-
 
 def _check_image(image, plan):
-    check_tensor4(image, "image")
-    n, c, h, w = image.shape
+    """Refuse anything but one image of the plan's size: a pass prices one image."""
+    n, _, h, w = check_tensor4(image, "image").shape
+    if n != 1:
+        raise ShapeError(f"a pass runs one image at a time, not {n}")
     if (h, w) != (plan.image_size, plan.image_size):
         raise PlanError(f"image {h}x{w} does not match plan image_size {plan.image_size}")
 
@@ -195,7 +197,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     _check_image(image, plan)
     if plan.cuts[-1] != net.split_index:
         raise PlanError("plan split_index does not match the network")
-    n, item = image.shape[0], image.itemsize
+    item = image.itemsize
     shapes = net.activation_shapes(plan.image_size)
     record = StreamingRunRecord(params_bytes=param_bytes(params))
     maps = []
@@ -203,7 +205,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     last = plan.segments[-1].tiles[-1]
     for segment in plan.segments:
         stop, tiles = segment.stop, segment.tiles
-        out = None if len(tiles) == 1 else np.empty((n,) + shapes[stop], dtype=image.dtype)
+        out = None if len(tiles) == 1 else np.empty((1,) + shapes[stop], dtype=image.dtype)
         sizes = set()  # each tile shape's output sizes once: the walk takes their maximum
         for tile in tiles:
             y, caches, tile_sizes = _tile_pass(net, params, below, segment, tile,
@@ -268,7 +270,8 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     record.grads_bytes = param_bytes(grads.per_layer)
     record.peak_bytes_tiles, record.peak_bytes_head_grads = stream_backward_peaks(
         record.params_bytes, record.tile_grads_bytes, record.grads_bytes,
-        record.head_activation_bytes, state.cut_bytes(), record.segment_tile_bytes)
+        record.head_activation_bytes, [0] + [m.nbytes for m in state.cut_maps],
+        record.segment_tile_bytes)
     return grads
 
 
@@ -279,8 +282,6 @@ def streaming_loss_and_grads(net: NetworkSpec, params, image, label, plan: TileP
     The pass adds its parameter gradients into grads, a ParamGrads that
     train_step keeps for the whole mini-batch, or into a fresh one.
     """
-    if check_tensor4(image, "image").shape[0] != 1:
-        raise ShapeError("streaming_loss_and_grads runs one image at a time")
     state = streaming_forward(net, params, image, plan)
     loss, dlogit = bce_with_logits(state.logit[0], label)
     grads = _backward(net, params, image, plan, state, np.asarray([dlogit]), grads)

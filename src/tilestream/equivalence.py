@@ -199,8 +199,7 @@ def lockstep_train(net: NetworkSpec, params0, dataset, steps, lr, batch_size, pl
 # finite differences
 
 
-def finite_difference_check(net, params, image, label, grad_sets, eps=FD_EPS, seed=0,
-                            coords_per_tensor=200):
+def finite_difference_check(net, params, image, label, grad_sets, seed=0, coords_per_tensor=200):
     """Max relative error of each set of analytic grads against central finite differences.
 
     Samples min(coords_per_tensor, size) coordinates of every parameter
@@ -233,12 +232,12 @@ def finite_difference_check(net, params, image, label, grad_sets, eps=FD_EPS, se
                 else np.arange(flat.size)
             for idx in coords:
                 orig = flat[idx]
-                flat[idx] = orig + eps
+                flat[idx] = orig + FD_EPS
                 lp = whole_image_loss(net, params, image, label)
-                flat[idx] = orig - eps
+                flat[idx] = orig - FD_EPS
                 lm = whole_image_loss(net, params, image, label)
                 flat[idx] = orig
-                fd = (lp - lm) / (2.0 * eps)
+                fd = (lp - lm) / (2.0 * FD_EPS)
                 for k, (gflat, floor) in enumerate(zip(gflats, floors)):
                     ga = float(gflat[idx])
                     worst[k] = max(worst[k], abs(fd - ga) / max(abs(fd), abs(ga), floor))

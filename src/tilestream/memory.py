@@ -33,9 +33,16 @@ retained scalars times bytes, plus route bytes):
   temporaries, the head's few deferred (n, width) gradients, and the
   conv kernels' band workspace, bounded by one rule (tilestream.layers,
   "Workspace");
+* every row of estimate_streaming's per-layer table is one rule, over
+  each streaming layer's largest tile output and then each head layer's
+  output for one image: the output's elements times (the itemsize if
+  retains_output, plus one route byte for a pool);
 * whole-image mode (estimate_whole_image) is the naive-retention
   reference the big-memory figures imply: it retains the input and every
-  layer output until its backward completes, and no routes;
+  layer output for the whole batch until its backward completes. Its
+  rows are the batch's outputs times the itemsize if retains_output,
+  with no route byte, and it frees nothing early (no pool_frees, no
+  liveness walk);
 * streaming mode never holds the whole input: a tile reads a view of its
   segment's input map (the image, host-resident, or a retained checkpoint
   map), so its crop costs nothing. The plan cuts the streaming section at
@@ -175,33 +182,19 @@ def live_peak(net: NetworkSpec, start, stop, elements, itemsize):
     return int((np.asarray(elements, dtype=np.int64) @ weights.T).max())
 
 
-def _layer_bytes(layer, out_shape, n, itemsize):
-    """Retained bytes for one layer output under the shared policy (no route)."""
-    return n * math.prod(out_shape) * itemsize if retains_output(layer) else 0
-
-
 def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
-    """Naive-retention whole-image estimate (all activations live for backward)."""
-    dtype = resolve_dtype(precision)
+    """Naive-retention whole-image estimate (all activations live for
+    backward; the module doc says what it leaves out)."""
+    item = resolve_dtype(precision).itemsize
     shapes = net.activation_shapes(image_size)
-    item = dtype.itemsize
-    per_layer = []
-    for i, layer in enumerate(net.layers):
-        per_layer.append((i, _layer_bytes(layer, shapes[i + 1], batch, item)))
+    per_layer = [(i, batch * math.prod(shape) * item * retains_output(layer))
+                 for i, (layer, shape) in enumerate(zip(net.layers, shapes[1:]))]
     input_bytes = batch * math.prod(shapes[0]) * item
     params = count_param_scalars(net, image_size) * item
     peak = input_bytes + sum(b for _, b in per_layer) + 2 * params
     return MemoryEstimate(mode="whole_image", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=input_bytes,
                           params_bytes=params, grads_bytes=params, peak_bytes=peak)
-
-
-def head_layer_bytes(net: NetworkSpec, image_size, itemsize):
-    """(layer index, retained bytes) per head layer for one image; the head
-    has no pool (NetworkSpec), so it holds no route."""
-    shapes = net.activation_shapes(image_size)
-    return [(i, _layer_bytes(net.layers[i], shapes[i + 1], 1, itemsize))
-            for i in range(net.split_index, len(net.layers))]
 
 
 def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
@@ -227,25 +220,24 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     """Streaming estimate for a TilePlan, priced in this precision from the
     element counts its segments store.
 
-    per_layer_bytes holds each streaming layer's largest tile output (and a
-    pool's route), then the head terms; the phase peaks take each
-    segment's tile term, one live_peak over its counts.
+    per_layer_bytes takes the module doc's per-layer rule; the phase peaks
+    take each segment's tile term, one live_peak over its counts.
     """
     item = resolve_dtype(precision).itemsize
-    head_per_layer = head_layer_bytes(net, plan.image_size, item)
     head_bytes = head_peak_bytes(net, plan.image_size, item)
     shapes = net.activation_shapes(plan.image_size)
     cut_bytes = [0] + [math.prod(shapes[c]) * item for c in plan.cuts[1:]]
     tile_bytes = [live_peak(net, s.start, s.stop, s.elements, item) for s in plan.segments]
     largest = np.concatenate([s.elements.reshape(-1, s.stop - s.start).max(axis=0)
                               for s in plan.segments]).tolist()
+    elements = largest + [math.prod(shape) for shape in shapes[net.split_index + 1:]]
     params = count_param_scalars(net, plan.image_size) * item
     tile_grads = (params if batch > 1
                   else count_param_scalars(net, plan.image_size, net.split_index) * item)
     peak_tiles, peak_head_grads = stream_backward_peaks(params, tile_grads, params, head_bytes,
                                                         cut_bytes, tile_bytes)
     per_layer = [(m, e * (item * retains_output(layer) + isinstance(layer, MaxPool)))
-                 for m, (layer, e) in enumerate(zip(net.layers, largest))] + head_per_layer
+                 for m, (layer, e) in enumerate(zip(net.layers, elements, strict=True))]
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=0,
                           params_bytes=params, grads_bytes=params,

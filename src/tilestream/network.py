@@ -138,23 +138,17 @@ class NetworkSpec:
 
     def activation_shapes(self, image_size):
         """One image's array shape of map 0 (input) .. the last layer's
-        output for a square image: (c, h, w) up to flatten, (f,) after it."""
-        shapes = [(self.in_channels, image_size, image_size)]
-        for layer in self.layers:
-            cur = shapes[-1]
-            if isinstance(layer, Conv):
-                _, h, w = cur
-                cur = (layer.c_out, out_size(h, layer.kernel, layer.stride, layer.pad),
-                       out_size(w, layer.kernel, layer.stride, layer.pad))
-            elif isinstance(layer, MaxPool):
-                c, h, w = cur
-                cur = (c, out_size(h, layer.kernel, layer.stride),
-                       out_size(w, layer.kernel, layer.stride))
-            elif isinstance(layer, Flatten):
-                cur = (math.prod(cur),)
-            elif isinstance(layer, Dense):
-                cur = (layer.width,)
-            shapes.append(cur)
+        output. Each streaming map is (c, z, z), z = out_size over
+        stream_geoms() and c a conv's c_out: images are square
+        (tilestream.engine), and so are kernels and pads. The flatten's is
+        (f,) and each dense layer's (width,)."""
+        c, z = self.in_channels, image_size
+        shapes = [(c, z, z)]
+        for layer, (k, s, p) in zip(self.stream_layers, self.stream_geoms()):
+            c, z = layer.c_out if isinstance(layer, Conv) else c, out_size(z, k, s, p)
+            shapes.append((c, z, z))
+        for layer in self.layers[self.split_index:]:
+            shapes.append((layer.width,) if isinstance(layer, Dense) else (math.prod(shapes[-1]),))
         return shapes
 
     def split_shape(self, image_size):

@@ -33,7 +33,7 @@ checkpoint map, and the split map, is rebuilt bit for bit from the
 tile above a checkpoint back-projects only to it, not to the image.
 
 A TilePlan stores the image size, the configured grid, its segments, and
-the conv work and tile-layer calls the chooser weighs; its cuts,
+the conv work the chooser weighs; its tile-layer calls, cuts,
 checkpoints and grids are read from its segments. Map sizes and layer
 geometry belong to the network: the engine, the memory model, validation
 and to_json read them from NetworkSpec.activation_shapes and
@@ -87,10 +87,12 @@ Each distinct (segment, grid) is evaluated once, on per-axis intervals,
 and _Section.segment caches its Segment with its terms, so a candidate
 plan costs only the sums of its segments' terms. A segment's tiles are
 the product of its row and column parts, so each map's tile extent and
-the conv work factor into row and column terms. A Segment stores the
-element counts of each layer's output over the distinct row and column
-extents, which do not depend on the precision; its tile term is
-tilestream.memory.live_peak over them. A _Section prices in one
+the conv work factor into row and column terms; a layer's conv work per
+output pixel is its weight count (NetworkSpec.param_shapes), and a
+plan's tile-layer calls are read from its segments' grids. A Segment
+stores the element counts of each layer's output over the distinct row
+and column extents, which do not depend on the precision; its tile term
+is tilestream.memory.live_peak over them. A _Section prices in one
 precision, the run's (build_tile_plan's precision, double by default, as
 in the config), and every preset chooses the same plan in both;
 estimate_streaming prices any plan in any precision from the same
@@ -119,6 +121,7 @@ in the package loads a plan file, so plans are always rebuilt from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -126,7 +129,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import PlanError, ShapeError
-from .layers import Conv
 from .memory import count_param_scalars, head_peak_bytes, live_peak, stream_backward_peaks
 from .network import MaxPool, NetworkSpec
 from .tensors import resolve_dtype
@@ -262,17 +264,21 @@ class Segment:
 
 @dataclass
 class TilePlan:
-    """Each segment's parts and element counts, and the conv work and
-    tile-layer calls the chooser weighs. The network holds the maps'
-    shapes and the layers' geometry; a plan holds none of it, and no
-    bytes: tilestream.memory.estimate_streaming prices a plan in any
-    precision."""
+    """Each segment's parts and element counts, and the conv work the
+    chooser weighs; its tile-layer calls, cuts and grids are read from the
+    segments. The network holds the maps' shapes and the layers' geometry;
+    a plan holds none of it, and no bytes:
+    tilestream.memory.estimate_streaming prices a plan in any precision."""
 
     image_size: int
     grid: tuple                        # the configured grid; each segment's is in grids
     segments: list                     # Segment per segment, bottom-up
     recompute_ratio: float             # conv multiply-adds of all tiles per whole-image pass
-    calls: int                         # tile-layer calls: each segment's tiles times its layers
+
+    @property
+    def calls(self):
+        """Tile-layer calls: each segment's tiles times its layers."""
+        return sum(math.prod(s.grid) * (s.stop - s.start) for s in self.segments)
 
     @property
     def cuts(self):
@@ -350,9 +356,8 @@ class _Section:
         self.item = resolve_dtype(precision).itemsize
         self.geoms = net.stream_geoms()
         layers = net.stream_layers
-        # multiply-adds per output pixel, per streaming layer
-        self.macs = [layer.c_out * layer.c_in * layer.kernel ** 2 if isinstance(layer, Conv)
-                     else 0 for layer in layers]
+        # multiply-adds per output pixel, per streaming layer: its weight count
+        self.macs = [math.prod(wb[0]) if wb else 0 for wb in net.param_shapes(image_size)[:L]]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
         self.params = count_param_scalars(net, image_size) * self.item
         self.head = head_peak_bytes(net, image_size, self.item)
@@ -383,7 +388,7 @@ class _Section:
 
     def segment(self, a, b, grid):
         """(Segment, largest tile term in bytes, conv multiply-adds of all
-        tiles, tile-layer calls) of segment [a, b) cut by grid."""
+        tiles) of segment [a, b) cut by grid."""
         if (a, b, grid) not in self._segments:
             (ychains, hy, ys), (xchains, wx, xs) = (self._axis(b, parts) for parts in grid)
             # each layer output's elements over the distinct tile extents
@@ -395,11 +400,10 @@ class _Section:
             rows, cols = hy[:, a + 1:], wx[:, a + 1:]
             conv_macs = sum(m * h * w for m, h, w in zip(
                 self.macs[a:b], rows.sum(axis=0).tolist(), cols.sum(axis=0).tolist()))
-            calls = grid[0] * grid[1] * (b - a)
             segment = Segment(a, b, *(tuple(AxisPart(ivs[a], ivs[b], tuple(pads[a:]))
                                             for ivs, pads in chains)
                                       for chains in (ychains, xchains)), elements)
-            self._segments[(a, b, grid)] = segment, tile, conv_macs, calls
+            self._segments[(a, b, grid)] = segment, tile, conv_macs
         return self._segments[(a, b, grid)]
 
     def _cuts(self, checkpoints):
@@ -425,10 +429,9 @@ class _Section:
         grids (default: every segment at the configured grid)."""
         cuts = self._cuts(checkpoints)[0]
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
-        segments, _, macs, calls = zip(
-            *(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
+        segments, _, macs = zip(*(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
         return TilePlan(self.image_size, self.grid, list(segments),
-                        sum(macs) / self.whole_macs if self.whole_macs else 1.0, sum(calls))
+                        sum(macs) / self.whole_macs if self.whole_macs else 1.0)
 
     @cached_property
     def budget(self):

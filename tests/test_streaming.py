@@ -42,6 +42,7 @@ from tilestream.errors import PlanError, ShapeError
 from tilestream.layers import bce_with_logits
 from tilestream.memory import (
     estimate_streaming,
+    estimate_whole_image,
     live_peak,
     pool_frees,
     retains_output,
@@ -56,6 +57,7 @@ from tilestream.network import (
     ParamGrads,
     Relu,
     clone_params,
+    head_forward,
     init_params,
     net_giga64mp,
     net_tiny2,
@@ -833,12 +835,26 @@ def test_forward_state_of_another_plan_raises():
         streaming_backward(net, params, image, fine, state, np.asarray([1.0]))
 
 
-def test_a_pass_takes_one_image():
+PASS_ENTRIES = {
+    "streaming_forward": lambda net, params, batch, plan: streaming_forward(
+        net, params, batch, plan),
+    "streaming_backward": lambda net, params, batch, plan: streaming_backward(
+        net, params, batch, plan, streaming_forward(net, params, batch[:1], plan),
+        np.asarray([1.0])),
+    "streaming_loss_and_grads": lambda net, params, batch, plan: streaming_loss_and_grads(
+        net, params, batch, 1, plan),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PASS_ENTRIES))
+def test_a_pass_takes_one_image(entry):
+    """Every entry of the per-image executor refuses a two-image batch,
+    which the model and the engine's counters would price as one image."""
     net = net_vgg13(base=2, hidden=4)
     params = init_params(net, 64, 0)
     batch = np.stack([s.image[0] for s in synth_dataset(0, 64, 2)])
     with pytest.raises(ShapeError, match="one image at a time"):
-        streaming_loss_and_grads(net, params, batch, 1, whole_image_plan(net, 64))
+        PASS_ENTRIES[entry](net, params, batch, build_tile_plan(net, 64, (2, 2)))
 
 
 GUARDS = {
@@ -918,22 +934,32 @@ def test_memory_model_equals_engine_counters(case, precision):
 
 
 def measured_layer_peaks(net, params, image, plan):
-    """(layer, bytes) of each streaming layer's largest output, and a pool's
-    route, over every tile: the element counts run_stack's byte sink takes
-    from the arrays it makes, times their itemsize if the output is
-    retained, plus a route's byte per element."""
-    peaks = [0] * net.split_index
+    """(layer, bytes) of each streaming layer's largest output over every
+    tile, then of each head layer's output on the split map: the element
+    counts run_stack's byte sink takes from the arrays it makes, times
+    their itemsize if the output is retained, plus a route's byte per
+    element for a pool."""
+    peaks = [0] * len(net.layers)
+
+    def take(start, sink):
+        for m, size in enumerate(sink, start):
+            layer = net.layers[m]
+            kept = (size * image.itemsize if retains_output(layer) else 0) + (
+                size if isinstance(layer, MaxPool) else 0)
+            peaks[m] = max(peaks[m], kept)
+
     for s in plan.segments:
         below = run_stack(image, net, params, 0, s.start, want_cache=False)[0]
         for tile in s.tiles:
             r, sink = tile.input_forward, []
-            out, _ = run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, s.start, s.stop,
-                               pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
-            for m, size in zip(range(s.start, s.stop), sink, strict=True):
-                layer = net.layers[m]
-                kept = (size * out.itemsize if retains_output(layer) else 0) + (
-                    size if isinstance(layer, MaxPool) else 0)
-                peaks[m] = max(peaks[m], kept)
+            run_stack(below[:, :, r.y0:r.y1, r.x0:r.x1], net, params, s.start, s.stop,
+                      pads_seq=tile.fwd_pads, want_cache=False, byte_sink=sink)
+            assert len(sink) == s.stop - s.start
+            take(s.start, sink)
+    split, sink = run_stack(image, net, params, 0, net.split_index, want_cache=False)[0], []
+    head_forward(split, net, params, byte_sink=sink)
+    assert len(sink) == len(net.layers) - net.split_index
+    take(net.split_index, sink)
     return list(enumerate(peaks))
 
 
@@ -945,7 +971,7 @@ def test_streaming_layer_table_matches_measured_arrays(case):
     params = init_params(net, z, case)
     image = np.random.default_rng(case).standard_normal((1, 1, z, z))
     est = estimate_streaming(net, plan, 1, "double")
-    assert est.per_layer_bytes[:net.split_index] == measured_layer_peaks(net, params, image, plan)
+    assert est.per_layer_bytes == measured_layer_peaks(net, params, image, plan)
 
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
@@ -956,7 +982,24 @@ def test_streaming_layer_table_of_every_layout(precision, checkpoints):
     params = init_params(net, 128, 3, precision)
     image = synth_dataset(3, 128, 2)[1].image.astype(params[0].w.dtype)
     est = estimate_streaming(net, plan, 1, precision)
-    assert est.per_layer_bytes[:net.split_index] == measured_layer_peaks(net, params, image, plan)
+    assert est.per_layer_bytes == measured_layer_peaks(net, params, image, plan)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("case", [*SAMPLED, "vgg13"])
+def test_whole_image_layer_table_matches_measured_arrays(case, batch):
+    """estimate_whole_image's rows against a whole-image forward of the
+    batch: each output's element count times its itemsize if it is
+    retained, and no route (the naive-retention reference)."""
+    net, z = (net_vgg13(base=2, hidden=4), 64) if case == "vgg13" else sampled(case)[:2]
+    params = init_params(net, z, 0)
+    image = np.random.default_rng(0).standard_normal((batch, net.in_channels, z, z))
+    sink = []
+    run_stack(image, net, params, 0, len(net.layers), want_cache=False, byte_sink=sink)
+    est = estimate_whole_image(net, z, batch, "double")
+    assert est.per_layer_bytes == [
+        (m, size * image.itemsize * retains_output(layer))
+        for m, (layer, size) in enumerate(zip(net.layers, sink, strict=True))]
 
 
 def test_segment_peak_formulas():
