@@ -62,9 +62,9 @@ def save_checkpoint(dirpath, net, params, precision):
 
 def _prepare(cfg: ExperimentConfig):
     """(network, validated plan, every plan weighed, the _Section that
-    chose and priced them in the run's precision)."""
+    chose and priced them in the run's precision and at its batch size)."""
     net = build_network(cfg)
-    section = _Section(net, cfg.image_size, cfg.grid, cfg.precision)
+    section = _Section(net, cfg.image_size, cfg.grid, cfg.precision, cfg.batch_size)
     plan, candidates = section.choose()
     report = validate_tile_plan(plan, net)
     if not report.ok:
@@ -99,7 +99,7 @@ def cmd_plan(cfg: ExperimentConfig):
           f"segment grids: {_grids(plan.grids)}  "
           f"recompute: {plan.recompute_ratio:.2f}x whole-image conv work")
     budget = section.budget
-    print(f"budget: modelled peak {budget:,} bytes at any batch size, the least with "
+    print(f"budget: modelled peak {budget:,} bytes at batch {cfg.batch_size}, the least with "
           f"every segment at {plan.grid[0]}x{plan.grid[1]}")
     for candidate in candidates:
         maps = ",".join(map(str, candidate.checkpoints)) or "none"
@@ -111,7 +111,8 @@ def cmd_plan(cfg: ExperimentConfig):
     g = 1
     while g <= min(net.split_shape(cfg.image_size)[1:]):
         ratio = (plan.recompute_ratio if (g, g) == plan.grid
-                 else build_tile_plan(net, cfg.image_size, (g, g), cfg.precision).recompute_ratio)
+                 else build_tile_plan(net, cfg.image_size, (g, g), cfg.precision,
+                                      cfg.batch_size).recompute_ratio)
         print(f"grid {g}x{g}: recompute {ratio:.2f}x")
         g *= 2
     print(f"peak reduction streaming vs whole image: {reduction:.2f}%")
@@ -224,9 +225,9 @@ def cmd_bench(cfg: ExperimentConfig):
     data = _dataset(cfg, net, max(cfg.batch_size * 2, 2))
     steps = int(cfg.bench.get("steps", 3))
     # the traced peak leaves out the parameters, made before tracing starts;
-    # the model takes the batch size: train_step runs a batch one image at a
-    # time, and from its second image on the tiles run beside the head's
-    # gradients
+    # the plan and the model take the batch size: train_step runs a batch
+    # one image at a time, and from its second image on the tiles run beside
+    # the head's gradients, which the plan, chosen at this batch, budgets for
     plans = {"sgd": whole_image_plan(net, cfg.image_size), "ssgd": plan}
     report = {}
     for mode, use_plan in plans.items():

@@ -66,11 +66,10 @@ retained scalars times bytes, plus route bytes):
   whole-image terms do).
 
 Phase peaks (stream_backward_peaks: the engine calls it with its
-counters, estimate_streaming with modelled bytes and the planner with
-the whole gradient set). With cut maps C_1..C_k (C_k the split map),
-C_0 = 0 for the image, T_j the largest tile term of segment
-[cut j-1, cut j), G the whole gradient set and G_t the part of it held
-while the tiles run:
+counters, estimate_streaming and the planner with modelled bytes). With
+cut maps C_1..C_k (C_k the split map), C_0 = 0 for the image, T_j the
+largest tile term of segment [cut j-1, cut j), G the whole gradient set
+and G_t the part of it held while the tiles run:
 
     whole:      input + sum(all layer outputs) + params [+ grads backward]
     tiles:      params + G_t + C_1 + .. + C_k + head + max_j (C_j + C_(j-1) + T_j)
@@ -81,13 +80,15 @@ The head-gradient phase holds every cut map, the split map because
 dense 0's input is a view of it, and the head term, which holds the
 other dense layers' inputs. With one segment the phases are params +
 G_t + 2*split_map + head + tile and params + G + split_map + head.
-estimate_streaming takes G_t as the streaming layers' gradients at batch
-1 and as G at batch >= 2, where the second image's tiles run beside the
-head gradients the first image formed; the planner takes G_t = G, a
-bound at any batch size, under which the tile phase is the larger. The
-forward needs no formula of its own: it holds a subset of the tile
-phase's terms (the cut maps up to a segment's, its tile, and the head
-beside the top segment's tile). A plan holds no bytes: estimate_streaming
+estimate_streaming and the planner take G_t from tile_grad_bytes, at
+the run's batch size: the streaming layers' gradients at batch 1, and G
+at batch >= 2, where the second image's tiles run beside the head
+gradients the first image formed. So a plan chosen at batch b bounds a
+step at every batch up to b, and only those: a batch-1 plan may exceed
+its budget at batch 2, while G_t stops growing from batch 2 on, so a
+plan chosen there bounds every batch. The forward needs no formula of
+its own: it holds a subset of the tile phase's terms (the cut maps up to
+a segment's, its tile, and the head beside the top segment's tile). A plan holds no bytes: estimate_streaming
 prices it in the precision it is given, each segment's tile term one
 live_peak over the element counts the planner stores on the Segment, and
 the cut maps' sizes from the network's shapes.
@@ -204,6 +205,13 @@ def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
                      [math.prod(shape) for shape in shapes], itemsize)
 
 
+def tile_grad_bytes(net: NetworkSpec, image_size, batch, itemsize):
+    """G_t, the gradient bytes held while the tiles run: the streaming
+    layers' at batch 1, the whole set at batch >= 2, where the second
+    image's tiles run beside the head gradients the first image formed."""
+    return count_param_scalars(net, image_size, None if batch > 1 else net.split_index) * itemsize
+
+
 def stream_backward_peaks(params, tile_grads, grads, head, cut_bytes, tile_bytes):
     """(tile phase, head-gradient phase) peaks of a segmented streaming
     pass (formula in the module doc): tile_grads are the gradient bytes
@@ -232,10 +240,9 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
                               for s in plan.segments]).tolist()
     elements = largest + [math.prod(shape) for shape in shapes[net.split_index + 1:]]
     params = count_param_scalars(net, plan.image_size) * item
-    tile_grads = (params if batch > 1
-                  else count_param_scalars(net, plan.image_size, net.split_index) * item)
-    peak_tiles, peak_head_grads = stream_backward_peaks(params, tile_grads, params, head_bytes,
-                                                        cut_bytes, tile_bytes)
+    peak_tiles, peak_head_grads = stream_backward_peaks(
+        params, tile_grad_bytes(net, plan.image_size, batch, item), params, head_bytes,
+        cut_bytes, tile_bytes)
     per_layer = [(m, e * (item * retains_output(layer) + isinstance(layer, MaxPool)))
                  for m, (layer, e) in enumerate(zip(net.layers, elements, strict=True))]
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),

@@ -61,23 +61,28 @@ layers the split map no longer needs tiling for run whole by the plan's
 choice, not by a hand-placed split.
 
 A plan's modelled peak is tilestream.memory.stream_backward_peaks, the
-one phase-peak formula (that module's doc), taken with the whole
-gradient set beside the tiles, so a plan's peak bounds a step's at any
-batch size. The budget is the smallest modelled peak in the run's
-precision over every set of checkpoints, the empty set included, with
-every segment at the configured grid. The rule: each
-segment takes its coarsest grid that fits the budget, and among the
-plans that fit _Section.choose keeps the fewest tile-layer calls (a
-tile-layer call is one tile through one layer), then the least conv
-work, then the fewest checkpoints. No step time enters the rule: as in
-the paper, the configured grid is the knob, and no segment is tiled
-finer than the budget needs.
+one phase-peak formula (that module's doc), taken at the run's batch
+size with the gradient bytes that tilestream.memory.tile_grad_bytes
+holds beside the tiles: the streaming layers' gradients at batch 1, the
+whole set at batch >= 2. So a plan's peak bounds a step's at every
+batch up to the one it was chosen at, and at batch 1 the head-gradient
+phase may set the peak, leaving the tiles room to coarsen. The budget
+is the smallest modelled peak in the run's precision and batch over
+every set of checkpoints, the empty set included, with every segment at
+the configured grid. The rule: each segment takes its coarsest grid
+that fits the budget, and among the plans that fit _Section.choose
+keeps the fewest tile-layer calls (a tile-layer call is one tile
+through one layer), then the least conv work, then the fewest
+checkpoints. No step time enters the rule: as in the paper, the
+configured grid is the knob, and no segment is tiled finer than the
+budget needs.
 
 The search is separable: for a fixed set of checkpoints the peak is a
-maximum of terms that hold at most one segment's tile term T_j, so
-a plan fits the budget exactly when each segment fits with every other
-tile term at zero, and the calls are a sum over segments, each falling
-strictly as its grid coarsens. So each segment taking its coarsest grid
+maximum of terms that hold at most one segment's tile term T_j (the
+gradient terms are constants of the section), so a plan fits the
+budget exactly when each segment fits with every other tile term at
+zero, and the calls are a sum over segments, each falling strictly as
+its grid coarsens. So each segment taking its coarsest grid
 that fits on its own (_Section.coarsest scans from 1x1 towards the
 configured grid and stops at the first fit) gives, per set of
 checkpoints, the one plan within the budget with the fewest calls of
@@ -93,11 +98,11 @@ plan's tile-layer calls are read from its segments' grids. A Segment
 stores the element counts of each layer's output over the distinct row
 and column extents, which do not depend on the precision; its tile term
 is tilestream.memory.live_peak over them. A _Section prices in one
-precision, the run's (build_tile_plan's precision, double by default, as
-in the config), and every preset chooses the same plan in both;
-estimate_streaming prices any plan in any precision from the same
-counts, and equals _Section.peak at batch >= 2. Planning builds no
-tiles.
+precision and at one batch size, the run's (build_tile_plan's precision
+and batch, double and 1 by default, as in the config), and every preset
+chooses the same plan in both precisions; estimate_streaming prices any
+plan in any precision and batch from the same counts, and equals
+_Section.peak at the section's batch. Planning builds no tiles.
 
 Backward
 --------
@@ -129,7 +134,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import PlanError, ShapeError
-from .memory import count_param_scalars, head_peak_bytes, live_peak, stream_backward_peaks
+from .memory import (count_param_scalars, head_peak_bytes, live_peak, stream_backward_peaks,
+                     tile_grad_bytes)
 from .network import MaxPool, NetworkSpec
 from .tensors import resolve_dtype
 
@@ -338,9 +344,9 @@ class TilePlan:
 class _Section:
     """The streaming section of one (network, image size, grid), with each
     (segment, grid) evaluated once, on per-axis intervals, and its tile
-    term priced in the run's precision."""
+    term priced in the run's precision and batch size."""
 
-    def __init__(self, net: NetworkSpec, image_size, grid, precision="double"):
+    def __init__(self, net: NetworkSpec, image_size, grid, precision="double", batch=1):
         if min(grid) < 1:
             raise PlanError(f"bad grid {grid}")
         L = net.split_index
@@ -360,6 +366,7 @@ class _Section:
         self.macs = [math.prod(wb[0]) if wb else 0 for wb in net.param_shapes(image_size)[:L]]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
         self.params = count_param_scalars(net, image_size) * self.item
+        self.tile_grads = tile_grad_bytes(net, image_size, batch, self.item)
         self.head = head_peak_bytes(net, image_size, self.item)
         candidates = [m + 1 for m, layer in enumerate(layers)
                       if isinstance(layer, MaxPool) and m + 1 < L
@@ -412,15 +419,14 @@ class _Section:
 
     def _peak(self, cut_bytes, tiles):
         """The modelled peak in bytes, tiles being the segments' tile terms
-        (tilestream.memory's module doc), with the whole gradient set
-        beside the tiles, as from a mini-batch's second image on, so the
-        budget holds at any batch size."""
-        params = self.params
-        return max(stream_backward_peaks(params, params, params, self.head, cut_bytes, tiles))
+        (tilestream.memory's module doc), with the section's batch's
+        gradient bytes beside the tiles."""
+        return max(stream_backward_peaks(self.params, self.tile_grads, self.params, self.head,
+                                         cut_bytes, tiles))
 
     def peak(self, plan):
-        """plan's modelled peak in the section's precision: estimate_streaming's
-        at batch >= 2."""
+        """plan's modelled peak in the section's precision and batch:
+        estimate_streaming's."""
         return self._peak(self._cuts(plan.checkpoints)[1],
                           [self.segment(s.start, s.stop, s.grid)[1] for s in plan.segments])
 
@@ -469,10 +475,11 @@ class _Section:
         return min(fits, key=lambda p: (p.calls, p.recompute_ratio, len(p.checkpoints))), plans
 
 
-def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double"):
+def build_tile_plan(net: NetworkSpec, image_size, grid, precision="double", batch=1):
     """The TilePlan for (network, image size, grid) that the chooser keeps
-    in this precision (_Section.choose). Builds no tiles."""
-    return _Section(net, image_size, grid, precision).choose()[0]
+    in this precision and at this batch size (_Section.choose). Builds no
+    tiles."""
+    return _Section(net, image_size, grid, precision, batch).choose()[0]
 
 
 def whole_image_plan(net: NetworkSpec, image_size):

@@ -1,5 +1,6 @@
 """Smoke runs of every CLI command and their exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from tilestream import cli, equivalence, planner
 from tilestream.cli import main
 from tilestream.errors import NondeterminismError
-from tilestream.network import Conv, net_vgg13
+from tilestream.network import Conv, net_tiny2, net_vgg13
 from tilestream.tensors import read_st4
 
 # conv3/p1 -> maxpool -> conv3/s2 on a 32x32 image; no relu, so finite
@@ -49,20 +50,6 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
         assert "recompute: 1.00x whole-image conv work" in text
         assert "grid 1x1: recompute 0.89x" in text
         assert "grid 4x4: recompute " in text and "grid 8x8" not in text
-        # one candidate checkpoint, the pool output (map 2); one segment models
-        # less, and its 1x1 grid exceeds that budget. The largest tile's term
-        # is its pool step: 810 scalars and 162 route bytes (with map 2 cut,
-        # 640 scalars and 128 route bytes below it)
-        item = 8 if precision == "double" else 4
-        none = 157 * 2 * item + 98 * 2 * item + item + 810 * item + 162
-        cut = 157 * 2 * item + (512 + 98) * item + item + 512 * item + 640 * item + 128
-        assert (none, cut) == ((10730, 16744) if precision == "double" else (5446, 8436))
-        assert f"budget: modelled peak {none:,} bytes at any batch size, the least with " \
-               "every segment at 2x2\n" in text
-        assert re.search(rf"^checkpoints none grids 2x2: modelled peak {none:,} bytes, "
-                         r"conv work 1\.00x, 12 tile-layer calls  \(chosen\)$", text, re.M)
-        assert re.search(rf"^checkpoints 2 grids 2x2,2x2: modelled peak {cut:,} bytes, "
-                         r"conv work 1\.00x, 12 tile-layer calls  \(over budget\)$", text, re.M)
     if command == "bench":
         # the modelled and the traced peak, side by side, on stdout and in bench.json
         printed = json.loads(capsys.readouterr().out)
@@ -274,10 +261,76 @@ def test_verify_fail_lines_name_metric_and_margin(tmp_path, capsys, monkeypatch)
                             rf"\(sup-norm scaled {number}\)", line), line
 
 
-def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_plan_prints_the_budget_at_its_batch(tmp_path, capsys, precision, batch):
+    """One candidate checkpoint, the pool output (map 2); one segment models
+    less, and its 1x1 grid exceeds that budget. Beside the tiles run 157
+    parameter scalars and G_t gradient scalars: at batch 1 the two convs'
+    58, at batch 2 all 157. The largest tile's term is its pool step: 810
+    scalars and 162 route bytes (with map 2 cut, 640 scalars and 128 route
+    bytes below it)."""
+    doc = dict(CONFIG, batch_size=batch)
+    assert main(["plan", "--config", write_config(tmp_path, doc), "--precision", precision]) == 0
+    text = capsys.readouterr().out
+    item = 8 if precision == "double" else 4
+    tile_grads = 18 + 2 + 36 + 2 if batch == 1 else 157
+    none = (157 + tile_grads) * item + 98 * 2 * item + item + 810 * item + 162
+    cut = (157 + tile_grads) * item + (512 + 98) * item + item + 512 * item + 640 * item + 128
+    assert (none, cut) == {("double", 1): (9938, 15952), ("single", 1): (5050, 8040),
+                           ("double", 2): (10730, 16744), ("single", 2): (5446, 8436)}[
+                               precision, batch]
+    assert f"budget: modelled peak {none:,} bytes at batch {batch}, the least with " \
+           "every segment at 2x2\n" in text
+    assert re.search(rf"^checkpoints none grids 2x2: modelled peak {none:,} bytes, "
+                     r"conv work 1\.00x, 12 tile-layer calls  \(chosen\)$", text, re.M)
+    assert re.search(rf"^checkpoints 2 grids 2x2,2x2: modelled peak {cut:,} bytes, "
+                     r"conv work 1\.00x, 12 tile-layer calls  \(over budget\)$", text, re.M)
+
+
+def test_plan_is_chosen_at_the_configured_batch(tmp_path, capsys):
+    """tiny2@512 8x8, double precision; its head's weights are 99.9% of its
+    parameters. At batch 2 plan writes the 8x8 plan.json and memory.json
+    that planning with the whole gradient set beside the tiles wrote (their
+    SHA-256 digests, pinned when the batch entered the budget). At batch 1
+    the head-gradient phase sets the budget: the parameters, the whole
+    gradient set, the split map and the head's outputs. The coarser 2x2
+    plan fits it and is chosen, and the finer 8x8 plan, priced at batch 1,
+    is not over it: both model exactly the budget."""
+    doc = {"version": 1, "network": {"preset": "tiny2"}, "image_size": 512, "grid": [8, 8]}
+    texts = {}
+    for batch in (1, 2):
+        out = tmp_path / f"batch{batch}"
+        config = write_config(tmp_path, dict(doc, batch_size=batch))
+        assert main(["plan", "--config", config, "--out", str(out)]) == 0
+        texts[batch] = capsys.readouterr().out
+    digests = {name: hashlib.sha256((tmp_path / "batch2" / name).read_bytes()).hexdigest()
+               for name in ("plan.json", "memory.json")}
+    assert digests == {
+        "plan.json": "e35519f9c3226f731fe35d73f4b13441637f710a1cf1f556b881783c713ef8c5",
+        "memory.json": "02df252d8dda59f816c0ab9e09312081e8ed6c85d2ef8c49af4f8046a7f01859"}
+    assert "tiles: 64  grid: 8x8  segment grids: 8x8  " in texts[2]
+    assert re.search(r"^checkpoints none grids 8x8: modelled peak [\d,]+ bytes, conv work "
+                     r"1\.02x, 448 tile-layer calls  \(chosen\)$", texts[2], re.M)
+    params = 8 * 9 + 8 + 16 * 8 * 9 + 16 + 16 * 64 ** 2 * 16 + 16 + 16 + 1
+    budget = (2 * params + 16 * 64 ** 2 + 16 + 1) * 8
+    assert budget == 17_322_136
+    assert "tiles: 4  grid: 8x8  segment grids: 2x2  " in texts[1]
+    assert f"budget: modelled peak {budget:,} bytes at batch 1, the least" in texts[1]
+    assert re.search(rf"^checkpoints none grids 2x2: modelled peak {budget:,} bytes, conv work "
+                     r"1\.00x, 28 tile-layer calls  \(chosen\)$", texts[1], re.M)
+    net = net_tiny2()
+    finer = planner.build_tile_plan(net, 512, (8, 8), batch=2)
+    assert finer.grids == ((8, 8),)
+    assert planner._Section(net, 512, (8, 8), batch=1).peak(finer) == budget
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch, batch):
     """plan builds 2-D tiles for the plan it prints and no other: its grid
     and candidate lines read the chooser, and each grid ratio is the one
-    build_tile_plan gives for that grid."""
+    build_tile_plan gives for that grid at the configured batch. At batch
+    1 the chosen plan's peak leaves out the head's weight gradients."""
     built = []
     tile_entry = planner.TileEntry
 
@@ -286,7 +339,8 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
         return built[-1]
 
     monkeypatch.setattr(planner, "TileEntry", counting)
-    doc = {"version": 1, "network": {"preset": "vgg13"}, "image_size": 512, "grid": [4, 4]}
+    doc = {"version": 1, "network": {"preset": "vgg13"}, "image_size": 512, "grid": [4, 4],
+           "batch_size": batch}
     assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
     text = capsys.readouterr().out
     assert "tiles: 20  grid: 4x4  segment grids: 4x4,2x2" in text and len(built) == 20
@@ -295,12 +349,15 @@ def test_plan_builds_only_the_printed_plans_tiles(tmp_path, capsys, monkeypatch)
                             rf"conv work {number}x, (\d+) tile-layer calls"
                             r"(  \(chosen\)|  \(over budget\))?$", text, re.M)
     assert len(candidates) == 16 and [c[0] for c in candidates if "over" not in c[4]] == ["17"]
-    # 16 tiles through layers 0-16 and 4 through layers 17-30
-    assert ("17", "4x4,2x2", "8,279,160", f"{16 * 17 + 4 * 14}", "  (chosen)") in candidates
+    # 16 tiles through layers 0-16 and 4 through layers 17-30; the head's
+    # dense layers (32x16x16 inputs, 32 wide, then 1) hold 262,209 scalars
+    peak = 8_279_160 - (32 * 16 ** 2 * 32 + 32 + 32 + 1) * 8 * (batch == 1)
+    assert peak == (6_181_488 if batch == 1 else 8_279_160)
+    assert ("17", "4x4,2x2", f"{peak:,}", f"{16 * 17 + 4 * 14}", "  (chosen)") in candidates
     ratios = re.findall(r"^grid (\d+)x\1: recompute (\S+)x$", text, re.M)
     assert [int(g) for g, _ in ratios] == [1, 2, 4, 8, 16]  # the split map is 16x16
     for g, ratio in ratios:
-        plan = planner.build_tile_plan(net_vgg13(), 512, (int(g), int(g)))
+        plan = planner.build_tile_plan(net_vgg13(), 512, (int(g), int(g)), batch=batch)
         assert ratio == f"{plan.recompute_ratio:.2f}"
 
 
@@ -343,9 +400,9 @@ def test_plan_builds_one_section_per_grid(tmp_path, capsys, monkeypatch):
     grids = []
     section_init = planner._Section.__init__
 
-    def counting(self, net, image_size, grid, precision="double"):
+    def counting(self, net, image_size, grid, precision="double", batch=1):
         grids.append(tuple(grid))
-        section_init(self, net, image_size, grid, precision)
+        section_init(self, net, image_size, grid, precision, batch)
 
     monkeypatch.setattr(planner._Section, "__init__", counting)
     doc = {"version": 1, "network": {"preset": "giga64mp"}, "image_size": 8130, "grid": [16, 16]}

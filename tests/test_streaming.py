@@ -179,9 +179,11 @@ def assert_layout_matches_whole_image(net, z, plan, precision):
     est = estimate_streaming(net, plan, 1, precision)
     assert est.peak_tiles_bytes == record.peak_bytes_tiles
     assert est.peak_head_grads_bytes == record.peak_bytes_head_grads
-    # the section's peak bounds a step at any batch size: batch 2's
-    assert est.peak_bytes <= _Section(net, z, plan.grid, precision).peak(plan) == \
-        estimate_streaming(net, plan, 2, precision).peak_bytes
+    # a section prices a plan as estimate_streaming does at the section's
+    # batch, and at batch 1 or 2 bounds this batch-1 pass
+    for batch in (1, 2):
+        assert est.peak_bytes <= _Section(net, z, plan.grid, precision, batch).peak(plan) == \
+            estimate_streaming(net, plan, batch, precision).peak_bytes
 
 
 @pytest.mark.parametrize("checkpoints", LAYOUTS, ids=lambda c: "-".join(map(str, c)) or "none")
@@ -241,21 +243,22 @@ def rule(plan):
     return plan.calls, plan.recompute_ratio, len(plan.checkpoints)
 
 
+@pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
-def test_chooser_keeps_the_smallest_modelled_peak(name):
+def test_chooser_keeps_the_smallest_modelled_peak(name, batch):
     """The planner weighs every set of pool outputs the grid fits. The
     chosen modelled peak is the least over those sets with every segment
-    at the configured grid (the budget), as the memory model computes it
-    on the built plans at batch 2 (a bound at any batch size), and no
-    layout within it, of any set and any grid per segment, makes fewer
-    tile-layer calls, or as few with less conv work or fewer checkpoints;
-    in each precision, whose bytes the chooser weighs."""
+    at the configured grid (the budget), as the memory model
+    computes it on the built plans at the planned batch, and no layout
+    within it, of any set and any grid per segment, makes fewer tile-layer
+    calls, or as few with less conv work or fewer checkpoints; in each
+    precision, whose bytes the chooser weighs."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
     for precision in ("single", "double"):
-        section = _Section(net, z, grid, precision)
+        section = _Section(net, z, grid, precision, batch)
         chosen, candidates = section.choose()
-        plan = build_tile_plan(net, z, grid, precision)
+        plan = build_tile_plan(net, z, grid, precision, batch)
         assert plan == chosen and plan.grid == grid
         sizes = [h for _, h, _ in net.activation_shapes(z)[:net.split_index + 1]]
         pools = [m + 1 for m, layer in enumerate(net.stream_layers) if isinstance(layer, MaxPool)
@@ -267,14 +270,14 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
         for cps in sets:
             forced = section.plan(cps)
             assert validate_tile_plan(forced, net).ok
-            uniform[cps] = estimate_streaming(net, forced, 2, precision).peak_bytes
+            uniform[cps] = estimate_streaming(net, forced, batch, precision).peak_bytes
             assert uniform[cps] == section.peak(forced)
         budget = min(uniform.values())
-        assert estimate_streaming(net, plan, 2, precision).peak_bytes == budget <= uniform[()]
+        assert estimate_streaming(net, plan, batch, precision).peak_bytes == budget <= uniform[()]
         assert any(c is chosen for c in candidates)
         for candidate in candidates:
             assert validate_tile_plan(candidate, net).ok
-            assert estimate_streaming(net, candidate, 2, precision).peak_bytes == \
+            assert estimate_streaming(net, candidate, batch, precision).peak_bytes == \
                 section.peak(candidate)
         assert section.budget == budget
         for other in every_plan(section):
@@ -285,7 +288,8 @@ def test_chooser_keeps_the_smallest_modelled_peak(name):
 def assert_separable(section):
     """Each segment at its coarsest grid that fits on its own gives, per
     set of checkpoints and overall, the layout the exhaustive product of
-    per-segment grids keeps within the budget in the section's precision."""
+    per-segment grids keeps within the budget in the section's precision
+    and at its batch."""
     best = {}
     for plan in every_plan(section):
         if section.peak(plan) <= section.budget:
@@ -299,44 +303,46 @@ def assert_separable(section):
 
 @pytest.mark.parametrize("name", sorted(CHOOSER_CASES))
 def test_separable_search_equals_the_exhaustive_product(name):
-    """The fixed cases, in each precision; section.coarsenings runs from
-    1x1 to the configured grid."""
+    """The fixed cases, in each precision, at batch 1 and 2;
+    section.coarsenings runs from 1x1 to the configured grid."""
     make, z, grid = CHOOSER_CASES[name]
-    for precision in ("single", "double"):
-        section = _Section(make(), z, grid, precision)
+    for precision, batch in itertools.product(("single", "double"), (1, 2)):
+        section = _Section(make(), z, grid, precision, batch)
         assert section.coarsenings == coarsenings(grid)[::-1]
         assert_separable(section)
 
 
 def test_separable_search_on_sampled_nets():
     """The sampled nets, strided and pool-free ones among them, in each
-    precision."""
+    precision, at batch 1 and 2."""
     rng = np.random.default_rng(21)
     for _ in range(120):
         net, z, grid, _ = sample_streaming_config(rng)
-        for precision in ("single", "double"):
-            assert_separable(_Section(net, z, grid, precision))
+        for precision, batch in itertools.product(("single", "double"), (1, 2)):
+            assert_separable(_Section(net, z, grid, precision, batch))
 
 
+@pytest.mark.parametrize("planned", [1, 2])
 @pytest.mark.parametrize("make, z, grid", [(net_vgg13, 512, (4, 4)), (net_tiny2, 512, (8, 8)),
                                            (net_giga64mp, 8130, (16, 16))])
-def test_a_plan_prices_the_same_whichever_precision_chose_it(make, z, grid):
-    """A plan stores element counts, not bytes: chosen in either precision
-    and priced by estimate_streaming in either, at batch 1 and 2, it gives
-    the estimate of the plan chosen in the pricing precision (perfbench's
-    traced run plans in double and estimates in single). The section that
-    chose a plan prices it as estimate_streaming does at batch 2."""
+def test_a_plan_prices_the_same_whichever_precision_chose_it(make, z, grid, planned):
+    """A plan stores element counts, not bytes: chosen at a batch in either
+    precision and priced by estimate_streaming in either, at batch 1 and
+    2, it gives the estimate of the plan chosen in the pricing precision
+    (perfbench's traced run plans in double and estimates in single). The
+    section that chose a plan prices it as estimate_streaming does at the
+    planned batch."""
     net = make()
-    plans = {precision: build_tile_plan(net, z, grid, precision)
+    plans = {precision: build_tile_plan(net, z, grid, precision, planned)
              for precision in ("single", "double")}
     for chosen, priced in itertools.product(plans, repeat=2):
         for batch in (1, 2):
             assert estimate_streaming(net, plans[chosen], batch, priced) == \
                 estimate_streaming(net, plans[priced], batch, priced)
     for precision, plan in plans.items():
-        section = _Section(net, z, grid, precision)
+        section = _Section(net, z, grid, precision, planned)
         assert section.choose()[0] == plan
-        assert section.peak(plan) == estimate_streaming(net, plan, 2, precision).peak_bytes
+        assert section.peak(plan) == estimate_streaming(net, plan, planned, precision).peak_bytes
 
 
 @pytest.mark.parametrize("make, z, grid, want", [
@@ -353,27 +359,43 @@ def test_chosen_checkpoints(make, z, grid, want):
     assert build_tile_plan(make(), z, grid).checkpoints == want
 
 
-@pytest.mark.parametrize("make, z, grid, checkpoints, grids", [
-    (net_vgg13, 512, (4, 4), (17,), ((4, 4), (2, 2))),    # vgg13-g4: 20 tiles
-    (net_vgg13, 256, (4, 4), (17,), ((4, 4), (2, 2))),
-    (net_vgg13, 512, (2, 2), (10,), ((2, 2), (2, 2))),
-    (net_tiny2, 512, (8, 8), (), ((8, 8),)),
-    (net_vgg13, 8192, (16, 16), (), ((16, 16),)),
-    (net_giga64mp, 8130, (16, 16), (34,), ((16, 16), (1, 1))),
+@pytest.mark.parametrize("make, z, grid, batch, checkpoints, grids", [
+    (net_vgg13, 512, (4, 4), 1, (17,), ((4, 4), (2, 2))),    # vgg13-g4: 20 tiles
+    (net_vgg13, 512, (4, 4), 2, (17,), ((4, 4), (2, 2))),
+    (net_vgg13, 256, (4, 4), 1, (17,), ((4, 4), (2, 2))),
+    (net_vgg13, 256, (4, 4), 2, (17,), ((4, 4), (2, 2))),
+    (net_vgg13, 512, (2, 2), 1, (10,), ((2, 2), (2, 2))),
+    (net_vgg13, 512, (2, 2), 2, (10,), ((2, 2), (2, 2))),
+    # tiny2-g8: at batch 1 the head-gradient phase (8.26 MiB single) sets
+    # the peak and 2x2 tiles fit beside it; at batch 2 the second image's
+    # tiles run beside the head gradients, and 8x8 is the coarsest that fits
+    (net_tiny2, 512, (8, 8), 1, (), ((2, 2),)),
+    (net_tiny2, 512, (8, 8), 2, (), ((8, 8),)),
+    (net_tiny2, 2048, (8, 8), 1, (), ((2, 2),)),
+    (net_tiny2, 2048, (8, 8), 2, (), ((8, 8),)),
+    (net_vgg13, 2048, (16, 16), 1, (), ((8, 8),)),
+    (net_vgg13, 2048, (16, 16), 2, (), ((16, 16),)),
+    # paper scale: at batch 1 the head-gradient phase (520.4 MiB single)
+    # sets the peak, and 4x4 fits beside it at 1.10x conv work
+    (net_vgg13, 8192, (16, 16), 1, (), ((4, 4),)),
+    (net_vgg13, 8192, (16, 16), 2, (), ((16, 16),)),
+    (net_giga64mp, 8130, (16, 16), 1, (34,), ((16, 16), (1, 1))),
+    (net_giga64mp, 8130, (16, 16), 2, (34,), ((16, 16), (1, 1))),
 ])
-def test_chosen_segment_grids(make, z, grid, checkpoints, grids):
-    """Planning only: each segment's grid the chooser picks for the presets,
-    the same in both precisions."""
+def test_chosen_segment_grids(make, z, grid, batch, checkpoints, grids):
+    """Planning only: each segment's grid the chooser picks for the presets
+    at a batch size, the same in both precisions."""
     for precision in ("single", "double"):
-        plan = build_tile_plan(make(), z, grid, precision)
+        plan = build_tile_plan(make(), z, grid, precision, batch)
         assert (plan.checkpoints, plan.grids, plan.grid) == (checkpoints, grids, grid)
         assert len(plan.tiles) == sum(r * c for r, c in grids)
 
 
 def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
-    """Planning and validating vgg13@8192 in 64x64 tiles (4,096 of them)
-    constructs no TileEntry: the chooser, the memory model and validation
-    read each segment's row and column parts."""
+    """Planning vgg13@8192 at batch 2, where 64x64 tiles (4,096 of them)
+    are the coarsest that fit, and validating the plan constructs no
+    TileEntry: the chooser, the memory model and validation read each
+    segment's row and column parts."""
     built = []
 
     def counting(*args):
@@ -381,10 +403,10 @@ def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
 
     monkeypatch.setattr(tilestream.planner, "TileEntry", counting)
     net = net_vgg13()
-    plan = build_tile_plan(net, 8192, (64, 64))
+    plan = build_tile_plan(net, 8192, (64, 64), batch=2)
     assert plan.grids == ((64, 64),) and validate_tile_plan(plan, net).ok
     assert estimate_streaming(net, plan, 2, "single").peak_bytes == \
-        _Section(net, 8192, (64, 64), "single").peak(plan)
+        _Section(net, 8192, (64, 64), "single", 2).peak(plan)
     assert built == []
 
 
@@ -691,10 +713,11 @@ def test_whole_image_pass_traced_peak_within_model():
     assert peak <= estimate_streaming(net, plan, 1, "single").peak_bytes
 
 
-def _single_precision_tiny2(size, grid):
-    """tiny2 with a plan, single-precision parameters and two single-precision samples."""
+def _single_precision_tiny2(size, grid, batch=1):
+    """tiny2 with a plan chosen at batch, single-precision parameters and
+    two single-precision samples."""
     net = net_tiny2()
-    plan = build_tile_plan(net, size, grid)
+    plan = build_tile_plan(net, size, grid, batch=batch)
     params = init_params(net, size, 0, "single")
     samples = [dataclasses.replace(s, image=s.image.astype(np.float32))
                for s in synth_dataset(0, size, 2)]
@@ -709,7 +732,8 @@ def test_a_step_holds_one_gradient_set():
     objects. Each pass adds into the step's one gradient set; a per-image
     set or a mean copy would add 1 MiB (the head weight) each, and an image
     cast or a split map kept from the previous image 256 KiB."""
-    net, plan, params, samples = _single_precision_tiny2(256, (4, 4))
+    net, plan, params, samples = _single_precision_tiny2(256, (4, 4), batch=2)
+    assert plan.grids == ((4, 4),)
 
     def traced_peak(fn):
         fn()  # warm-up
@@ -732,7 +756,7 @@ def test_a_step_holds_one_gradient_set():
 
 @pytest.mark.parametrize("make_plan", [
     pytest.param(lambda net: whole_image_plan(net, 128), id="1x1"),
-    pytest.param(lambda net: build_tile_plan(net, 128, (4, 4)), id="4x4")])
+    pytest.param(lambda net: _Section(net, 128, (4, 4)).plan(()), id="4x4")])
 def test_no_head_gradient_exists_beside_the_tiles(monkeypatch, make_plan):
     """At batch 1 a pass allocates the head's gradient entries after its
     last tile: none exists while any tile's stack_backward runs, and each
@@ -763,9 +787,9 @@ def test_counted_backward_phases_equal_the_model_at_batch_one_and_two(make, size
     estimate_streaming models it: at batch 1 a pass's tiles run beside the
     streaming layers' gradients only; at batch 2 the second image's tiles
     run beside the head's too, which the first image formed, and that is
-    the step's peak."""
+    the step's peak. The plan is chosen at batch 2, so it bounds both."""
     net = make()
-    plan = build_tile_plan(net, size, grid, precision)
+    plan = build_tile_plan(net, size, grid, precision, batch=2)
     params = init_params(net, size, 0, precision)
     dtype = resolve_dtype(precision)
     samples = [dataclasses.replace(s, image=s.image.astype(dtype))
@@ -778,6 +802,47 @@ def test_counted_backward_phases_equal_the_model_at_batch_one_and_two(make, size
     assert two.peak_tiles_bytes == one.peak_tiles_bytes + param_bytes(params[net.split_index:])
     step = train_step(net, params, samples, 0.0, plan)
     assert step.peak_bytes == two.peak_bytes
+
+
+@pytest.mark.parametrize("planned", [1, 2])
+@pytest.mark.parametrize("make, size, grid", [
+    (net_tiny2, 256, (4, 4)),
+    # a head-heavy vgg13: at batch 1 its tiles fit beside fewer cut maps
+    (lambda: net_vgg13(base=2, hidden=64), 128, (4, 4)),
+], ids=["tiny2-256-4x4", "vgg13-hidden64-128-4x4"])
+def test_the_model_holds_at_the_planned_batch(monkeypatch, make, size, grid, planned):
+    """A plan chosen at batch b bounds a train_step at every batch up to b:
+    the i-th image's pass counts the phase peaks estimate_streaming models
+    at batch i, and the step's peak is the model's at its batch, within
+    the budget of the section that chose the plan. At batch 1 the head's
+    gradients leave the tiles room, so the batch-1 plan makes fewer
+    tile-layer calls than the batch-2 one."""
+    net = make()
+    sections = {b: _Section(net, size, grid, "single", b) for b in (1, 2)}
+    plans = {b: section.choose()[0] for b, section in sections.items()}
+    assert plans[1].calls < plans[2].calls
+    plan, budget = plans[planned], sections[planned].budget
+    params = init_params(net, size, 0, "single")
+    samples = [dataclasses.replace(s, image=s.image.astype(np.float32))
+               for s in synth_dataset(0, size, 2)]
+    records, passes = [], tilestream.engine.streaming_loss_and_grads
+
+    def recording(*args):
+        res = passes(*args)
+        records.append(res.record)
+        return res
+
+    monkeypatch.setattr(tilestream.engine, "streaming_loss_and_grads", recording)
+    for batch in range(1, planned + 1):
+        records.clear()
+        step = train_step(net, params, samples[:batch], 0.0, plan)
+        for image, record in enumerate(records, 1):
+            est = estimate_streaming(net, plan, image, "single")
+            assert (record.peak_bytes_tiles, record.peak_bytes_head_grads) == \
+                (est.peak_tiles_bytes, est.peak_head_grads_bytes)
+        assert len(records) == batch
+        assert step.peak_bytes == estimate_streaming(net, plan, batch, "single").peak_bytes \
+            <= budget
 
 
 def test_a_batch_one_step_applies_the_pass_gradient():
