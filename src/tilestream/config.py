@@ -24,16 +24,18 @@ parse_config rejects, with ConfigError, any key not listed here (a
 preset takes the keyword arguments of its function in
 tilestream.network; a "layers" network has no "split_index", since its
 split is its one flatten) and any value of the wrong type or range: counts
-are ints (never booleans), noise a non-negative number. verify's gates
-(tilestream.equivalence's tolerances and finite-difference step and
-tolerance) are constants that no config can widen, and fd_coords is at
-least 1, so the finite-difference gate always probes.
+are ints (never booleans), noise and learning_rate finite non-negative
+numbers. verify's gates (tilestream.equivalence's tolerances and
+finite-difference step and tolerance) are constants that no config can
+widen, and fd_coords is at least 1, so the finite-difference gate always
+probes.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ShapeError
@@ -45,7 +47,7 @@ SCHEMA_VERSION = 1
 _ANY = (object, lambda v: True)
 _POS_INT = (int, lambda v: v >= 1)
 _NONNEG_INT = (int, lambda v: v >= 0)
-_NONNEG = ((int, float), lambda v: v >= 0)
+_NONNEG = ((int, float), lambda v: 0 <= v < math.inf)
 
 _FIELDS = {
     "version": _ANY,  # checked first by parse_config

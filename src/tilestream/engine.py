@@ -62,7 +62,8 @@ output a pass makes and turns them into live bytes with
 tilestream.memory.live_peak, once per segment over all of its tiles in
 forward and once for the head; backward's recompute counts nothing.
 With the gradient set's bytes in each backward phase, it calls
-tilestream.memory.stream_backward_peaks with what it counted.
+tilestream.memory.stream_backward_peaks with what it counted, where the
+model takes the same terms from tilestream.memory.plan_terms.
 """
 
 from __future__ import annotations
@@ -243,8 +244,7 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
     kept, state.kept = state.kept, None
     if grads is None:
         grads = ParamGrads.zeros_like(params, net.split_index)
-    grad_above, deferred = head_backward(dloss_dlogit, net, params, state.head_caches,
-                                         state.split_map.shape)
+    grad_above, deferred = head_backward(dloss_dlogit, net, params, state.head_caches)
     record = state.record
     record.tile_grads_bytes = param_bytes(grads.per_layer)
     inputs = [image] + state.cut_maps[:-1]

@@ -80,18 +80,22 @@ The head-gradient phase holds every cut map, the split map because
 dense 0's input is a view of it, and the head term, which holds the
 other dense layers' inputs. With one segment the phases are params +
 G_t + 2*split_map + head + tile and params + G + split_map + head.
-estimate_streaming and the planner take G_t from tile_grad_bytes, at
-the run's batch size: the streaming layers' gradients at batch 1, and G
-at batch >= 2, where the second image's tiles run beside the head
-gradients the first image formed. So a plan chosen at batch b bounds a
-step at every batch up to b, and only those: a batch-1 plan may exceed
-its budget at batch 2, while G_t stops growing from batch 2 on, so a
-plan chosen there bounds every batch. The forward needs no formula of
-its own: it holds a subset of the tile phase's terms (the cut maps up to
-a segment's, its tile, and the head beside the top segment's tile). A plan holds no bytes: estimate_streaming
-prices it in the precision it is given, each segment's tile term one
-live_peak over the element counts the planner stores on the Segment, and
-the cut maps' sizes from the network's shapes.
+
+plan_terms is the one place that computes the terms no choice of plan
+changes: params (and G, the same bytes), G_t, the head term and every
+streaming map's bytes as a cut map; estimate_streaming and the planner
+both take them from it. G_t is taken at the run's batch size: the
+streaming layers' gradients at batch 1, and G at batch >= 2, where the
+second image's tiles run beside the head gradients the first image
+formed. So a plan chosen at batch b bounds a step at every batch up to
+b, and only those: a batch-1 plan may exceed its budget at batch 2,
+while G_t stops growing from batch 2 on, so a plan chosen there bounds
+every batch. The forward needs no formula of its own: it holds a subset
+of the tile phase's terms (the cut maps up to a segment's, its tile, and
+the head beside the top segment's tile). A plan holds no bytes:
+estimate_streaming prices it in the precision it is given, each
+segment's tile term one live_peak over the element counts the planner
+stores on the Segment.
 """
 
 from __future__ import annotations
@@ -198,18 +202,20 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
                           params_bytes=params, grads_bytes=params, peak_bytes=peak)
 
 
-def head_peak_bytes(net: NetworkSpec, image_size, itemsize):
-    """The head term for one image: live_peak over the head's outputs."""
-    shapes = net.activation_shapes(image_size)[net.split_index + 1:]
-    return live_peak(net, net.split_index, len(net.layers),
-                     [math.prod(shape) for shape in shapes], itemsize)
-
-
-def tile_grad_bytes(net: NetworkSpec, image_size, batch, itemsize):
-    """G_t, the gradient bytes held while the tiles run: the streaming
-    layers' at batch 1, the whole set at batch >= 2, where the second
-    image's tiles run beside the head gradients the first image formed."""
-    return count_param_scalars(net, image_size, None if batch > 1 else net.split_index) * itemsize
+def plan_terms(net: NetworkSpec, image_size, batch, itemsize):
+    """The phase peaks' terms that no choice of plan changes, in bytes:
+    (params, G_t, head, maps). G_t is the gradient bytes held while the
+    tiles run: the streaming layers' at batch 1, the whole set at batch
+    >= 2, where the second image's tiles run beside the head gradients the
+    first image formed. head is one image's head term, live_peak over the
+    head's outputs; maps[m] is streaming map m's bytes as a cut map, 0 for
+    the image (m = 0)."""
+    L = net.split_index
+    shapes = net.activation_shapes(image_size)
+    head = live_peak(net, L, len(net.layers), [math.prod(s) for s in shapes[L + 1:]], itemsize)
+    return (count_param_scalars(net, image_size) * itemsize,
+            count_param_scalars(net, image_size, None if batch > 1 else L) * itemsize,
+            head, [0] + [math.prod(s) * itemsize for s in shapes[1:L + 1]])
 
 
 def stream_backward_peaks(params, tile_grads, grads, head, cut_bytes, tile_bytes):
@@ -232,17 +238,15 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     take each segment's tile term, one live_peak over its counts.
     """
     item = resolve_dtype(precision).itemsize
-    head_bytes = head_peak_bytes(net, plan.image_size, item)
+    params, tile_grads, head_bytes, maps = plan_terms(net, plan.image_size, batch, item)
+    cut_bytes = [maps[c] for c in plan.cuts]
     shapes = net.activation_shapes(plan.image_size)
-    cut_bytes = [0] + [math.prod(shapes[c]) * item for c in plan.cuts[1:]]
     tile_bytes = [live_peak(net, s.start, s.stop, s.elements, item) for s in plan.segments]
     largest = np.concatenate([s.elements.reshape(-1, s.stop - s.start).max(axis=0)
                               for s in plan.segments]).tolist()
     elements = largest + [math.prod(shape) for shape in shapes[net.split_index + 1:]]
-    params = count_param_scalars(net, plan.image_size) * item
     peak_tiles, peak_head_grads = stream_backward_peaks(
-        params, tile_grad_bytes(net, plan.image_size, batch, item), params, head_bytes,
-        cut_bytes, tile_bytes)
+        params, tile_grads, params, head_bytes, cut_bytes, tile_bytes)
     per_layer = [(m, e * (item * retains_output(layer) + isinstance(layer, MaxPool)))
                  for m, (layer, e) in enumerate(zip(net.layers, elements, strict=True))]
     return MemoryEstimate(mode="streaming", batch=batch, precision=str(precision),

@@ -406,18 +406,16 @@ def head_forward(split_map, net, params, byte_sink=None):
     return out[:, 0], caches
 
 
-def head_backward(dlogit, net, params, caches, split_shape):
+def head_backward(dlogit, net, params, caches):
     """The head's first backward pass: stack_backward's activation
     gradients, top-down to the split map. Returns (split-map gradient,
     deferred), deferred holding what each dense layer's parameter
     gradients need (head_param_grads). The head holds no conv, so no
     entry of its gradient set is read."""
     deferred = []
-    g = stack_backward(np.asarray(dlogit).reshape(split_shape[0], 1), net, params, caches,
+    g = stack_backward(np.asarray(dlogit).reshape(-1, 1), net, params, caches,
                        net.split_index, len(net.layers), ParamGrads.zeros_like(params, 0),
                        deferred)
-    if g.shape != split_shape:
-        raise ShapeError("head backward produced wrong split-map gradient shape")
     return g, deferred
 
 

@@ -61,11 +61,9 @@ layers the split map no longer needs tiling for run whole by the plan's
 choice, not by a hand-placed split.
 
 A plan's modelled peak is tilestream.memory.stream_backward_peaks, the
-one phase-peak formula (that module's doc), taken at the run's batch
-size with the gradient bytes that tilestream.memory.tile_grad_bytes
-holds beside the tiles: the streaming layers' gradients at batch 1, the
-whole set at batch >= 2. So a plan's peak bounds a step's at every
-batch up to the one it was chosen at, and at batch 1 the head-gradient
+one phase-peak formula, over the terms tilestream.memory.plan_terms
+gives at the run's batch size (that module's doc, "Phase peaks", says
+which batches a plan's peak then bounds); at batch 1 the head-gradient
 phase may set the peak, leaving the tiles room to coarsen. The budget
 is the smallest modelled peak in the run's precision and batch over
 every set of checkpoints, the empty set included, with every segment at
@@ -100,9 +98,11 @@ and column extents, which do not depend on the precision; its tile term
 is tilestream.memory.live_peak over them. A _Section prices in one
 precision and at one batch size, the run's (build_tile_plan's precision
 and batch, double and 1 by default, as in the config), and every preset
-chooses the same plan in both precisions; estimate_streaming prices any
-plan in any precision and batch from the same counts, and equals
-_Section.peak at the section's batch. Planning builds no tiles.
+chooses the same plan in both precisions. It takes every other term of
+the peak, the cut maps' bytes included, from plan_terms once, and so
+does estimate_streaming, which prices any plan in any precision and
+batch from the same counts and equals _Section.peak at the section's
+batch. Planning builds no tiles.
 
 Backward
 --------
@@ -134,8 +134,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import PlanError, ShapeError
-from .memory import (count_param_scalars, head_peak_bytes, live_peak, stream_backward_peaks,
-                     tile_grad_bytes)
+from .memory import live_peak, plan_terms, stream_backward_peaks
 from .network import MaxPool, NetworkSpec
 from .tensors import resolve_dtype
 
@@ -365,9 +364,8 @@ class _Section:
         # multiply-adds per output pixel, per streaming layer: its weight count
         self.macs = [math.prod(wb[0]) if wb else 0 for wb in net.param_shapes(image_size)[:L]]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
-        self.params = count_param_scalars(net, image_size) * self.item
-        self.tile_grads = tile_grad_bytes(net, image_size, batch, self.item)
-        self.head = head_peak_bytes(net, image_size, self.item)
+        self.params, self.tile_grads, self.head, self.maps = plan_terms(
+            net, image_size, batch, self.item)
         candidates = [m + 1 for m, layer in enumerate(layers)
                       if isinstance(layer, MaxPool) and m + 1 < L
                       and self.sizes[m + 1] >= max(grid)]
@@ -414,26 +412,24 @@ class _Section:
         return self._segments[(a, b, grid)]
 
     def _cuts(self, checkpoints):
-        cuts = (0,) + tuple(checkpoints) + (self.net.split_index,)
-        return cuts, [0] + [self.channels[c] * self.sizes[c] ** 2 * self.item for c in cuts[1:]]
+        return (0,) + tuple(checkpoints) + (self.net.split_index,)
 
-    def _peak(self, cut_bytes, tiles):
-        """The modelled peak in bytes, tiles being the segments' tile terms
-        (tilestream.memory's module doc), with the section's batch's
-        gradient bytes beside the tiles."""
+    def _peak(self, cuts, tiles):
+        """The modelled peak in bytes of a plan with these cuts, tiles being
+        the segments' tile terms, over the section's plan_terms."""
         return max(stream_backward_peaks(self.params, self.tile_grads, self.params, self.head,
-                                         cut_bytes, tiles))
+                                         [self.maps[c] for c in cuts], tiles))
 
     def peak(self, plan):
         """plan's modelled peak in the section's precision and batch:
         estimate_streaming's."""
-        return self._peak(self._cuts(plan.checkpoints)[1],
+        return self._peak(plan.cuts,
                           [self.segment(s.start, s.stop, s.grid)[1] for s in plan.segments])
 
     def plan(self, checkpoints, grids=None):
         """The TilePlan cut at these checkpoints, each segment at its grid in
         grids (default: every segment at the configured grid)."""
-        cuts = self._cuts(checkpoints)[0]
+        cuts = self._cuts(checkpoints)
         grids = tuple(map(tuple, grids)) if grids else (self.grid,) * (len(cuts) - 1)
         segments, _, macs = zip(*(self.segment(a, b, g) for a, b, g in zip(cuts, cuts[1:], grids)))
         return TilePlan(self.image_size, self.grid, list(segments),
@@ -449,13 +445,13 @@ class _Section:
         """The TilePlan of these checkpoints with each segment at its
         coarsest grid that fits the budget on its own (module doc,
         "Choosing the plan"); None if some segment fits no grid."""
-        cuts, cut_bytes = self._cuts(checkpoints)
+        cuts = self._cuts(checkpoints)
         grids = []
         for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
             alone = [0] * (len(cuts) - 1)
             for grid in self.coarsenings:
                 alone[j] = self.segment(a, b, grid)[1]
-                if self._peak(cut_bytes, alone) <= self.budget:
+                if self._peak(cuts, alone) <= self.budget:
                     grids.append(grid)
                     break
             else:

@@ -94,6 +94,8 @@ def test_command_exits_zero(tmp_path, capsys, command, precision):
     pytest.param(dict(CONFIG, verify={"fd_coords": 0}), [], id="fd-coords-zero"),
     pytest.param(dict(CONFIG, bench={"steps": "three"}), [], id="bench-steps-string"),
     pytest.param(dict(CONFIG, dataset={"n_train": 4, "noise": "low"}), [], id="noise-string"),
+    pytest.param(dict(CONFIG, dataset={"n_train": 4, "noise": float("inf")}), [], id="noise-inf"),
+    pytest.param(dict(CONFIG, learning_rate=float("inf")), [], id="learning-rate-inf"),
     pytest.param(dict(CONFIG, network=dict(CONFIG["network"], layers=5)), [],
                  id="layers-not-list"),
     pytest.param(dict(CONFIG, network=dict(CONFIG["network"], split_index=3)), [],

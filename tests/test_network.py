@@ -123,7 +123,7 @@ def test_head_backward_fd(rng):
 
     logit, caches = head_forward(feats, net, params)
     _, dlogit = bce_with_logits(logit[0], 1)
-    gmap, _ = head_backward(np.asarray([dlogit]), net, params, caches, feats.shape)
+    gmap, _ = head_backward(np.asarray([dlogit]), net, params, caches)
     eps, worst = 1e-5, 0.0
     for idx in range(feats.size):
         orig = feats.flat[idx]

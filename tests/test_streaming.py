@@ -252,7 +252,8 @@ def test_chooser_keeps_the_smallest_modelled_peak(name, batch):
     computes it on the built plans at the planned batch, and no layout
     within it, of any set and any grid per segment, makes fewer tile-layer
     calls, or as few with less conv work or fewer checkpoints; in each
-    precision, whose bytes the chooser weighs."""
+    precision, whose bytes the chooser weighs. Every layout's peak, as
+    the section prices it, is estimate_streaming's."""
     make, z, grid = CHOOSER_CASES[name]
     net = make()
     for precision in ("single", "double"):
@@ -281,6 +282,8 @@ def test_chooser_keeps_the_smallest_modelled_peak(name, batch):
                 section.peak(candidate)
         assert section.budget == budget
         for other in every_plan(section):
+            assert section.peak(other) == \
+                estimate_streaming(net, other, batch, precision).peak_bytes
             if section.peak(other) <= budget:
                 assert rule(other) >= rule(chosen), (other.checkpoints, other.grids)
 
