@@ -75,15 +75,24 @@ rule sizes every band (_band_rows): as many rows as keep its columns
 least _BAND_MIN positions (whole rows, at most the map), because one-row
 bands made the input gradient 2-3x slower on small maps. A pass that
 reduces into a (K, c) accumulator gives up rows so that its product and
-accumulator, 2 * K * c scalars, and, when the reduction's operand has
-rows that are not contiguous (a crop view), one reused copy of a band of
-them come out of that band's columns (at least one row is kept).
+accumulator, 2 * K * c scalars, and, when the reduction's operand (c,
+oh, ow) has rows that are not contiguous (a crop view), one reused copy
+of a band of them come out of that band's columns; but it keeps at
+least min(ceil(_BAND_MIN / ow), c * oh // K, oh) rows, and one. That
+floor is _BAND_MIN positions whenever their columns fit within one
+image of the operand, because a reduction over one-row bands of a thin
+tile runs at about half the speed. So a reducing band's columns,
+product, accumulator and copy take at most the forward-shaped band's
+columns, or their own at the floor, whose columns fit within one image
+of the operand (or one row).
 Besides its result a pass allocates the band's columns, rounded up to
 whole _BLOCKs, a result buffer of the same width once a band's last
 block runs past the map, and, when its source is padded or zero-stuffed,
 one staging buffer of a band's padded source rows, (c, s * (rows - 1) +
 k, padded width); no kernel copies or pads a whole map. The input
-gradient also holds its flipped weights.
+gradient also holds its flipped weights. A band pays only its copies and
+products: the views it runs through are made once per pass and sliced
+per band.
 
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
@@ -161,11 +170,25 @@ def _norm_pads(pads, k):
     return (pt, pb, pl, pr)
 
 
-def _band_rows(kk, c_out, oh, ow):
-    """Output rows per band: as many whole rows as keep the (kk, rows * ow)
-    columns within 1/_BAND_DIV of one image's (c_out, oh, ow) output, but
-    at least _BAND_MIN positions' worth, and never more than oh."""
-    return min(oh, max(c_out * oh // (_BAND_DIV * kk), -(-_BAND_MIN // ow)))
+def _band_rows(kk, r, oh, ow, reduces=False, copied=False):
+    """Output rows per band of a pass over (kk, positions) columns with r
+    result channels: as many whole rows as keep the (kk, rows * ow) columns
+    within 1/_BAND_DIV of one image's (r, oh, ow) output, but at least
+    _BAND_MIN positions' worth, and never more than oh.
+
+    A pass that reduces into a (kk, r) accumulator gives up rows so that its
+    product and accumulator, 2 * kk * r scalars, and, when copied (its
+    operand's rows are not contiguous), one reused (r, rows, ow) copy of a
+    band of the operand come out of those columns; but it keeps at least
+    min(ceil(_BAND_MIN / ow), r * oh // kk, oh) rows, and one: _BAND_MIN
+    positions whenever their columns fit within one image of the operand,
+    (r, oh, ow)."""
+    least = -(-_BAND_MIN // ow)
+    rows = min(oh, max(r * oh // (_BAND_DIV * kk), least))
+    if not reduces:
+        return rows
+    shared = kk * (rows * ow - 2 * r) // ((kk + r * copied) * ow)
+    return max(1, min(least, r * oh // kk, oh), shared)
 
 
 def _stage(buf, src, pt, pl, d, a):
@@ -217,22 +240,23 @@ def _bands(src, k, s, d, pads, oh, ow, rows, cols):
     else:
         win = _windows(src, k, s, oh, ow)
     for i in range(n):
+        image = src[i]
         for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
+            t = min(rows, oh - r0)
             if staged:
-                _stage(buf, src[i], pt, pl, d, s * r0)
-                band = win[:, :, :, : r1 - r0]
+                _stage(buf, image, pt, pl, d, s * r0)
+                band = win[:, :, :, :t]
             else:
-                band = win[i, :, :, :, r0:r1]
-            np.copyto(dst[:, :, :, : r1 - r0], band)
-            yield i, r0, r1, (r1 - r0) * ow
+                band = win[i, :, :, :, r0 : r0 + t]
+            np.copyto(dst[:, :, :, :t], band)
+            yield i, r0, r0 + t, t * ow
 
 
 def _correlate(src, k, s, d, pads, oh, ow, wmat=None, rhs=None):
     """The one band pass of every conv kernel: over _bands' columns of src,
     (K, band positions) with K = src channels * k * k, each band runs the
     products the caller asks for, and returns (out, acc), None for a
-    product not asked for.
+    product not asked for. _band_rows sizes its bands.
 
     With wmat (r, K): out (n, r, oh, ow), wmat times the columns, one
     batched run of (r, K) @ (K, _BLOCK) products per band, written straight
@@ -246,40 +270,51 @@ def _correlate(src, k, s, d, pads, oh, ow, wmat=None, rhs=None):
     columns @ (p, c) rows of rhs at the band's p positions. That product,
     the accumulator and, when rhs's rows are not contiguous (a crop view),
     one reused copy of rhs's band take their scalars out of the band's
-    columns, so such a pass has fewer rows per band (at least one)."""
+    columns, down to a floor of min(ceil(_BAND_MIN / ow), c * oh // K, oh)
+    rows per band, and one.
+
+    The columns' (blocks, K, _BLOCK) view, a contiguous rhs's flat (n, c,
+    oh * ow) view and the result buffer are made once per call and sliced
+    per band."""
     n = len(src)
     kk = src.shape[1] * k * k
     r = len(wmat) if rhs is None else rhs.shape[1]
-    rows = _band_rows(kk, r, oh, ow)
-    acc = rbuf = None
+    copied = rhs is not None and rhs.strides[2:] != (ow * rhs.itemsize, rhs.itemsize)
+    rows = _band_rows(kk, r, oh, ow, rhs is not None, copied)
+    blocks = -(-rows * ow // _BLOCK)
+    cols = np.zeros((kk, blocks * _BLOCK), dtype=src.dtype)
+    colv = cols.reshape(kk, blocks, _BLOCK).transpose(1, 0, 2)
+    out = acc = res = None
+    if wmat is not None:
+        out = np.empty((n, r, oh * ow), dtype=src.dtype)
     if rhs is not None:
-        copied = rhs.strides[2:] != (ow * rhs.itemsize, rhs.itemsize)
-        rows = max(1, kk * (rows * ow - 2 * r) // ((kk + r * copied) * ow))
         acc = np.zeros((kk, r), dtype=src.dtype)
         prod = np.empty_like(acc)
-        rbuf = np.empty((r, rows, ow), dtype=src.dtype) if copied else None
-    width = -(-rows * ow // _BLOCK) * _BLOCK
-    cols = np.zeros((kk, width), dtype=src.dtype)
-    out = None if wmat is None else np.empty((n, r, oh * ow), dtype=src.dtype)
-    res = None
+        if copied:
+            rbuf = np.empty((r, rows, ow), dtype=src.dtype)
+            rflat = rbuf.reshape(r, rows * ow)
+        else:
+            rflat = rhs.reshape(n, r, oh * ow)
     for i, r0, r1, p in _bands(src, k, s, d, pads, oh, ow, rows, cols):
+        a = r0 * ow
         if wmat is not None:
-            m = -(-p // _BLOCK) * _BLOCK
-            a = r0 * ow
-            past_map = a + m > oh * ow
-            if past_map and res is None:
-                res = np.empty((r, width), dtype=src.dtype)
-            dst = res[:, :m] if past_map else out[i, :, a : a + m]
-            np.matmul(wmat, cols[:, :m].reshape(kk, -1, _BLOCK).transpose(1, 0, 2),
-                      out=dst.reshape(r, -1, _BLOCK).transpose(1, 0, 2))
-            if past_map:
+            b = -(-p // _BLOCK)
+            if a + b * _BLOCK <= oh * ow:
+                np.matmul(wmat, colv[:b], out=out[i, :, a : a + b * _BLOCK]
+                          .reshape(r, b, _BLOCK).transpose(1, 0, 2))
+            else:
+                if res is None:
+                    res = np.empty((r, blocks * _BLOCK), dtype=src.dtype)
+                    resv = res.reshape(r, blocks, _BLOCK).transpose(1, 0, 2)
+                np.matmul(wmat, colv[:b], out=resv[:b])
                 out[i, :, a : a + p] = res[:, :p]
         if rhs is not None:
-            band = rhs[i, :, r0:r1]
-            if rbuf is not None:
-                band = rbuf[:, : r1 - r0]
-                band[...] = rhs[i, :, r0:r1]
-            acc += np.matmul(cols[:, :p], band.reshape(r, p).T, out=prod)
+            if copied:
+                rbuf[:, : r1 - r0] = rhs[i, :, r0:r1]
+                band = rflat[:, :p]
+            else:
+                band = rflat[i, :, a : a + p]
+            acc += np.matmul(cols[:, :p], band.T, out=prod)
     return (None if out is None else out.reshape(n, r, oh, ow)), acc
 
 

@@ -128,10 +128,11 @@ class MemoryEstimate:
     peak_head_grads_bytes: int = 0   # the backward's head-gradient phase
 
 
-def count_param_scalars(net: NetworkSpec, image_size, stop=None):
-    """Parameter scalars of the layers below stop (every layer by default)."""
+def count_param_scalars(net: NetworkSpec, shapes, stop=None):
+    """Parameter scalars of the layers below stop (every layer by default),
+    shapes being the maps' (NetworkSpec.activation_shapes)."""
     return sum(math.prod(w) + math.prod(b)
-               for w, b in filter(None, net.param_shapes(image_size)[:stop]))
+               for w, b in filter(None, net.param_shapes(shapes)[:stop]))
 
 
 def retains_output(layer):
@@ -195,26 +196,26 @@ def estimate_whole_image(net: NetworkSpec, image_size, batch, precision):
     per_layer = [(i, batch * math.prod(shape) * item * retains_output(layer))
                  for i, (layer, shape) in enumerate(zip(net.layers, shapes[1:]))]
     input_bytes = batch * math.prod(shapes[0]) * item
-    params = count_param_scalars(net, image_size) * item
+    params = count_param_scalars(net, shapes) * item
     peak = input_bytes + sum(b for _, b in per_layer) + 2 * params
     return MemoryEstimate(mode="whole_image", batch=batch, precision=str(precision),
                           per_layer_bytes=per_layer, input_bytes=input_bytes,
                           params_bytes=params, grads_bytes=params, peak_bytes=peak)
 
 
-def plan_terms(net: NetworkSpec, image_size, batch, itemsize):
+def plan_terms(net: NetworkSpec, shapes, batch, itemsize):
     """The phase peaks' terms that no choice of plan changes, in bytes:
-    (params, G_t, head, maps). G_t is the gradient bytes held while the
-    tiles run: the streaming layers' at batch 1, the whole set at batch
+    (params, G_t, head, maps), shapes being one image's maps
+    (NetworkSpec.activation_shapes). G_t is the gradient bytes held while
+    the tiles run: the streaming layers' at batch 1, the whole set at batch
     >= 2, where the second image's tiles run beside the head gradients the
     first image formed. head is one image's head term, live_peak over the
     head's outputs; maps[m] is streaming map m's bytes as a cut map, 0 for
     the image (m = 0)."""
     L = net.split_index
-    shapes = net.activation_shapes(image_size)
     head = live_peak(net, L, len(net.layers), [math.prod(s) for s in shapes[L + 1:]], itemsize)
-    return (count_param_scalars(net, image_size) * itemsize,
-            count_param_scalars(net, image_size, None if batch > 1 else L) * itemsize,
+    return (count_param_scalars(net, shapes) * itemsize,
+            count_param_scalars(net, shapes, None if batch > 1 else L) * itemsize,
             head, [0] + [math.prod(s) * itemsize for s in shapes[1:L + 1]])
 
 
@@ -238,9 +239,9 @@ def estimate_streaming(net: NetworkSpec, plan, batch, precision):
     take each segment's tile term, one live_peak over its counts.
     """
     item = resolve_dtype(precision).itemsize
-    params, tile_grads, head_bytes, maps = plan_terms(net, plan.image_size, batch, item)
-    cut_bytes = [maps[c] for c in plan.cuts]
     shapes = net.activation_shapes(plan.image_size)
+    params, tile_grads, head_bytes, maps = plan_terms(net, shapes, batch, item)
+    cut_bytes = [maps[c] for c in plan.cuts]
     tile_bytes = [live_peak(net, s.start, s.stop, s.elements, item) for s in plan.segments]
     largest = np.concatenate([s.elements.reshape(-1, s.stop - s.start).max(axis=0)
                               for s in plan.segments]).tolist()

@@ -155,10 +155,11 @@ class NetworkSpec:
         """(c, h, w) of the split map, the flatten's input."""
         return self.activation_shapes(image_size)[self.split_index]
 
-    def param_shapes(self, image_size):
-        """(weight shape, bias shape) per layer; None for layers without parameters."""
+    def param_shapes(self, shapes):
+        """(weight shape, bias shape) per layer, shapes being the maps'
+        (activation_shapes); None for layers without parameters."""
         out = []
-        for layer, below in zip(self.layers, self.activation_shapes(image_size)):
+        for layer, below in zip(self.layers, shapes):
             if isinstance(layer, Conv):
                 out.append(((layer.c_out, layer.c_in, layer.kernel, layer.kernel), (layer.c_out,)))
             elif isinstance(layer, Dense):
@@ -173,7 +174,7 @@ def init_params(net: NetworkSpec, image_size, seed, precision="double"):
     dtype = resolve_dtype(precision)
     rng = np.random.Generator(np.random.PCG64(seed))
     params = []
-    for shapes in net.param_shapes(image_size):
+    for shapes in net.param_shapes(net.activation_shapes(image_size)):
         if shapes is None:
             params.append(None)
             continue

@@ -102,7 +102,8 @@ chooses the same plan in both precisions. It takes every other term of
 the peak, the cut maps' bytes included, from plan_terms once, and so
 does estimate_streaming, which prices any plan in any precision and
 batch from the same counts and equals _Section.peak at the section's
-batch. Planning builds no tiles.
+batch. Both walk NetworkSpec.activation_shapes once and hand the shapes
+to param_shapes and plan_terms. Planning builds no tiles.
 
 Backward
 --------
@@ -350,11 +351,11 @@ class _Section:
             raise PlanError(f"bad grid {grid}")
         L = net.split_index
         try:
-            shapes = net.activation_shapes(image_size)[: L + 1]
+            shapes = net.activation_shapes(image_size)
         except ShapeError as exc:
             raise PlanError(f"image too small for the network: {exc}") from exc
-        self.channels = [c for c, _, _ in shapes]
-        self.sizes = [h for _, h, _ in shapes]
+        self.channels = [c for c, _, _ in shapes[: L + 1]]
+        self.sizes = [h for _, h, _ in shapes[: L + 1]]
         if max(grid) > self.sizes[-1]:
             raise PlanError(f"grid {grid} exceeds split map {self.sizes[-1]}x{self.sizes[-1]}")
         self.net, self.image_size, self.grid = net, image_size, tuple(grid)
@@ -362,10 +363,10 @@ class _Section:
         self.geoms = net.stream_geoms()
         layers = net.stream_layers
         # multiply-adds per output pixel, per streaming layer: its weight count
-        self.macs = [math.prod(wb[0]) if wb else 0 for wb in net.param_shapes(image_size)[:L]]
+        self.macs = [math.prod(wb[0]) if wb else 0 for wb in net.param_shapes(shapes)[:L]]
         self.whole_macs = sum(w * self.sizes[m + 1] ** 2 for m, w in enumerate(self.macs))
         self.params, self.tile_grads, self.head, self.maps = plan_terms(
-            net, image_size, batch, self.item)
+            net, shapes, batch, self.item)
         candidates = [m + 1 for m, layer in enumerate(layers)
                       if isinstance(layer, MaxPool) and m + 1 < L
                       and self.sizes[m + 1] >= max(grid)]

@@ -633,16 +633,25 @@ def _traced_peak(fn):
     return peak, sum(a.nbytes for a in results)
 
 
-def _band_workspace(c, c_out, k, h, w, pads, item):
+def _band_workspace(c, c_out, k, h, w, pads, item, reduces=False, copied=False):
     """Bytes one stride-1 correlation's bands may take, as (staging, rest):
     the staging buffer of a band's padded source rows (none without pads),
-    and its im2col columns and result buffer, both whole _BLOCKs wide."""
+    and its im2col columns and result buffer, both whole _BLOCKs wide; a
+    pass that reduces into a (K, c_out) accumulator adds its product and
+    accumulator and, when copied, its copy of a band of the operand. The
+    rows per band follow the rule of layers._band_rows, written out again."""
     kk = c * k * k
-    rows = min(h, max(c_out * h // (_BAND_DIV * kk), -(-_BAND_MIN // w)))
+    least = -(-_BAND_MIN // w)
+    rows = min(h, max(c_out * h // (_BAND_DIV * kk), least))
+    reduction = 0
+    if reduces:
+        rows = max(1, min(least, c_out * h // kk, h),
+                   kk * (rows * w - 2 * c_out) // ((kk + c_out * copied) * w))
+        reduction = 2 * kk * c_out + copied * c_out * rows * w
     band = -(-rows * w // _BLOCK) * _BLOCK
     pt, pb, pl, pr = pads
     staging = c * (rows - 1 + k) * (w + pl + pr) if any(pads) else 0
-    return staging * item, (kk + c_out) * band * item
+    return staging * item, ((kk + c_out) * band + reduction) * item
 
 
 @pytest.mark.parametrize("shape,c_out,pads,view", [
@@ -650,7 +659,9 @@ def _band_workspace(c, c_out, k, h, w, pads, item):
     pytest.param((1, 32, 32, 32), 32, (1, 1, 1, 1), False, id="shape1-32"),
     pytest.param((1, 4, 256, 256), 4, (1, 0, 0, 1), False, id="shape0-4-border-pads"),
     pytest.param((1, 4, 256, 256), 4, (1, 1, 1, 1), True, id="shape0-4-crop-view"),
-    pytest.param((1, 32, 32, 32), 32, (1, 0, 0, 1), True, id="shape1-32-crop-view")])
+    pytest.param((1, 32, 32, 32), 32, (1, 0, 0, 1), True, id="shape1-32-crop-view"),
+    # the backward's reduction keeps its floor of two rows, not one
+    pytest.param((1, 8, 128, 128), 16, (1, 1, 1, 1), True, id="shape2-16-crop-view")])
 def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
     """Beyond their results the four conv kernels allocate at most the
     documented workspace, one band pass at a time (see _band_workspace);
@@ -672,10 +683,10 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
     staging, rest = _band_workspace(c, c_out, k, oh, ow, pads, item)
     fwd_peak, fwd_out = _traced_peak(lambda: [conv2d_forward(x, spec, params, pads)])
     assert fwd_peak - fwd_out <= staging + rest + slack
-    # the weight gradient alone runs the forward's bands; its product and
-    # accumulator come out of the band
+    # the weight gradient alone runs the forward's bands, sized as a
+    # reduction into a (K, c_out) accumulator over grad_out's rows
     pg_peak, pg_out = _traced_peak(lambda: conv2d_param_grad(x, spec, grad, pads))
-    assert pg_peak - pg_out <= staging + rest + slack
+    assert pg_peak - pg_out <= sum(_band_workspace(c, c_out, k, oh, ow, pads, item, True)) + slack
     # the input gradient runs its own bands and also holds the flipped
     # weights, one (c_out, K) matrix
     gpads = (k - 1 - pt, h + pt - oh, k - 1 - pl, w + pl - ow)
@@ -683,15 +694,47 @@ def test_conv_workspace_within_band_policy(rng, shape, c_out, pads, view):
     flipped = c * c_out * k * k * item
     gx_peak, gx_out = _traced_peak(lambda: [conv2d_input_grad(grad, spec, params, (h, w), pads)])
     assert gx_peak - gx_out <= gx_bands + flipped + slack
-    # the backward runs the input gradient's bands; its weight product and
-    # accumulator, and a crop view's copied rows, come out of the band
-    bwd = max(staging + rest, gx_bands) + flipped
+    # the backward runs the input gradient's bands, sized as a reduction
+    # into a (K, c) accumulator over x's rows, copied band by band from a
+    # crop view
+    bwd = sum(_band_workspace(c_out, c, k, h, w, gpads, item, True, view)) + flipped
     bwd_peak, bwd_out = _traced_peak(lambda: conv2d_backward(x, spec, params, grad, pads))
     assert bwd_peak - bwd_out <= bwd + slack
     # a whole-map padded copy in place of the staging buffer, or the
     # whole-map im2col in place of the bands, would not fit the bounds
     assert n * c * (h + pt + pb) * (w + pl + pr) * item > staging + slack
     assert c * k * k * oh * ow * item > max(staging + rest, bwd) + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 7), c=st.integers(1, 128), r=st.integers(1, 128),
+       oh=st.integers(1, 600), ow=st.integers(1, 600), copied=st.booleans())
+@example(k=3, c=16, r=8, oh=129, ow=129, copied=False)  # tiny2's conv-3 backward on a 2x2 tile
+@example(k=5, c=64, r=1, oh=3, ow=2, copied=True)  # columns of one row exceed the operand
+def test_band_rows_keep_the_floor_within_the_workspace(k, c, r, oh, ow, copied):
+    """_band_rows, for a pass over (K, positions) columns, K = c * k * k,
+    with r result channels: its rows lie in [1, oh]; a reduction into a
+    (K, r) accumulator keeps at least min(ceil(_BAND_MIN / ow), r * oh // K,
+    oh) rows; and its columns, product, accumulator and copy take at most
+    the forward-shaped band's columns, or their own at that floor (one row
+    at least), whose columns fit within one image of the operand (r, oh,
+    ow) or one row (the layers module docstring, "Workspace")."""
+    kk = c * k * k
+    rows = layers._band_rows(kk, r, oh, ow)
+    assert 1 <= rows <= oh
+    reduced = layers._band_rows(kk, r, oh, ow, True, copied)
+    assert 1 <= reduced <= oh
+    floor = min(-(-_BAND_MIN // ow), r * oh // kk, oh)
+    assert reduced >= floor
+    if reduced * ow < _BAND_MIN and reduced < oh:
+        assert kk * (reduced + 1) * ow > r * oh * ow  # one row more would not fit the operand
+
+    def workspace(rows):
+        return kk * rows * ow + 2 * kk * r + copied * r * rows * ow
+
+    least = max(1, floor)
+    assert kk * least * ow <= max(r * oh * ow, kk * ow)
+    assert workspace(reduced) <= max(kk * rows * ow, workspace(least))
 
 
 def _loop_conv_grads(x, w, g, stride, pads):

@@ -279,9 +279,10 @@ def test_network_conv_is_the_kernel_geometry(rng):
 def test_param_shapes_shape_init_and_count():
     net = net_vgg13()
     params = init_params(net, 64, seed=0)
-    shapes = net.param_shapes(64)
-    assert [None if p is None else (p.w.shape, p.b.shape) for p in params] == shapes
-    assert count_param_scalars(net, 64) == sum(p.w.size + p.b.size for p in params if p is not None)
+    maps = net.activation_shapes(64)
+    assert [None if p is None else (p.w.shape, p.b.shape) for p in params] == net.param_shapes(maps)
+    assert count_param_scalars(net, maps) == sum(p.w.size + p.b.size
+                                                 for p in params if p is not None)
 
 
 def assert_split_is_the_flatten(net):

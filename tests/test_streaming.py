@@ -413,6 +413,28 @@ def test_planning_at_paper_scale_builds_no_tiles(monkeypatch):
     assert built == []
 
 
+def test_a_section_walks_the_network_once(monkeypatch):
+    """A _Section reads every map and parameter shape it prices from one
+    NetworkSpec.activation_shapes walk, handed to param_shapes and to
+    memory.plan_terms; so do whole_image_plan, which the whole-image
+    executor runs in every pass, and estimate_streaming."""
+    walks, walk = [], NetworkSpec.activation_shapes
+
+    def counting(self, image_size):
+        walks.append(image_size)
+        return walk(self, image_size)
+
+    monkeypatch.setattr(NetworkSpec, "activation_shapes", counting)
+    net = net_vgg13()
+    plan = whole_image_plan(net, 512)
+    for run in (lambda: _Section(net, 512, (4, 4), "single", 2),
+                lambda: whole_image_plan(net, 512),
+                lambda: estimate_streaming(net, plan, 1, "single")):
+        walks.clear()
+        run()
+        assert walks == [512]
+
+
 @pytest.mark.parametrize("case", SAMPLED)
 def test_plan_tiles_are_the_row_major_product_of_parts(case):
     """Each segment's tiles are built once: reading plan.tiles twice gives
@@ -644,6 +666,26 @@ def test_each_conv_backward_builds_its_columns_once(monkeypatch, grid, checkpoin
                   for seg in plan.segments for _ in seg.tiles
                   for i in convs if seg.start <= i < seg.stop)
     assert sorted(map(tuple, calls)) == want
+
+
+def test_a_tiny2_step_runs_at_most_448_conv_bands(monkeypatch):
+    """One single-precision tiny2@512 step, planned at (8, 8) and batch 1
+    (the chooser keeps 2x2), runs at most 448 conv bands (layers._bands
+    yields). Conv 3's backward reduces over 129-wide maps: the band rule's
+    floor keeps it at two rows a band, where the accumulator's share alone
+    would leave one, and the step would run 704 bands."""
+    net, plan, params, samples = _single_precision_tiny2(512, (8, 8))
+    assert plan.grids == ((2, 2),)
+    bands, count = tilestream.layers._bands, []
+
+    def counting(*args):
+        for band in bands(*args):
+            count.append(band)
+            yield band
+
+    monkeypatch.setattr(tilestream.layers, "_bands", counting)
+    train_step(net, params, samples[:1], 0.05, plan)
+    assert 0 < len(count) <= 448
 
 
 def test_backward_frees_each_layer_cache_as_it_goes(monkeypatch):
