@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 usage or config error (a learning rate above
 the largest finite value of the run's precision is one), 2 infeasible
 plan, 3 equivalence failure (or detected nondeterminism during verify), 4
-divergence (non-finite loss). The output directory (--out or config
-'out') is created once, before the command runs; a path that cannot be a
-directory, such as an existing file, is a config error (exit 1). All runs
+divergence (a non-finite image, logit, loss or gradient, or a
+finite-difference probe that overflows; see tilestream.engine,
+"Finiteness"). The output directory (--out or config 'out') is created
+once, before the command runs; a path that cannot be a directory, such
+as an existing file, is a config error (exit 1). All runs
 are deterministic in (config, seed): reruns produce bit-identical CSVs,
 checkpoints and reports. train, bench and verify's lockstep all step
 through engine.train_step, whole-image as planner.whole_image_plan.

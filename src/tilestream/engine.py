@@ -64,6 +64,22 @@ forward and once for the head; backward's recompute counts nothing.
 With the gradient set's bytes in each backward phase, it calls
 tilestream.memory.stream_backward_peaks with what it counted, where the
 model takes the same terms from tilestream.memory.plan_terms.
+
+Finiteness: a pass raises NonFiniteError when its image, logit, loss or
+any parameter gradient it returns holds a NaN or an Inf, and it scans
+each value once (tilestream.tensors.check_finite). streaming_forward
+checks the image on entry. The kernels that compute new values check
+them: conv and dense outputs and input gradients, and the BCE loss and
+its gradient (tilestream.layers). _backward checks every entry of the
+gradient set once, after head_param_grads, so the sum of a conv's tile
+gradients and the dense weight gradients are checked too. Relu, max
+pooling, flatten and a tile's paste into its map only select, mask or
+move values that the image or a checked kernel supplied, so they do not
+scan: every forward value is the image, a checked product or a
+selection of those, and every backward value reaches a parameter
+gradient only through a checked conv kernel or the gradient set.
+Backward's recompute feeds the image through conv forward, which checks
+its output, so backward does not check the image again.
 """
 
 from __future__ import annotations
@@ -86,7 +102,7 @@ from .network import (
     stack_backward,
 )
 from .planner import TilePlan
-from .tensors import check_tensor4
+from .tensors import check_finite, check_tensor4
 
 
 @dataclass
@@ -196,6 +212,7 @@ def streaming_forward(net: NetworkSpec, params, image, plan: TilePlan):
     bit-identical to the whole-image map.
     """
     _check_image(image, plan)
+    check_finite(image, "image")
     if plan.cuts[-1] != net.split_index:
         raise PlanError("plan split_index does not match the network")
     item = image.itemsize
@@ -267,6 +284,8 @@ def _backward(net, params, image, plan, state, dloss_dlogit, grads):
             record.tiles_backward += 1
         grad_above = grad_below
     head_param_grads(params, deferred, grads)
+    for name, t in grads.named_tensors():
+        check_finite(t, f"gradient {name}")
     record.grads_bytes = param_bytes(grads.per_layer)
     record.peak_bytes_tiles, record.peak_bytes_head_grads = stream_backward_peaks(
         record.params_bytes, record.tile_grads_bytes, record.grads_bytes,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import minibatch
 from .engine import streaming_loss_and_grads, train_step
-from .errors import NondeterminismError, ShapeError
+from .errors import NondeterminismError, NonFiniteError, ShapeError
 from .layers import bce_with_logits
 from .network import NetworkSpec, ParamGrads, clone_params, run_stack
 from .planner import whole_image_plan
@@ -208,7 +208,8 @@ def finite_difference_check(net, params, image, label, grad_sets, seed=0, coords
     error denominator is floored at 1e-6 of its largest gradient magnitude
     so near-cancelled coordinates (where the quadratic FD truncation
     dominates) do not blow up the ratio; real disagreements above that
-    floor are still caught. Double precision only.
+    floor are still caught. Double precision only. A probe whose central
+    difference is not finite raises NonFiniteError before it is scored.
     """
     for p in params:
         if p is not None and p.w.dtype != np.float64:
@@ -238,9 +239,9 @@ def finite_difference_check(net, params, image, label, grad_sets, seed=0, coords
                 lm = whole_image_loss(net, params, image, label)
                 flat[idx] = orig
                 fd = (lp - lm) / (2.0 * FD_EPS)
+                if not math.isfinite(fd):
+                    raise NonFiniteError(f"layer {i} {name}[{idx}]: finite difference {fd}")
                 for k, (gflat, floor) in enumerate(zip(gflats, floors)):
                     ga = float(gflat[idx])
                     worst[k] = max(worst[k], abs(fd - ga) / max(abs(fd), abs(ga), floor))
-                if not math.isfinite(fd):
-                    raise ShapeError("non-finite loss in finite-difference probe")
     return worst

@@ -94,6 +94,11 @@ gradient also holds its flipped weights. A band pays only its copies and
 products: the views it runs through are made once per pass and sliced
 per band.
 
+Finiteness. The kernels that compute new values check them (conv and
+dense outputs and input gradients, the BCE loss and its gradient); relu
+and max pooling only select or mask values, and scan nothing. The rule
+is stated once, in tilestream.engine's module docstring ("Finiteness").
+
 Zero padding is asymmetric-capable: pads=(top, bottom, left, right).
 Streaming passes pad only where a tile region met the true image border,
 which keeps per-pixel operands identical to the whole image.
@@ -106,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ShapeError
 from .tensors import check_finite, check_same_dtype, check_tensor4
 
 _BLOCK = 64      # output positions per forward matrix product
@@ -384,12 +389,6 @@ def conv2d_input_grad(grad_out, spec: Conv, params: Params, in_hw, pads=None):
     return _grad_in(grad_out, spec, params, in_hw, pads)[0]
 
 
-def _check_param_grads(gw, gb):
-    check_finite(gw, "conv grad_w")
-    check_finite(gb.reshape(1, 1, 1, -1), "conv grad_b")
-    return gw, gb
-
-
 def _check_input(x, spec: Conv, grad_out):
     check_tensor4(x, "conv input")
     check_same_dtype(x, grad_out)
@@ -410,7 +409,7 @@ def conv2d_param_grad(x, spec: Conv, grad_out, pads=None):
     k = spec.kernel
     _, acc = _correlate(x, k, spec.stride, 1, pads, oh, ow, rhs=grad_out)
     gw = np.ascontiguousarray(acc.T).reshape(co, spec.c_in, k, k)
-    return _check_param_grads(gw, grad_out.sum(axis=(0, 2, 3)))
+    return gw, grad_out.sum(axis=(0, 2, 3))
 
 
 def conv2d_backward(x, spec: Conv, params: Params, grad_out, pads=None):
@@ -422,7 +421,7 @@ def conv2d_backward(x, spec: Conv, params: Params, grad_out, pads=None):
     gx, acc = _grad_in(grad_out, spec, params, x.shape[2:], pads, x)
     k = spec.kernel
     gw = acc.reshape(spec.c_out, k, k, spec.c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2).copy()
-    return (gx,) + _check_param_grads(gw, grad_out.sum(axis=(0, 2, 3)))
+    return gx, gw, grad_out.sum(axis=(0, 2, 3))
 
 
 def _tap(a, ky, kx, s, oh, ow):
@@ -463,7 +462,9 @@ def maxpool2d_forward(x, k, s, route=False):
     Returns the output alone, or with route=True (output, route): route is
     uint8 of the output's shape holding each window's first tap in
     row-major order equal to its max, ky * k + kx, which maxpool2d_backward
-    scatters from. A route needs k * k <= 256.
+    scatters from. A route needs k * k <= 256. The output is not scanned
+    for NaN or Inf: a max selects its input's values (see tilestream.engine,
+    "Finiteness").
     """
     check_tensor4(x, "pool input")
     if route and k * k > 256:
@@ -473,7 +474,6 @@ def maxpool2d_forward(x, k, s, route=False):
                     dtype=np.uint8) if route else None
     out = _pool_max(x, k, s, taps)
     out += 0
-    check_finite(out, "pool output")
     return out if taps is None else (out, taps)
 
 
@@ -491,7 +491,8 @@ def maxpool2d_backward(route, grad_out, k, s, in_shape, relu_out=None):
     k > s the hits are added onto zeros tap by tap in reverse row-major
     order, which for every input pixel is output row-major order. Either
     way the result is bit for bit relu_backward of a scatter-add onto zeros
-    of each map's outputs in row-major order.
+    of each map's outputs in row-major order. Like every selecting kernel
+    it scans nothing for NaN or Inf (see tilestream.engine, "Finiteness").
     """
     check_tensor4(grad_out, "pool grad_out")
     n, c, h, w = in_shape
@@ -518,13 +519,14 @@ def maxpool2d_backward(route, grad_out, k, s, in_shape, relu_out=None):
             np.equal(route, t, out=hit)
             view = _tap(gx, t // k, t % k, s, oh, ow)
             view += routed * hit
-    return check_finite(gx, "pool grad_in")
+    return gx
 
 
 def relu_forward(x, inplace=False):
-    """max(x, 0). With inplace=True the input buffer is overwritten."""
-    out = np.maximum(x, 0, out=x if inplace else None)
-    return check_finite(out, "relu output")
+    """max(x, 0). With inplace=True the input buffer is overwritten. A relu
+    selects values and scans nothing for NaN or Inf (see tilestream.engine,
+    "Finiteness")."""
+    return np.maximum(x, 0, out=x if inplace else None)
 
 
 def relu_backward(out, grad_out, inplace=False):
@@ -535,7 +537,8 @@ def relu_backward(out, grad_out, inplace=False):
     patterns are multiplied, as integers, by the 0/1 mask: 1 keeps every
     bit (a -0.0 included) and 0 gives +0.0, the bits np.where(out > 0,
     grad_out, 0) gives, without its per-element branch. With inplace=True
-    grad_out is overwritten and returned.
+    grad_out is overwritten and returned. The mask scans nothing for NaN
+    or Inf (see tilestream.engine, "Finiteness").
     """
     check_same_dtype(out, grad_out)
     if out.shape != grad_out.shape:
@@ -543,7 +546,7 @@ def relu_backward(out, grad_out, inplace=False):
     bits = np.dtype(f"i{grad_out.itemsize}")
     result = grad_out if inplace else np.empty_like(grad_out)
     np.multiply(grad_out.view(bits), out > 0, out=result.view(bits))
-    return check_finite(result, "relu grad_in")
+    return result
 
 
 def flatten_forward(x):
@@ -605,6 +608,4 @@ def bce_with_logits(logit, label):
     y = x.dtype.type(label)
     loss = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
     grad = sigmoid(x) - y
-    if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
-        raise NonFiniteError("bce loss: non-finite values detected")
-    return loss, grad
+    return check_finite(loss, "bce loss"), check_finite(grad, "bce grad")

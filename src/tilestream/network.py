@@ -360,7 +360,7 @@ def run_stack(x, net, params, start, stop, pads_seq=None, want_cache=True, byte_
                                        want_cache=want_cache)
             owns = owns or not isinstance(layer, Flatten)
         if fused[i - start]:
-            np.maximum(out, 0, out=out)  # the fused relu; the pool checked out finite
+            np.maximum(out, 0, out=out)  # the fused relu (see fused_relu)
             if want_cache:
                 cache = cache[:2] + (out,)
         if byte_sink is not None:
